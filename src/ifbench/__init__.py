@@ -14,15 +14,15 @@ from .interpreter import (Engine, Episode, EpisodeRecord, TurnRecord,
                           FormatViolation, AgentUnavailable, MissingBinding,
                           render_feedback, run_episode, write_episode,
                           read_episode_summary, TURN_LIMIT)
-from .planner import PlanResult, Unsolvable, SearchBudgetExceeded, solve_optimal, verify_solvable
+from .planner import PlanResult, Unsolvable, SearchBudgetExceeded, solve_optimal
 from .generate import (FAMILIES, INSTANCES_PER_FAMILY, GenerationExhausted,
                        WalkNotFound, generate_basic, generate_family,
                        generate_all, apply_inventory_limit,
                        generate_preexploration, synthesize_lexicon,
                        apply_lexicon)
-from .pseudowords import PseudowordMaker, make_pseudoword, load_english_words
+from .pseudowords import PseudowordMaker, load_english_words
 from .metrics import (EpisodeSummary, ExperimentScores, EmptyInput,
-                      goal_success_rate, classify_outcome, aggregate,
+                      goal_success_rate, aggregate,
                       clemscore, combine_clemscore, label_action)
 from .agents import (ScriptedAgent, HeuristicAgent, HumanAgent, LlmAgent,
                      LlmConfig, MalformedResponse, llm_chat,

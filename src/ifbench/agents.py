@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 import requests
 
-from .grammar import GroundedAction
+from .grammar import GroundedAction, staple_verbs
 from .instance import Instance
 from .interpreter import AgentUnavailable, Engine
 from .planner import PlanResult
 from .world import fact, visible_entities
-
-_STAPLES = ("open", "close", "take", "put", "go", "done", "examine", "look")
 
 API_KEY_VARS = ("IFBENCH_API_KEY", "OPENAI_API_KEY")
 
@@ -170,9 +168,7 @@ class HeuristicAgent:
             obj = goal.fact.args[0]
             if obj not in visible:
                 continue
-            for verb in sorted(self.engine.actions):
-                if verb in _STAPLES:
-                    continue
+            for verb in sorted(set(self.engine.actions) - set(staple_verbs())):
                 action = self.engine.actions[verb]
                 grounded = GroundedAction(verb, (("item", obj),))
                 if self.engine.check_preconditions(self.state, action,
@@ -267,12 +263,21 @@ def transcript_to_messages(transcript: Transcript) -> list[dict]:
     return [{"role": roles[role], "content": text} for role, text in transcript]
 
 
+def _retryable(status: int | None, error: Exception) -> bool:
+    """Whether a failed attempt may pass on another try."""
+    if status is None:
+        return isinstance(error, (requests.Timeout, requests.ConnectionError))
+    return status < 400 or status in (408, 429) or status >= 500
+
+
 def llm_chat(config: LlmConfig, transcript: Transcript,
              log: list | None = None) -> str:
     """One chat-completion round trip with bounded retries.
 
-    HTTP errors, timeouts and malformed bodies are each retried up to
-    config.retries times, then surface as AgentUnavailable.
+    Timeouts, connection errors, malformed bodies and HTTP 408, 429 and 5xx
+    are each retried up to config.retries times; any other HTTP error (401,
+    404, ...) is not. A failure that is not retried surfaces as
+    AgentUnavailable.
     """
     url = config.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -311,6 +316,8 @@ def llm_chat(config: LlmConfig, transcript: Transcript,
             if log is not None:
                 log.append(entry)
             last_error = exc
+            if not _retryable(entry.get("status"), exc):
+                break
             if attempt < config.retries:
                 time.sleep(config.backoff * (attempt + 1))
     raise AgentUnavailable(str(last_error)) from last_error

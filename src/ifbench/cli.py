@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .agents import HeuristicAgent, HumanAgent, LlmAgent, LlmConfig, ScriptedAgent
@@ -15,8 +15,8 @@ from .generate import FAMILIES, INSTANCES_PER_FAMILY, GenerationExhausted, gener
 from .instance import Instance, instance_to_dot, load_instances, save_instances
 from .interpreter import TURN_LIMIT, Engine, run_episode, write_episode
 from .metrics import (EpisodeSummary, ExperimentScores, aggregate,
-                      format_grid, format_overview, scores_to_csv,
-                      scores_to_json, write_scores)
+                      format_grid, format_overview, goal_success_rate,
+                      scores_to_csv, scores_to_json)
 from .planner import Unsolvable, solve_optimal
 
 DEFAULT_SEED = 17
@@ -133,15 +133,11 @@ def run_benchmark(config: RunConfig) -> tuple[int, dict]:
         print("no episodes produced scores", file=sys.stderr)
         return 2, {}
     agent_dir.mkdir(parents=True, exist_ok=True)
-    write_scores(agent_dir / "scores.json", agent_name, scores)
-    rows = [{"agent": agent_name, "experiment": s.experiment,
-             "n_episodes": s.n_episodes, "played_pct": s.played_pct,
-             "quality": s.quality, "gsr": s.gsr, "mean_turns": s.mean_turns,
-             "mean_optimal_turns": s.mean_optimal_turns,
-             "epistemic_action_pct": s.epistemic_action_pct} for s in scores]
-    (agent_dir / "scores.csv").write_text(scores_to_csv(rows), encoding="utf-8")
-
     payload = scores_to_json(agent_name, scores)
+    (agent_dir / "scores.json").write_text(
+        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    rows = [{"agent": agent_name, **asdict(s)} for s in scores]
+    (agent_dir / "scores.csv").write_text(scores_to_csv(rows), encoding="utf-8")
     print(f"{agent_name}: clemscore {payload['clemscore']:.1f} "
           f"(quality {payload['macro_quality']:.1f}, "
           f"played {payload['macro_played']:.1f}, "
@@ -175,8 +171,7 @@ def _pick_instance(args) -> Instance:
 def cmd_play(args) -> int:
     instance = _pick_instance(args)
     record = run_episode(instance, HumanAgent(), args.turn_limit)
-    gsr = (len(record.final_goals_achieved) / record.goals_total * 100
-           if record.goals_total else 0.0)
+    gsr = goal_success_rate(len(record.final_goals_achieved), record.goals_total)
     print(f"--- {record.outcome} after {len(record.turns)} turns; "
           f"goal success rate {gsr:.0f} ---")
     return 0
@@ -210,19 +205,9 @@ def cmd_report(args) -> int:
     per_agent: dict[str, list[ExperimentScores]] = {}
     for path in score_files:
         payload = json.loads(path.read_text(encoding="utf-8"))
-        overview_rows.append({"agent": payload["agent"],
-                              "clemscore": payload["clemscore"],
-                              "macro_quality": payload["macro_quality"],
-                              "macro_played": payload["macro_played"],
-                              "macro_gsr": payload["macro_gsr"]})
+        overview_rows.append(payload)
         per_agent[payload["agent"]] = [
-            ExperimentScores(experiment=name, n_episodes=v["n_episodes"],
-                             played_pct=v["played_pct"], quality=v["quality"],
-                             gsr=v["gsr"], mean_turns=v["mean_turns"],
-                             mean_optimal_turns=v["mean_optimal_turns"],
-                             phase_failure_histogram=v["phase_failure_histogram"],
-                             successful_turns=v["successful_turns"],
-                             epistemic_action_pct=v["epistemic_action_pct"])
+            ExperimentScores.from_json(name, v)
             for name, v in payload["experiments"].items()]
     print(format_overview(overview_rows))
     print()

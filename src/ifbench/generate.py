@@ -7,20 +7,18 @@ Identical seeds reproduce byte-identical instance files.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 
-from .grammar import ActionDef, ActionFlags, Lexicon, Param
+from .grammar import ActionDef, ActionFlags, Lexicon, Param, staple_verbs
 from .instance import Instance
 from .interpreter import Engine, number_word
-from .planner import Unsolvable, verify_solvable
+from .planner import Unsolvable, solve_optimal
 from .pseudowords import PseudowordMaker
 from .world import (EntityDef, GoalCondition, RoomDef, StateGroup, fact,
-                    load_entity_catalogue, load_room_catalogue)
+                    load_data, load_entity_catalogue, load_room_catalogue)
 
 FAMILIES = (
     "basic-easy", "basic-hard",
@@ -33,7 +31,6 @@ INSTANCES_PER_FAMILY = 16
 INVENTORY_LIMIT = 2
 GOAL_COUNT = 3
 
-_STAPLE_VERBS = ("open", "close", "take", "put", "go", "done", "examine", "look")
 _REPLACEABLE_VERBS = ("open", "close", "take", "put")
 _SYNTHETIC_HARD_VERBS = ("go", "done", "examine", "look")
 
@@ -47,12 +44,6 @@ class GenerationExhausted(Exception):
 
 class WalkNotFound(Exception):
     """No <= 8 step closed walk covers the required rooms."""
-
-
-def _prompts() -> dict:
-    with resources.files("ifbench.data").joinpath("prompts.json").open(
-            encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _choice(rng, seq):
@@ -126,26 +117,20 @@ def _distances(adj: dict[str, list[str]], origin: str) -> dict[str, int]:
 
 # -- prompt assembly ---------------------------------------------------------
 
-def _goal_sentence(inst: Instance) -> str:
-    prompts = _prompts()
-    lex = inst.lexicon or Lexicon()
-    world = inst.world
-
-    def surface(ident):
-        return lex.noun(world.noun_of(ident))
-
+def _goal_sentence(engine: Engine) -> str:
+    prompts = load_data("prompts.json")
     parts = []
-    placement = inst.goals[0].kind == "placement"
-    for goal in inst.goals:
+    placement = engine.goals[0].kind == "placement"
+    for goal in engine.goals:
         if goal.kind == "placement":
             item, target = goal.fact.args
             parts.append(prompts["placement_part"].format(
-                item=surface(item), prep=goal.fact.predicate,
-                target=surface(target)))
+                item=engine.surface(item), prep=goal.fact.predicate,
+                target=engine.surface(target)))
         else:
             parts.append(prompts["state_part"].format(
-                item=surface(goal.fact.args[0]),
-                state=lex.adjective(goal.fact.predicate)))
+                item=engine.surface(goal.fact.args[0]),
+                state=engine.state_surface(goal.fact.predicate)))
     if len(parts) > 1:
         joined = ", the ".join(parts[:-1]) + " and the " + parts[-1]
     else:
@@ -155,12 +140,12 @@ def _goal_sentence(inst: Instance) -> str:
 
 
 def _finalize_prompt(inst: Instance, extras: list[str]) -> Instance:
-    prompts = _prompts()
+    prompts = load_data("prompts.json")
     engine = Engine(inst)
     start_desc = engine.room_description(inst.start_state())
     pieces = [prompts["preamble"]]
     pieces.extend(extras)
-    pieces.append(prompts["goal_line"].format(goal=_goal_sentence(inst)))
+    pieces.append(prompts["goal_line"].format(goal=_goal_sentence(engine)))
     pieces.append(prompts["closing"])
     pieces.append(start_desc)
     return replace(inst, prompt="\n\n".join(pieces))
@@ -169,7 +154,7 @@ def _finalize_prompt(inst: Instance, extras: list[str]) -> Instance:
 def _standard_extras(inst: Instance) -> list[str]:
     extras = []
     if inst.inventory_limit is not None:
-        extras.append(_prompts()["limit_sentence"].format(
+        extras.append(load_data("prompts.json")["limit_sentence"].format(
             limit=number_word(inst.inventory_limit)))
     lex = inst.lexicon
     if lex and lex.verbs:
@@ -178,7 +163,7 @@ def _standard_extras(inst: Instance) -> list[str]:
 
 
 def _new_words_extra(pseudo_verbs: list[str]) -> str:
-    prompts = _prompts()
+    prompts = load_data("prompts.json")
     words = (", ".join(pseudo_verbs[:-1]) + " and " + pseudo_verbs[-1]
              if len(pseudo_verbs) > 1 else pseudo_verbs[0])
     return prompts["new_words_many"].format(words=words)
@@ -270,7 +255,7 @@ def generate_basic(rng, difficulty: str, instance_id: str = "",
             goals=tuple(goals),
             inventory_limit=None,
             lexicon=None,
-            base_verbs=_STAPLE_VERBS,
+            base_verbs=staple_verbs(),
             extra_actions=(),
             preexploration=None,
             prompt="",
@@ -279,7 +264,7 @@ def generate_basic(rng, difficulty: str, instance_id: str = "",
         )
         inst = _finalize_prompt(inst, [])
         try:
-            length = verify_solvable(inst, budget=500_000)
+            length = solve_optimal(inst, budget=500_000).length
         except Unsolvable:
             continue
         if length > 50:
@@ -338,7 +323,7 @@ def apply_inventory_limit(inst: Instance, k: int) -> Instance:
     re-verified optimal length. Raises Unsolvable for unreachable goals."""
     limited = replace(inst, inventory_limit=k)
     limited = _finalize_prompt(limited, _standard_extras(limited))
-    length = verify_solvable(limited, budget=500_000)
+    length = solve_optimal(limited, budget=500_000).length
     return replace(limited, optimal_length=length)
 
 
@@ -406,7 +391,7 @@ def catalogue_vocabulary() -> set[str]:
     """Every live surface word of the base domain (multiword nouns are also
     split so no pseudo-word collides with a part of one)."""
     words = {"player", "inventory"}
-    words.update(_STAPLE_VERBS)
+    words.update(staple_verbs())
     for e in load_entity_catalogue().values():
         words.update(e.noun.split())
         words.add(e.noun)
@@ -455,8 +440,8 @@ def _synthesize_easy(rng, base: Instance) -> Instance:
     lexicon = Lexicon(nouns=nouns, verbs={verb: pseudo_verb},
                       explanations={verb: explanation})
     inst = replace(base, family="synthetic-easy", lexicon=lexicon)
-    extra = _prompts()["new_words_one"].format(word=pseudo_verb,
-                                               explanation=explanation)
+    extra = load_data("prompts.json")["new_words_one"].format(
+        word=pseudo_verb, explanation=explanation)
     return _finalize_prompt(inst, [extra])
 
 
@@ -567,7 +552,7 @@ def _synthesize_hard(rng) -> Instance:
     )
     extra = _new_words_extra(_shuffled(rng, display_verbs))
     inst = _finalize_prompt(inst, [extra])
-    length = verify_solvable(inst, budget=500_000)
+    length = solve_optimal(inst, budget=500_000).length
     return replace(inst, optimal_length=length)
 
 

@@ -8,13 +8,12 @@ pattern is compiled. Multiword nouns are matched greedily, longest first.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from importlib import resources
+from functools import cache
 from typing import Iterable, Mapping
 
-from .world import INVENTORY, WorldDef
+from .world import INVENTORY, WorldDef, load_data
 
 FUNCTION_WORDS = frozenset({"the", "a", "an", "to", "at", "on", "in", "from"})
 
@@ -109,11 +108,16 @@ def action_from_json(row: Mapping) -> ActionDef:
     )
 
 
+@cache
 def load_standard_actions() -> tuple[ActionDef, ...]:
-    with resources.files("ifbench.data").joinpath("actions.json").open(
-            encoding="utf-8") as fh:
-        data = json.load(fh)
-    return tuple(action_from_json(row) for row in data["actions"])
+    return tuple(action_from_json(row)
+                 for row in load_data("actions.json")["actions"])
+
+
+@cache
+def staple_verbs() -> tuple[str, ...]:
+    """The bundled verbs in catalogue order, as household instances use them."""
+    return tuple(a.verb for a in load_standard_actions())
 
 
 @dataclass(frozen=True)
@@ -154,9 +158,6 @@ class Lexicon:
         return Lexicon(dict(data.get("nouns", {})), dict(data.get("verbs", {})),
                        dict(data.get("adjectives", {})),
                        dict(data.get("explanations", {})))
-
-
-IDENTITY_LEXICON = Lexicon()
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ metadata, plus their JSON serialization and DOT graph export."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -69,9 +69,6 @@ class Instance:
             if f.predicate == "at" and f.args[0] == "player":
                 return f.args[1]
         raise ValueError("instance has no player placement")
-
-    def with_changes(self, **kwargs) -> "Instance":
-        return replace(self, **kwargs)
 
     def to_json(self) -> dict:
         return {
@@ -151,7 +148,16 @@ def load_instances(path: str | Path) -> list[Instance]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported instance schema in {path}")
-    return [Instance.from_json(row) for row in payload["instances"]]
+    if not isinstance(payload.get("instances"), list):
+        raise ValueError(f"{path}: field 'instances' is missing or not a list")
+    instances = []
+    for index, row in enumerate(payload["instances"]):
+        try:
+            instances.append(Instance.from_json(row))
+        except KeyError as exc:
+            raise ValueError(f"{path}: instance {index} ({row.get('id', 'no id')}) "
+                             f"lacks field {exc.args[0]!r}") from exc
+    return instances
 
 
 def instance_to_dot(inst: Instance) -> str:

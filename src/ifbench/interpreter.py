@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
@@ -18,7 +17,7 @@ from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure)
 from .instance import Instance
 from .world import (INVENTORY, PLAYER, Fact, GoalCondition, Observation,
                     WorldState, apply_delta, check_goals, connections_of,
-                    contents_in, contents_on, entities_at, fact,
+                    contents_in, contents_on, entities_at, fact, load_data,
                     state_facts_of, state_to_json, visible_entities,
                     visible_facts)
 
@@ -63,9 +62,7 @@ def number_word(n: int) -> str:
 
 
 def load_messages() -> dict:
-    with resources.files("ifbench.data").joinpath("messages.json").open(
-            encoding="utf-8") as fh:
-        return json.load(fh)
+    return load_data("messages.json")
 
 
 @dataclass
@@ -532,12 +529,33 @@ def run_episode(instance: Instance, agent, turn_limit: int = TURN_LIMIT) -> Epis
 
 # -- episode persistence ----------------------------------------------------
 
-def episode_to_lines(record: EpisodeRecord) -> list[str]:
-    """JSON-lines form: one turn per line, then one summary object."""
-    lines = []
+def episode_summary(record: EpisodeRecord) -> dict:
+    """The summary object that closes an episode's JSON lines."""
     phase_counts = {p: 0 for p in PHASES}
     for turn in record.turns:
         phase_counts[turn.phase_outcome] += 1
+    return {
+        "type": "summary",
+        "instance_id": record.instance_id,
+        "family": record.family,
+        "outcome": record.outcome,
+        "turns": len(record.turns),
+        "goals_total": record.goals_total,
+        "goals_achieved": sorted(str(g.fact) for g in record.final_goals_achieved),
+        "phase_counts": phase_counts,
+        "grounded_turns": record.grounded_turns,
+        "epistemic_turns": record.epistemic_turns,
+        "pragmatic_turns": record.pragmatic_turns,
+        "optimal_length": record.optimal_length,
+        "final_state": state_to_json(record.final_state),
+        "agent_log": record.agent_log,
+    }
+
+
+def episode_to_lines(record: EpisodeRecord) -> list[str]:
+    """JSON-lines form: one turn per line, then one summary object."""
+    lines = []
+    for turn in record.turns:
         lines.append(json.dumps({
             "type": "turn",
             "turn": turn.turn_index,
@@ -553,22 +571,7 @@ def episode_to_lines(record: EpisodeRecord) -> list[str]:
             "goals_now": sorted(str(g.fact) for g in turn.goals_achieved_now),
             "epistemic_gain": turn.epistemic_gain,
         }, sort_keys=True))
-    lines.append(json.dumps({
-        "type": "summary",
-        "instance_id": record.instance_id,
-        "family": record.family,
-        "outcome": record.outcome,
-        "turns": len(record.turns),
-        "goals_total": record.goals_total,
-        "goals_achieved": sorted(str(g.fact) for g in record.final_goals_achieved),
-        "phase_counts": phase_counts,
-        "grounded_turns": record.grounded_turns,
-        "epistemic_turns": record.epistemic_turns,
-        "pragmatic_turns": record.pragmatic_turns,
-        "optimal_length": record.optimal_length,
-        "final_state": state_to_json(record.final_state),
-        "agent_log": record.agent_log,
-    }, sort_keys=True))
+    lines.append(json.dumps(episode_summary(record), sort_keys=True))
     return lines
 
 

@@ -1,5 +1,5 @@
-"""Benchmark scoring: outcome classification, Played / Quality / GSR /
-clemscore, exploration accounting, and failure-phase statistics.
+"""Benchmark scoring: Played / Quality / GSR / clemscore, exploration
+accounting, and failure-phase statistics.
 
 Quality's denominator is the non-aborted (played) episodes; GSR is averaged
 per episode over all episodes, aborted ones included, on their final state.
@@ -9,16 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from .interpreter import PHASES, EpisodeRecord, TurnRecord
+from .interpreter import PHASES, EpisodeRecord, TurnRecord, episode_summary
 
-_FAILURE_PHASES = ("format-fail", "parse-fail", "resolution-fail",
-                   "precondition-fail")
+_FAILURE_PHASES = tuple(p for p in PHASES if p != "success")
 
 
 class EmptyInput(Exception):
@@ -43,22 +40,7 @@ class EpisodeSummary:
 
     @staticmethod
     def from_record(record: EpisodeRecord) -> "EpisodeSummary":
-        counts = {p: 0 for p in PHASES}
-        for turn in record.turns:
-            counts[turn.phase_outcome] += 1
-        return EpisodeSummary(
-            instance_id=record.instance_id,
-            family=record.family,
-            outcome=record.outcome,
-            turns=len(record.turns),
-            goals_total=record.goals_total,
-            goals_achieved=len(record.final_goals_achieved),
-            phase_counts=counts,
-            grounded_turns=record.grounded_turns,
-            epistemic_turns=record.epistemic_turns,
-            pragmatic_turns=record.pragmatic_turns,
-            optimal_length=record.optimal_length,
-        )
+        return EpisodeSummary.from_json(episode_summary(record))
 
     @staticmethod
     def from_json(summary: Mapping) -> "EpisodeSummary":
@@ -90,24 +72,17 @@ class ExperimentScores:
     successful_turns: int
     epistemic_action_pct: float
 
+    @staticmethod
+    def from_json(experiment: str, data: Mapping) -> "ExperimentScores":
+        """Inverse of one entry of ``scores_to_json(...)["experiments"]``."""
+        return ExperimentScores(experiment=experiment, **data)
+
 
 def goal_success_rate(achieved: int, total: int) -> float:
     """|achieved goals| / |goals| x 100."""
     if total < 1 or not 0 <= achieved <= total:
         raise ValueError(f"bad goal counts {achieved}/{total}")
     return achieved / total * 100.0
-
-
-def classify_outcome(record: EpisodeRecord) -> str:
-    """success / lost / aborted, recomputed from the turns and final state."""
-    if record.turns:
-        last = record.turns[-1]
-        if (last.phase_outcome == "success" and last.grounded
-                and last.grounded.action == "done"):
-            if len(record.final_goals_achieved) == record.goals_total:
-                return "success"
-            return "lost"
-    return "aborted"
 
 
 def is_played(outcome: str) -> bool:
@@ -153,19 +128,27 @@ def combine_clemscore(macro_quality: float, macro_played: float) -> float:
     return macro_quality * macro_played / 100.0
 
 
-def clemscore(per_experiment: Iterable[ExperimentScores]) -> float:
-    """Macro-average quality x macro-average played proportion."""
-    scores = list(per_experiment)
+def macro_averages(per_experiment: Iterable[ExperimentScores]
+                   ) -> tuple[float, float, float]:
+    """Macro-average quality, played and GSR, summed in experiment-name
+    order so that every caller gets the same float bits."""
+    scores = sorted(per_experiment, key=lambda s: s.experiment)
     if not scores:
         raise EmptyInput("no experiment scores")
-    macro_quality = sum(s.quality for s in scores) / len(scores)
-    macro_played = sum(s.played_pct for s in scores) / len(scores)
+    n = len(scores)
+    return (sum(s.quality for s in scores) / n,
+            sum(s.played_pct for s in scores) / n,
+            sum(s.gsr for s in scores) / n)
+
+
+def clemscore(per_experiment: Iterable[ExperimentScores]) -> float:
+    """Macro-average quality x macro-average played proportion."""
+    macro_quality, macro_played, _ = macro_averages(per_experiment)
     return combine_clemscore(macro_quality, macro_played)
 
 
 def macro_gsr(per_experiment: Iterable[ExperimentScores]) -> float:
-    scores = list(per_experiment)
-    return sum(s.gsr for s in scores) / len(scores)
+    return macro_averages(per_experiment)[2]
 
 
 def label_action(turn: TurnRecord, actions_by_verb: Mapping) -> dict:
@@ -188,36 +171,18 @@ def paper_pct(value: float) -> str:
 
 
 def scores_to_json(agent: str, per_experiment: list[ExperimentScores]) -> dict:
-    scores = sorted(per_experiment, key=lambda s: s.experiment)
-    macro_quality = sum(s.quality for s in scores) / len(scores)
-    macro_played = sum(s.played_pct for s in scores) / len(scores)
+    macro_quality, macro_played, gsr = macro_averages(per_experiment)
     return {
         "agent": agent,
         "clemscore": combine_clemscore(macro_quality, macro_played),
         "macro_quality": macro_quality,
         "macro_played": macro_played,
-        "macro_gsr": macro_gsr(scores),
+        "macro_gsr": gsr,
         "experiments": {
-            s.experiment: {
-                "n_episodes": s.n_episodes,
-                "played_pct": s.played_pct,
-                "quality": s.quality,
-                "gsr": s.gsr,
-                "mean_turns": s.mean_turns,
-                "mean_optimal_turns": s.mean_optimal_turns,
-                "phase_failure_histogram": s.phase_failure_histogram,
-                "successful_turns": s.successful_turns,
-                "epistemic_action_pct": s.epistemic_action_pct,
-            } for s in scores
+            s.experiment: {k: v for k, v in asdict(s).items() if k != "experiment"}
+            for s in sorted(per_experiment, key=lambda s: s.experiment)
         },
     }
-
-
-def write_scores(path: str | Path, agent: str,
-                 per_experiment: list[ExperimentScores]) -> None:
-    payload = scores_to_json(agent, per_experiment)
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 def scores_to_csv(rows: list[dict]) -> str:

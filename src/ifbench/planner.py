@@ -154,8 +154,3 @@ def solve_optimal(instance: Instance, budget: int = DEFAULT_BUDGET,
                 return PlanResult(tuple(plan), len(plan), expanded)
             queue.append(new_state)
     raise Unsolvable(instance.id)
-
-
-def verify_solvable(instance: Instance, budget: int = DEFAULT_BUDGET) -> int:
-    """Optimal length only (generator gate); same search as solve_optimal."""
-    return solve_optimal(instance, budget=budget).length

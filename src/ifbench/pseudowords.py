@@ -4,21 +4,16 @@ wordlist, the game vocabulary, and previously emitted words."""
 
 from __future__ import annotations
 
-import json
-from importlib import resources
+from functools import cache
+
+from .world import load_data
 
 _MAX_RESAMPLES = 200
 
 
-def _load_phonotactics() -> dict:
-    with resources.files("ifbench.data").joinpath("phonotactics.json").open(
-            encoding="utf-8") as fh:
-        return json.load(fh)
-
-
+@cache
 def load_english_words() -> frozenset[str]:
-    text = resources.files("ifbench.data").joinpath(
-        "english_words.txt").read_text(encoding="utf-8")
+    text = load_data("english_words.txt")
     return frozenset(w.strip() for w in text.splitlines()
                      if w.strip() and not w.startswith("#"))
 
@@ -28,7 +23,7 @@ class PseudowordMaker:
     word or anything in `forbidden` (the live game vocabulary)."""
 
     def __init__(self, rng, forbidden=()):
-        tables = _load_phonotactics()
+        tables = load_data("phonotactics.json")
         self.onsets = tables["onsets"]
         self.nuclei = tables["nuclei"]
         self.codas = tables["codas"]
@@ -61,8 +56,3 @@ class PseudowordMaker:
                 return word
             max_len += 2
             extra_syllables += 1
-
-
-def make_pseudoword(rng, forbidden=()) -> str:
-    """One-off draw; use PseudowordMaker for batches that must be distinct."""
-    return PseudowordMaker(rng, forbidden).make()

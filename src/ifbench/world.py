@@ -11,15 +11,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Iterable, Mapping, NamedTuple
 
 PLAYER = "player"
 INVENTORY = "inventory"
 CONNECTS = "connects"
-
-#: predicates that actions may add or remove in the base domain
-MUTABLE_PREDICATES = ("at", "in", "on", "open", "closed")
 
 _FACT_RE = re.compile(r"^([a-z_][\w-]*)\(([^()]*)\)$")
 
@@ -367,14 +365,18 @@ def state_from_json(world: WorldDef, data: dict) -> WorldState:
     return state
 
 
-def _load_data(name: str) -> dict:
-    with resources.files("ifbench.data").joinpath(name).open(encoding="utf-8") as fh:
-        return json.load(fh)
+@cache
+def load_data(name: str):
+    """A bundled data file, read once per process and shared (callers must
+    not mutate it): parsed JSON for ``*.json``, text otherwise."""
+    text = resources.files("ifbench.data").joinpath(name).read_text(encoding="utf-8")
+    return json.loads(text) if name.endswith(".json") else text
 
 
+@cache
 def load_room_catalogue() -> dict[str, RoomDef]:
     rooms = {}
-    for row in _load_data("rooms.json")["rooms"]:
+    for row in load_data("rooms.json")["rooms"]:
         rooms[row["id"]] = RoomDef(row["id"], row["noun"],
                                    frozenset(row["allowed_adjacent"]))
     for rid, room in rooms.items():
@@ -384,10 +386,11 @@ def load_room_catalogue() -> dict[str, RoomDef]:
     return rooms
 
 
+@cache
 def load_entity_catalogue() -> dict[str, EntityDef]:
     entities = {}
     rooms = load_room_catalogue()
-    for row in _load_data("entities.json")["entities"]:
+    for row in load_data("entities.json")["entities"]:
         ent = EntityDef(row["id"], row["noun"], frozenset(row["traits"]),
                         frozenset(row["allowed_rooms"]))
         if not ent.allowed_rooms <= set(rooms):

@@ -7,7 +7,7 @@ from __future__ import annotations
 from itertools import product
 
 from ifbench import Engine, Instance
-from ifbench.grammar import Lexicon
+from ifbench.grammar import Lexicon, staple_verbs
 from ifbench.world import (EntityDef, GoalCondition, RoomDef, StateGroup,
                            WorldDef, WorldState, Fact, fact, parse_fact)
 
@@ -122,8 +122,6 @@ _TRAITS = {
     "takeable": frozenset({"takeable"}),
 }
 
-_STAPLES = ("open", "close", "take", "put", "go", "done", "examine", "look")
-
 
 def micro_instance(rooms, connections, entities, facts, goals,
                    inventory_limit=None, instance_id="micro",
@@ -167,7 +165,7 @@ def micro_instance(rooms, connections, entities, facts, goals,
         goals=goal_conditions,
         inventory_limit=inventory_limit,
         lexicon=lexicon,
-        base_verbs=_STAPLES,
+        base_verbs=staple_verbs(),
         extra_actions=tuple(extra_actions),
         preexploration=None,
         prompt=prompt,

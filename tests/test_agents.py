@@ -8,7 +8,6 @@ import requests
 from ifbench import (AgentUnavailable, HeuristicAgent, HumanAgent, LlmAgent,
                      LlmConfig, MalformedResponse, ScriptedAgent, llm_chat,
                      run_episode, solve_optimal, transcript_to_messages)
-from ifbench.agents import _STAPLES
 from oracles import micro_instance
 
 
@@ -131,6 +130,13 @@ def test_llm_chat_exhausted_retries(stub_server):
     assert len(stub_server.requests) == 2
 
 
+def test_llm_chat_client_error_not_retried(stub_server):
+    stub_server.script = [("404", None)]
+    with pytest.raises(AgentUnavailable):
+        llm_chat(_config(stub_server, retries=2), TRANSCRIPT)
+    assert len(stub_server.requests) == 1
+
+
 def test_llm_config_validation():
     with pytest.raises(ValueError):
         LlmConfig(endpoint="x", model="m", temperature=-1)
@@ -232,8 +238,3 @@ def test_scripted_agent_exhausted_queue_says_done():
     agent = ScriptedAgent(["> look"])
     agent.next_action(())
     assert agent.next_action(()) == "> done"
-
-
-def test_staples_constant_matches_catalogue():
-    from ifbench import load_standard_actions
-    assert set(_STAPLES) == {a.verb for a in load_standard_actions()}

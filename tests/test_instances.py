@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -6,14 +7,29 @@ import pytest
 
 from ifbench import (Engine, Unsolvable, apply_inventory_limit, apply_lexicon,
                      fact, generate_basic, generate_preexploration,
-                     instance_to_dot, load_instances, make_pseudoword,
-                     save_instances, solve_optimal)
+                     instance_to_dot, load_instances, save_instances,
+                     solve_optimal)
 from ifbench.generate import FAMILIES, catalogue_vocabulary
 from ifbench.grammar import Lexicon
 from ifbench.pseudowords import PseudowordMaker, load_english_words
 from oracles import micro_instance
 
 WORD_RE = re.compile(r"^[a-z]{4,8}$")
+
+# SHA-256 of each file `ifbench generate --seed 17` writes. A change that
+# alters a byte of the suite on purpose updates these and records the old and
+# new hashes in CHANGES.md.
+SEED17_SHA256 = {
+    "basic-easy": "c578a8a0a54f3ff06172aca236f255fe2904d253bb452c59cb738dac3cef3f32",
+    "basic-hard": "ee28a4d0e699ac253b38b76560ec4d6001c3be6411ba6bb2b0a95148fd869137",
+    "limit-easy": "cbd41627abce74e263b722e11f2dd1973c5defaf1c0ef4cff94e7caed1a1b997",
+    "limit-hard": "dac1d04b877cce530d545eb56d3145a8319f83255d6a0c7cc252dd4dc13c4d4c",
+    "preexplore-easy": "acec657595bbd35f42ee5308ec499823eb49dd27d3cbf8c4cccbdb36510b4a15",
+    "preexplore-hard": "7b4536302d3a39b6106f32ebb42394269a487b2555be148c38103d8216a839a8",
+    "synthetic-easy": "46b56c25052d317efd4401a3ef93add25d3633c2dfbccb8c4e576a2f0d629e1f",
+    "synthetic-hard": "e48f208557b6424f651f37841b8a8186029a97474af4568719a1c90a2693e08f",
+    "synthetic-medium": "95853f87bcc160c1ab01a55f2f0dc4f3531bbd9edc29589c7c72b79dce2c878b",
+}
 
 
 def _item_location(inst, item):
@@ -324,11 +340,6 @@ def test_pseudoword_shape_and_rejection():
         assert word != "book"
 
 
-def test_make_pseudoword_single():
-    word = make_pseudoword(np.random.default_rng(4))
-    assert WORD_RE.match(word)
-
-
 def test_pseudoword_exhaustion_extends_space():
     maker = PseudowordMaker(np.random.default_rng(1))
     maker.onsets, maker.nuclei, maker.codas = ["b"], ["a"], [""]
@@ -393,11 +404,34 @@ def test_put_explanation_sentence(bench144):
         pytest.skip("no synthetic-easy instance replaced `put` at this seed")
 
 
+def test_seed17_instance_files_match_golden_hashes(tmp_path, bench144):
+    digests = {}
+    for family, instances in bench144.items():
+        path = tmp_path / f"{family}.json"
+        save_instances(instances, path, base_seed=17)
+        digests[family] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == SEED17_SHA256
+
+
 def test_instance_schema_version_guard(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema_version": 99, "instances": []}))
     with pytest.raises(ValueError):
         load_instances(path)
+
+
+def test_malformed_instance_names_file_instance_and_field(tmp_path, bench144):
+    path = tmp_path / "broken.json"
+    save_instances(bench144["basic-easy"][:2], path, base_seed=17)
+    payload = json.loads(path.read_text())
+    del payload["instances"][1]["family"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert "instance 1 (basic-easy-01)" in message
+    assert "'family'" in message
 
 
 def test_dot_export(bench144):

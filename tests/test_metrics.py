@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ifbench import (EmptyInput, EpisodeSummary, ScriptedAgent, aggregate,
-                     clemscore, classify_outcome, combine_clemscore,
+                     clemscore, combine_clemscore,
                      goal_success_rate, label_action, load_standard_actions,
                      run_episode, solve_optimal)
 from ifbench.metrics import macro_gsr, paper_pct, scores_to_csv, scores_to_json
@@ -58,13 +58,13 @@ def test_classify_outcomes():
         goals=["on(apple,table)"])
     plan = solve_optimal(inst)
     record = run_episode(inst, ScriptedAgent.from_plan(inst, plan))
-    assert classify_outcome(record) == "success"
+    assert record.outcome == "success"
     record = run_episode(inst, ScriptedAgent(["> done"]))
-    assert classify_outcome(record) == "lost"
+    assert record.outcome == "lost"
     record = run_episode(inst, ScriptedAgent(["> look"] * 55))
-    assert classify_outcome(record) == "aborted"
+    assert record.outcome == "aborted-turn-limit"
     record = run_episode(inst, ScriptedAgent(["take apple"]))
-    assert classify_outcome(record) == "aborted"
+    assert record.outcome == "aborted-format"
 
 
 def test_aggregate_hand_counted_fixture():

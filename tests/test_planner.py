@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from ifbench import (Engine, ScriptedAgent, SearchBudgetExceeded, Unsolvable,
-                     run_episode, solve_optimal, verify_solvable)
+                     run_episode, solve_optimal)
 from oracles import brute_force_optimal, micro_instance
 
 
@@ -93,16 +95,16 @@ def test_inventory_limit_monotonicity():
         goals=["on(apple,table)", "on(peach,table)", "on(plate,table)"])
     lengths = {}
     for limit in (1, 2, 3, None):
-        limited = inst.with_changes(inventory_limit=limit)
-        lengths[limit] = verify_solvable(limited)
+        limited = replace(inst, inventory_limit=limit)
+        lengths[limit] = solve_optimal(limited).length
     assert lengths[1] >= lengths[2] >= lengths[3] == lengths[None]
     assert lengths[1] > lengths[None]  # one-at-a-time forces extra trips
 
 
 def test_zero_limit_unsolvable():
-    inst = one_room().with_changes(inventory_limit=0)
+    inst = replace(one_room(), inventory_limit=0)
     with pytest.raises(Unsolvable):
-        verify_solvable(inst)
+        solve_optimal(inst)
 
 
 def test_budget_exceeded():
