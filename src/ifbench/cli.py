@@ -75,7 +75,10 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
     instances = []
     for f in files:
-        instances.extend(load_instances(f))
+        try:
+            instances.extend(load_instances(f))
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from exc
     if families:
         instances = [i for i in instances if i.family in families]
     if not instances:

@@ -10,9 +10,9 @@ from pathlib import Path
 
 from .grammar import (ActionDef, Lexicon, Parser, action_from_json,
                       build_parser, load_standard_actions)
-from .world import (CONNECTS, EntityDef, Fact, GoalCondition, RoomDef,
-                    StateGroup, WorldDef, WorldState, fact, initial_state,
-                    parse_fact)
+from .world import (CONNECTS, EntityDef, Fact, GoalCondition,
+                    InvariantViolation, RoomDef, StateGroup, WorldDef,
+                    WorldState, fact, initial_state, parse_fact)
 
 SCHEMA_VERSION = 1
 PRNG_NAME = "numpy-PCG64"
@@ -152,11 +152,15 @@ def load_instances(path: str | Path) -> list[Instance]:
         raise ValueError(f"{path}: field 'instances' is missing or not a list")
     instances = []
     for index, row in enumerate(payload["instances"]):
+        where = f"{path}: instance {index} ({row.get('id', 'no id')})"
         try:
-            instances.append(Instance.from_json(row))
+            instance = Instance.from_json(row)
+            instance.start_state()  # raises on an invalid start state
         except KeyError as exc:
-            raise ValueError(f"{path}: instance {index} ({row.get('id', 'no id')}) "
-                             f"lacks field {exc.args[0]!r}") from exc
+            raise ValueError(f"{where} lacks field {exc.args[0]!r}") from exc
+        except (ValueError, InvariantViolation) as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        instances.append(instance)
     return instances
 
 

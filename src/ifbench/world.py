@@ -141,6 +141,8 @@ def initial_state(world: WorldDef, facts: Iterable[Fact],
                   inventory_limit: int | None = None) -> WorldState:
     """Build and validate a state from an ordered fact list."""
     ordered = list(facts)
+    for f in ordered:  # before the loop below reads their arguments
+        _check_fact(world, f)
     player_room = None
     inventory = []
     for f in ordered:
@@ -243,6 +245,23 @@ def apply_delta(world: WorldDef, state: WorldState,
                 removes: Iterable[Fact], adds: Iterable[Fact]) -> WorldState:
     """Return the state with `removes` taken out and `adds` put in.
 
+    `state` must satisfy every invariant of `validate_state`, as each state
+    built by `initial_state`, `state_from_json` or this function does. The
+    result is therefore checked only where the delta lands:
+
+    - each added fact has a known predicate and the right arity, and
+      ``open``/``closed`` hold only of containers;
+    - the player, if the delta moves it, and each takeable whose location
+      facts it touches keep exactly one location fact, and each added one
+      points at a room, a support, a container or the inventory;
+    - each entity whose state group it touches holds at most one state, and
+      one if the group has an initial state;
+    - if it touches ``in(_, inventory)``, the inventory mirrors those facts
+      and stays within the limit.
+
+    A delta that touches ``connects`` gets the full `validate_state`, which
+    also checks that the room graph is symmetric and connected.
+
     Raises InvariantViolation when the delta does not fit the state or the
     result breaks an invariant; both signal a buggy action definition.
     """
@@ -252,6 +271,8 @@ def apply_delta(world: WorldDef, state: WorldState,
         raise InvariantViolation(f"removes not in state: {removes - state.facts}")
     if adds & (state.facts - removes):
         raise InvariantViolation(f"adds already present: {adds & state.facts}")
+    for f in adds:
+        _check_fact(world, f)
 
     facts = (state.facts - removes) | adds
     player_room = state.player_room
@@ -266,8 +287,70 @@ def apply_delta(world: WorldDef, state: WorldState,
             player_room = f.args[1]
     result = WorldState(facts, player_room, tuple(inventory),
                         state.inventory_limit)
-    validate_state(world, result)
+    _check_delta(world, result, removes, adds)
     return result
+
+
+def _check_fact(world: WorldDef, f: Fact) -> None:
+    """`validate_state`'s rules for a single fact."""
+    if f.predicate in ("at", "in", "on", CONNECTS):
+        if len(f.args) != 2:
+            raise InvariantViolation(f"{f} must have 2 args")
+    elif f.predicate in ("open", "closed") or f.predicate in world.state_predicates():
+        if len(f.args) != 1:
+            raise InvariantViolation(f"{f} must have 1 arg")
+        if f.predicate in ("open", "closed") and not world.is_container(f.args[0]):
+            raise InvariantViolation(f"{f}: not a container")
+    else:
+        raise InvariantViolation(f"unknown predicate in {f}")
+
+
+def _check_delta(world: WorldDef, state: WorldState,
+                 removes: frozenset[Fact], adds: frozenset[Fact]) -> None:
+    """`validate_state`'s rules that a delta can break, checked on the
+    subjects it touches; `state` is the result of the delta."""
+    placed: dict[str, int] = {}  # change in each subject's location facts
+    stateful = set()
+    carried_changed = False
+    for sign, delta in ((-1, removes), (1, adds)):
+        for f in delta:
+            if f.predicate in ("at", "in", "on"):
+                who, where = f.args
+                carried_changed |= f.predicate == "in" and where == INVENTORY
+                if not (world.is_takeable(who)
+                        or who == PLAYER and f.predicate == "at"):
+                    continue
+                if f.predicate == "at":
+                    valid = where in world.rooms
+                elif f.predicate == "on":
+                    valid = world.is_support(where)
+                else:
+                    valid = where == INVENTORY or world.is_container(where)
+                if sign > 0 and not valid:
+                    raise InvariantViolation(f"{f}: not a valid location")
+                placed[who] = placed.get(who, 0) + sign
+            elif f.predicate == CONNECTS:
+                validate_state(world, state)  # symmetry and connectivity
+                return
+            elif len(f.args) == 1 and f.args[0] in world.state_groups:
+                stateful.add(f.args[0])
+    for who, change in placed.items():
+        if change:
+            raise InvariantViolation(f"{who} has {1 + change} location facts")
+    for eid in stateful:
+        group = world.state_groups[eid]
+        held = {s for s in group.states if Fact(s, (eid,)) in state.facts}
+        if len(held) > 1:
+            raise InvariantViolation(f"{eid} holds several states: {held}")
+        if group.initial is not None and not held:
+            raise InvariantViolation(f"{eid} lost its state fact")
+    if carried_changed:
+        carried = {f.args[0] for f in state.facts
+                   if f.predicate == "in" and f.args[1] == INVENTORY}
+        if carried != set(state.inventory):
+            raise InvariantViolation("inventory does not mirror in(_, inventory)")
+        if state.inventory_limit is not None and len(carried) > state.inventory_limit:
+            raise InvariantViolation("inventory over limit")
 
 
 def connections_of(state: WorldState, room: str) -> list[str]:

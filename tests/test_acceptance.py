@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printed in the terminal
 summary as criterion N PASS/FAIL."""
 
+import hashlib
 import os
 import time
 from pathlib import Path
@@ -18,6 +19,19 @@ from ifbench.metrics import macro_gsr, paper_pct
 from ifbench.pseudowords import PseudowordMaker
 from ifbench.world import validate_state
 from oracles import brute_force_optimal, micro_instance
+
+# SHA-256 of the scored outputs of `generate --seed 17`, `run --agent
+# scripted` and `report` (turns.csv holds the scripted rows only). A change
+# that alters them on purpose updates these and records the old and new
+# hashes in CHANGES.md.
+SEED17_OUTPUT_SHA256 = {
+    "results/scripted/scores.json":
+        "ea17672f7dc39a052ab1fea81bbb78274602eaa500ef1465e847661e8efb0c86",
+    "results/scripted/scores.csv":
+        "5adbfd0487695e511a807ae94915f0a289f261a2714b3a925d80b20ad93a83a7",
+    "report/turns.csv":
+        "56ed5db719accad9d96df6e0313833887a6787fda8ff7d6f10f4502bb70818a1",
+}
 
 # Published overview rows: (clemscore, quality score, % played)
 TABLE1_ROWS = [
@@ -319,6 +333,8 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
                      "--out", str(base / "report")]) == 0
         runs.append(tree(base))
     assert runs[0] == runs[1]
+    assert {name: hashlib.sha256(runs[0][name]).hexdigest()
+            for name in SEED17_OUTPUT_SHA256} == SEED17_OUTPUT_SHA256
 
 
 @pytest.mark.skipif(not os.environ.get("IFBENCH_SMOKE_ENDPOINT"),

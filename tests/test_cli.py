@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ifbench
 from ifbench.cli import main
 
 
@@ -166,3 +170,30 @@ def test_run_by_id_selection(small_set, capsys):
     code = main(["plan", "--instances", str(small_set), "--id", iid])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["instance_id"] == iid
+
+
+def test_instance_file_error_is_one_line(small_set, tmp_path):
+    broken = tmp_path / "broken.json"
+    payload = json.loads((small_set / "basic-easy.json").read_text())
+    del payload["instances"][1]["goals"]
+    broken.write_text(json.dumps(payload))
+    expected = f"{broken}: instance 1 (basic-easy-01) lacks field 'goals'"
+    src = str(Path(ifbench.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "ifbench.cli", "run", "--instances", str(broken),
+         "--agent", "heuristic", "--out", str(tmp_path / "results")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode != 0
+    assert run.stderr.strip() == expected
+    assert "Traceback" not in run.stdout + run.stderr
+
+    results = tmp_path / "results"
+    assert main(["run", "--instances", str(small_set), "--families",
+                 "basic-easy", "--agent", "heuristic", "--out", str(results)]) == 0
+    for argv in (["plan", "--instances", str(broken)],
+                 ["play", "--instances", str(broken)],
+                 ["report", "--results", str(results), "--instances",
+                  str(broken), "--out", str(tmp_path / "report")]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == expected

@@ -434,6 +434,38 @@ def test_malformed_instance_names_file_instance_and_field(tmp_path, bench144):
     assert "'family'" in message
 
 
+@pytest.mark.parametrize("replaced, added, named", [
+    ("on(plate,counter)", "on(plate", "'on(plate'"),
+    ("on(plate,counter)", "at(plate)", "at(plate) must have 2 args"),
+    ("on(plate,counter)", "in(plate)", "in(plate) must have 2 args"),
+    (None, "at(plate,kitchen)", "plate has 2 location facts"),
+], ids=["malformed", "missing-argument", "missing-argument-in",
+        "placed-twice"])
+def test_invalid_start_state_names_file_instance_and_fact(tmp_path, replaced,
+                                                          added, named):
+    path = tmp_path / "broken.json"
+    save_instances([micro_instance(
+        rooms=["kitchen"], connections=[],
+        entities=[("counter", "support", ["kitchen"]),
+                  ("plate", "takeable", ["kitchen"])],
+        facts=["at(player,kitchen)", "at(counter,kitchen)",
+               "on(plate,counter)"],
+        goals=["in(plate,inventory)"], instance_id=f"micro-{i}")
+        for i in range(2)], path)
+    payload = json.loads(path.read_text())
+    facts = payload["instances"][1]["initial_facts"]
+    if replaced:
+        facts.remove(replaced)
+    facts.append(added)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert "instance 1 (micro-1)" in message
+    assert named in message
+
+
 def test_dot_export(bench144):
     inst = bench144["basic-easy"][0]
     dot = instance_to_dot(inst)

@@ -1,13 +1,16 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ifbench import (InvariantViolation, apply_delta, check_goals, fact,
                      load_entity_catalogue, load_room_catalogue, parse_fact,
                      visible_facts)
-from ifbench.world import (EntityDef, GoalCondition, state_from_json,
-                           state_to_json)
+from ifbench.grammar import GroundedAction
+from ifbench.interpreter import Engine
+from ifbench.world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
+                           GoalCondition, StateGroup, WorldState,
+                           state_from_json, state_to_json, validate_state)
 from oracles import micro_instance, reference_visible
 
 
@@ -216,3 +219,181 @@ def test_move_delta_roundtrip_property(item, destination):
     moved = apply_delta(world, state, {old}, {new})
     back = apply_delta(world, moved, {new}, {old})
     assert back.facts == state.facts
+
+
+def _full_check_rejects(world, state, removes, adds) -> bool:
+    """Whether `validate_state` rejects the state `removes`/`adds` lead to,
+    with the player's room and the inventory read off the facts."""
+    facts = (state.facts - removes) | adds
+    players = [f for f in facts
+               if f.predicate == "at" and f.args[:1] == (PLAYER,)]
+    room = (players[0].args[1] if len(players) == 1 and len(players[0].args) > 1
+            else state.player_room)
+    carried = tuple(f.args[0] for f in facts
+                    if f.predicate == "in" and f.args[1:2] == (INVENTORY,))
+    try:
+        validate_state(world, WorldState(facts, room, carried,
+                                         state.inventory_limit))
+    except (InvariantViolation, IndexError):
+        # validate_state reads at-facts' arguments before it checks their
+        # arity, so a malformed at-fact is rejected with an IndexError
+        return True
+    return False
+
+
+def _local_check_rejects(world, state, removes, adds) -> bool:
+    try:
+        result = apply_delta(world, state, removes, adds)
+    except InvariantViolation:
+        return True
+    assert result.facts == (state.facts - removes) | adds
+    validate_state(world, result)
+    return False
+
+
+@pytest.fixture(scope="module")
+def reached_states(oracle_records):
+    """(engine, state) for every state the optimal plans pass through in the
+    seed-17 families with container groups, an inventory limit and custom
+    one-, two- and three-state groups."""
+    cases = []
+    for inst, _, record in oracle_records.records.values():
+        if inst.family not in ("basic-easy", "limit-hard", "synthetic-hard"):
+            continue
+        engine = Engine(inst)
+        state = inst.start_state()
+        cases.append((engine, state))
+        for turn in record.turns:
+            state = apply_delta(inst.world, state, turn.removes, turn.adds)
+            validate_state(inst.world, state)
+            cases.append((engine, state))
+    return cases
+
+
+def _random_delta(engine, state, edits):
+    """A delta built from `edits`, (kind, pick, pick, pick) tuples whose picks
+    index (modulo length) into the state's facts, the predicates and ids."""
+    world = engine.world
+    predicates = sorted(world.state_predicates()
+                        | {"at", "in", "on", CONNECTS, "open", "closed", "unknown"})
+    things = sorted(world.entities) + sorted(world.rooms)
+    # inventory and the player come up as often as all other ids together
+    ids = [INVENTORY, PLAYER] * (len(things) // 2 + 1) + things + ["nobody"]
+    present = sorted(state.facts)
+    placed = [f for f in present if f.predicate in ("at", "in", "on")]
+    removes, adds = set(), set()
+    for kind, a, b, c in edits:
+        if kind == "remove":
+            removes.add(present[a % len(present)])
+        elif kind == "add":  # any predicate, 0-3 args
+            adds.add(Fact(predicates[a % len(predicates)],
+                          tuple(ids[(b >> (8 * i)) % len(ids)]
+                                for i in range(c % 4))))
+        elif kind == "move":  # a placed subject gets a new location fact
+            old = placed[a % len(placed)]
+            if b % 2:
+                removes.add(old)
+            adds.add(Fact(("at", "in", "on")[b // 2 % 3],
+                          (old.args[0], ids[c % len(ids)])))
+        elif kind == "restate":  # an entity with a state group gets a state
+            groups = sorted(world.state_groups.items())
+            if not groups:
+                continue
+            eid, group = groups[a % len(groups)]
+            if b % 2:
+                removes.update(f for f in present if f.args == (eid,))
+            options = group.states + ("open", "closed") + tuple(predicates)
+            adds.add(Fact(options[c % len(options)], (eid,)))
+        else:  # an action's effects with its preconditions ignored
+            action = engine.actions[sorted(engine.actions)[a % len(engine.actions)]]
+            params = [p.name for p in action.params if not p.optional]
+            binding = tuple((name, things[(b >> (8 * i)) % len(things)])
+                            for i, name in enumerate(params))
+            try:
+                more_removes, more_adds = engine.effects(
+                    state, action, GroundedAction(action.verb, binding))
+            except ValueError:  # location_of an id that has no location
+                continue
+            removes |= more_removes
+            adds |= more_adds
+    # keep to deltas that pass apply_delta's fit prechecks
+    removes = frozenset(removes) & state.facts
+    return removes, frozenset(adds) - (state.facts - removes)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(min_value=0), st.lists(st.tuples(
+    st.sampled_from(["remove", "add", "move", "restate", "action"]),
+    st.integers(min_value=0), st.integers(min_value=0),
+    st.integers(min_value=0)), min_size=1, max_size=2))
+def test_local_delta_check_matches_validate_state(reached_states, pick, edits):
+    engine, state = reached_states[pick % len(reached_states)]
+    removes, adds = _random_delta(engine, state, edits)
+    assert (_local_check_rejects(engine.world, state, removes, adds)
+            == _full_check_rejects(engine.world, state, removes, adds))
+
+
+@pytest.fixture
+def lamp_world():
+    inst = micro_instance(
+        rooms=["kitchen", "pantry"],
+        connections=[("kitchen", "pantry")],
+        entities=[("counter", "support", ["kitchen"]),
+                  ("cupboard", "container", ["kitchen"]),
+                  ("lamp", "support", ["kitchen"]),
+                  ("plate", "takeable", ["kitchen"]),
+                  ("cup", "takeable", ["kitchen"])],
+        facts=["at(player,kitchen)", "at(counter,kitchen)",
+               "at(cupboard,kitchen)", "closed(cupboard)", "at(lamp,kitchen)",
+               "dim(lamp)", "on(plate,counter)", "in(cup,inventory)"],
+        goals=["lit(lamp)"], inventory_limit=1,
+        state_groups=[StateGroup("lamp", ("dim", "lit", "hot"), "dim")])
+    return inst.world, inst.start_state()
+
+
+@pytest.mark.parametrize("removes, adds", [
+    ([], ["at(player,pantry)"]),
+    (["at(player,kitchen)"], ["at(player,attic)"]),
+    (["on(plate,counter)"], []),
+    ([], ["at(plate,kitchen)"]),
+    (["on(plate,counter)"], ["on(plate,cupboard)"]),
+    (["on(plate,counter)"], ["in(plate,counter)"]),
+    ([], ["lit(lamp)"]),
+    (["dim(lamp)"], []),
+    ([], ["open(counter)"]),
+    (["on(plate,counter)"], ["in(plate,inventory)"]),
+    (["on(plate,counter)"], ["on(plate)"]),
+    ([], ["at()"]),
+    ([], ["lit(lamp,cupboard)"]),
+    ([], ["glow(lamp)"]),
+    (["connects(kitchen,pantry)", "connects(pantry,kitchen)"], []),
+    (["connects(kitchen,pantry)"], []),
+], ids=["two-player-locations", "player-in-unknown-room", "item-unplaced",
+        "item-placed-twice", "on-non-support", "in-non-container",
+        "two-custom-states", "lost-initial-state", "open-non-container",
+        "over-inventory-limit", "wrong-arity", "argumentless-at",
+        "state-wrong-arity",
+        "unknown-predicate", "connects-disconnected", "connects-asymmetric"])
+def test_apply_delta_rejects_each_invariant(lamp_world, removes, adds):
+    world, state = lamp_world
+    removes = frozenset(parse_fact(f) for f in removes)
+    adds = frozenset(parse_fact(f) for f in adds)
+    assert _full_check_rejects(world, state, removes, adds)
+    with pytest.raises(InvariantViolation):
+        apply_delta(world, state, removes, adds)
+
+
+@pytest.mark.parametrize("removes, adds", [
+    (["at(player,kitchen)"], ["at(player,pantry)"]),
+    (["dim(lamp)"], ["hot(lamp)"]),
+    (["in(cup,inventory)"], ["on(cup,lamp)"]),
+    (["in(cup,inventory)", "on(plate,counter)"],
+     ["at(cup,kitchen)", "in(plate,inventory)"]),
+    (["closed(cupboard)"], ["open(cupboard)"]),
+])
+def test_apply_delta_accepts_valid_moves(lamp_world, removes, adds):
+    world, state = lamp_world
+    removes = frozenset(parse_fact(f) for f in removes)
+    adds = frozenset(parse_fact(f) for f in adds)
+    assert not _full_check_rejects(world, state, removes, adds)
+    assert not _local_check_rejects(world, state, removes, adds)
