@@ -18,8 +18,7 @@ from .planner import PlanResult, Unsolvable, SearchBudgetExceeded, solve_optimal
 from .generate import (FAMILIES, INSTANCES_PER_FAMILY, GenerationExhausted,
                        WalkNotFound, generate_basic, generate_family,
                        generate_all, apply_inventory_limit,
-                       generate_preexploration, synthesize_lexicon,
-                       apply_lexicon)
+                       generate_preexploration, apply_lexicon)
 from .pseudowords import PseudowordMaker, load_english_words
 from .metrics import (EpisodeSummary, ExperimentScores, EmptyInput,
                       goal_success_rate, aggregate,

@@ -14,7 +14,6 @@ import requests
 from .grammar import GroundedAction, staple_verbs
 from .instance import Instance
 from .interpreter import AgentUnavailable, Engine
-from .planner import PlanResult
 from .world import fact, visible_entities
 
 API_KEY_VARS = ("IFBENCH_API_KEY", "OPENAI_API_KEY")
@@ -44,16 +43,17 @@ class LlmConfig:
 
 
 class ScriptedAgent:
-    """Replays a fixed command sequence (e.g. a PlanResult) verbatim."""
+    """Replays a fixed command sequence (e.g. an optimal plan) verbatim."""
 
     def __init__(self, commands):
         self._queue = deque(commands)
 
     @classmethod
-    def from_plan(cls, instance: Instance, plan: PlanResult) -> "ScriptedAgent":
+    def from_plan(cls, instance: Instance,
+                  actions: tuple[GroundedAction, ...]) -> "ScriptedAgent":
         engine = Engine(instance)
         lines = ["> " + engine.parser.render(ga, engine.world)
-                 for ga in plan.actions]
+                 for ga in actions]
         return cls(lines)
 
     def next_action(self, transcript: Transcript) -> str:

@@ -17,7 +17,6 @@ from .interpreter import TURN_LIMIT, Engine, run_episode, write_episode
 from .metrics import (EpisodeSummary, ExperimentScores, aggregate,
                       format_grid, format_overview, goal_success_rate,
                       scores_to_csv, scores_to_json)
-from .planner import Unsolvable, solve_optimal
 
 DEFAULT_SEED = 17
 
@@ -88,7 +87,7 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
 
 def _make_agent(kind: str, instance: Instance, config: RunConfig):
     if kind == "scripted":
-        return ScriptedAgent.from_plan(instance, solve_optimal(instance))
+        return ScriptedAgent.from_plan(instance, instance.optimal_plan)
     if kind == "heuristic":
         return HeuristicAgent(instance)
     if kind == "human":
@@ -182,18 +181,12 @@ def cmd_play(args) -> int:
 
 def cmd_plan(args) -> int:
     instance = _pick_instance(args)
-    try:
-        result = solve_optimal(instance, budget=args.budget)
-    except Unsolvable:
-        print(f"{instance.id} is unsolvable", file=sys.stderr)
-        return 1
     engine = Engine(instance)
     print(json.dumps({
         "instance_id": instance.id,
         "actions": [engine.parser.render(a, engine.world)
-                    for a in result.actions],
-        "length": result.length,
-        "states_expanded": result.states_expanded,
+                    for a in instance.optimal_plan],
+        "length": instance.optimal_length,
     }, indent=1, sort_keys=True))
     return 0
 
@@ -274,11 +267,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--turn-limit", type=int, default=TURN_LIMIT)
     p.set_defaults(func=cmd_play)
 
-    p = sub.add_parser("plan", help="print the optimal plan for an instance")
+    p = sub.add_parser("plan", help="print the stored optimal plan of an instance")
     p.add_argument("--instances", required=True)
     p.add_argument("--id")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--budget", type=int, default=5_000_000)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("report", help="print score tables, export graphs/CSV")

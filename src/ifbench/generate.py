@@ -259,17 +259,17 @@ def generate_basic(rng, difficulty: str, instance_id: str = "",
             extra_actions=(),
             preexploration=None,
             prompt="",
-            optimal_length=None,
+            optimal_plan=None,
             seed_path=seed_path,
         )
         inst = _finalize_prompt(inst, [])
         try:
-            length = solve_optimal(inst, budget=500_000).length
+            plan = solve_optimal(inst, budget=500_000)
         except Unsolvable:
             continue
-        if length > 50:
+        if plan.length > 50:
             continue
-        return replace(inst, optimal_length=length)
+        return replace(inst, optimal_plan=plan.actions)
     raise GenerationExhausted(f"basic-{difficulty}")
 
 
@@ -319,12 +319,12 @@ def _sample_goals(rng, difficulty, adj, placement, entities,
 # -- variants ----------------------------------------------------------------
 
 def apply_inventory_limit(inst: Instance, k: int) -> Instance:
-    """Copy with inventory limit k, the limit sentence in the prompt, and a
-    re-verified optimal length. Raises Unsolvable for unreachable goals."""
+    """Copy with inventory limit k, the limit sentence in the prompt, and an
+    optimal plan under the limit. Raises Unsolvable for unreachable goals."""
     limited = replace(inst, inventory_limit=k)
     limited = _finalize_prompt(limited, _standard_extras(limited))
-    length = solve_optimal(limited, budget=500_000).length
-    return replace(limited, optimal_length=length)
+    plan = solve_optimal(limited, budget=500_000)
+    return replace(limited, optimal_plan=plan.actions)
 
 
 def generate_preexploration(inst: Instance) -> Instance:
@@ -409,17 +409,6 @@ def _vocabulary(inst: Instance) -> set[str]:
     for a in inst.actions:
         words.add(a.verb)
     return words
-
-
-def synthesize_lexicon(rng, level: str, base: Instance | None = None) -> Instance:
-    """Build the synthetic-words variant for one of the three levels."""
-    if level == "easy":
-        return _synthesize_easy(rng, base)
-    if level == "medium":
-        return _synthesize_medium(rng, base)
-    if level == "hard":
-        return _synthesize_hard(rng)
-    raise ValueError(f"unknown synthetic level {level!r}")
 
 
 def _synthesize_easy(rng, base: Instance) -> Instance:
@@ -548,12 +537,12 @@ def _synthesize_hard(rng) -> Instance:
         extra_actions=tuple(actions),
         preexploration=None,
         prompt="",
-        optimal_length=None,
+        optimal_plan=None,
     )
     extra = _new_words_extra(_shuffled(rng, display_verbs))
     inst = _finalize_prompt(inst, [extra])
-    length = solve_optimal(inst, budget=500_000).length
-    return replace(inst, optimal_length=length)
+    plan = solve_optimal(inst, budget=500_000)
+    return replace(inst, optimal_plan=plan.actions)
 
 
 def _linear_paths(rooms: dict[str, RoomDef], length: int) -> list[tuple[str, ...]]:
@@ -577,7 +566,7 @@ def _linear_paths(rooms: dict[str, RoomDef], length: int) -> list[tuple[str, ...
 
 def apply_lexicon(inst: Instance, lexicon: Lexicon) -> Instance:
     """Substitute an arbitrary lexicon onto an instance (prompt re-rendered,
-    optimal length unchanged by construction). Pre-exploration pairs are
+    optimal plan unchanged by construction). Pre-exploration pairs are
     re-simulated so their surface forms match the new vocabulary."""
     new = replace(inst, lexicon=lexicon, preexploration=None)
     new = _finalize_prompt(new, _standard_extras(new))
@@ -613,11 +602,12 @@ def generate_family(base_seed: int, family: str,
                     continue
             if inst is None:
                 raise GenerationExhausted(family)
-        elif family in ("synthetic-easy", "synthetic-medium"):
-            base = generate_basic(rng, "easy")
-            inst = synthesize_lexicon(rng, family.split("-")[1], base)
+        elif family == "synthetic-easy":
+            inst = _synthesize_easy(rng, generate_basic(rng, "easy"))
+        elif family == "synthetic-medium":
+            inst = _synthesize_medium(rng, generate_basic(rng, "easy"))
         else:
-            inst = synthesize_lexicon(rng, "hard")
+            inst = _synthesize_hard(rng)
         out.append(replace(inst, id=f"{family}-{idx:02d}", family=family,
                            seed_path=seed_path))
     return out

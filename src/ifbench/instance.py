@@ -1,5 +1,5 @@
-"""Episode definitions: rooms, entities, goals, lexicon, prompt and plan
-metadata, plus their JSON serialization and DOT graph export."""
+"""Episode definitions: rooms, entities, goals, lexicon, prompt and the
+optimal plan, plus their JSON serialization and DOT graph export."""
 
 from __future__ import annotations
 
@@ -8,13 +8,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .grammar import (ActionDef, Lexicon, Parser, action_from_json,
-                      build_parser, load_standard_actions)
+from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
+                      action_from_json, build_parser, load_standard_actions)
 from .world import (CONNECTS, EntityDef, Fact, GoalCondition,
                     InvariantViolation, RoomDef, StateGroup, WorldDef,
                     WorldState, fact, initial_state, parse_fact)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 PRNG_NAME = "numpy-PCG64"
 
 
@@ -34,8 +34,12 @@ class Instance:
     extra_actions: tuple[ActionDef, ...]
     preexploration: tuple[tuple[str, str], ...] | None
     prompt: str
-    optimal_length: int | None
+    optimal_plan: tuple[GroundedAction, ...] | None  # ids; ends with `done`
     seed_path: tuple[int, ...] = ()
+
+    @property
+    def optimal_length(self) -> int | None:
+        return None if self.optimal_plan is None else len(self.optimal_plan)
 
     @cached_property
     def actions(self) -> tuple[ActionDef, ...]:
@@ -96,6 +100,9 @@ class Instance:
                                if self.preexploration else None),
             "prompt": self.prompt,
             "optimal_length": self.optimal_length,
+            "optimal_plan": (None if self.optimal_plan is None else
+                             [[a.action, [list(b) for b in a.bindings]]
+                              for a in self.optimal_plan]),
         }
 
     @staticmethod
@@ -125,9 +132,31 @@ class Instance:
             preexploration=(tuple(tuple(p) for p in data["preexploration"])
                             if data.get("preexploration") else None),
             prompt=data["prompt"],
-            optimal_length=data["optimal_length"],
+            optimal_plan=(None if data["optimal_plan"] is None else tuple(
+                GroundedAction(verb, tuple(map(tuple, binding)))
+                for verb, binding in data["optimal_plan"])),
             seed_path=tuple(data.get("seed_path", ())),
         )
+
+
+def _check_plan(instance: Instance, optimal_length) -> None:
+    """Raise ValueError unless the stored plan ends in `done`, uses only the
+    instance's verbs, parameters and ids, and has `optimal_length` steps."""
+    plan = instance.optimal_plan
+    if not plan or plan[-1].action != "done":
+        raise ValueError("optimal_plan is missing, empty or does not end in done")
+    actions = {a.verb: a for a in instance.actions}
+    ids = instance.world.entities.keys() | instance.world.rooms.keys()
+    for n, step in enumerate(plan):
+        action = actions.get(step.action)
+        if action is None or not all(
+                name in {p.name for p in action.params} and ident in ids
+                for name, ident in step.bindings):
+            raise ValueError(f"optimal_plan step {n} names a verb, parameter "
+                             f"or id the instance lacks: {step}")
+    if instance.optimal_length != optimal_length:
+        raise ValueError(f"optimal_plan has {instance.optimal_length} steps, "
+                         f"optimal_length is {optimal_length}")
 
 
 def save_instances(instances: list[Instance], path: str | Path,
@@ -146,8 +175,10 @@ def save_instances(instances: list[Instance], path: str | Path,
 
 def load_instances(path: str | Path) -> list[Instance]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported instance schema in {path}")
+    version = payload.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"{path}: schema version {version}, expected "
+                         f"{SCHEMA_VERSION}; regenerate it with `ifbench generate`")
     if not isinstance(payload.get("instances"), list):
         raise ValueError(f"{path}: field 'instances' is missing or not a list")
     instances = []
@@ -156,9 +187,10 @@ def load_instances(path: str | Path) -> list[Instance]:
         try:
             instance = Instance.from_json(row)
             instance.start_state()  # raises on an invalid start state
+            _check_plan(instance, row["optimal_length"])
         except KeyError as exc:
             raise ValueError(f"{where} lacks field {exc.args[0]!r}") from exc
-        except (ValueError, InvariantViolation) as exc:
+        except (TypeError, ValueError, InvariantViolation) as exc:
             raise ValueError(f"{where}: {exc}") from exc
         instances.append(instance)
     return instances

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from ifbench import ScriptedAgent, generate_all, run_episode, solve_optimal
+from ifbench import ScriptedAgent, generate_all, run_episode
 
 BENCH_SEED = 17
 
@@ -13,7 +13,7 @@ _acceptance_outcomes: dict[str, str] = {}
 
 @dataclass
 class OracleRun:
-    records: dict  # instance id -> (instance, plan, episode record)
+    records: dict  # instance id -> (instance, episode record)
     elapsed: float
 
 
@@ -25,15 +25,14 @@ def bench144():
 
 @pytest.fixture(scope="session")
 def oracle_records(bench144):
-    """Scripted replay of the optimal plan for every generated instance."""
+    """Scripted replay of the stored optimal plan of every generated
+    instance."""
     started = time.perf_counter()
     records = {}
     for family, instances in bench144.items():
         for instance in instances:
-            plan = solve_optimal(instance)
-            agent = ScriptedAgent.from_plan(instance, plan)
-            records[instance.id] = (instance, plan,
-                                    run_episode(instance, agent))
+            agent = ScriptedAgent.from_plan(instance, instance.optimal_plan)
+            records[instance.id] = (instance, run_episode(instance, agent))
     return OracleRun(records, time.perf_counter() - started)
 
 

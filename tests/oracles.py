@@ -169,5 +169,5 @@ def micro_instance(rooms, connections, entities, facts, goals,
         extra_actions=tuple(extra_actions),
         preexploration=None,
         prompt=prompt,
-        optimal_length=None,
+        optimal_plan=None,
     )

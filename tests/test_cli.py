@@ -112,7 +112,8 @@ def test_plan_command(small_set, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["actions"][-1] == "done"
     assert payload["length"] == len(payload["actions"])
-    assert payload["states_expanded"] >= 1
+    instance = ifbench.load_instances(small_set / "basic-easy.json")[0]
+    assert payload["length"] == ifbench.solve_optimal(instance).length
 
 
 def test_play_command(small_set, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,20 @@ WORD_RE = re.compile(r"^[a-z]{4,8}$")
 # alters a byte of the suite on purpose updates these and records the old and
 # new hashes in CHANGES.md.
 SEED17_SHA256 = {
+    "basic-easy": "de5d21b82124b746fd299c419f23dd50e623945628d18805db045f695dcb20e5",
+    "basic-hard": "11660dd5dbd03348bc7606cd3a7073652ecb6a768e7b553fbe8970d58d10d3f2",
+    "limit-easy": "ac521cdb246f140f63c98209882723cf01475c3356867972bd3dbe7a09714058",
+    "limit-hard": "7f9f799ecf233454f869399cc1ffdb8f6e5fec0b4c7bd04fa6e8c64a89f5e491",
+    "preexplore-easy": "0b8b13bc39261b1005448e563320cf30171bd4c1d15e86d279b5767f2f1a5c58",
+    "preexplore-hard": "a851cb05e184336977977a73b0f91cb4959946de5ad3551af9f1824a4fe9ee87",
+    "synthetic-easy": "4c73b518c2987891058c9bff911ceefd0a7e3a7518c0d33fef004075b9ac6af0",
+    "synthetic-hard": "fa7a8699bb343663f81372f70941ff1d05e97e87fdb3337dd96c5bc7d6fb05e5",
+    "synthetic-medium": "20c8295c5eee4a522fb56af70f4a2f66340eb4efe7e40c19bd36fdbafa30e6eb",
+}
+
+# The same files as schema 1 wrote them: without `optimal_plan` and with
+# `schema_version` 1, so storing the plan changed nothing else in the suite.
+SEED17_SCHEMA1_SHA256 = {
     "basic-easy": "c578a8a0a54f3ff06172aca236f255fe2904d253bb452c59cb738dac3cef3f32",
     "basic-hard": "ee28a4d0e699ac253b38b76560ec4d6001c3be6411ba6bb2b0a95148fd869137",
     "limit-easy": "cbd41627abce74e263b722e11f2dd1973c5defaf1c0ef4cff94e7caed1a1b997",
@@ -361,8 +376,8 @@ def test_save_load_roundtrip(tmp_path, bench144, family):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     # a reloaded instance still plays identically
     from ifbench import ScriptedAgent, run_episode
-    plan = solve_optimal(again[0])
-    record = run_episode(again[0], ScriptedAgent.from_plan(again[0], plan))
+    record = run_episode(again[0], ScriptedAgent.from_plan(
+        again[0], again[0].optimal_plan))
     assert record.outcome == "success"
     assert len(record.turns) == again[0].optimal_length
 
@@ -405,12 +420,20 @@ def test_put_explanation_sentence(bench144):
 
 
 def test_seed17_instance_files_match_golden_hashes(tmp_path, bench144):
-    digests = {}
+    digests, schema1_digests = {}, {}
     for family, instances in bench144.items():
         path = tmp_path / f"{family}.json"
         save_instances(instances, path, base_seed=17)
         digests[family] = hashlib.sha256(path.read_bytes()).hexdigest()
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["schema_version"] = 1
+        for row in payload["instances"]:
+            del row["optimal_plan"]
+        schema1 = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        schema1_digests[family] = hashlib.sha256(
+            schema1.encode("utf-8")).hexdigest()
     assert digests == SEED17_SHA256
+    assert schema1_digests == SEED17_SCHEMA1_SHA256
 
 
 def test_instance_schema_version_guard(tmp_path):
@@ -418,6 +441,51 @@ def test_instance_schema_version_guard(tmp_path):
     path.write_text(json.dumps({"schema_version": 99, "instances": []}))
     with pytest.raises(ValueError):
         load_instances(path)
+    path.write_text(json.dumps({"schema_version": 1, "instances": []}))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert "schema version 1, expected 2" in message
+    assert "ifbench generate" in message
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("optimal_plan", lambda row: None,
+     "optimal_plan is missing, empty or does not end in done"),
+    ("optimal_plan", lambda row: [],
+     "optimal_plan is missing, empty or does not end in done"),
+    ("optimal_plan", lambda row: row["optimal_plan"][:-1],
+     "optimal_plan is missing, empty or does not end in done"),
+    ("optimal_plan", lambda row: [["fly", []]] + row["optimal_plan"][1:],
+     "optimal_plan step 0 names a verb, parameter or id the instance lacks: "
+     "GroundedAction(action='fly', bindings=())"),
+    ("optimal_plan",
+     lambda row: [["go", [["room", "spoon"]]]] + row["optimal_plan"][1:],
+     "optimal_plan step 0 names a verb, parameter or id the instance lacks: "
+     "GroundedAction(action='go', bindings=(('room', 'spoon'),))"),
+    ("optimal_plan",
+     lambda row: [["go", [["to", "hallway"]]]] + row["optimal_plan"][1:],
+     "optimal_plan step 0 names a verb, parameter or id the instance lacks"),
+    ("optimal_length", lambda row: row["optimal_length"] + 1,
+     "optimal_plan has 11 steps, optimal_length is 12"),
+    ("optimal_plan", lambda row: 5, "'int' object is not iterable"),
+], ids=["null", "empty", "no-done", "unknown-verb", "unknown-id", "unknown-parameter",
+        "length-mismatch", "not-a-list"])
+def test_invalid_plan_names_file_instance_and_field(tmp_path, bench144, field,
+                                                    value, named):
+    path = tmp_path / "broken.json"
+    save_instances(bench144["basic-easy"][:2], path, base_seed=17)
+    payload = json.loads(path.read_text())
+    row = payload["instances"][1]
+    row[field] = value(row)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert "instance 1 (basic-easy-01)" in message
+    assert named in message
 
 
 def test_malformed_instance_names_file_instance_and_field(tmp_path, bench144):
@@ -444,14 +512,15 @@ def test_malformed_instance_names_file_instance_and_field(tmp_path, bench144):
 def test_invalid_start_state_names_file_instance_and_fact(tmp_path, replaced,
                                                           added, named):
     path = tmp_path / "broken.json"
-    save_instances([micro_instance(
+    inst = micro_instance(
         rooms=["kitchen"], connections=[],
         entities=[("counter", "support", ["kitchen"]),
                   ("plate", "takeable", ["kitchen"])],
         facts=["at(player,kitchen)", "at(counter,kitchen)",
                "on(plate,counter)"],
-        goals=["in(plate,inventory)"], instance_id=f"micro-{i}")
-        for i in range(2)], path)
+        goals=["in(plate,inventory)"])
+    inst = replace(inst, optimal_plan=solve_optimal(inst).actions)
+    save_instances([replace(inst, id=f"micro-{i}") for i in range(2)], path)
     payload = json.loads(path.read_text())
     facts = payload["instances"][1]["initial_facts"]
     if replaced:

@@ -159,7 +159,7 @@ def test_render_feedback():
 def test_scripted_optimal_replay_succeeds():
     inst = kitchen_instance()
     plan = solve_optimal(inst)
-    record = run_episode(inst, ScriptedAgent.from_plan(inst, plan))
+    record = run_episode(inst, ScriptedAgent.from_plan(inst, plan.actions))
     assert record.outcome == "success"
     assert len(record.turns) == plan.length
 
@@ -277,7 +277,7 @@ def test_written_summary_matches_record(tmp_path):
     from ifbench.metrics import EpisodeSummary
     inst = kitchen_instance()
     plan = solve_optimal(inst)
-    record = run_episode(inst, ScriptedAgent.from_plan(inst, plan))
+    record = run_episode(inst, ScriptedAgent.from_plan(inst, plan.actions))
     path = tmp_path / "episode.jsonl"
     write_episode(record, path)
     from_file = EpisodeSummary.from_json(read_episode_summary(path))

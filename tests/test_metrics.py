@@ -57,7 +57,7 @@ def test_classify_outcomes():
         facts=["at(player,kitchen)", "at(table,kitchen)", "at(apple,kitchen)"],
         goals=["on(apple,table)"])
     plan = solve_optimal(inst)
-    record = run_episode(inst, ScriptedAgent.from_plan(inst, plan))
+    record = run_episode(inst, ScriptedAgent.from_plan(inst, plan.actions))
     assert record.outcome == "success"
     record = run_episode(inst, ScriptedAgent(["> done"]))
     assert record.outcome == "lost"

@@ -64,7 +64,7 @@ def test_plan_replays_to_success(bench144):
     for family in ("basic-easy", "basic-hard", "synthetic-hard"):
         inst = bench144[family][0]
         result = solve_optimal(inst)
-        record = run_episode(inst, ScriptedAgent.from_plan(inst, result))
+        record = run_episode(inst, ScriptedAgent.from_plan(inst, result.actions))
         assert record.outcome == "success"
         assert len(record.turns) == result.length == inst.optimal_length
 

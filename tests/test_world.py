@@ -154,6 +154,14 @@ def test_state_json_roundtrip(kitchen):
     assert again.inventory == state.inventory
 
 
+def test_state_from_json_rejects_malformed_fact(kitchen):
+    world, state = kitchen
+    data = state_to_json(state)
+    data["facts"].append("at()")
+    with pytest.raises(InvariantViolation, match=r"at\(\) must have 2 args"):
+        state_from_json(world, data)
+
+
 def test_parse_fact_rejects_garbage():
     assert parse_fact("on(plate,counter)") == fact("on", "plate", "counter")
     for bad in ("on(plate", "just words", "on(a,b)(c)"):
@@ -234,9 +242,7 @@ def _full_check_rejects(world, state, removes, adds) -> bool:
     try:
         validate_state(world, WorldState(facts, room, carried,
                                          state.inventory_limit))
-    except (InvariantViolation, IndexError):
-        # validate_state reads at-facts' arguments before it checks their
-        # arity, so a malformed at-fact is rejected with an IndexError
+    except InvariantViolation:
         return True
     return False
 
@@ -257,7 +263,7 @@ def reached_states(oracle_records):
     seed-17 families with container groups, an inventory limit and custom
     one-, two- and three-state groups."""
     cases = []
-    for inst, _, record in oracle_records.records.values():
+    for inst, record in oracle_records.records.values():
         if inst.family not in ("basic-easy", "limit-hard", "synthetic-hard"):
             continue
         engine = Engine(inst)
