@@ -9,12 +9,10 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-import requests
-
-from .grammar import GroundedAction, staple_verbs
+from .grammar import GroundFailure, GroundedAction, ParseFailure, staple_verbs
 from .instance import Instance
 from .interpreter import AgentUnavailable, Engine
-from .world import fact, visible_entities
+from .world import apply_delta, connections_of, fact, visible_entities
 
 API_KEY_VARS = ("IFBENCH_API_KEY", "OPENAI_API_KEY")
 
@@ -51,10 +49,8 @@ class ScriptedAgent:
     @classmethod
     def from_plan(cls, instance: Instance,
                   actions: tuple[GroundedAction, ...]) -> "ScriptedAgent":
-        engine = Engine(instance)
-        lines = ["> " + engine.parser.render(ga, engine.world)
-                 for ga in actions]
-        return cls(lines)
+        return cls(["> " + instance.parser.render(ga, instance.world)
+                    for ga in actions])
 
     def next_action(self, transcript: Transcript) -> str:
         if not self._queue:
@@ -87,14 +83,19 @@ class HumanAgent:
         return line
 
 
+def _action(verb: str, **bindings: str) -> GroundedAction:
+    return GroundedAction(verb, tuple(bindings.items()))
+
+
 class HeuristicAgent:
     """Greedy baseline: explore unvisited rooms, open closed containers once,
     take reachable goal objects within the carry limit, deliver in target
     rooms, apply state-changing verbs to pending goal objects, then done.
 
-    Keeps a mirror of the episode state by replaying its own commands, and
-    acts only on what has been visible, so it never needs to parse feedback
-    text and never breaks the output format.
+    Mirrors the episode state by applying each decided action's effects,
+    once its rendered text grounds back to it and its preconditions hold.
+    It acts only on what has been visible, so it never needs to parse
+    feedback text and never breaks the output format.
     """
 
     def __init__(self, instance: Instance):
@@ -107,50 +108,50 @@ class HeuristicAgent:
         self.known_locations: dict[str, str] = {}
         self.opened: set[str] = set()
         self._observe()
-        if instance.preexploration:
-            for command, _ in instance.preexploration:
-                self._apply(command)
+        for command, _ in instance.preexploration or ():
+            self._advance(command)
 
     # -- belief upkeep ------------------------------------------------------
 
     def _observe(self):
         room = self.state.player_room
         self.seen_rooms.add(room)
-        for f in self.state.facts:
-            if f.predicate == "connects" and f.args[0] == room:
-                self.known_edges.add((f.args[0], f.args[1]))
-                self.known_edges.add((f.args[1], f.args[0]))
+        for other in connections_of(self.state, room):
+            self.known_edges.update({(room, other), (other, room)})
         for eid in visible_entities(self.world, self.state):
             if eid not in self.state.inventory:
                 self.known_locations[eid] = room
 
-    def _apply(self, command: str):
-        self.state, record = self.engine.execute(self.state, command)
-        if record.phase_outcome != "success":
-            raise RuntimeError(f"heuristic issued a failing command: {command}"
-                               f" -> {record.feedback}")
+    def _advance(self, command: str, decided: GroundedAction | None = None):
+        """Apply `command` to the mirror state; RuntimeError if it fails."""
+        parser = self.engine.parser
+        try:
+            grounded = parser.ground(parser.parse(command[1:]), self.world)
+        except (ParseFailure, GroundFailure) as exc:
+            raise RuntimeError(f"heuristic issued {command!r}: {exc}") from exc
+        if decided is not None and grounded != decided:
+            raise RuntimeError(f"heuristic rendered {decided} as {command!r}")
+        action = self.engine.actions[grounded.action]
+        failure = self.engine.check_preconditions(self.state, action, grounded)
+        if failure is not None:
+            raise RuntimeError(f"heuristic issued {command!r}: {failure}")
+        removes, adds = self.engine.effects(self.state, action, grounded)
+        self.state = apply_delta(self.world, self.state, removes, adds)
         self._observe()
 
     def next_action(self, transcript: Transcript) -> str:
-        command = "> " + self._decide()
-        self._apply(command)
+        decided = self._decide()
+        command = "> " + self.engine.parser.render(decided, self.world)
+        self._advance(command, decided)
         return command
 
     # -- policy -------------------------------------------------------------
 
-    def _pending_goals(self):
-        return [g for g in self.instance.goals
-                if g.fact not in self.state.facts]
-
-    def _render(self, verb, **bindings):
-        grounded = GroundedAction(verb, tuple(bindings.items()))
-        return self.engine.parser.render(grounded, self.world)
-
-    def _decide(self) -> str:
-        pending = self._pending_goals()
+    def _decide(self) -> GroundedAction:
+        pending = [g for g in self.instance.goals
+                   if g.fact not in self.state.facts]
         if not pending:
-            return "done"
-        room = self.state.player_room
+            return _action("done")
         visible = set(visible_entities(self.world, self.state))
 
         # open any closed container here we have not opened ourselves
@@ -159,7 +160,7 @@ class HeuristicAgent:
                     and fact("closed", container) in self.state.facts
                     and container not in self.opened):
                 self.opened.add(container)
-                return self._render("open", item=container)
+                return _action("open", item=container)
 
         # apply a state-changing verb to a pending goal object in this room
         for goal in pending:
@@ -170,10 +171,10 @@ class HeuristicAgent:
                 continue
             for verb in sorted(set(self.engine.actions) - set(staple_verbs())):
                 action = self.engine.actions[verb]
-                grounded = GroundedAction(verb, (("item", obj),))
+                grounded = _action(verb, item=obj)
                 if self.engine.check_preconditions(self.state, action,
                                                    grounded) is None:
-                    return self._render(verb, item=obj)
+                    return grounded
 
         # deliver a carried goal object whose target is here
         for goal in pending:
@@ -181,7 +182,7 @@ class HeuristicAgent:
                 continue
             item, target = goal.fact.args
             if item in self.state.inventory and target in visible:
-                return self._render("put", item=item, target=target)
+                return _action("put", item=item, target=target)
 
         # pick up a reachable pending goal object (respecting the limit)
         space = (self.state.inventory_limit is None
@@ -192,7 +193,7 @@ class HeuristicAgent:
                     continue
                 item = goal.fact.args[0]
                 if item in visible and item not in self.state.inventory:
-                    return self._render("take", item=item)
+                    return _action("take", item=item)
 
         # navigate: towards a delivery target, a known pending object, a known
         # still-closed container when goal objects are unaccounted for, or the
@@ -221,14 +222,12 @@ class HeuristicAgent:
             frontier = {b for a, b in self.known_edges if b not in self.seen_rooms}
             step = self._step_towards(frontier)
         if step is not None:
-            return self._render("go", room=step)
-        return "look"  # defensive; pending work always leaves a navigation target
+            return _action("go", room=step)
+        return _action("look")  # defensive; pending work always leaves a navigation target
 
     def _step_towards(self, targets: set[str]) -> str | None:
-        if not targets:
-            return None
         start = self.state.player_room
-        if start in targets:
+        if not targets or start in targets:
             return None
         parents = {start: None}
         queue = deque([start])
@@ -265,6 +264,7 @@ def transcript_to_messages(transcript: Transcript) -> list[dict]:
 
 def _retryable(status: int | None, error: Exception) -> bool:
     """Whether a failed attempt may pass on another try."""
+    import requests
     if status is None:
         return isinstance(error, (requests.Timeout, requests.ConnectionError))
     return status < 400 or status in (408, 429) or status >= 500
@@ -279,6 +279,7 @@ def llm_chat(config: LlmConfig, transcript: Transcript,
     404, ...) is not. A failure that is not retried surfaces as
     AgentUnavailable.
     """
+    import requests  # here, not at the top: only the llm agent needs it
     url = config.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     for var in API_KEY_VARS:

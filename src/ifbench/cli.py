@@ -7,39 +7,18 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from .agents import HeuristicAgent, HumanAgent, LlmAgent, LlmConfig, ScriptedAgent
 from .generate import FAMILIES, INSTANCES_PER_FAMILY, GenerationExhausted, generate_family
 from .instance import Instance, instance_to_dot, load_instances, save_instances
-from .interpreter import TURN_LIMIT, Engine, run_episode, write_episode
+from .interpreter import TURN_LIMIT, run_episode, write_episode
 from .metrics import (EpisodeSummary, ExperimentScores, aggregate,
                       format_grid, format_overview, goal_success_rate,
                       scores_to_csv, scores_to_json)
 
 DEFAULT_SEED = 17
-
-
-@dataclass
-class RunConfig:
-    instances: str
-    agent: str
-    out: str
-    parallel: int = 1
-    turn_limit: int = TURN_LIMIT
-    families: tuple[str, ...] = ()
-    endpoint: str | None = None
-    model: str | None = None
-    temperature: float = 0.0
-    max_tokens: int = 128
-    timeout: float = 30.0
-    retries: int = 2
-    dry_run: bool = False
-
-    def __post_init__(self):
-        if self.turn_limit < 1:
-            raise ValueError("turn limit must be >= 1")
 
 
 def _parse_families(value: str) -> tuple[str, ...]:
@@ -85,46 +64,48 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
     return instances
 
 
-def _make_agent(kind: str, instance: Instance, config: RunConfig):
-    if kind == "scripted":
+def _make_agent(instance: Instance, args):
+    if args.agent == "scripted":
         return ScriptedAgent.from_plan(instance, instance.optimal_plan)
-    if kind == "heuristic":
+    if args.agent == "heuristic":
         return HeuristicAgent(instance)
-    if kind == "human":
+    if args.agent == "human":
         return HumanAgent()
-    if kind == "llm":
-        if not config.endpoint or not config.model:
+    if args.agent == "llm":
+        if not args.endpoint or not args.model:
             raise SystemExit("--endpoint and --model are required for --agent llm")
-        return LlmAgent(LlmConfig(endpoint=config.endpoint, model=config.model,
-                                  temperature=config.temperature,
-                                  max_tokens=config.max_tokens,
-                                  timeout=config.timeout,
-                                  retries=config.retries))
-    raise SystemExit(f"unknown agent {kind!r}")
+        return LlmAgent(LlmConfig(endpoint=args.endpoint, model=args.model,
+                                  temperature=args.temperature,
+                                  max_tokens=args.max_tokens,
+                                  timeout=args.timeout,
+                                  retries=args.retries))
+    raise SystemExit(f"unknown agent {args.agent!r}")
 
 
-def run_benchmark(config: RunConfig) -> tuple[int, dict]:
-    """Run every instance, write transcripts and scores; returns (exit, scores)."""
-    instances = _load_instance_set(config.instances, config.families)
-    agent_name = config.model if config.agent == "llm" else config.agent
-    agent_dir = Path(config.out) / agent_name.replace("/", "_")
+def run_benchmark(args) -> tuple[int, dict]:
+    """Run every instance, write transcripts and scores; returns (exit, scores).
+    `args` are the parsed arguments of the `run` command."""
+    instances = _load_instance_set(args.instances,
+                                   _parse_families(args.families))
+    agent_name = args.model if args.agent == "llm" else args.agent
+    agent_dir = Path(args.out) / agent_name.replace("/", "_")
 
     def run_one(instance: Instance):
-        agent = _make_agent(config.agent, instance, config)
-        record = run_episode(instance, agent, config.turn_limit)
+        agent = _make_agent(instance, args)
+        record = run_episode(instance, agent, args.turn_limit)
         family_dir = agent_dir / instance.family
         family_dir.mkdir(parents=True, exist_ok=True)
         write_episode(record, family_dir / f"{instance.id}.jsonl")
         return record
 
-    if config.parallel > 1 and config.agent != "human":
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
+    if args.parallel > 1 and args.agent != "human":
+        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
             records = list(pool.map(run_one, instances))
     else:
         records = [run_one(i) for i in instances]
 
     summaries = [EpisodeSummary.from_record(r) for r in records]
-    if config.dry_run:
+    if args.dry_run:
         summaries = [s for s in summaries if s.outcome != "aborted-agent"]
     per_family: dict[str, list[EpisodeSummary]] = {}
     for summary in sorted(summaries, key=lambda s: s.instance_id):
@@ -149,14 +130,7 @@ def run_benchmark(config: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_run(args) -> int:
-    config = RunConfig(
-        instances=args.instances, agent=args.agent, out=args.out,
-        parallel=args.parallel, turn_limit=args.turn_limit,
-        families=_parse_families(args.families), endpoint=args.endpoint,
-        model=args.model, temperature=args.temperature,
-        max_tokens=args.max_tokens, timeout=args.timeout,
-        retries=args.retries, dry_run=args.dry_run)
-    code, _ = run_benchmark(config)
+    code, _ = run_benchmark(args)
     return code
 
 
@@ -167,6 +141,9 @@ def _pick_instance(args) -> Instance:
         if not matches:
             raise SystemExit(f"no instance with id {args.id}")
         return matches[0]
+    if not 0 <= args.index < len(instances):
+        raise SystemExit(f"--index {args.index} is out of range: {args.instances}"
+                         f" holds {len(instances)} instances")
     return instances[args.index]
 
 
@@ -181,10 +158,9 @@ def cmd_play(args) -> int:
 
 def cmd_plan(args) -> int:
     instance = _pick_instance(args)
-    engine = Engine(instance)
     print(json.dumps({
         "instance_id": instance.id,
-        "actions": [engine.parser.render(a, engine.world)
+        "actions": [instance.parser.render(a, instance.world)
                     for a in instance.optimal_plan],
         "length": instance.optimal_length,
     }, indent=1, sort_keys=True))
@@ -229,6 +205,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _at_least(low, kind=int):
+    """An argparse type: a `kind` number, rejected below `low`."""
+    def convert(text: str):
+        value = kind(text)
+        if not value >= low:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    convert.__name__ = kind.__name__  # argparse names it in its errors
+    return convert
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ifbench",
@@ -236,9 +223,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate instance files")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--families", default="all")
-    p.add_argument("--count", type=int, default=INSTANCES_PER_FAMILY)
+    p.add_argument("--count", type=_at_least(1), default=INSTANCES_PER_FAMILY)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -249,13 +236,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--families", default="all")
     p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--turn-limit", type=int, default=TURN_LIMIT)
+    p.add_argument("--turn-limit", type=_at_least(1), default=TURN_LIMIT)
     p.add_argument("--endpoint")
     p.add_argument("--model")
-    p.add_argument("--temperature", type=float, default=0.0)
+    p.add_argument("--temperature", type=_at_least(0, float), default=0.0)
     p.add_argument("--max-tokens", type=int, default=128)
     p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--retries", type=int, default=2)
+    p.add_argument("--retries", type=_at_least(0), default=2)
     p.add_argument("--dry-run", action="store_true",
                    help="exclude agent-unreachable episodes from scoring")
     p.set_defaults(func=cmd_run)
@@ -264,7 +251,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True)
     p.add_argument("--id")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--turn-limit", type=int, default=TURN_LIMIT)
+    p.add_argument("--turn-limit", type=_at_least(1), default=TURN_LIMIT)
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("plan", help="print the stored optimal plan of an instance")

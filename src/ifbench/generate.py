@@ -181,11 +181,8 @@ def _item_room(inst_facts, item: str, receptacle_rooms: dict[str, str]) -> str:
     raise ValueError(f"{item} not placed")
 
 
-def generate_basic(rng, difficulty: str, instance_id: str = "",
-                   seed_path: tuple[int, ...] = ()) -> Instance:
+def generate_basic(rng, difficulty: str) -> Instance:
     """One solvable delivery instance over the full household catalogue."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     rooms = load_room_catalogue()
     entities = load_entity_catalogue()
     receptacles = sorted(e for e in entities
@@ -246,7 +243,7 @@ def generate_basic(rng, difficulty: str, instance_id: str = "",
         groups = tuple(StateGroup(c, ("open", "closed"), container_state[c])
                        for c in containers)
         inst = Instance(
-            id=instance_id, family=f"basic-{difficulty}",
+            id="", family=f"basic-{difficulty}",
             rooms=tuple(rooms[r] for r in sorted(rooms)),
             connections=connections,
             entities=tuple(entities[e] for e in sorted(entities)),
@@ -260,11 +257,10 @@ def generate_basic(rng, difficulty: str, instance_id: str = "",
             preexploration=None,
             prompt="",
             optimal_plan=None,
-            seed_path=seed_path,
         )
         inst = _finalize_prompt(inst, [])
         try:
-            plan = solve_optimal(inst, budget=500_000)
+            plan = solve_optimal(inst)
         except Unsolvable:
             continue
         if plan.length > 50:
@@ -323,7 +319,7 @@ def apply_inventory_limit(inst: Instance, k: int) -> Instance:
     optimal plan under the limit. Raises Unsolvable for unreachable goals."""
     limited = replace(inst, inventory_limit=k)
     limited = _finalize_prompt(limited, _standard_extras(limited))
-    plan = solve_optimal(limited, budget=500_000)
+    plan = solve_optimal(limited)
     return replace(limited, optimal_plan=plan.actions)
 
 
@@ -541,7 +537,7 @@ def _synthesize_hard(rng) -> Instance:
     )
     extra = _new_words_extra(_shuffled(rng, display_verbs))
     inst = _finalize_prompt(inst, [extra])
-    plan = solve_optimal(inst, budget=500_000)
+    plan = solve_optimal(inst)
     return replace(inst, optimal_plan=plan.actions)
 
 

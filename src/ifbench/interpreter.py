@@ -581,8 +581,13 @@ def write_episode(record: EpisodeRecord, path: str | Path) -> None:
 
 
 def read_episode_summary(path: str | Path) -> dict:
-    last = Path(path).read_text(encoding="utf-8").strip().splitlines()[-1]
-    summary = json.loads(last)
-    if summary.get("type") != "summary":
+    """The summary object that closes an episode file; ValueError naming the
+    file when it is empty or its last line is not a summary."""
+    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    try:
+        summary = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: last line is not JSON ({exc})") from exc
+    if not isinstance(summary, dict) or summary.get("type") != "summary":
         raise ValueError(f"no summary line in {path}")
     return summary

@@ -20,7 +20,7 @@ from .instance import Instance
 from .interpreter import Engine
 from .world import WorldState, apply_delta
 
-DEFAULT_BUDGET = 5_000_000
+DEFAULT_BUDGET = 500_000
 
 _NEVER_BRANCH = ("examine", "look", "done")
 

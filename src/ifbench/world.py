@@ -370,44 +370,42 @@ def state_facts_of(world: WorldDef, state: WorldState, entity: str) -> list[Fact
                   if f.args == (entity,) and f.predicate in preds)
 
 
+def _perceivable(state: WorldState) -> dict[str, Fact]:
+    """Each entity the player can perceive, mapped to the location fact that
+    places it in the player's room, on or (if open) in something there, or
+    in the inventory. No holder's traits are looked up: ``on`` targets are
+    supports and ``in`` targets containers or the inventory, as
+    `validate_state` and `apply_delta` enforce for takeables (the only
+    entities ever placed on or in another)."""
+    room = state.player_room
+    here = {f.args[0]: f for f in state.facts
+            if f.predicate == "at" and f.args[1] == room and f.args[0] != PLAYER}
+    found = dict(here)
+    for f in state.facts:
+        if f.predicate not in ("on", "in"):
+            continue
+        holder = f.args[1]
+        if holder == INVENTORY or holder in here and (
+                f.predicate == "on" or fact("open", holder) in state.facts):
+            found[f.args[0]] = f
+    return found
+
+
 def visible_entities(world: WorldDef, state: WorldState) -> list[str]:
     """Entities the player can currently perceive, including carried ones."""
-    room = state.player_room
-    out = []
-    for eid in entities_at(world, state, room):
-        out.append(eid)
-        if world.is_support(eid):
-            out.extend(contents_on(state, eid))
-        if world.is_container(eid) and fact("open", eid) in state.facts:
-            out.extend(contents_in(state, eid))
-    out.extend(state.inventory)
-    return sorted(set(out))
+    return sorted(_perceivable(state))
 
 
 def visible_facts(world: WorldDef, state: WorldState) -> frozenset[Fact]:
-    """All facts observable from the player's room.
-
-    Covers: the player's location, the current room's connections, entities in
-    the room (with their on/at placement), contents of open containers,
-    open/closed and custom state facts of visible entities, and the inventory.
-    Contents of closed containers stay hidden.
-    """
+    """All facts observable from the player's room: the player's location,
+    the room's connections, and each perceivable entity's location fact and
+    open/closed or custom state facts. Closed containers hide their contents."""
     room = state.player_room
-    out = {fact("at", PLAYER, room)}
+    located = _perceivable(state)
+    out = {fact("at", PLAYER, room), *located.values()}
     for other in connections_of(state, room):
         out.add(fact(CONNECTS, room, other))
-    for eid in entities_at(world, state, room):
-        out.add(fact("at", eid, room))
-        if world.is_support(eid):
-            for item in contents_on(state, eid):
-                out.add(fact("on", item, eid))
-        if world.is_container(eid):
-            if fact("open", eid) in state.facts:
-                for item in contents_in(state, eid):
-                    out.add(fact("in", item, eid))
-    for eid in state.inventory:
-        out.add(fact("in", eid, INVENTORY))
-    for eid in visible_entities(world, state):
+    for eid in located:
         out.update(state_facts_of(world, state, eid))
     return frozenset(out)
 

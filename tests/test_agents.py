@@ -5,9 +5,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from ifbench import (AgentUnavailable, HeuristicAgent, HumanAgent, LlmAgent,
-                     LlmConfig, MalformedResponse, ScriptedAgent, llm_chat,
-                     run_episode, solve_optimal, transcript_to_messages)
+from ifbench import (AgentUnavailable, Engine, GroundedAction, HeuristicAgent,
+                     HumanAgent, LlmAgent, LlmConfig, MalformedResponse,
+                     ScriptedAgent, llm_chat, run_episode, solve_optimal,
+                     transcript_to_messages)
 from oracles import micro_instance
 
 
@@ -182,8 +183,8 @@ def test_llm_agent_unreachable_marks_aborted():
     assert record.outcome == "aborted-agent"
 
 
-def test_heuristic_opens_closed_container():
-    inst = micro_instance(
+def _cupboard_instance():
+    return micro_instance(
         rooms=["kitchen"], connections=[],
         entities=[("cupboard", "container", ["kitchen"]),
                   ("table", "support", ["kitchen"]),
@@ -192,7 +193,10 @@ def test_heuristic_opens_closed_container():
                "closed(cupboard)", "at(table,kitchen)",
                "in(sandwich,cupboard)"],
         goals=["on(sandwich,table)"])
-    agent = HeuristicAgent(inst)
+
+
+def test_heuristic_opens_closed_container():
+    agent = HeuristicAgent(_cupboard_instance())
     assert agent.next_action(()) == "> open cupboard"
     assert agent.next_action(()) == "> take sandwich"
     assert agent.next_action(()) == "> put sandwich on table"
@@ -206,6 +210,47 @@ def test_heuristic_solves_and_respects_format(bench144):
             record = run_episode(inst, HeuristicAgent(inst))
             assert record.outcome == "success", (family, inst.id)
             assert all(t.raw_output.startswith("> ") for t in record.turns)
+
+
+def test_heuristic_turns_are_executed_once(bench144, monkeypatch):
+    # only the episode resolves turns: one execute per turn and per
+    # pre-exploration command, none by the agent
+    calls = []
+    execute = Engine.execute
+
+    def counting_execute(self, *args, **kwargs):
+        calls.append(args)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "execute", counting_execute)
+    for family, instances in bench144.items():
+        inst = instances[0]
+        calls.clear()
+        record = run_episode(inst, HeuristicAgent(inst))
+        expected = len(record.turns) + len(inst.preexploration or ())
+        assert len(calls) == expected, (family, inst.id, len(calls), expected)
+    assert bench144["preexplore-hard"][0].preexploration
+
+
+def test_heuristic_rejects_a_failing_decided_action(monkeypatch):
+    inst = _cupboard_instance()
+    agent = HeuristicAgent(inst)
+    # the sandwich is inside the closed cupboard, so it cannot be taken
+    monkeypatch.setattr(agent, "_decide", lambda: GroundedAction(
+        "take", (("item", "sandwich"),)))
+    with pytest.raises(RuntimeError, match="take sandwich"):
+        agent.next_action(())
+    assert agent.state == inst.start_state()
+
+
+@pytest.mark.parametrize("text", ["look", "frobnicate cupboard", "open sofa"])
+def test_heuristic_rejects_text_that_does_not_ground_back(monkeypatch, text):
+    inst = _cupboard_instance()
+    agent = HeuristicAgent(inst)  # decides to open the cupboard
+    monkeypatch.setattr(inst.parser, "render", lambda grounded, world: text)
+    with pytest.raises(RuntimeError, match=text):
+        agent.next_action(())
+    assert agent.state == inst.start_state()
 
 
 def test_heuristic_basic_easy_regression(bench144):

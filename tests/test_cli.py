@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,3 +199,43 @@ def test_instance_file_error_is_one_line(small_set, tmp_path):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
         assert exit_.value.code == expected
+
+
+@pytest.mark.parametrize("argv", [
+    "generate --count 0", "generate --seed -1", "run --turn-limit 0",
+    "run --retries -1", "run --temperature -1", "plan --index 99",
+    "plan --index -1", "play --index 16"])
+def test_bad_numbers_are_usage_errors(small_set, tmp_path, capsys, argv):
+    command, flag, _ = argv.split()
+    instances = small_set / "basic-easy.json"
+    required = {"generate": ["--out", str(tmp_path / "out")],
+                "run": ["--instances", str(small_set), "--agent", "scripted",
+                        "--out", str(tmp_path / "out")],
+                "plan": ["--instances", str(instances)],
+                "play": ["--instances", str(instances)]}
+    with pytest.raises(SystemExit) as exit_:
+        main(argv.split() + required[command])
+    message = f"{exit_.value.code} {capsys.readouterr().err}"
+    assert flag in message
+    if flag == "--index":
+        assert str(instances) in message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", ["", '{"type": "turn"}\n{"type": "summ'])
+def test_summary_guard_names_file(tmp_path, content):
+    from ifbench import read_episode_summary
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(content)
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        read_episode_summary(bad)
+
+
+def test_cli_import_leaves_requests_out():
+    src = str(Path(ifbench.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ifbench.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "False"

@@ -3,14 +3,16 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifbench import (InvariantViolation, apply_delta, check_goals, fact,
-                     load_entity_catalogue, load_room_catalogue, parse_fact,
+from ifbench import (HeuristicAgent, InvariantViolation, apply_delta,
+                     check_goals, fact, load_entity_catalogue,
+                     load_room_catalogue, parse_fact, run_episode,
                      visible_facts)
 from ifbench.grammar import GroundedAction
 from ifbench.interpreter import Engine
 from ifbench.world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
                            GoalCondition, StateGroup, WorldState,
-                           state_from_json, state_to_json, validate_state)
+                           state_from_json, state_to_json, validate_state,
+                           visible_entities)
 from oracles import micro_instance, reference_visible
 
 
@@ -117,6 +119,26 @@ def test_visibility_matches_reference_oracle(kitchen):
     opened = apply_delta(world, state, {fact("closed", "cupboard")},
                          {fact("open", "cupboard")})
     assert visible_facts(world, opened) == reference_visible(world, opened)
+
+
+def test_visibility_matches_oracle_along_heuristic_episodes(bench144):
+    for instances in bench144.values():
+        for inst in instances:
+            engine = Engine(inst)
+            state = inst.start_state()
+            states = [state]
+            for command, _ in inst.preexploration or ():
+                state, _ = engine.execute(state, command)
+                states.append(state)
+            for turn in run_episode(inst, HeuristicAgent(inst)).turns:
+                state = apply_delta(inst.world, state, turn.removes, turn.adds)
+                states.append(state)
+            for state in states:
+                expected = reference_visible(inst.world, state)
+                assert visible_facts(inst.world, state) == expected
+                assert visible_entities(inst.world, state) == sorted(
+                    {f.args[0] for f in expected
+                     if f.predicate in ("at", "on", "in")} - {PLAYER})
 
 
 def test_visibility_monotone_under_opening(kitchen):
