@@ -9,10 +9,10 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .grammar import GroundFailure, GroundedAction, ParseFailure, staple_verbs
+from .grammar import GroundedAction, staple_verbs
 from .instance import Instance
 from .interpreter import AgentUnavailable, Engine
-from .world import apply_delta, connections_of, fact, visible_entities
+from .world import StateView, connections_of, fact
 
 API_KEY_VARS = ("IFBENCH_API_KEY", "OPENAI_API_KEY")
 
@@ -114,29 +114,26 @@ class HeuristicAgent:
     # -- belief upkeep ------------------------------------------------------
 
     def _observe(self):
+        """Take in the current state; its view, and what is visible in it,
+        serve every decision until the next step."""
+        self.view = StateView(self.state)
         room = self.state.player_room
         self.seen_rooms.add(room)
         for other in connections_of(self.state, room):
             self.known_edges.update({(room, other), (other, room)})
-        for eid in visible_entities(self.world, self.state):
+        for eid in sorted(self.view.perceivable):
             if eid not in self.state.inventory:
                 self.known_locations[eid] = room
 
     def _advance(self, command: str, decided: GroundedAction | None = None):
         """Apply `command` to the mirror state; RuntimeError if it fails."""
-        parser = self.engine.parser
         try:
-            grounded = parser.ground(parser.parse(command[1:]), self.world)
-        except (ParseFailure, GroundFailure) as exc:
-            raise RuntimeError(f"heuristic issued {command!r}: {exc}") from exc
+            grounded, state = self.engine.advance(self.state, command)
+        except ValueError as exc:
+            raise RuntimeError(f"heuristic issued {exc}") from exc
         if decided is not None and grounded != decided:
             raise RuntimeError(f"heuristic rendered {decided} as {command!r}")
-        action = self.engine.actions[grounded.action]
-        failure = self.engine.check_preconditions(self.state, action, grounded)
-        if failure is not None:
-            raise RuntimeError(f"heuristic issued {command!r}: {failure}")
-        removes, adds = self.engine.effects(self.state, action, grounded)
-        self.state = apply_delta(self.world, self.state, removes, adds)
+        self.state = state
         self._observe()
 
     def next_action(self, transcript: Transcript) -> str:
@@ -152,7 +149,7 @@ class HeuristicAgent:
                    if g.fact not in self.state.facts]
         if not pending:
             return _action("done")
-        visible = set(visible_entities(self.world, self.state))
+        visible = self.view.perceivable
 
         # open any closed container here we have not opened ourselves
         for container in sorted(visible):
@@ -170,10 +167,8 @@ class HeuristicAgent:
             if obj not in visible:
                 continue
             for verb in sorted(set(self.engine.actions) - set(staple_verbs())):
-                action = self.engine.actions[verb]
                 grounded = _action(verb, item=obj)
-                if self.engine.check_preconditions(self.state, action,
-                                                   grounded) is None:
+                if self.engine.step(grounded).failure(self.view) is None:
                     return grounded
 
         # deliver a carried goal object whose target is here

@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure)
 from .instance import Instance
-from .world import (INVENTORY, PLAYER, Fact, GoalCondition, Observation,
-                    WorldState, apply_delta, check_goals, connections_of,
-                    contents_in, contents_on, entities_at, fact, load_data,
-                    state_facts_of, state_to_json, visible_entities,
-                    visible_facts)
+from .world import (CONNECTS, INVENTORY, PLAYER, Fact, GoalCondition,
+                    Observation, StateView, WorldDef, WorldState, apply_delta,
+                    check_goals, connections_of, contents_in, contents_on,
+                    entities_at, fact, load_data, state_facts_of,
+                    state_to_json, visible_entities, visible_facts)
 
 TURN_LIMIT = 50
 
@@ -110,6 +110,186 @@ def _join(nouns: list[str]) -> str:
     return ", ".join(items[:-1]) + " and " + items[-1]
 
 
+# -- compiled steps -----------------------------------------------------------
+#
+# A step is one action schema compiled for one grounding: its precondition
+# tests in declared order and its effect facts, resolved from the grounding
+# where they can be. Each test says what it reads, so that a caller that
+# knows more than one state (the planner) can decide it in advance.
+
+GROUNDING = "grounding"  # only the grounding: the same in every state
+ROOM = "room"  # only `view.room` and the connects facts in `view.facts`
+STATE = "state"  # anything in the view
+
+
+class Check(NamedTuple):
+    holds: Callable[[StateView], bool]
+    fail: str  # the failure kind, a key of the action's feedback
+    reads: str  # GROUNDING, ROOM or STATE
+
+
+def _fixed(value: bool) -> tuple[Callable[[StateView], bool], str]:
+    return (lambda view: value), GROUNDING
+
+
+def _perceivable_here(world, cond, ident, grounded):
+    return (lambda view: ident in view.perceivable), STATE
+
+
+def _visible_here(world, cond, ident, grounded):
+    if ident == INVENTORY:
+        return _fixed(True)
+    return _perceivable_here(world, cond, ident, grounded)
+
+
+def _in_inventory(world, cond, ident, grounded):
+    return (lambda view: ident in view.state.inventory), STATE
+
+
+def _not_in_inventory(world, cond, ident, grounded):
+    return (lambda view: ident not in view.state.inventory), STATE
+
+
+def _inventory_space(world, cond, ident, grounded):
+    def holds(view):
+        limit = view.state.inventory_limit
+        return limit is None or len(view.state.inventory) < limit
+    return holds, STATE
+
+
+def _connected(world, cond, ident, grounded):
+    return (lambda view: Fact(CONNECTS, (view.room, ident)) in view.facts), ROOM
+
+
+def _not_current_room(world, cond, ident, grounded):
+    return (lambda view: ident != view.room), ROOM
+
+
+def _has_state(world, cond, ident, grounded):
+    held = fact(cond["state"], ident)
+    return (lambda view: held in view.facts), STATE
+
+
+def _not_has_state(world, cond, ident, grounded):
+    held = fact(cond["state"], ident)
+    return (lambda view: held not in view.facts), STATE
+
+
+def _open_if_container(world, cond, ident, grounded):
+    if not world.is_container(ident):
+        return _fixed(True)
+    is_open = fact("open", ident)
+    return (lambda view: is_open in view.facts), STATE
+
+
+def _is_entity(world, cond, ident, grounded):
+    return _fixed(ident == cond["entity"])
+
+
+def _source_matches(world, cond, ident, grounded):
+    source = grounded.get(cond.get("source", "source"))
+    if source is None:
+        return _fixed(True)
+    if source in world.rooms:
+        at = fact("at", ident, source)
+        return (lambda view: at in view.facts), STATE
+    on, inside = fact("on", ident, source), fact("in", ident, source)
+    return (lambda view: on in view.facts or inside in view.facts), STATE
+
+
+# precondition check name -> builder(world, cond, ident, grounded) of the
+# test's (holds, reads)
+_CHECKS = {
+    "accessible_here": _perceivable_here,
+    "visible_here": _visible_here,
+    "in_inventory": _in_inventory,
+    "not_in_inventory": _not_in_inventory,
+    "inventory_space": _inventory_space,
+    "connected": _connected,
+    "not_current_room": _not_current_room,
+    "has_state": _has_state,
+    "not_has_state": _not_has_state,
+    "open_if_container": _open_if_container,
+    "is_entity": _is_entity,
+    "source_matches": _source_matches,
+}
+
+
+class Step(NamedTuple):
+    """One grounded action, compiled: `failure` and `effects` read the state
+    only where the grounding leaves something open."""
+
+    grounded: GroundedAction
+    tests: tuple[Check, ...]  # declared order: the first failing one reports
+    removes: frozenset[Fact]  # resolved from the grounding
+    adds: frozenset[Fact]
+    late_removes: tuple[Callable[[StateView], Fact], ...]  # read the state
+    late_adds: tuple[Callable[[StateView], Fact], ...]
+
+    def failure(self, view: StateView) -> str | None:
+        """First failing precondition's failure kind, or None when all hold."""
+        for test in self.tests:
+            if not test.holds(view):
+                return test.fail
+        return None
+
+    def effects(self, view: StateView) -> tuple[frozenset[Fact], frozenset[Fact]]:
+        removes, adds = self.removes, self.adds
+        if self.late_removes:
+            removes = removes.union([late(view) for late in self.late_removes])
+        if self.late_adds:
+            adds = adds.union([late(view) for late in self.late_adds])
+        return removes, adds
+
+
+def compile_step(world: WorldDef, action: ActionDef,
+                 grounded: GroundedAction) -> Step:
+    """Compile `action` for `grounded`. ValueError on an unknown check or
+    effect template, and on an effect on ``connects`` facts: room connections
+    are fixed, which the planner relies on."""
+    bound = dict(grounded.bindings)
+    tests = []
+    for cond in action.preconditions:
+        build = _CHECKS.get(cond["check"])
+        if build is None:
+            raise ValueError(f"unknown precondition check {cond['check']!r}")
+        ident = bound.get(cond["param"]) if "param" in cond else None
+        holds, reads = build(world, cond, ident, grounded)
+        tests.append(Check(holds, cond["fail"], reads))
+
+    def resolve(name: str) -> str:
+        return name if name in (PLAYER, INVENTORY) else bound.get(name, name)
+
+    def effect(template: tuple[str, ...]) -> Fact | Callable[[StateView], Fact]:
+        kind = template[0]
+        if kind == "fact":
+            if template[1] == CONNECTS:
+                raise ValueError(f"action {action.verb!r} changes connects "
+                                 "facts; room connections must stay fixed")
+            return Fact(template[1], tuple([resolve(a) for a in template[2:]]))
+        if kind == "location_of":
+            item = resolve(template[1])
+            return lambda view: view.location_of(item)
+        if kind == "placement":
+            item, target = resolve(template[1]), resolve(template[2])
+            return Fact("in" if world.is_container(target) else "on",
+                        (item, target))
+        if kind == "player_at":
+            return lambda view: Fact("at", (PLAYER, view.room))
+        raise ValueError(f"unknown effect template {template!r}")
+
+    def split(templates) -> tuple[frozenset[Fact], tuple]:
+        facts, late = [], []
+        for template in templates:
+            resolved = effect(template)
+            (facts if isinstance(resolved, Fact) else late).append(resolved)
+        return frozenset(facts), tuple(late)
+
+    removes, late_removes = split(action.removes)
+    adds, late_adds = split(action.adds)
+    return Step(grounded, tuple(tests), removes, adds, late_removes, late_adds)
+
+
 class Engine:
     """Turn resolution for one instance; parser and templates are prebuilt
     and immutable, so one engine can serve many states."""
@@ -122,6 +302,7 @@ class Engine:
         self.goals = instance.goals
         self.actions = {a.verb: a for a in instance.actions}
         self.lexicon = instance.lexicon
+        self._steps: dict[GroundedAction, Step] = {}
 
     def surface(self, ident: str) -> str:
         return self.parser.surface_of(ident, self.world)
@@ -229,105 +410,49 @@ class Engine:
 
     # -- preconditions and effects ----------------------------------------
 
-    def _accessible(self, state: WorldState, ident: str) -> bool:
-        """Entity can be manipulated from the player's room: carried,
-        directly in the room, on a support here, or inside an open
-        container here."""
-        room = state.player_room
-        if ident in state.inventory:
-            return True
-        if fact("at", ident, room) in state.facts:
-            return True
-        for f in state.facts:
-            if f.args and f.args[0] == ident:
-                if f.predicate == "on" and fact("at", f.args[1], room) in state.facts:
-                    return True
-                if (f.predicate == "in" and f.args[1] != INVENTORY
-                        and fact("at", f.args[1], room) in state.facts
-                        and fact("open", f.args[1]) in state.facts):
-                    return True
-        return False
+    def step(self, grounded: GroundedAction) -> Step:
+        """The compiled step of a grounded action, compiled on first use."""
+        step = self._steps.get(grounded)
+        if step is None:
+            step = self._steps[grounded] = compile_step(
+                self.world, self.actions[grounded.action], grounded)
+        return step
+
+    def _step_of(self, action: ActionDef, grounded: GroundedAction) -> Step:
+        if self.actions.get(grounded.action) is not action:
+            raise ValueError(f"{action.verb!r} is not this engine's action "
+                             f"for {grounded.action!r}")
+        return self.step(grounded)
 
     def check_preconditions(self, state: WorldState, action: ActionDef,
                             grounded: GroundedAction) -> str | None:
         """First failing precondition's failure kind, or None when all hold."""
-        for cond in action.preconditions:
-            check = cond["check"]
-            ident = grounded.get(cond["param"]) if "param" in cond else None
-            if check == "accessible_here":
-                ok = self._accessible(state, ident)
-            elif check == "visible_here":
-                ok = (ident == INVENTORY
-                      or ident in visible_entities(self.world, state))
-            elif check == "in_inventory":
-                ok = ident in state.inventory
-            elif check == "not_in_inventory":
-                ok = ident not in state.inventory
-            elif check == "inventory_space":
-                ok = (state.inventory_limit is None
-                      or len(state.inventory) < state.inventory_limit)
-            elif check == "connected":
-                ok = fact("connects", state.player_room, ident) in state.facts
-            elif check == "not_current_room":
-                ok = ident != state.player_room
-            elif check == "has_state":
-                ok = fact(cond["state"], ident) in state.facts
-            elif check == "not_has_state":
-                ok = fact(cond["state"], ident) not in state.facts
-            elif check == "open_if_container":
-                ok = (not self.world.is_container(ident)
-                      or fact("open", ident) in state.facts)
-            elif check == "is_entity":
-                ok = ident == cond["entity"]
-            elif check == "source_matches":
-                source = grounded.get(cond.get("source", "source"))
-                if source is None:
-                    ok = True
-                elif source in self.world.rooms:
-                    ok = fact("at", ident, source) in state.facts
-                else:
-                    ok = (fact("on", ident, source) in state.facts
-                          or fact("in", ident, source) in state.facts)
-            else:
-                raise ValueError(f"unknown precondition check {check!r}")
-            if not ok:
-                return cond["fail"]
-        return None
+        return self._step_of(action, grounded).failure(StateView(state))
 
     def effects(self, state: WorldState, action: ActionDef,
                 grounded: GroundedAction) -> tuple[frozenset[Fact], frozenset[Fact]]:
-        removes = frozenset(self._instantiate(t, state, grounded)
-                            for t in action.removes)
-        adds = frozenset(self._instantiate(t, state, grounded)
-                         for t in action.adds)
-        return removes, adds
+        return self._step_of(action, grounded).effects(StateView(state))
 
-    def _instantiate(self, template: tuple[str, ...], state: WorldState,
-                     grounded: GroundedAction) -> Fact:
-        kind = template[0]
-        if kind == "fact":
-            args = tuple(self._resolve(a, grounded) for a in template[2:])
-            return Fact(template[1], args)
-        if kind == "location_of":
-            item = self._resolve(template[1], grounded)
-            for f in state.facts:
-                if f.predicate in ("at", "on", "in") and f.args[0] == item:
-                    return f
-            raise ValueError(f"{item} has no location fact")
-        if kind == "placement":
-            item = self._resolve(template[1], grounded)
-            target = self._resolve(template[2], grounded)
-            pred = "in" if self.world.is_container(target) else "on"
-            return Fact(pred, (item, target))
-        if kind == "player_at":
-            return fact("at", PLAYER, state.player_room)
-        raise ValueError(f"unknown effect template {template!r}")
-
-    def _resolve(self, name: str, grounded: GroundedAction) -> str:
-        if name in (PLAYER, INVENTORY):
-            return name
-        bound = grounded.get(name)
-        return bound if bound is not None else name
+    def advance(self, state: WorldState,
+                command: str) -> tuple[GroundedAction, WorldState]:
+        """Resolve a command that must succeed: parse, ground, preconditions
+        and the checked `apply_delta`, with no feedback and no goal check.
+        ValueError naming the command if any phase fails."""
+        trimmed = command.strip()
+        if not trimmed.startswith(">"):
+            raise ValueError(f"{command!r} does not start with '>'")
+        try:
+            grounded = self.parser.ground(
+                self.parser.parse(trimmed.splitlines()[0][1:]), self.world)
+        except (ParseFailure, GroundFailure) as exc:
+            raise ValueError(f"{command!r} failed: {exc}") from exc
+        step = self.step(grounded)
+        view = StateView(state)
+        failure = step.failure(view)
+        if failure is not None:
+            raise ValueError(f"{command!r} failed: {failure}")
+        removes, adds = step.effects(view)
+        return grounded, apply_delta(self.world, state, removes, adds)
 
     # -- the turn pipeline -------------------------------------------------
 
@@ -379,13 +504,15 @@ class Engine:
 
         action = self.actions[grounded.action]
         bindings = self._feedback_bindings(state, action, grounded)
-        failure = self.check_preconditions(state, action, grounded)
+        step = self.step(grounded)
+        view = StateView(state)
+        failure = step.failure(view)
         if failure is not None:
             feedback = render_feedback(action.feedback[failure], bindings)
             return finish("precondition-fail", grounded, frozenset(),
                           frozenset(), feedback, state)
 
-        removes, adds = self.effects(state, action, grounded)
+        removes, adds = step.effects(view)
         new_state = apply_delta(self.world, state, removes, adds)
         feedback = self._success_feedback(new_state, action, grounded, bindings)
         return finish("success", grounded, removes, adds, feedback, new_state)
@@ -441,14 +568,17 @@ class Episode:
             self._replay_preexploration()
 
     def _replay_preexploration(self) -> None:
-        # context turns: replayed for observation memory, not counted as turns
+        # context turns: replayed for observation memory, not counted as
+        # turns; the transcript gets the feedback stored in the instance
         state = self.state
+        world = self.engine.world
         for command, feedback in self.instance.preexploration:
-            state, record = self.engine.execute(state, command,
-                                                frozenset(self.observed))
-            if record.phase_outcome != "success":
-                raise ValueError(f"pre-exploration command failed: {command}")
-            self.observed |= record.revealed_facts
+            try:
+                _, state = self.engine.advance(state, command)
+            except ValueError as exc:
+                raise ValueError(
+                    f"pre-exploration command failed: {command}") from exc
+            self.observed |= visible_facts(world, state)
             self.transcript.append(("agent", command))
             self.transcript.append(("environment", feedback))
         if state.facts != self.state.facts:

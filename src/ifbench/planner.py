@@ -6,7 +6,8 @@ they never appear in optimal plans. By default the search also prunes
 branches that provably cannot shorten a plan: taking or putting non-goal
 objects, `close`, and `open` on containers that neither hide a goal object
 nor are goal targets. The unpruned search (`prune=False`) is kept for
-equivalence checking.
+equivalence checking. Candidates run as the engine's compiled steps, listed
+per player room (`_moves_by_room`).
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .grammar import GroundedAction
 from .instance import Instance
-from .interpreter import Engine
-from .world import WorldState, apply_delta
+from .interpreter import GROUNDING, ROOM, STATE, Engine, Step
+from .world import StateView, WorldState, apply_delta
 
 DEFAULT_BUDGET = 500_000
 
@@ -53,7 +55,9 @@ def _param_candidates(engine: Engine, trait: str) -> list[str]:
 
 
 def _candidates(engine: Engine, instance: Instance,
-                prune: bool) -> list[tuple[object, GroundedAction]]:
+                prune: bool) -> list[GroundedAction]:
+    """The groundings the search branches on, in (verb, bindings) order,
+    which fixes its tie-breaking."""
     goal_items: dict[str, set[str]] = {}
     for goal in instance.goals:
         if goal.kind == "placement":
@@ -83,18 +87,18 @@ def _candidates(engine: Engine, instance: Instance,
             if verb == "close":
                 groundings = [((action.params[0].name, c),)
                               for c in sorted(closeable)]
-                out.extend((action, GroundedAction(verb, g)) for g in groundings)
+                out.extend(GroundedAction(verb, g) for g in groundings)
                 continue
             if verb == "open":
                 groundings = [((p.name, c),)
                               for p in action.params
                               for c in sorted(needed_containers)
                               if engine.world.has_trait(c, p.trait)]
-                out.extend((action, GroundedAction(verb, g)) for g in groundings)
+                out.extend(GroundedAction(verb, g) for g in groundings)
                 continue
             if verb == "take":
                 item_param = action.params[0].name
-                out.extend((action, GroundedAction(verb, ((item_param, i),)))
+                out.extend(GroundedAction(verb, ((item_param, i),))
                            for i in sorted(goal_items))
                 continue
             if verb == "put":
@@ -102,15 +106,48 @@ def _candidates(engine: Engine, instance: Instance,
                 for item in sorted(goal_items):
                     for target in sorted(goal_items[item]):
                         binding = ((names[0], item), (names[1], target))
-                        out.append((action, GroundedAction(verb, binding)))
+                        out.append(GroundedAction(verb, binding))
                 continue
         required = [p for p in action.params if not p.optional]
         pools = [_param_candidates(engine, p.trait) for p in required]
         for combo in product(*pools):
             binding = tuple((p.name, v) for p, v in zip(required, combo))
-            out.append((action, GroundedAction(verb, binding)))
-    out.sort(key=lambda pair: (pair[1].action, pair[1].bindings))
+            out.append(GroundedAction(verb, binding))
+    out.sort(key=lambda grounded: (grounded.action, grounded.bindings))
     return out
+
+
+class _RoomProbe(NamedTuple):
+    """What a ROOM test reads: the player's room and the connects facts."""
+    room: str
+    facts: frozenset
+
+
+def _moves_by_room(engine: Engine, start: WorldState,
+                   candidates: list[GroundedAction]
+                   ) -> dict[str, list[tuple[Step, tuple]]]:
+    """For each room, the candidates that can apply with the player there,
+    each with the tests left to run on a state, in candidate order.
+
+    A test that reads only the grounding is decided once, and a candidate
+    with a false one dropped. Compiled steps never change ``connects``
+    facts, so a test that reads only the player's room and the connections
+    is decided once per room, against the start state's connections."""
+    live = []
+    for grounded in candidates:
+        step = engine.step(grounded)
+        tests = {GROUNDING: [], ROOM: [], STATE: []}
+        for test in step.tests:
+            tests[test.reads].append(test.holds)
+        if all(holds(None) for holds in tests[GROUNDING]):
+            live.append((step, tests[ROOM], tuple(tests[STATE])))
+    by_room = {}
+    for room in engine.world.rooms:
+        probe = _RoomProbe(room, start.facts)
+        by_room[room] = [(step, state_tests)
+                         for step, room_tests, state_tests in live
+                         if all(holds(probe) for holds in room_tests)]
+    return by_room
 
 
 def solve_optimal(instance: Instance, budget: int = DEFAULT_BUDGET,
@@ -125,7 +162,8 @@ def solve_optimal(instance: Instance, budget: int = DEFAULT_BUDGET,
     if goal_facts <= start.facts:
         return PlanResult((done,), 1, 0)
 
-    candidates = _candidates(engine, instance, prune)
+    by_room = _moves_by_room(engine, start,
+                             _candidates(engine, instance, prune))
     parents: dict[frozenset, tuple[frozenset, GroundedAction] | None] = {
         start.facts: None}
     queue: deque[WorldState] = deque([start])
@@ -135,22 +173,25 @@ def solve_optimal(instance: Instance, budget: int = DEFAULT_BUDGET,
         expanded += 1
         if expanded > budget:
             raise SearchBudgetExceeded(f"expanded more than {budget} states")
-        for action, grounded in candidates:
-            if engine.check_preconditions(state, action, grounded) is not None:
-                continue
-            removes, adds = engine.effects(state, action, grounded)
-            new_facts = (state.facts - removes) | adds
-            if new_facts in parents:
-                continue
-            new_state = apply_delta(world, state, removes, adds)
-            parents[new_facts] = (state.facts, grounded)
-            if goal_facts <= new_facts:
-                plan = [done]
-                key = new_facts
-                while parents[key] is not None:
-                    key, step = parents[key]
-                    plan.append(step)
-                plan.reverse()
-                return PlanResult(tuple(plan), len(plan), expanded)
-            queue.append(new_state)
+        view = StateView(state)
+        for step, tests in by_room[state.player_room]:
+            for holds in tests:
+                if not holds(view):
+                    break
+            else:
+                removes, adds = step.effects(view)
+                new_facts = (state.facts - removes) | adds
+                if new_facts in parents:
+                    continue
+                new_state = apply_delta(world, state, removes, adds)
+                parents[new_facts] = (state.facts, step.grounded)
+                if goal_facts <= new_facts:
+                    plan = [done]
+                    key = new_facts
+                    while parents[key] is not None:
+                        key, grounded = parents[key]
+                        plan.append(grounded)
+                    plan.reverse()
+                    return PlanResult(tuple(plan), len(plan), expanded)
+                queue.append(new_state)
     raise Unsolvable(instance.id)

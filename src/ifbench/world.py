@@ -378,17 +378,56 @@ def _perceivable(state: WorldState) -> dict[str, Fact]:
     `validate_state` and `apply_delta` enforce for takeables (the only
     entities ever placed on or in another)."""
     room = state.player_room
-    here = {f.args[0]: f for f in state.facts
-            if f.predicate == "at" and f.args[1] == room and f.args[0] != PLAYER}
-    found = dict(here)
+    here = {}
+    held = []  # the on and in facts, in fact order
     for f in state.facts:
-        if f.predicate not in ("on", "in"):
-            continue
+        predicate, args = f
+        if predicate == "at":
+            if args[1] == room and args[0] != PLAYER:
+                here[args[0]] = f
+        elif predicate == "on" or predicate == "in":
+            held.append(f)
+    found = dict(here)
+    for f in held:
         holder = f.args[1]
         if holder == INVENTORY or holder in here and (
                 f.predicate == "on" or fact("open", holder) in state.facts):
             found[f.args[0]] = f
     return found
+
+
+class StateView:
+    """One state as compiled action steps read it. What the player can
+    perceive (`_perceivable`) and where each subject is are each worked out
+    at most once per view, and only when a step asks."""
+
+    __slots__ = ("state", "facts", "room", "_perceivable", "_locations")
+
+    def __init__(self, state: WorldState):
+        self.state = state
+        self.facts = state.facts
+        self.room = state.player_room
+        self._perceivable: dict[str, Fact] | None = None
+        self._locations: dict[str, Fact] | None = None
+
+    @property
+    def perceivable(self) -> dict[str, Fact]:
+        if self._perceivable is None:
+            self._perceivable = _perceivable(self.state)
+        return self._perceivable
+
+    def location_of(self, subject: str) -> Fact:
+        """The first ``at``/``on``/``in`` fact about `subject` in the
+        state's fact order; ValueError if there is none."""
+        if self._locations is None:
+            self._locations = {}
+            for f in self.facts:
+                if f.predicate in ("at", "on", "in"):
+                    self._locations.setdefault(f.args[0], f)
+        try:
+            return self._locations[subject]
+        except KeyError:
+            raise ValueError(f"{subject} has no location fact") from None
 
 
 def visible_entities(world: WorldDef, state: WorldState) -> list[str]:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from ifbench import ScriptedAgent, generate_all, run_episode
+from ifbench import HeuristicAgent, ScriptedAgent, generate_all, run_episode
 
 BENCH_SEED = 17
 
@@ -34,6 +34,13 @@ def oracle_records(bench144):
             agent = ScriptedAgent.from_plan(instance, instance.optimal_plan)
             records[instance.id] = (instance, run_episode(instance, agent))
     return OracleRun(records, time.perf_counter() - started)
+
+
+@pytest.fixture(scope="session")
+def heuristic_records(bench144):
+    """A heuristic episode of every generated instance, by instance id."""
+    return {instance.id: (instance, run_episode(instance, HeuristicAgent(instance)))
+            for instances in bench144.values() for instance in instances}
 
 
 def pytest_runtest_logreport(report):

@@ -1,15 +1,17 @@
-"""Independent test oracles: a per-fact visibility filter and a raw-string
-brute-force optimal search driven through the public interpreter, plus a
-builder for handcrafted micro instances."""
+"""Independent test oracles: a per-fact visibility filter, the uncompiled
+precondition and effect code, and a raw-string brute-force optimal search
+driven through the public interpreter, plus a builder for handcrafted micro
+instances."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from ifbench import Engine, Instance
-from ifbench.grammar import Lexicon, staple_verbs
-from ifbench.world import (EntityDef, GoalCondition, RoomDef, StateGroup,
-                           WorldDef, WorldState, Fact, fact, parse_fact)
+from ifbench.grammar import ActionDef, GroundedAction, Lexicon, staple_verbs
+from ifbench.world import (INVENTORY, PLAYER, EntityDef, GoalCondition,
+                           RoomDef, StateGroup, WorldDef, WorldState, Fact,
+                           fact, parse_fact, visible_entities)
 
 
 def reference_visible(world: WorldDef, state: WorldState) -> frozenset[Fact]:
@@ -59,6 +61,117 @@ def reference_visible(world: WorldDef, state: WorldState) -> frozenset[Fact]:
         if ok:
             keep.add(f)
     return frozenset(keep)
+
+
+# -- the interpreter's precondition and effect code before steps were
+# compiled, kept verbatim (methods of Engine then, `self` now `engine`) as the
+# reference the compiled steps must agree with
+
+
+def _reference_accessible(engine, state: WorldState, ident: str) -> bool:
+    """Entity can be manipulated from the player's room: carried,
+    directly in the room, on a support here, or inside an open
+    container here."""
+    room = state.player_room
+    if ident in state.inventory:
+        return True
+    if fact("at", ident, room) in state.facts:
+        return True
+    for f in state.facts:
+        if f.args and f.args[0] == ident:
+            if f.predicate == "on" and fact("at", f.args[1], room) in state.facts:
+                return True
+            if (f.predicate == "in" and f.args[1] != INVENTORY
+                    and fact("at", f.args[1], room) in state.facts
+                    and fact("open", f.args[1]) in state.facts):
+                return True
+    return False
+
+
+def reference_preconditions(engine, state: WorldState, action: ActionDef,
+                            grounded: GroundedAction) -> str | None:
+    """First failing precondition's failure kind, or None when all hold."""
+    for cond in action.preconditions:
+        check = cond["check"]
+        ident = grounded.get(cond["param"]) if "param" in cond else None
+        if check == "accessible_here":
+            ok = _reference_accessible(engine, state, ident)
+        elif check == "visible_here":
+            ok = (ident == INVENTORY
+                  or ident in visible_entities(engine.world, state))
+        elif check == "in_inventory":
+            ok = ident in state.inventory
+        elif check == "not_in_inventory":
+            ok = ident not in state.inventory
+        elif check == "inventory_space":
+            ok = (state.inventory_limit is None
+                  or len(state.inventory) < state.inventory_limit)
+        elif check == "connected":
+            ok = fact("connects", state.player_room, ident) in state.facts
+        elif check == "not_current_room":
+            ok = ident != state.player_room
+        elif check == "has_state":
+            ok = fact(cond["state"], ident) in state.facts
+        elif check == "not_has_state":
+            ok = fact(cond["state"], ident) not in state.facts
+        elif check == "open_if_container":
+            ok = (not engine.world.is_container(ident)
+                  or fact("open", ident) in state.facts)
+        elif check == "is_entity":
+            ok = ident == cond["entity"]
+        elif check == "source_matches":
+            source = grounded.get(cond.get("source", "source"))
+            if source is None:
+                ok = True
+            elif source in engine.world.rooms:
+                ok = fact("at", ident, source) in state.facts
+            else:
+                ok = (fact("on", ident, source) in state.facts
+                      or fact("in", ident, source) in state.facts)
+        else:
+            raise ValueError(f"unknown precondition check {check!r}")
+        if not ok:
+            return cond["fail"]
+    return None
+
+
+def reference_effects(engine, state: WorldState, action: ActionDef,
+                      grounded: GroundedAction
+                      ) -> tuple[frozenset[Fact], frozenset[Fact]]:
+    removes = frozenset(_reference_instantiate(engine, t, state, grounded)
+                        for t in action.removes)
+    adds = frozenset(_reference_instantiate(engine, t, state, grounded)
+                     for t in action.adds)
+    return removes, adds
+
+
+def _reference_instantiate(engine, template: tuple[str, ...],
+                           state: WorldState, grounded: GroundedAction) -> Fact:
+    kind = template[0]
+    if kind == "fact":
+        args = tuple(_reference_resolve(a, grounded) for a in template[2:])
+        return Fact(template[1], args)
+    if kind == "location_of":
+        item = _reference_resolve(template[1], grounded)
+        for f in state.facts:
+            if f.predicate in ("at", "on", "in") and f.args[0] == item:
+                return f
+        raise ValueError(f"{item} has no location fact")
+    if kind == "placement":
+        item = _reference_resolve(template[1], grounded)
+        target = _reference_resolve(template[2], grounded)
+        pred = "in" if engine.world.is_container(target) else "on"
+        return Fact(pred, (item, target))
+    if kind == "player_at":
+        return fact("at", PLAYER, state.player_room)
+    raise ValueError(f"unknown effect template {template!r}")
+
+
+def _reference_resolve(name: str, grounded: GroundedAction) -> str:
+    if name in (PLAYER, INVENTORY):
+        return name
+    bound = grounded.get(name)
+    return bound if bound is not None else name
 
 
 def enumerate_commands(instance: Instance) -> list[str]:

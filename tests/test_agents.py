@@ -213,8 +213,8 @@ def test_heuristic_solves_and_respects_format(bench144):
 
 
 def test_heuristic_turns_are_executed_once(bench144, monkeypatch):
-    # only the episode resolves turns: one execute per turn and per
-    # pre-exploration command, none by the agent
+    # only the episode resolves turns: one execute per turn, none by the
+    # agent and none for the pre-exploration replay
     calls = []
     execute = Engine.execute
 
@@ -227,8 +227,7 @@ def test_heuristic_turns_are_executed_once(bench144, monkeypatch):
         inst = instances[0]
         calls.clear()
         record = run_episode(inst, HeuristicAgent(inst))
-        expected = len(record.turns) + len(inst.preexploration or ())
-        assert len(calls) == expected, (family, inst.id, len(calls), expected)
+        assert len(calls) == len(record.turns), (family, inst.id, len(calls))
     assert bench144["preexplore-hard"][0].preexploration
 
 

@@ -1,10 +1,15 @@
+import time
 from dataclasses import replace
 
 import pytest
 
-from ifbench import (Engine, ScriptedAgent, SearchBudgetExceeded, Unsolvable,
-                     run_episode, solve_optimal)
-from oracles import brute_force_optimal, micro_instance
+import ifbench.planner as planner
+from ifbench import (Engine, ScriptedAgent, SearchBudgetExceeded,
+                     Unsolvable, apply_delta, run_episode, solve_optimal)
+from ifbench.grammar import ActionDef, ActionFlags, GroundedAction, Param
+from ifbench.world import INVENTORY, StateView
+from oracles import (brute_force_optimal, micro_instance,
+                     reference_effects, reference_preconditions)
 
 
 def one_room():
@@ -137,3 +142,142 @@ def test_synthetic_hard_ternary_ordering(bench144):
     assert len(verbs) == 2
     assert first_add[verbs[0]] == ternary.states[1]
     assert first_add[verbs[1]] == ternary.states[2]
+
+
+def _expanded_states(inst, start, monkeypatch) -> list:
+    """The states `solve_optimal(inst)` expands, in order: the search is
+    breadth-first, so they are the start state and then the states it makes,
+    in the order it makes them."""
+    made = []
+
+    def recording_apply_delta(*args):
+        made.append(apply_delta(*args))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planner, "apply_delta", recording_apply_delta)
+        result = solve_optimal(inst)
+    return [start] + made[:result.states_expanded - 1]
+
+
+def _episode_states(inst, start, records) -> list:
+    """The states of the pre-exploration walk, then those the episodes in
+    `records` pass through."""
+    engine = Engine(inst)
+    states = [start]
+    for command, _ in inst.preexploration or ():
+        states.append(engine.advance(states[-1], command)[1])
+    for record in records:
+        state = start  # the walk is closed: it ends here
+        for turn in record.turns:
+            state = apply_delta(inst.world, state, turn.removes, turn.adds)
+            states.append(state)
+    return list(dict.fromkeys(states))
+
+
+def _turn_groundings(inst, engine) -> list[GroundedAction]:
+    """Groundings only turns reach: examine (of every thing and the
+    inventory), look, done, and take of each goal object from each room or
+    receptacle."""
+    world = engine.world
+    receptacles = [e for e in sorted(world.entities)
+                   if world.is_container(e) or world.is_support(e)]
+    goal_items = sorted({g.fact.args[0] for g in inst.goals
+                         if g.kind == "placement"})
+    out = [GroundedAction("examine", (("item", e),))
+           for e in sorted(world.entities) + [INVENTORY]]
+    out += [GroundedAction("look", ()), GroundedAction("done", ())]
+    out += [GroundedAction("take", (("item", e), ("source", s)))
+            for e in goal_items for s in sorted(world.rooms) + receptacles]
+    return out
+
+
+def _effects_or_error(effects, *args):
+    try:
+        return effects(*args)
+    except ValueError as exc:  # location_of a subject with no location
+        return str(exc)
+
+
+def test_compiled_steps_match_reference(bench144, oracle_records,
+                                        heuristic_records, monkeypatch):
+    """Compiled steps, and the planner's per-room candidate lists built from
+    them, against the uncompiled code they replace, on every state the
+    stored plans, the heuristic episodes and the search of each family's
+    first instance reach: the failure kind of every unpruned candidate, and
+    the effects of every candidate that applies. On the first instance's
+    episode states, the groundings only turns reach are checked too, and
+    effects are compared whether the action applies or not."""
+    started = time.perf_counter()
+    checked = 0
+    for family, instances in sorted(bench144.items()):
+        for index, inst in enumerate(instances):
+            records = (oracle_records.records[inst.id][1],
+                       heuristic_records[inst.id][1])
+            start = inst.start_state()
+            states = _episode_states(inst, start, records)
+            engine = Engine(inst)
+            candidates = planner._candidates(engine, inst, prune=False)
+            by_room = planner._moves_by_room(engine, start, candidates)
+            compiled = [(engine.step(g), engine.actions[g.action], g)
+                        for g in candidates]
+            if index == 0:
+                turn_only = [(engine.step(g), engine.actions[g.action], g)
+                             for g in _turn_groundings(inst, engine)]
+                for state in states:
+                    view = StateView(state)
+                    for step, action, grounded in turn_only:
+                        assert step.failure(view) == reference_preconditions(
+                            engine, state, action, grounded), (inst.id, grounded)
+                    for step, action, grounded in compiled + turn_only:
+                        assert (_effects_or_error(step.effects, view)
+                                == _effects_or_error(reference_effects, engine,
+                                                     state, action, grounded))
+                    checked += len(compiled) + len(turn_only)
+                states = list(dict.fromkeys(
+                    states + _expanded_states(inst, start, monkeypatch)))
+            for state in states:
+                view = StateView(state)
+                passing = []
+                for step, action, grounded in compiled:
+                    failure = step.failure(view)
+                    assert failure == reference_preconditions(
+                        engine, state, action, grounded), (inst.id, grounded)
+                    if failure is None:
+                        assert step.effects(view) == reference_effects(
+                            engine, state, action, grounded), (inst.id, grounded)
+                        passing.append(grounded)
+                checked += len(compiled)
+                listed = []
+                for step, tests in by_room[state.player_room]:
+                    for holds in tests:
+                        if not holds(view):
+                            break
+                    else:
+                        listed.append(step.grounded)
+                assert passing == listed, (inst.id, state)
+    assert checked > 500_000
+    assert time.perf_counter() - started < 60.0
+
+
+def test_connects_effect_fails_loudly():
+    dig = ActionDef(
+        verb="dig", params=(Param("room", "room"),), grammar="dig <room>",
+        flags=ActionFlags(epistemic=False, pragmatic=True, replaceable=False),
+        preconditions=(),
+        removes=(),
+        adds=(("fact", "connects", "player", "room"),),
+        feedback={"success": "You dig a passage."})
+    inst = micro_instance(
+        rooms=["kitchen", "pantry"], connections=[("kitchen", "pantry")],
+        entities=[("table", "support", ["pantry"]),
+                  ("apple", "takeable", ["kitchen"])],
+        facts=["at(player,kitchen)", "at(table,pantry)", "at(apple,kitchen)"],
+        goals=["on(apple,table)"], extra_actions=[dig])
+    engine = Engine(inst)
+    grounded = GroundedAction("dig", (("room", "pantry"),))
+    with pytest.raises(ValueError, match="'dig'.*connects"):
+        engine.check_preconditions(inst.start_state(), engine.actions["dig"],
+                                   grounded)
+    with pytest.raises(ValueError, match="'dig'.*connects"):
+        solve_optimal(inst)

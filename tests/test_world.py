@@ -3,9 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifbench import (HeuristicAgent, InvariantViolation, apply_delta,
-                     check_goals, fact, load_entity_catalogue,
-                     load_room_catalogue, parse_fact, run_episode,
+from ifbench import (InvariantViolation, apply_delta, check_goals, fact,
+                     load_entity_catalogue, load_room_catalogue, parse_fact,
                      visible_facts)
 from ifbench.grammar import GroundedAction
 from ifbench.interpreter import Engine
@@ -121,24 +120,23 @@ def test_visibility_matches_reference_oracle(kitchen):
     assert visible_facts(world, opened) == reference_visible(world, opened)
 
 
-def test_visibility_matches_oracle_along_heuristic_episodes(bench144):
-    for instances in bench144.values():
-        for inst in instances:
-            engine = Engine(inst)
-            state = inst.start_state()
-            states = [state]
-            for command, _ in inst.preexploration or ():
-                state, _ = engine.execute(state, command)
-                states.append(state)
-            for turn in run_episode(inst, HeuristicAgent(inst)).turns:
-                state = apply_delta(inst.world, state, turn.removes, turn.adds)
-                states.append(state)
-            for state in states:
-                expected = reference_visible(inst.world, state)
-                assert visible_facts(inst.world, state) == expected
-                assert visible_entities(inst.world, state) == sorted(
-                    {f.args[0] for f in expected
-                     if f.predicate in ("at", "on", "in")} - {PLAYER})
+def test_visibility_matches_oracle_along_heuristic_episodes(heuristic_records):
+    for inst, record in heuristic_records.values():
+        engine = Engine(inst)
+        state = inst.start_state()
+        states = [state]
+        for command, _ in inst.preexploration or ():
+            state, _ = engine.execute(state, command)
+            states.append(state)
+        for turn in record.turns:
+            state = apply_delta(inst.world, state, turn.removes, turn.adds)
+            states.append(state)
+        for state in states:
+            expected = reference_visible(inst.world, state)
+            assert visible_facts(inst.world, state) == expected
+            assert visible_entities(inst.world, state) == sorted(
+                {f.args[0] for f in expected
+                 if f.predicate in ("at", "on", "in")} - {PLAYER})
 
 
 def test_visibility_monotone_under_opening(kitchen):
