@@ -95,12 +95,14 @@ class HeuristicAgent:
     Mirrors the episode state by applying each decided action's effects,
     once its rendered text grounds back to it and its preconditions hold.
     It acts only on what has been visible, so it never needs to parse
-    feedback text and never breaks the output format.
+    feedback text and never breaks the output format. `engine`, if given,
+    is an engine of `instance`, shared with the episode so that each step is
+    compiled once.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, engine: Engine | None = None):
         self.instance = instance
-        self.engine = Engine(instance)
+        self.engine = engine or Engine(instance)
         self.world = self.engine.world
         self.state = instance.start_state()
         self.seen_rooms = {self.state.player_room}

@@ -5,20 +5,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
 from .agents import HeuristicAgent, HumanAgent, LlmAgent, LlmConfig, ScriptedAgent
-from .generate import FAMILIES, INSTANCES_PER_FAMILY, GenerationExhausted, generate_family
-from .instance import Instance, instance_to_dot, load_instances, save_instances
-from .interpreter import TURN_LIMIT, run_episode, write_episode
+from .instance import (FAMILIES, INSTANCES_PER_FAMILY, Instance,
+                       instance_to_dot, load_instances, save_instances)
+from .interpreter import TURN_LIMIT, Engine, run_episode, write_episode
 from .metrics import (EpisodeSummary, ExperimentScores, aggregate,
                       format_grid, format_overview, goal_success_rate,
                       scores_to_csv, scores_to_json)
 
 DEFAULT_SEED = 17
+# how many CPUs this process may run on
+USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# The families, longest to generate first, so that the last to start are the
+# shortest. Seconds per family in one serial traced pass at seed 17 (`bench/
+# run.py --workload generate --trace 1`, one CPU of a 2-vCPU container):
+# limit-hard 0.76, preexplore-hard 0.59, basic-hard 0.56, limit-easy 0.36,
+# synthetic-medium 0.23, synthetic-easy 0.18, preexplore-easy 0.16,
+# basic-easy 0.15, synthetic-hard 0.07.
+LONGEST_FIRST = ("limit-hard", "preexplore-hard", "basic-hard", "limit-easy",
+                 "synthetic-medium", "synthetic-easy", "preexplore-easy",
+                 "basic-easy", "synthetic-hard")
 
 
 def _parse_families(value: str) -> tuple[str, ...]:
@@ -31,17 +45,44 @@ def _parse_families(value: str) -> tuple[str, ...]:
     return families
 
 
+def _generate_file(seed: int, family: str, count: int, out: Path) -> str:
+    """Generate one family into `out`; return its summary line."""
+    from .generate import generate_family
+    instances = generate_family(seed, family, count)
+    save_instances(instances, out / f"{family}.json", base_seed=seed)
+    lengths = [i.optimal_length for i in instances]
+    return (f"{family}: {len(instances)} instances, "
+            f"optimal length {min(lengths)}-{max(lengths)} "
+            f"(mean {sum(lengths) / len(lengths):.1f})")
+
+
 def cmd_generate(args) -> int:
+    """Generate each family in-process, or with --parallel above 1 in worker
+    processes, whole families each. Every family is seeded on its own, so
+    the files and the printed lines, kept in family order, do not depend on
+    the number of workers."""
+    from .generate import GenerationExhausted
+    families = _parse_families(args.families)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    workers = min(args.parallel, len(families))
     try:
-        for family in _parse_families(args.families):
-            instances = generate_family(args.seed, family, args.count)
-            save_instances(instances, out / f"{family}.json", base_seed=args.seed)
-            lengths = [i.optimal_length for i in instances]
-            print(f"{family}: {len(instances)} instances, "
-                  f"optimal length {min(lengths)}-{max(lengths)} "
-                  f"(mean {sum(lengths) / len(lengths):.1f})")
+        if workers < 2:
+            for family in families:
+                print(_generate_file(args.seed, family, args.count, out))
+            return 0
+        # Forked workers inherit the imported modules (numpy and the
+        # generator's). The pool forks them all at the first submit, before
+        # it starts its own thread, and `generate` starts none.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = {family: pool.submit(_generate_file, args.seed, family,
+                                           args.count, out)
+                       for family in sorted(families, key=LONGEST_FIRST.index)}
+            for family in families:
+                print(futures[family].result())
+        finally:
+            pool.shutdown(cancel_futures=True)
     except GenerationExhausted as exc:
         print(f"generation exhausted for {exc}", file=sys.stderr)
         return 1
@@ -64,11 +105,11 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
     return instances
 
 
-def _make_agent(instance: Instance, args):
+def _make_agent(instance: Instance, engine: Engine, args):
     if args.agent == "scripted":
         return ScriptedAgent.from_plan(instance, instance.optimal_plan)
     if args.agent == "heuristic":
-        return HeuristicAgent(instance)
+        return HeuristicAgent(instance, engine)
     if args.agent == "human":
         return HumanAgent()
     if args.agent == "llm":
@@ -91,8 +132,9 @@ def run_benchmark(args) -> tuple[int, dict]:
     agent_dir = Path(args.out) / agent_name.replace("/", "_")
 
     def run_one(instance: Instance):
-        agent = _make_agent(instance, args)
-        record = run_episode(instance, agent, args.turn_limit)
+        engine = Engine(instance)
+        agent = _make_agent(instance, engine, args)
+        record = run_episode(instance, agent, args.turn_limit, engine)
         family_dir = agent_dir / instance.family
         family_dir.mkdir(parents=True, exist_ok=True)
         write_episode(record, family_dir / f"{instance.id}.jsonl")
@@ -227,6 +269,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default="all")
     p.add_argument("--count", type=_at_least(1), default=INSTANCES_PER_FAMILY)
     p.add_argument("--out", required=True)
+    p.add_argument("--parallel", type=_at_least(1), default=USABLE_CPUS,
+                   help="worker processes, one family each at a time; 1 "
+                        "generates in-process (default: the %(default)s "
+                        "usable CPUs)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("run", help="run a benchmark")
@@ -235,7 +281,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    choices=["scripted", "heuristic", "human", "llm"])
     p.add_argument("--out", required=True)
     p.add_argument("--families", default="all")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=_at_least(1), default=1)
     p.add_argument("--turn-limit", type=_at_least(1), default=TURN_LIMIT)
     p.add_argument("--endpoint")
     p.add_argument("--model")

@@ -13,21 +13,13 @@ from dataclasses import replace
 import numpy as np
 
 from .grammar import ActionDef, ActionFlags, Lexicon, Param, staple_verbs
-from .instance import Instance
+from .instance import FAMILIES, INSTANCES_PER_FAMILY, Instance
 from .interpreter import Engine, number_word
 from .planner import Unsolvable, solve_optimal
 from .pseudowords import PseudowordMaker
 from .world import (EntityDef, GoalCondition, RoomDef, StateGroup, fact,
                     load_data, load_entity_catalogue, load_room_catalogue)
 
-FAMILIES = (
-    "basic-easy", "basic-hard",
-    "limit-easy", "limit-hard",
-    "preexplore-easy", "preexplore-hard",
-    "synthetic-easy", "synthetic-medium", "synthetic-hard",
-)
-
-INSTANCES_PER_FAMILY = 16
 INVENTORY_LIMIT = 2
 GOAL_COUNT = 3
 

@@ -17,6 +17,15 @@ from .world import (CONNECTS, EntityDef, Fact, GoalCondition,
 SCHEMA_VERSION = 2
 PRNG_NAME = "numpy-PCG64"
 
+# the experiment families, in the order that seeds them (see generate.py)
+FAMILIES = (
+    "basic-easy", "basic-hard",
+    "limit-easy", "limit-hard",
+    "preexplore-easy", "preexplore-hard",
+    "synthetic-easy", "synthetic-medium", "synthetic-hard",
+)
+INSTANCES_PER_FAMILY = 16
+
 
 @dataclass(eq=False)
 class Instance:

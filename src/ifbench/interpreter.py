@@ -472,8 +472,9 @@ class Engine:
             raise FormatViolation(record)
         line = trimmed.splitlines()[0][1:]
 
-        def finish(phase: str, grounded, removes, adds, feedback, new_state):
-            revealed = visible_facts(self.world, new_state)
+        def finish(phase: str, grounded, removes, adds, feedback, new_state,
+                   view: StateView | None = None):
+            revealed = visible_facts(self.world, new_state, view)
             achieved = frozenset(check_goals(new_state, self.goals))
             gain = len(revealed - observed)
             return new_state, TurnRecord(turn_index, raw, phase, grounded,
@@ -510,7 +511,7 @@ class Engine:
         if failure is not None:
             feedback = render_feedback(action.feedback[failure], bindings)
             return finish("precondition-fail", grounded, frozenset(),
-                          frozenset(), feedback, state)
+                          frozenset(), feedback, state, view)
 
         removes, adds = step.effects(view)
         new_state = apply_delta(self.world, state, removes, adds)
@@ -551,10 +552,12 @@ class Engine:
 
 class Episode:
     """Mutable state of one running episode: world state, observation memory,
-    turn records and the agent-visible transcript."""
+    turn records and the agent-visible transcript. `engine`, if given, is
+    an engine of `instance` whose compiled steps the episode shares."""
 
-    def __init__(self, instance: Instance, turn_limit: int = TURN_LIMIT):
-        self.engine = Engine(instance)
+    def __init__(self, instance: Instance, turn_limit: int = TURN_LIMIT,
+                 engine: Engine | None = None):
+        self.engine = engine or Engine(instance)
         self.instance = instance
         self.turn_limit = turn_limit
         self.state = instance.start_state()
@@ -642,9 +645,11 @@ class Episode:
         )
 
 
-def run_episode(instance: Instance, agent, turn_limit: int = TURN_LIMIT) -> EpisodeRecord:
-    """Loop agent against interpreter until done, abort, or the turn limit."""
-    episode = Episode(instance, turn_limit)
+def run_episode(instance: Instance, agent, turn_limit: int = TURN_LIMIT,
+                engine: Engine | None = None) -> EpisodeRecord:
+    """Loop agent against interpreter until done, abort, or the turn limit;
+    `engine` as for `Episode`."""
+    episode = Episode(instance, turn_limit, engine)
     while not episode.done:
         try:
             raw = agent.next_action(tuple(episode.transcript))

@@ -435,12 +435,15 @@ def visible_entities(world: WorldDef, state: WorldState) -> list[str]:
     return sorted(_perceivable(state))
 
 
-def visible_facts(world: WorldDef, state: WorldState) -> frozenset[Fact]:
+def visible_facts(world: WorldDef, state: WorldState,
+                  view: StateView | None = None) -> frozenset[Fact]:
     """All facts observable from the player's room: the player's location,
     the room's connections, and each perceivable entity's location fact and
-    open/closed or custom state facts. Closed containers hide their contents."""
+    open/closed or custom state facts. Closed containers hide their contents.
+    A `view` of `state`, if given, supplies the perceivable entities, so a
+    state whose view a step has already read is not walked again."""
     room = state.player_room
-    located = _perceivable(state)
+    located = _perceivable(state) if view is None else view.perceivable
     out = {fact("at", PLAYER, room), *located.values()}
     for other in connections_of(state, room):
         out.add(fact(CONNECTS, room, other))

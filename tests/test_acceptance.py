@@ -321,9 +321,10 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
                 for p in sorted(root.rglob("*")) if p.is_file()}
 
     runs = []
-    for tag in ("one", "two"):
+    # in-process, then one worker process per usable CPU
+    for tag, workers in (("one", ["--parallel", "1"]), ("two", [])):
         base = tmp_path / tag
-        assert main(["generate", "--seed", "17",
+        assert main(["generate", "--seed", "17", *workers,
                      "--out", str(base / "instances")]) == 0
         assert main(["run", "--instances", str(base / "instances"),
                      "--agent", "scripted", "--out", str(base / "results")]) == 0

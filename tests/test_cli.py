@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ifbench
+from ifbench import interpreter, load_instances, save_instances
 from ifbench.cli import main
 
 
@@ -41,6 +42,44 @@ def test_generate_deterministic(small_set, tmp_path):
           "--families", "basic-easy,limit-hard,synthetic-hard",
           "--out", str(again)])
     assert _tree_bytes(small_set) == _tree_bytes(again)
+
+
+def test_generate_parallel_matches_serial(small_set, tmp_path, capsys):
+    trees, shown = [], []
+    for workers in ("1", "3"):
+        out = tmp_path / workers
+        assert main(["generate", "--seed", "23", "--count", "2", "--families",
+                     "synthetic-hard,basic-easy,limit-hard", "--out", str(out),
+                     "--parallel", workers]) == 0
+        trees.append(_tree_bytes(out))
+        shown.append(capsys.readouterr())
+    assert trees[0] == trees[1] == _tree_bytes(small_set)
+    assert shown[0] == shown[1]
+    assert [line.split(":")[0] for line in shown[0].out.splitlines()] == [
+        "synthetic-hard", "basic-easy", "limit-hard"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generate_exhausted_family_fails_cleanly(tmp_path, monkeypatch, capsys,
+                                                 workers):
+    # forked workers inherit the patched generator
+    import ifbench.generate
+    generate_family = ifbench.generate.generate_family
+
+    def exhausted_limit_hard(base_seed, family, count):
+        if family == "limit-hard":
+            raise ifbench.GenerationExhausted(family)
+        return generate_family(base_seed, family, count)
+
+    monkeypatch.setattr(ifbench.generate, "generate_family", exhausted_limit_hard)
+    code = main(["generate", "--count", "1", "--families",
+                 "synthetic-hard,limit-hard,basic-easy", "--out", str(tmp_path),
+                 "--parallel", workers])
+    shown = capsys.readouterr()
+    assert code == 1
+    assert shown.err == "generation exhausted for limit-hard\n"
+    assert shown.out.startswith("synthetic-hard: 1 instances")
+    assert len(shown.out.splitlines()) == 1
 
 
 def test_generate_rejects_unknown_family(tmp_path):
@@ -80,6 +119,24 @@ def test_run_heuristic_parallel_deterministic(small_set, tmp_path):
                      "heuristic", "--out", str(out), "--parallel", workers])
         assert code == 0
     assert _tree_bytes(first) == _tree_bytes(second)
+
+
+def test_heuristic_run_compiles_each_step_once(small_set, tmp_path, monkeypatch):
+    # the episode and the heuristic agent share one engine, and so its steps
+    one = tmp_path / "one.json"
+    save_instances(load_instances(small_set / "limit-hard.json")[:1], one,
+                   base_seed=23)
+    compiled = []
+    compile_step = interpreter.compile_step
+
+    def counting_compile_step(world, action, grounded):
+        compiled.append(grounded)
+        return compile_step(world, action, grounded)
+
+    monkeypatch.setattr(interpreter, "compile_step", counting_compile_step)
+    assert main(["run", "--instances", str(one), "--agent", "heuristic",
+                 "--out", str(tmp_path / "results")]) == 0
+    assert compiled and len(compiled) == len(set(compiled))
 
 
 def test_run_family_filter(small_set, tmp_path):
@@ -202,9 +259,9 @@ def test_instance_file_error_is_one_line(small_set, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    "generate --count 0", "generate --seed -1", "run --turn-limit 0",
-    "run --retries -1", "run --temperature -1", "plan --index 99",
-    "plan --index -1", "play --index 16"])
+    "generate --count 0", "generate --seed -1", "generate --parallel 0",
+    "run --turn-limit 0", "run --retries -1", "run --temperature -1",
+    "run --parallel 0", "plan --index 99", "plan --index -1", "play --index 16"])
 def test_bad_numbers_are_usage_errors(small_set, tmp_path, capsys, argv):
     command, flag, _ = argv.split()
     instances = small_set / "basic-easy.json"
@@ -231,11 +288,21 @@ def test_summary_guard_names_file(tmp_path, content):
         read_episode_summary(bad)
 
 
-def test_cli_import_leaves_requests_out():
+def _imported_with_cli(module: str) -> bool:
     src = str(Path(ifbench.__file__).parents[1])
     run = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ifbench.cli; print('requests' in sys.modules)"],
+         f"import sys, ifbench.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
-    assert run.stdout.strip() == "False"
+    return run.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_requests_out():
+    assert not _imported_with_cli("requests")
+
+
+def test_cli_import_leaves_numpy_out():
+    # only `generate` needs numpy; the package serves its names on first use
+    assert not _imported_with_cli("numpy")
+    assert ifbench.generate_family is ifbench.generate.generate_family

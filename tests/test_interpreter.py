@@ -88,6 +88,23 @@ def test_golden_failures_fresh_state():
         assert record.feedback == feedback, raw
 
 
+def test_failed_turn_walks_visibility_once(monkeypatch):
+    # the precondition's view of the state also gives the revealed facts
+    from ifbench import world
+    walks = []
+    perceivable = world._perceivable
+
+    def counting_perceivable(state):
+        walks.append(state)
+        return perceivable(state)
+
+    monkeypatch.setattr(world, "_perceivable", counting_perceivable)
+    inst = kitchen_instance()
+    _, record = Engine(inst).execute(inst.start_state(), "> take sandwich")
+    assert record.phase_outcome == "precondition-fail"
+    assert len(walks) == 1
+
+
 def test_failed_turns_never_mutate_state():
     inst = kitchen_instance()
     engine = Engine(inst)
