@@ -95,14 +95,13 @@ class HeuristicAgent:
     Mirrors the episode state by applying each decided action's effects,
     once its rendered text grounds back to it and its preconditions hold.
     It acts only on what has been visible, so it never needs to parse
-    feedback text and never breaks the output format. `engine`, if given,
-    is an engine of `instance`, shared with the episode so that each step is
-    compiled once.
+    feedback text and never breaks the output format. It plays `engine`'s
+    instance; sharing the engine with the episode compiles each step once.
     """
 
-    def __init__(self, instance: Instance, engine: Engine | None = None):
-        self.instance = instance
-        self.engine = engine or Engine(instance)
+    def __init__(self, engine: Engine):
+        self.instance = instance = engine.instance
+        self.engine = engine
         self.world = self.engine.world
         self.state = instance.start_state()
         self.seen_rooms = {self.state.player_room}

@@ -24,15 +24,6 @@ DEFAULT_SEED = 17
 # how many CPUs this process may run on
 USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-# The families, longest to generate first, so that the last to start are the
-# shortest. Seconds per family in one serial traced pass at seed 17 (`bench/
-# run.py --workload generate --trace 1`, one CPU of a 2-vCPU container):
-# limit-hard 0.76, preexplore-hard 0.59, basic-hard 0.56, limit-easy 0.36,
-# synthetic-medium 0.23, synthetic-easy 0.18, preexplore-easy 0.16,
-# basic-easy 0.15, synthetic-hard 0.07.
-LONGEST_FIRST = ("limit-hard", "preexplore-hard", "basic-hard", "limit-easy",
-                 "synthetic-medium", "synthetic-easy", "preexplore-easy",
-                 "basic-easy", "synthetic-hard")
 
 
 def _parse_families(value: str) -> tuple[str, ...]:
@@ -57,17 +48,18 @@ def _generate_file(seed: int, family: str, count: int, out: Path) -> str:
 
 
 def cmd_generate(args) -> int:
-    """Generate each family in-process, or with --parallel above 1 in worker
-    processes, whole families each. Every family is seeded on its own, so
-    the files and the printed lines, kept in family order, do not depend on
-    the number of workers."""
+    """Generate the families in forked worker processes, one per usable CPU
+    and whole families each, or in-process where there is one CPU, one
+    family or no `fork`. Every family is seeded on its own, so the files and
+    the printed lines, kept in family order, do not depend on the number of
+    workers."""
     from .generate import GenerationExhausted
     families = _parse_families(args.families)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = min(args.parallel, len(families))
+    workers = min(USABLE_CPUS, len(families))
     try:
-        if workers < 2:
+        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
             for family in families:
                 print(_generate_file(args.seed, family, args.count, out))
             return 0
@@ -76,11 +68,10 @@ def cmd_generate(args) -> int:
         # it starts its own thread, and `generate` starts none.
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            futures = {family: pool.submit(_generate_file, args.seed, family,
-                                           args.count, out)
-                       for family in sorted(families, key=LONGEST_FIRST.index)}
-            for family in families:
-                print(futures[family].result())
+            futures = [pool.submit(_generate_file, args.seed, family,
+                                   args.count, out) for family in families]
+            for future in futures:
+                print(future.result())
         finally:
             pool.shutdown(cancel_futures=True)
     except GenerationExhausted as exc:
@@ -105,11 +96,12 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
     return instances
 
 
-def _make_agent(instance: Instance, engine: Engine, args):
+def _make_agent(engine: Engine, args):
+    instance = engine.instance
     if args.agent == "scripted":
         return ScriptedAgent.from_plan(instance, instance.optimal_plan)
     if args.agent == "heuristic":
-        return HeuristicAgent(instance, engine)
+        return HeuristicAgent(engine)
     if args.agent == "human":
         return HumanAgent()
     if args.agent == "llm":
@@ -133,7 +125,7 @@ def run_benchmark(args) -> tuple[int, dict]:
 
     def run_one(instance: Instance):
         engine = Engine(instance)
-        agent = _make_agent(instance, engine, args)
+        agent = _make_agent(engine, args)
         record = run_episode(instance, agent, args.turn_limit, engine)
         family_dir = agent_dir / instance.family
         family_dir.mkdir(parents=True, exist_ok=True)
@@ -269,10 +261,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", default="all")
     p.add_argument("--count", type=_at_least(1), default=INSTANCES_PER_FAMILY)
     p.add_argument("--out", required=True)
-    p.add_argument("--parallel", type=_at_least(1), default=USABLE_CPUS,
-                   help="worker processes, one family each at a time; 1 "
-                        "generates in-process (default: the %(default)s "
-                        "usable CPUs)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("run", help="run a benchmark")

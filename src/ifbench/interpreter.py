@@ -551,14 +551,13 @@ class Engine:
 
 
 class Episode:
-    """Mutable state of one running episode: world state, observation memory,
-    turn records and the agent-visible transcript. `engine`, if given, is
-    an engine of `instance` whose compiled steps the episode shares."""
+    """Mutable state of one running episode of `engine`'s instance: world
+    state, observation memory, turn records and the agent-visible
+    transcript."""
 
-    def __init__(self, instance: Instance, turn_limit: int = TURN_LIMIT,
-                 engine: Engine | None = None):
-        self.engine = engine or Engine(instance)
-        self.instance = instance
+    def __init__(self, engine: Engine, turn_limit: int = TURN_LIMIT):
+        self.engine = engine
+        self.instance = instance = engine.instance
         self.turn_limit = turn_limit
         self.state = instance.start_state()
         self.observed: set[Fact] = set()
@@ -647,9 +646,10 @@ class Episode:
 
 def run_episode(instance: Instance, agent, turn_limit: int = TURN_LIMIT,
                 engine: Engine | None = None) -> EpisodeRecord:
-    """Loop agent against interpreter until done, abort, or the turn limit;
-    `engine` as for `Episode`."""
-    episode = Episode(instance, turn_limit, engine)
+    """Loop agent against interpreter until done, abort, or the turn limit.
+    `engine`, if given, is an engine of `instance` that the agent shares, so
+    that each step is compiled once."""
+    episode = Episode(engine or Engine(instance), turn_limit)
     while not episode.done:
         try:
             raw = agent.next_action(tuple(episode.transcript))

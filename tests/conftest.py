@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from ifbench import HeuristicAgent, ScriptedAgent, generate_all, run_episode
+from ifbench import (Engine, HeuristicAgent, ScriptedAgent, generate_all,
+                     run_episode)
 
 BENCH_SEED = 17
 
@@ -39,8 +40,13 @@ def oracle_records(bench144):
 @pytest.fixture(scope="session")
 def heuristic_records(bench144):
     """A heuristic episode of every generated instance, by instance id."""
-    return {instance.id: (instance, run_episode(instance, HeuristicAgent(instance)))
-            for instances in bench144.values() for instance in instances}
+    records = {}
+    for instances in bench144.values():
+        for instance in instances:
+            engine = Engine(instance)
+            records[instance.id] = (instance, run_episode(
+                instance, HeuristicAgent(engine), engine=engine))
+    return records
 
 
 def pytest_runtest_logreport(report):

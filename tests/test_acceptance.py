@@ -12,6 +12,7 @@ import pytest
 from ifbench import (Engine, Episode, EpisodeSummary, ScriptedAgent,
                      aggregate, apply_lexicon, clemscore, combine_clemscore,
                      load_standard_actions, run_episode, solve_optimal)
+import ifbench.cli
 from ifbench.cli import main
 from ifbench.generate import catalogue_vocabulary
 from ifbench.grammar import Lexicon
@@ -240,7 +241,7 @@ def test_criterion_7_interaction_fuzz(bench144):
     while total_turns < 10_000:
         inst = corpus[int(rng.integers(len(corpus)))]
         engine = engines[inst.id]
-        episode = Episode(inst)
+        episode = Episode(Engine(inst))
         while not episode.done and total_turns < 10_000:
             before = episode.state
             raw = _fuzz_commands(rng, inst, engine)
@@ -299,7 +300,7 @@ def test_criterion_8_epistemic_accounting(bench144):
     for family in ("basic-easy", "basic-hard", "preexplore-hard"):
         for inst in bench144[family][:5]:
             engine = Engine(inst)
-            episode = Episode(inst)
+            episode = Episode(Engine(inst))
             # rooms already seen count as visited (pre-exploration included)
             visited = {f.args[1] for f in episode.observed
                        if f.predicate == "at" and f.args[0] == "player"}
@@ -315,16 +316,17 @@ def test_criterion_8_epistemic_accounting(bench144):
             assert observed_sizes == sorted(observed_sizes), inst.id
 
 
-def test_criterion_9_end_to_end_determinism(tmp_path):
+def test_criterion_9_end_to_end_determinism(tmp_path, monkeypatch):
     def tree(root: Path) -> dict:
         return {str(p.relative_to(root)): p.read_bytes()
                 for p in sorted(root.rglob("*")) if p.is_file()}
 
     runs = []
-    # in-process, then one worker process per usable CPU
-    for tag, workers in (("one", ["--parallel", "1"]), ("two", [])):
+    # generated in-process, then by one worker process per usable CPU
+    for tag, cpus in (("one", 1), ("two", ifbench.cli.USABLE_CPUS)):
+        monkeypatch.setattr(ifbench.cli, "USABLE_CPUS", cpus)
         base = tmp_path / tag
-        assert main(["generate", "--seed", "17", *workers,
+        assert main(["generate", "--seed", "17",
                      "--out", str(base / "instances")]) == 0
         assert main(["run", "--instances", str(base / "instances"),
                      "--agent", "scripted", "--out", str(base / "results")]) == 0

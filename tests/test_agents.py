@@ -196,7 +196,7 @@ def _cupboard_instance():
 
 
 def test_heuristic_opens_closed_container():
-    agent = HeuristicAgent(_cupboard_instance())
+    agent = HeuristicAgent(Engine(_cupboard_instance()))
     assert agent.next_action(()) == "> open cupboard"
     assert agent.next_action(()) == "> take sandwich"
     assert agent.next_action(()) == "> put sandwich on table"
@@ -207,7 +207,7 @@ def test_heuristic_solves_and_respects_format(bench144):
     for family in ("basic-easy", "limit-hard", "synthetic-hard",
                    "preexplore-hard"):
         for inst in bench144[family][:3]:
-            record = run_episode(inst, HeuristicAgent(inst))
+            record = run_episode(inst, HeuristicAgent(Engine(inst)))
             assert record.outcome == "success", (family, inst.id)
             assert all(t.raw_output.startswith("> ") for t in record.turns)
 
@@ -226,14 +226,14 @@ def test_heuristic_turns_are_executed_once(bench144, monkeypatch):
     for family, instances in bench144.items():
         inst = instances[0]
         calls.clear()
-        record = run_episode(inst, HeuristicAgent(inst))
+        record = run_episode(inst, HeuristicAgent(Engine(inst)))
         assert len(calls) == len(record.turns), (family, inst.id, len(calls))
     assert bench144["preexplore-hard"][0].preexploration
 
 
 def test_heuristic_rejects_a_failing_decided_action(monkeypatch):
     inst = _cupboard_instance()
-    agent = HeuristicAgent(inst)
+    agent = HeuristicAgent(Engine(inst))
     # the sandwich is inside the closed cupboard, so it cannot be taken
     monkeypatch.setattr(agent, "_decide", lambda: GroundedAction(
         "take", (("item", "sandwich"),)))
@@ -245,7 +245,7 @@ def test_heuristic_rejects_a_failing_decided_action(monkeypatch):
 @pytest.mark.parametrize("text", ["look", "frobnicate cupboard", "open sofa"])
 def test_heuristic_rejects_text_that_does_not_ground_back(monkeypatch, text):
     inst = _cupboard_instance()
-    agent = HeuristicAgent(inst)  # decides to open the cupboard
+    agent = HeuristicAgent(Engine(inst))  # decides to open the cupboard
     monkeypatch.setattr(inst.parser, "render", lambda grounded, world: text)
     with pytest.raises(RuntimeError, match=text):
         agent.next_action(())
@@ -254,7 +254,7 @@ def test_heuristic_rejects_text_that_does_not_ground_back(monkeypatch, text):
 
 def test_heuristic_basic_easy_regression(bench144):
     # pinned baseline: the bundled heuristic fully solves basic-easy
-    outcomes = [run_episode(i, HeuristicAgent(i)).outcome
+    outcomes = [run_episode(i, HeuristicAgent(Engine(i))).outcome
                 for i in bench144["basic-easy"]]
     quality = outcomes.count("success") / len(outcomes) * 100
     assert quality >= 90.0

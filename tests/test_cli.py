@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ifbench
+import ifbench.cli
 from ifbench import interpreter, load_instances, save_instances
 from ifbench.cli import main
 
@@ -44,13 +46,20 @@ def test_generate_deterministic(small_set, tmp_path):
     assert _tree_bytes(small_set) == _tree_bytes(again)
 
 
-def test_generate_parallel_matches_serial(small_set, tmp_path, capsys):
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs that `generate` takes to be usable."""
+    return lambda n: monkeypatch.setattr(ifbench.cli, "USABLE_CPUS", n)
+
+
+def test_generate_parallel_matches_serial(small_set, tmp_path, capsys, cpus):
     trees, shown = [], []
-    for workers in ("1", "3"):
-        out = tmp_path / workers
+    for workers in (1, 3):
+        cpus(workers)
+        out = tmp_path / str(workers)
         assert main(["generate", "--seed", "23", "--count", "2", "--families",
-                     "synthetic-hard,basic-easy,limit-hard", "--out", str(out),
-                     "--parallel", workers]) == 0
+                     "synthetic-hard,basic-easy,limit-hard",
+                     "--out", str(out)]) == 0
         trees.append(_tree_bytes(out))
         shown.append(capsys.readouterr())
     assert trees[0] == trees[1] == _tree_bytes(small_set)
@@ -59,9 +68,24 @@ def test_generate_parallel_matches_serial(small_set, tmp_path, capsys):
         "synthetic-hard", "basic-easy", "limit-hard"]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generate_without_fork_runs_in_process(tmp_path, monkeypatch, cpus):
+    cpus(3)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(ifbench.cli, "ProcessPoolExecutor", no_pool)
+    assert main(["generate", "--count", "1", "--families",
+                 "synthetic-hard,basic-easy", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "basic-easy.json", "synthetic-hard.json"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_generate_exhausted_family_fails_cleanly(tmp_path, monkeypatch, capsys,
-                                                 workers):
+                                                 cpus, workers):
     # forked workers inherit the patched generator
     import ifbench.generate
     generate_family = ifbench.generate.generate_family
@@ -72,14 +96,19 @@ def test_generate_exhausted_family_fails_cleanly(tmp_path, monkeypatch, capsys,
         return generate_family(base_seed, family, count)
 
     monkeypatch.setattr(ifbench.generate, "generate_family", exhausted_limit_hard)
+    cpus(workers)
     code = main(["generate", "--count", "1", "--families",
-                 "synthetic-hard,limit-hard,basic-easy", "--out", str(tmp_path),
-                 "--parallel", workers])
+                 "synthetic-hard,limit-hard,basic-easy", "--out", str(tmp_path)])
     shown = capsys.readouterr()
     assert code == 1
     assert shown.err == "generation exhausted for limit-hard\n"
     assert shown.out.startswith("synthetic-hard: 1 instances")
     assert len(shown.out.splitlines()) == 1
+    # a family after the failed one may have been written by another worker
+    written = {p.name for p in tmp_path.iterdir()}
+    assert "synthetic-hard.json" in written and "limit-hard.json" not in written
+    if workers == 1:
+        assert written == {"synthetic-hard.json"}
 
 
 def test_generate_rejects_unknown_family(tmp_path):
@@ -259,9 +288,9 @@ def test_instance_file_error_is_one_line(small_set, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    "generate --count 0", "generate --seed -1", "generate --parallel 0",
-    "run --turn-limit 0", "run --retries -1", "run --temperature -1",
-    "run --parallel 0", "plan --index 99", "plan --index -1", "play --index 16"])
+    "generate --count 0", "generate --seed -1", "run --turn-limit 0",
+    "run --retries -1", "run --temperature -1", "run --parallel 0",
+    "plan --index 99", "plan --index -1", "play --index 16"])
 def test_bad_numbers_are_usage_errors(small_set, tmp_path, capsys, argv):
     command, flag, _ = argv.split()
     instances = small_set / "basic-easy.json"

@@ -119,7 +119,7 @@ def test_failed_turns_never_mutate_state():
 
 def test_format_violation_aborts():
     inst = kitchen_instance()
-    episode = Episode(inst)
+    episode = Episode(Engine(inst))
     record = episode.step("I think I should go north.")
     assert record.phase_outcome == "format-fail"
     assert episode.outcome == "aborted-format"
@@ -222,7 +222,7 @@ def test_goal_finality_undone_goal_is_lost():
 
 def test_epistemic_gain_new_room_positive():
     inst = kitchen_instance()
-    episode = Episode(inst)
+    episode = Episode(Engine(inst))
     episode.step("> go pantry")
     assert episode.turns[-1].epistemic_gain >= 1
     # revisiting reveals nothing new
@@ -233,7 +233,7 @@ def test_epistemic_gain_new_room_positive():
 
 def test_observed_facts_nondecreasing():
     inst = kitchen_instance()
-    episode = Episode(inst)
+    episode = Episode(Engine(inst))
     seen = len(episode.observed)
     for raw in ["> look", "> go pantry", "> examine table", "> go bedroom",
                 "> go pantry", "> go kitchen", "> open cupboard"]:
@@ -245,7 +245,7 @@ def test_observed_facts_nondecreasing():
 def test_transcript_alternates_roles():
     inst = kitchen_instance()
     record_agent = ScriptedAgent(["> look", "> done"])
-    episode = Episode(inst)
+    episode = Episode(Engine(inst))
     while not episode.done:
         episode.step(record_agent.next_action(tuple(episode.transcript)))
     roles = [role for role, _ in episode.transcript]
