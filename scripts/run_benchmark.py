@@ -23,7 +23,9 @@ def main() -> int:
                         choices=["scripted", "heuristic", "llm"])
     parser.add_argument("--endpoint")
     parser.add_argument("--model")
-    parser.add_argument("--parallel", type=int, default=1)
+    parser.add_argument("--parallel", type=int, default=1,
+                        help="concurrent requests of --agent llm; the other "
+                             "agents take one worker process per usable CPU")
     parser.add_argument("--families", default="all")
     args = parser.parse_args()
 
@@ -37,12 +39,12 @@ def main() -> int:
 
     run_args = ["run", "--instances", str(instances), "--agent", args.agent,
                 "--out", str(work / "results"),
-                "--parallel", str(args.parallel),
                 "--families", args.families]
     if args.agent == "llm":
         if not args.endpoint or not args.model:
             parser.error("--endpoint and --model are required for --agent llm")
-        run_args += ["--endpoint", args.endpoint, "--model", args.model]
+        run_args += ["--endpoint", args.endpoint, "--model", args.model,
+                     "--parallel", str(args.parallel)]
     code = cli(run_args)
     if code != 0:
         return code

@@ -30,10 +30,52 @@ def _parse_families(value: str) -> tuple[str, ...]:
     if value in ("all", ""):
         return FAMILIES
     families = tuple(v.strip() for v in value.split(",") if v.strip())
+    if not families:
+        raise SystemExit(f"--families {value!r} names no family")
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise SystemExit(f"unknown families: {', '.join(unknown)}")
     return families
+
+
+_worker_fn = None  # what `_fork_map` maps, inside one of its workers
+
+
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(item):
+    return _worker_fn(item)
+
+
+def _fork_map(fn, items):
+    """Yield `fn(item)` for each of `items`, in their order, computed in
+    forked worker processes, one per usable CPU; or in this process where
+    there is one usable CPU, one item, or no `fork`.
+
+    Only the items and the results are pickled: `fn` may be a closure over
+    anything this process holds, which each worker inherits through the fork.
+    The pool forks every worker at the first submit, before it starts its
+    own thread, so the caller must be running no thread of its own. When an
+    item raises, the exception is raised here and the items not yet started
+    are cancelled."""
+    items = list(items)
+    workers = min(USABLE_CPUS, len(items))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        for item in items:
+            yield fn(item)
+        return
+    # a forked worker gets its initializer's arguments without pickling
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_worker_fn, initargs=(fn,))
+    try:
+        futures = [pool.submit(_call_worker_fn, item) for item in items]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _generate_file(seed: int, family: str, count: int, out: Path) -> str:
@@ -48,32 +90,18 @@ def _generate_file(seed: int, family: str, count: int, out: Path) -> str:
 
 
 def cmd_generate(args) -> int:
-    """Generate the families in forked worker processes, one per usable CPU
-    and whole families each, or in-process where there is one CPU, one
-    family or no `fork`. Every family is seeded on its own, so the files and
-    the printed lines, kept in family order, do not depend on the number of
-    workers."""
+    """Generate whole families through `_fork_map`. Every family is seeded
+    on its own, so the files and the printed lines, kept in family order, do
+    not depend on the number of workers."""
     from .generate import GenerationExhausted
     families = _parse_families(args.families)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    workers = min(USABLE_CPUS, len(families))
     try:
-        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-            for family in families:
-                print(_generate_file(args.seed, family, args.count, out))
-            return 0
-        # Forked workers inherit the imported modules (numpy and the
-        # generator's). The pool forks them all at the first submit, before
-        # it starts its own thread, and `generate` starts none.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            futures = [pool.submit(_generate_file, args.seed, family,
-                                   args.count, out) for family in families]
-            for future in futures:
-                print(future.result())
-        finally:
-            pool.shutdown(cancel_futures=True)
+        for line in _fork_map(
+                lambda family: _generate_file(args.seed, family, args.count, out),
+                families):
+            print(line)
     except GenerationExhausted as exc:
         print(f"generation exhausted for {exc}", file=sys.stderr)
         return 1
@@ -117,28 +145,43 @@ def _make_agent(engine: Engine, args):
 
 def run_benchmark(args) -> tuple[int, dict]:
     """Run every instance, write transcripts and scores; returns (exit, scores).
-    `args` are the parsed arguments of the `run` command."""
+    `args` are the parsed arguments of the `run` command.
+
+    `scripted` and `heuristic` play whole families through `_fork_map`;
+    `llm` waits on the network, so it plays in `--parallel` threads; `human`
+    reads stdin, so it plays one episode after another. Episodes share no
+    state, so the outputs do not depend on the number of workers."""
+    if args.parallel > 1 and args.agent != "llm":
+        raise SystemExit(f"--parallel applies to --agent llm only, "
+                         f"not to --agent {args.agent}")
     instances = _load_instance_set(args.instances,
                                    _parse_families(args.families))
     agent_name = args.model if args.agent == "llm" else args.agent
     agent_dir = Path(args.out) / agent_name.replace("/", "_")
 
-    def run_one(instance: Instance):
+    def play(instance: Instance) -> EpisodeSummary:
         engine = Engine(instance)
         agent = _make_agent(engine, args)
         record = run_episode(instance, agent, args.turn_limit, engine)
         family_dir = agent_dir / instance.family
         family_dir.mkdir(parents=True, exist_ok=True)
         write_episode(record, family_dir / f"{instance.id}.jsonl")
-        return record
+        return EpisodeSummary.from_record(record)
 
-    if args.parallel > 1 and args.agent != "human":
+    if args.agent in ("scripted", "heuristic"):
+        by_family: dict[str, list[Instance]] = {}
+        for instance in instances:
+            by_family.setdefault(instance.family, []).append(instance)
+        played = _fork_map(lambda family: [play(i) for i in by_family[family]],
+                           by_family)
+        summaries = [summary for family in played for summary in family]
+    elif args.parallel > 1:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            records = list(pool.map(run_one, instances))
+            summaries = list(pool.map(play, instances))
     else:
-        records = [run_one(i) for i in instances]
+        summaries = [play(i) for i in instances]
 
-    summaries = [EpisodeSummary.from_record(r) for r in records]
+    all_agent_aborted = all(s.outcome == "aborted-agent" for s in summaries)
     if args.dry_run:
         summaries = [s for s in summaries if s.outcome != "aborted-agent"]
     per_family: dict[str, list[EpisodeSummary]] = {}
@@ -159,7 +202,6 @@ def run_benchmark(args) -> tuple[int, dict]:
           f"(quality {payload['macro_quality']:.1f}, "
           f"played {payload['macro_played']:.1f}, "
           f"goal rate {payload['macro_gsr']:.1f})")
-    all_agent_aborted = all(r.outcome == "aborted-agent" for r in records)
     return (3 if all_agent_aborted else 0), payload
 
 

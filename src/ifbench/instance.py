@@ -70,6 +70,11 @@ class Instance:
         return build_parser(self.actions, self.lexicon or Lexicon(), nouns)
 
     def start_state(self) -> WorldState:
+        return self._start_state
+
+    @cached_property
+    def _start_state(self) -> WorldState:
+        # built and validated once; `dataclasses.replace` starts a new cache
         facts = list(self.initial_facts)
         for a, b in self.connections:
             facts.append(fact(CONNECTS, a, b))

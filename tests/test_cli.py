@@ -48,7 +48,7 @@ def test_generate_deterministic(small_set, tmp_path):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the number of CPUs that `generate` takes to be usable."""
+    """Set the number of CPUs that `generate` and `run` take to be usable."""
     return lambda n: monkeypatch.setattr(ifbench.cli, "USABLE_CPUS", n)
 
 
@@ -140,14 +140,65 @@ def test_run_scripted_and_report(small_set, tmp_path, capsys):
     assert len(dots) == 6
 
 
-def test_run_heuristic_parallel_deterministic(small_set, tmp_path):
-    first = tmp_path / "r1"
-    second = tmp_path / "r2"
-    for out, workers in ((first, "1"), (second, "3")):
-        code = main(["run", "--instances", str(small_set), "--agent",
-                     "heuristic", "--out", str(out), "--parallel", workers])
-        assert code == 0
-    assert _tree_bytes(first) == _tree_bytes(second)
+def test_run_heuristic_parallel_deterministic(bench144, tmp_path, capsys, cpus):
+    # the offline agents play one family per worker process, and write the
+    # same files and lines in process as with more workers than CPUs
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for family, instances in bench144.items():
+        save_instances(instances, suite / f"{family}.json", base_seed=17)
+    for agent in ("heuristic", "scripted"):
+        trees, shown = [], []
+        for workers in (1, 3):
+            cpus(workers)
+            out = tmp_path / f"{agent}{workers}"
+            assert main(["run", "--instances", str(suite), "--agent", agent,
+                         "--out", str(out)]) == 0
+            trees.append(_tree_bytes(out))
+            shown.append(capsys.readouterr())
+        assert len(trees[0]) == 144 + 2
+        assert trees[0] == trees[1]
+        assert shown[0] == shown[1]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_worker_error_surfaces(small_set, tmp_path, monkeypatch, cpus,
+                                   workers):
+    # forked workers inherit the patched agent
+    advance = ifbench.HeuristicAgent._advance
+
+    def failing_advance(self, command, decided=None):
+        if self.instance.family == "limit-hard":
+            raise RuntimeError(f"heuristic issued {command}")
+        return advance(self, command, decided)
+
+    monkeypatch.setattr(ifbench.HeuristicAgent, "_advance", failing_advance)
+    cpus(workers)
+    with pytest.raises(RuntimeError, match="heuristic issued"):
+        main(["run", "--instances", str(small_set), "--agent", "heuristic",
+              "--out", str(tmp_path / "results")])
+    assert not (tmp_path / "results" / "heuristic" / "scores.json").exists()
+
+
+def test_run_human_and_llm_stay_in_process(small_set, tmp_path, monkeypatch,
+                                           cpus):
+    cpus(3)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    def eof(prompt=""):
+        raise EOFError
+
+    monkeypatch.setattr(ifbench.cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("builtins.input", eof)
+    llm = ["--agent", "llm", "--endpoint", "http://127.0.0.1:9/v1",
+           "--model", "m", "--retries", "0", "--timeout", "0.2"]
+    for i, agent in enumerate((["--agent", "human"], llm, llm + ["--parallel", "2"])):
+        out = tmp_path / str(i)
+        assert main(["run", "--instances", str(small_set), "--out", str(out),
+                     *agent]) == 3  # every episode aborted by the agent
+        assert len(list(out.rglob("*.jsonl"))) == 6
 
 
 def test_heuristic_run_compiles_each_step_once(small_set, tmp_path, monkeypatch):
@@ -290,6 +341,7 @@ def test_instance_file_error_is_one_line(small_set, tmp_path):
 @pytest.mark.parametrize("argv", [
     "generate --count 0", "generate --seed -1", "run --turn-limit 0",
     "run --retries -1", "run --temperature -1", "run --parallel 0",
+    "run --parallel 2", "run --families ,", "generate --families ,",
     "plan --index 99", "plan --index -1", "play --index 16"])
 def test_bad_numbers_are_usage_errors(small_set, tmp_path, capsys, argv):
     command, flag, _ = argv.split()

@@ -382,6 +382,28 @@ def test_save_load_roundtrip(tmp_path, bench144, family):
     assert len(record.turns) == again[0].optimal_length
 
 
+def test_start_state_built_once(tmp_path, bench144, monkeypatch):
+    # the load check builds each start state; the episode and the heuristic
+    # agent then share it
+    from ifbench import HeuristicAgent, run_episode
+    import ifbench.instance
+    path = tmp_path / "preexplore-hard.json"
+    save_instances(bench144["preexplore-hard"][:3], path, base_seed=17)
+    built = []
+    initial_state = ifbench.instance.initial_state
+
+    def counting_initial_state(*args):
+        built.append(args)
+        return initial_state(*args)
+
+    monkeypatch.setattr(ifbench.instance, "initial_state", counting_initial_state)
+    for inst in load_instances(path):
+        engine = Engine(inst)
+        assert run_episode(inst, HeuristicAgent(engine),
+                           engine=engine).outcome == "success"
+    assert len(built) == 3
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_generation_robust_across_seeds(seed):
     # the most constrained families must not exhaust their resampling budget
