@@ -50,11 +50,14 @@ def _call_worker_fn(item):
     return _worker_fn(item)
 
 
-def _fork_map(fn, items):
+def _fork_map(fn, items, cost=None):
     """Yield `fn(item)` for each of `items`, in their order, computed in
     forked worker processes, one per usable CPU; or in this process where
     there is one usable CPU, one item, or no `fork`.
 
+    Given `cost`, an estimate of an item's work, the workers take the items
+    in decreasing cost, so that the last to start are the smallest and the
+    workers finish close together; the results still come in input order.
     Only the items and the results are pickled: `fn` may be a closure over
     anything this process holds, which each worker inherits through the fork.
     The pool forks every worker at the first submit, before it starts its
@@ -71,9 +74,12 @@ def _fork_map(fn, items):
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_set_worker_fn, initargs=(fn,))
     try:
-        futures = [pool.submit(_call_worker_fn, item) for item in items]
-        for future in futures:
-            yield future.result()
+        order = range(len(items))
+        if cost is not None:
+            order = sorted(order, key=lambda k: cost(items[k]), reverse=True)
+        futures = {k: pool.submit(_call_worker_fn, items[k]) for k in order}
+        for k in range(len(items)):
+            yield futures[k].result()
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -172,8 +178,10 @@ def run_benchmark(args) -> tuple[int, dict]:
         by_family: dict[str, list[Instance]] = {}
         for instance in instances:
             by_family.setdefault(instance.family, []).append(instance)
-        played = _fork_map(lambda family: [play(i) for i in by_family[family]],
-                           by_family)
+        # a family's plan steps stand for its cost to play
+        played = _fork_map(
+            lambda family: [play(i) for i in by_family[family]], by_family,
+            cost=lambda family: sum(len(i.optimal_plan) for i in by_family[family]))
         summaries = [summary for family in played for summary in family]
     elif args.parallel > 1:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,33 @@ def test_generate_exhausted_family_fails_cleanly(tmp_path, monkeypatch, capsys,
     assert "synthetic-hard.json" in written and "limit-hard.json" not in written
     if workers == 1:
         assert written == {"synthetic-hard.json"}
+
+
+def test_fork_map_takes_costliest_first_and_yields_in_order(monkeypatch, cpus):
+    submitted = []
+
+    class Pool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def submit(self, fn, item):
+            submitted.append(item)
+            future = Future()
+            future.set_result(item * 10)
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(ifbench.cli, "ProcessPoolExecutor", Pool)
+    cpus(2)
+    items = [2, 7, 1, 5, 7]
+    got = list(ifbench.cli._fork_map(None, items, cost=lambda n: n))
+    assert got == [20, 70, 10, 50, 70]
+    assert submitted == [7, 7, 5, 2, 1]
+    submitted.clear()
+    assert list(ifbench.cli._fork_map(None, items)) == got
+    assert submitted == items
 
 
 def test_generate_rejects_unknown_family(tmp_path):
