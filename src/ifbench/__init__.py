@@ -31,8 +31,7 @@ __version__ = "0.1.0"
 
 _GENERATE_NAMES = frozenset({
     "GenerationExhausted", "WalkNotFound", "generate_basic", "generate_family",
-    "generate_all", "apply_inventory_limit", "generate_preexploration",
-    "apply_lexicon"})
+    "generate_preexploration", "apply_lexicon"})
 
 
 def __getattr__(name: str):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .grammar import ActionDef, ActionFlags, Lexicon, Param, staple_verbs
 from .instance import FAMILIES, INSTANCES_PER_FAMILY, Instance
-from .interpreter import Engine, number_word
+from .interpreter import TURN_LIMIT, Engine, number_word
 from .planner import Unsolvable, solve_optimal
 from .pseudowords import PseudowordMaker
 from .world import (EntityDef, GoalCondition, RoomDef, StateGroup, fact,
@@ -173,8 +173,10 @@ def _item_room(inst_facts, item: str, receptacle_rooms: dict[str, str]) -> str:
     raise ValueError(f"{item} not placed")
 
 
-def generate_basic(rng, difficulty: str) -> Instance:
-    """One solvable delivery instance over the full household catalogue."""
+def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
+    """One delivery instance over the full household catalogue whose optimal
+    plan, under inventory limit `limit` (None for no limit), fits the turn
+    limit. Only the instance with the limit is searched."""
     rooms = load_room_catalogue()
     entities = load_entity_catalogue()
     receptacles = sorted(e for e in entities
@@ -242,7 +244,7 @@ def generate_basic(rng, difficulty: str) -> Instance:
             state_groups=groups,
             initial_facts=tuple(facts),
             goals=tuple(goals),
-            inventory_limit=None,
+            inventory_limit=limit,
             lexicon=None,
             base_verbs=staple_verbs(),
             extra_actions=(),
@@ -250,12 +252,12 @@ def generate_basic(rng, difficulty: str) -> Instance:
             prompt="",
             optimal_plan=None,
         )
-        inst = _finalize_prompt(inst, [])
+        inst = _finalize_prompt(inst, _standard_extras(inst))
         try:
             plan = solve_optimal(inst)
         except Unsolvable:
             continue
-        if plan.length > 50:
+        if plan.length > TURN_LIMIT:
             continue
         return replace(inst, optimal_plan=plan.actions)
     raise GenerationExhausted(f"basic-{difficulty}")
@@ -305,15 +307,6 @@ def _sample_goals(rng, difficulty, adj, placement, entities,
 
 
 # -- variants ----------------------------------------------------------------
-
-def apply_inventory_limit(inst: Instance, k: int) -> Instance:
-    """Copy with inventory limit k, the limit sentence in the prompt, and an
-    optimal plan under the limit. Raises Unsolvable for unreachable goals."""
-    limited = replace(inst, inventory_limit=k)
-    limited = _finalize_prompt(limited, _standard_extras(limited))
-    plan = solve_optimal(limited)
-    return replace(limited, optimal_plan=plan.actions)
-
 
 def generate_preexploration(inst: Instance) -> Instance:
     """Prepend a 6-8 step closed `go` walk that visits every room holding a
@@ -577,8 +570,7 @@ def generate_family(base_seed: int, family: str,
         if family in ("basic-easy", "basic-hard"):
             inst = generate_basic(rng, family.split("-")[1])
         elif family in ("limit-easy", "limit-hard"):
-            inst = apply_inventory_limit(
-                generate_basic(rng, family.split("-")[1]), INVENTORY_LIMIT)
+            inst = generate_basic(rng, family.split("-")[1], INVENTORY_LIMIT)
         elif family in ("preexplore-easy", "preexplore-hard"):
             inst = None
             for _ in range(_MAX_INSTANCE_ATTEMPTS):
@@ -599,9 +591,3 @@ def generate_family(base_seed: int, family: str,
         out.append(replace(inst, id=f"{family}-{idx:02d}", family=family,
                            seed_path=seed_path))
     return out
-
-
-def generate_all(base_seed: int,
-                 count: int = INSTANCES_PER_FAMILY) -> dict[str, list[Instance]]:
-    return {family: generate_family(base_seed, family, count)
-            for family in FAMILIES}

@@ -418,21 +418,6 @@ class Engine:
                 self.world, self.actions[grounded.action], grounded)
         return step
 
-    def _step_of(self, action: ActionDef, grounded: GroundedAction) -> Step:
-        if self.actions.get(grounded.action) is not action:
-            raise ValueError(f"{action.verb!r} is not this engine's action "
-                             f"for {grounded.action!r}")
-        return self.step(grounded)
-
-    def check_preconditions(self, state: WorldState, action: ActionDef,
-                            grounded: GroundedAction) -> str | None:
-        """First failing precondition's failure kind, or None when all hold."""
-        return self._step_of(action, grounded).failure(StateView(state))
-
-    def effects(self, state: WorldState, action: ActionDef,
-                grounded: GroundedAction) -> tuple[frozenset[Fact], frozenset[Fact]]:
-        return self._step_of(action, grounded).effects(StateView(state))
-
     def advance(self, state: WorldState,
                 command: str) -> tuple[GroundedAction, WorldState]:
         """Resolve a command that must succeed: parse, ground, preconditions

@@ -4,12 +4,19 @@ from dataclasses import dataclass
 
 import pytest
 
-from ifbench import (Engine, HeuristicAgent, ScriptedAgent, generate_all,
-                     run_episode)
+from ifbench import (FAMILIES, INSTANCES_PER_FAMILY, Engine, HeuristicAgent,
+                     ScriptedAgent, generate_family, run_episode)
 
 BENCH_SEED = 17
 
 _acceptance_outcomes: dict[str, str] = {}
+
+
+def generate_all(base_seed: int,
+                 count: int = INSTANCES_PER_FAMILY) -> dict[str, list]:
+    """Every family at `base_seed`, in-process, by family name."""
+    return {family: generate_family(base_seed, family, count)
+            for family in FAMILIES}
 
 
 @dataclass

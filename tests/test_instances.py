@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ifbench import (Engine, Unsolvable, apply_inventory_limit, apply_lexicon,
-                     fact, generate_basic, generate_preexploration,
-                     instance_to_dot, load_instances, save_instances,
-                     solve_optimal)
-from ifbench.generate import FAMILIES, catalogue_vocabulary
-from ifbench.grammar import Lexicon
+import ifbench.generate
+from ifbench import (TURN_LIMIT, Engine, PlanResult, Unsolvable, apply_lexicon,
+                     fact, generate_basic, generate_family,
+                     generate_preexploration, instance_to_dot, load_instances,
+                     save_instances, solve_optimal)
+from ifbench.generate import FAMILIES, INVENTORY_LIMIT, catalogue_vocabulary
+from ifbench.grammar import GroundedAction, Lexicon
 from ifbench.pseudowords import PseudowordMaker, load_english_words
 from oracles import micro_instance
 
@@ -160,7 +161,7 @@ def test_goal_sentence_form(bench144):
 
 def test_inventory_limit_variant(bench144):
     base = bench144["basic-easy"][0]
-    limited = apply_inventory_limit(base, 2)
+    limited = bench144["limit-easy"][0]
     assert limited.inventory_limit == 2
     assert "You can have up to two objects in your inventory" in limited.prompt
     assert "inventory" not in base.prompt
@@ -168,13 +169,49 @@ def test_inventory_limit_variant(bench144):
 
 def test_inventory_limit_zero_unsolvable(bench144):
     with pytest.raises(Unsolvable):
-        apply_inventory_limit(bench144["basic-easy"][0], 0)
+        solve_optimal(replace(bench144["basic-easy"][0], inventory_limit=0))
 
 
 def test_limit_three_equals_unlimited(bench144):
     # planner run with and without the limit
     base = bench144["basic-easy"][1]
-    assert apply_inventory_limit(base, 3).optimal_length == base.optimal_length
+    limited = solve_optimal(replace(base, inventory_limit=3))
+    assert limited.length == base.optimal_length
+
+
+def _counting_solves(monkeypatch, fake_first=None):
+    """Record the inventory limit of every solve the generator makes; the
+    first solve returns `fake_first` instead when it is given."""
+    limits = []
+
+    def solve(inst, *args, **kwargs):
+        limits.append(inst.inventory_limit)
+        if fake_first is not None and len(limits) == 1:
+            return fake_first
+        return solve_optimal(inst, *args, **kwargs)
+
+    monkeypatch.setattr(ifbench.generate, "solve_optimal", solve)
+    return limits
+
+
+def test_limit_families_solve_once_under_the_limit(monkeypatch):
+    limits = _counting_solves(monkeypatch)
+    instances = generate_family(17, "limit-hard", count=4)
+    assert len(instances) == 4
+    assert limits == [INVENTORY_LIMIT] * 4
+
+
+def test_limited_plan_over_turn_limit_is_resampled(monkeypatch):
+    first = generate_basic(np.random.default_rng(5), "easy", INVENTORY_LIMIT)
+    too_long = PlanResult(
+        actions=(GroundedAction("look", ()),) * TURN_LIMIT
+        + (GroundedAction("done", ()),),
+        length=TURN_LIMIT + 1, states_expanded=0)
+    limits = _counting_solves(monkeypatch, fake_first=too_long)
+    inst = generate_basic(np.random.default_rng(5), "easy", INVENTORY_LIMIT)
+    assert limits == [INVENTORY_LIMIT] * 2
+    assert inst.optimal_length <= TURN_LIMIT
+    assert inst.to_json() != first.to_json()
 
 
 def test_preexploration_walks(bench144):
@@ -407,8 +444,8 @@ def test_start_state_built_once(tmp_path, bench144, monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_generation_robust_across_seeds(seed):
     # the most constrained families must not exhaust their resampling budget
-    from ifbench import generate_family
-    for family in ("basic-hard", "preexplore-hard", "synthetic-hard"):
+    for family in ("basic-hard", "limit-hard", "preexplore-hard",
+                   "synthetic-hard"):
         instances = generate_family(seed, family, count=8)
         assert len(instances) == 8
         assert all(1 <= i.optimal_length <= 50 for i in instances)

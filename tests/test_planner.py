@@ -277,7 +277,6 @@ def test_connects_effect_fails_loudly():
     engine = Engine(inst)
     grounded = GroundedAction("dig", (("room", "pantry"),))
     with pytest.raises(ValueError, match="'dig'.*connects"):
-        engine.check_preconditions(inst.start_state(), engine.actions["dig"],
-                                   grounded)
+        engine.step(grounded).failure(StateView(inst.start_state()))
     with pytest.raises(ValueError, match="'dig'.*connects"):
         solve_optimal(inst)

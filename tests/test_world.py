@@ -9,7 +9,7 @@ from ifbench import (InvariantViolation, apply_delta, check_goals, fact,
 from ifbench.grammar import GroundedAction
 from ifbench.interpreter import Engine
 from ifbench.world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
-                           GoalCondition, StateGroup, WorldState,
+                           GoalCondition, StateGroup, StateView, WorldState,
                            state_from_json, state_to_json, validate_state,
                            visible_entities)
 from oracles import micro_instance, reference_visible
@@ -336,8 +336,9 @@ def _random_delta(engine, state, edits):
             binding = tuple((name, things[(b >> (8 * i)) % len(things)])
                             for i, name in enumerate(params))
             try:
-                more_removes, more_adds = engine.effects(
-                    state, action, GroundedAction(action.verb, binding))
+                more_removes, more_adds = engine.step(
+                    GroundedAction(action.verb, binding)).effects(
+                        StateView(state))
             except ValueError:  # location_of an id that has no location
                 continue
             removes |= more_removes
