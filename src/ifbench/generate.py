@@ -252,13 +252,13 @@ def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
             prompt="",
             optimal_plan=None,
         )
-        inst = _finalize_prompt(inst, _standard_extras(inst))
         try:
             plan = solve_optimal(inst)
         except Unsolvable:
             continue
         if plan.length > TURN_LIMIT:
             continue
+        inst = _finalize_prompt(inst, _standard_extras(inst))
         return replace(inst, optimal_plan=plan.actions)
     raise GenerationExhausted(f"basic-{difficulty}")
 
@@ -521,8 +521,8 @@ def _synthesize_hard(rng) -> Instance:
         optimal_plan=None,
     )
     extra = _new_words_extra(_shuffled(rng, display_verbs))
-    inst = _finalize_prompt(inst, [extra])
     plan = solve_optimal(inst)
+    inst = _finalize_prompt(inst, [extra])
     return replace(inst, optimal_plan=plan.actions)
 
 

@@ -8,6 +8,12 @@ objects, `close`, and `open` on containers that neither hide a goal object
 nor are goal targets. The unpruned search (`prune=False`) is kept for
 equivalence checking. Candidates run as the engine's compiled steps, listed
 per player room (`_moves_by_room`).
+
+The search keeps bare states: it keys each one by a bit mask of its facts
+and builds it with the unchecked `world.successor`, not `apply_delta`. Only
+the plan it returns is checked: it is replayed through the steps'
+preconditions and the checked `apply_delta` (`_replay`). Every other caller
+of a delta still goes through `apply_delta`.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from typing import NamedTuple
 from .grammar import GroundedAction
 from .instance import Instance
 from .interpreter import GROUNDING, ROOM, STATE, Engine, Step
-from .world import StateView, WorldState, apply_delta
+from .world import (Fact, InvariantViolation, StateView, WorldState,
+                    apply_delta, successor)
 
 DEFAULT_BUDGET = 500_000
 
@@ -153,45 +160,100 @@ def _moves_by_room(engine: Engine, start: WorldState,
 def solve_optimal(instance: Instance, budget: int = DEFAULT_BUDGET,
                   prune: bool = True) -> PlanResult:
     """Minimum-length action sequence (including final `done`) that reaches a
-    state satisfying every goal. Raises Unsolvable or SearchBudgetExceeded."""
+    state satisfying every goal. Raises Unsolvable or SearchBudgetExceeded.
+
+    Each fact the search meets gets a bit as it is first seen, and a state
+    is keyed by the bits of its facts. A successor's key is its parent's
+    with the step's removed bits cleared and added bits set; the bits of
+    the facts a step resolves from its grounding are looked up once per
+    search. The successor's `WorldState` is built, unchecked, only when its
+    key is new. Keys are only tested for equality, so the plan does not
+    depend on the bit order (which follows the hash-seeded order of the
+    start state's facts). The plan is replayed through the checked
+    `apply_delta` before it is returned."""
     engine = Engine(instance)
-    world = engine.world
     goal_facts = frozenset(g.fact for g in instance.goals)
     start = instance.start_state()
     done = GroundedAction("done", ())
     if goal_facts <= start.facts:
         return PlanResult((done,), 1, 0)
 
-    by_room = _moves_by_room(engine, start,
-                             _candidates(engine, instance, prune))
-    parents: dict[frozenset, tuple[frozenset, GroundedAction] | None] = {
-        start.facts: None}
-    queue: deque[WorldState] = deque([start])
+    bits: dict[Fact, int] = {}
+
+    def bit(f: Fact) -> int:
+        b = bits.get(f)
+        if b is None:
+            b = bits[f] = 1 << len(bits)
+        return b
+
+    def mask(facts) -> int:
+        out = 0
+        for f in facts:
+            out |= bit(f)
+        return out
+
+    goal_mask = mask(goal_facts)
+    start_mask = mask(start.facts)
+    step_masks = {}
+    moves = {}
+    for room, listed in _moves_by_room(
+            engine, start, _candidates(engine, instance, prune)).items():
+        for step, _ in listed:
+            if step.grounded not in step_masks:
+                step_masks[step.grounded] = (mask(step.removes), mask(step.adds))
+        moves[room] = [(step, tests, *step_masks[step.grounded])
+                       for step, tests in listed]
+
+    parents: dict[int, tuple[int, GroundedAction] | None] = {start_mask: None}
+    queue: deque[tuple[WorldState, int]] = deque([(start, start_mask)])
     expanded = 0
     while queue:
-        state = queue.popleft()
+        state, key = queue.popleft()
         expanded += 1
         if expanded > budget:
             raise SearchBudgetExceeded(f"expanded more than {budget} states")
         view = StateView(state)
-        for step, tests in by_room[state.player_room]:
+        for step, tests, removes_bits, adds_bits in moves[state.player_room]:
             for holds in tests:
                 if not holds(view):
                     break
             else:
-                removes, adds = step.effects(view)
-                new_facts = (state.facts - removes) | adds
-                if new_facts in parents:
+                for late in step.late_removes:
+                    removes_bits |= bit(late(view))
+                for late in step.late_adds:
+                    adds_bits |= bit(late(view))
+                new_key = (key & ~removes_bits) | adds_bits
+                if new_key in parents:
                     continue
-                new_state = apply_delta(world, state, removes, adds)
-                parents[new_facts] = (state.facts, step.grounded)
-                if goal_facts <= new_facts:
+                parents[new_key] = (key, step.grounded)
+                new_state = successor(state, *step.effects(view))
+                if new_key & goal_mask == goal_mask:
                     plan = [done]
-                    key = new_facts
-                    while parents[key] is not None:
-                        key, grounded = parents[key]
+                    while parents[new_key] is not None:
+                        new_key, grounded = parents[new_key]
                         plan.append(grounded)
                     plan.reverse()
+                    _replay(engine, start, plan, goal_facts, new_state)
                     return PlanResult(tuple(plan), len(plan), expanded)
-                queue.append(new_state)
+                queue.append((new_state, new_key))
     raise Unsolvable(instance.id)
+
+
+def _replay(engine: Engine, start: WorldState, plan: list[GroundedAction],
+            goal_facts: frozenset[Fact], reached: WorldState) -> None:
+    """Check a found plan the way a turn would: each step's preconditions
+    hold and its delta goes through `apply_delta`, and the plan ends in
+    `reached`, a state that meets every goal. InvariantViolation if not."""
+    state = start
+    for grounded in plan[:-1]:
+        step = engine.step(grounded)
+        view = StateView(state)
+        failure = step.failure(view)
+        if failure is not None:
+            raise InvariantViolation(
+                f"{engine.instance.id}: plan step {grounded} fails on replay "
+                f"({failure})")
+        state = apply_delta(engine.world, state, *step.effects(view))
+    if state != reached or not goal_facts <= state.facts:
+        raise InvariantViolation(
+            f"{engine.instance.id}: the replayed plan does not reach the goals")

@@ -251,6 +251,11 @@ def apply_delta(world: WorldDef, state: WorldState,
 
     Raises InvariantViolation when the delta does not fit the state or the
     result breaks an invariant; both signal a buggy action definition.
+
+    Turns, agents and pre-exploration walks make every state with this
+    function. The planner's search builds the states it only visits with
+    `successor` and checks just the plan it returns, replayed through this
+    function.
     """
     removes = frozenset(removes)
     adds = frozenset(adds)
@@ -260,8 +265,17 @@ def apply_delta(world: WorldDef, state: WorldState,
         raise InvariantViolation(f"adds already present: {adds & state.facts}")
     for f in adds:
         _check_fact(world, f)
+    result = successor(state, removes, adds)
+    _check_delta(world, result, removes, adds)
+    return result
 
-    facts = (state.facts - removes) | adds
+
+def successor(state: WorldState, removes: frozenset[Fact],
+              adds: frozenset[Fact]) -> WorldState:
+    """The state with `removes` taken out and `adds` put in, unchecked: the
+    player's room and the inventory follow the ``at(player, _)`` and
+    ``in(_, inventory)`` facts of the delta. `apply_delta` builds its result
+    with this function and then checks it."""
     player_room = state.player_room
     inventory = list(state.inventory)
     for f in removes:
@@ -272,10 +286,8 @@ def apply_delta(world: WorldDef, state: WorldState,
             inventory.append(f.args[0])
         if f.predicate == "at" and f.args[0] == PLAYER:
             player_room = f.args[1]
-    result = WorldState(facts, player_room, tuple(inventory),
-                        state.inventory_limit)
-    _check_delta(world, result, removes, adds)
-    return result
+    return WorldState((state.facts - removes) | adds, player_room,
+                      tuple(inventory), state.inventory_limit)
 
 
 def _check_fact(world: WorldDef, f: Fact) -> None:

@@ -1,17 +1,22 @@
 """Independent test oracles: a per-fact visibility filter, the uncompiled
-precondition and effect code, and a raw-string brute-force optimal search
-driven through the public interpreter, plus a builder for handcrafted micro
-instances."""
+precondition and effect code, the planner's search with every state checked,
+and a raw-string brute-force optimal search driven through the public
+interpreter, plus a builder for handcrafted micro instances and criterion 4's
+corpus of them."""
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 
 from ifbench import Engine, Instance
 from ifbench.grammar import ActionDef, GroundedAction, Lexicon, staple_verbs
+from ifbench.planner import (DEFAULT_BUDGET, PlanResult, SearchBudgetExceeded,
+                             Unsolvable, _candidates, _moves_by_room)
 from ifbench.world import (INVENTORY, PLAYER, EntityDef, GoalCondition,
-                           RoomDef, StateGroup, WorldDef, WorldState, Fact,
-                           fact, parse_fact, visible_entities)
+                           RoomDef, StateGroup, StateView, WorldDef,
+                           WorldState, Fact, apply_delta, fact, parse_fact,
+                           visible_entities)
 
 
 def reference_visible(world: WorldDef, state: WorldState) -> frozenset[Fact]:
@@ -174,6 +179,59 @@ def _reference_resolve(name: str, grounded: GroundedAction) -> str:
     return bound if bound is not None else name
 
 
+# -- the planner's search before it kept bare states: every new state is
+# built by the checked `apply_delta` and keyed by its fact set
+
+
+def reference_solve(instance: Instance, budget: int = DEFAULT_BUDGET,
+                    prune: bool = True) -> tuple[PlanResult, list[WorldState]]:
+    """`solve_optimal`'s breadth-first search as it was before it kept bare
+    states, with the same candidates in the same order. Returns the plan and
+    the states the search expanded, in order."""
+    engine = Engine(instance)
+    world = engine.world
+    goal_facts = frozenset(g.fact for g in instance.goals)
+    start = instance.start_state()
+    done = GroundedAction("done", ())
+    if goal_facts <= start.facts:
+        return PlanResult((done,), 1, 0), []
+
+    by_room = _moves_by_room(engine, start,
+                             _candidates(engine, instance, prune))
+    parents: dict[frozenset, tuple[frozenset, GroundedAction] | None] = {
+        start.facts: None}
+    queue: deque[WorldState] = deque([start])
+    expanded = []
+    while queue:
+        state = queue.popleft()
+        expanded.append(state)
+        if len(expanded) > budget:
+            raise SearchBudgetExceeded(f"expanded more than {budget} states")
+        view = StateView(state)
+        for step, tests in by_room[state.player_room]:
+            for holds in tests:
+                if not holds(view):
+                    break
+            else:
+                removes, adds = step.effects(view)
+                new_facts = (state.facts - removes) | adds
+                if new_facts in parents:
+                    continue
+                new_state = apply_delta(world, state, removes, adds)
+                parents[new_facts] = (state.facts, step.grounded)
+                if goal_facts <= new_facts:
+                    plan = [done]
+                    key = new_facts
+                    while parents[key] is not None:
+                        key, grounded = parents[key]
+                        plan.append(grounded)
+                    plan.reverse()
+                    return PlanResult(tuple(plan), len(plan),
+                                      len(expanded)), expanded
+                queue.append(new_state)
+    raise Unsolvable(instance.id)
+
+
 def enumerate_commands(instance: Instance) -> list[str]:
     """Every raw command string over the instance's surface vocabulary,
     including senseless combinations the interpreter must reject."""
@@ -284,3 +342,44 @@ def micro_instance(rooms, connections, entities, facts, goals,
         prompt=prompt,
         optimal_plan=None,
     )
+
+
+def micro_corpus() -> list[Instance]:
+    """Criterion 4's 72 handcrafted instances: one to three rooms in a row,
+    the goal object hidden or not, inventory limit none, 1 or 2, one or two
+    goals, with or without a distractor."""
+    corpus = []
+    for n_rooms in (1, 2, 3):
+        rooms = ["room_a", "room_b", "room_c"][:n_rooms]
+        connections = [(rooms[i], rooms[i + 1]) for i in range(n_rooms - 1)]
+        for hidden in (False, True):
+            for limit in (None, 1, 2):
+                for two_goals in (False, True):
+                    for distractor in (False, True):
+                        entities = [("table", "support", [rooms[-1]]),
+                                    ("apple", "takeable", [rooms[0]])]
+                        facts = ["at(player," + rooms[0] + ")",
+                                 f"at(table,{rooms[-1]})"]
+                        goals = ["on(apple,table)"]
+                        if hidden:
+                            entities.append(("cupboard", "container",
+                                             [rooms[0]]))
+                            facts += [f"at(cupboard,{rooms[0]})",
+                                      "closed(cupboard)",
+                                      "in(apple,cupboard)"]
+                        else:
+                            facts.append(f"at(apple,{rooms[0]})")
+                        if two_goals:
+                            entities.append(("peach", "takeable", [rooms[0]]))
+                            facts.append(f"at(peach,{rooms[0]})")
+                            goals.append("on(peach,table)")
+                        if distractor:
+                            mid = rooms[len(rooms) // 2]
+                            entities.append(("broom", "takeable", [mid]))
+                            facts.append(f"at(broom,{mid})")
+                        corpus.append(micro_instance(
+                            rooms=rooms, connections=connections,
+                            entities=entities, facts=facts, goals=goals,
+                            inventory_limit=limit,
+                            instance_id=f"micro-{len(corpus):02d}"))
+    return corpus

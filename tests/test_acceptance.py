@@ -19,7 +19,7 @@ from ifbench.grammar import Lexicon
 from ifbench.metrics import macro_gsr, paper_pct
 from ifbench.pseudowords import PseudowordMaker
 from ifbench.world import validate_state
-from oracles import brute_force_optimal, micro_instance
+from oracles import brute_force_optimal, micro_corpus, micro_instance
 
 # SHA-256 of the scored outputs of `generate --seed 17`, `run --agent
 # scripted` and `report` (turns.csv holds the scripted rows only). A change
@@ -110,47 +110,9 @@ def test_criterion_3_oracle_agent_perfection(oracle_records):
     assert oracle_records.elapsed < 120.0
 
 
-def _micro_corpus():
-    corpus = []
-    for n_rooms in (1, 2, 3):
-        rooms = ["room_a", "room_b", "room_c"][:n_rooms]
-        connections = [(rooms[i], rooms[i + 1]) for i in range(n_rooms - 1)]
-        for hidden in (False, True):
-            for limit in (None, 1, 2):
-                for two_goals in (False, True):
-                    for distractor in (False, True):
-                        entities = [("table", "support", [rooms[-1]]),
-                                    ("apple", "takeable", [rooms[0]])]
-                        facts = ["at(player," + rooms[0] + ")",
-                                 f"at(table,{rooms[-1]})"]
-                        goals = ["on(apple,table)"]
-                        if hidden:
-                            entities.append(("cupboard", "container",
-                                             [rooms[0]]))
-                            facts += [f"at(cupboard,{rooms[0]})",
-                                      "closed(cupboard)",
-                                      "in(apple,cupboard)"]
-                        else:
-                            facts.append(f"at(apple,{rooms[0]})")
-                        if two_goals:
-                            entities.append(("peach", "takeable", [rooms[0]]))
-                            facts.append(f"at(peach,{rooms[0]})")
-                            goals.append("on(peach,table)")
-                        if distractor:
-                            mid = rooms[len(rooms) // 2]
-                            entities.append(("broom", "takeable", [mid]))
-                            facts.append(f"at(broom,{mid})")
-                        corpus.append(micro_instance(
-                            rooms=rooms, connections=connections,
-                            entities=entities, facts=facts, goals=goals,
-                            inventory_limit=limit,
-                            instance_id=f"micro-{len(corpus):02d}"))
-    return corpus
-
-
 def test_criterion_4_planner_equivalence():
     started = time.perf_counter()
-    corpus = _micro_corpus()
+    corpus = micro_corpus()
     assert len(corpus) >= 50
     for inst in corpus:
         pruned = solve_optimal(inst).length

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ifbench.generate
+import ifbench.instance
 from ifbench import (TURN_LIMIT, Engine, PlanResult, Unsolvable, apply_lexicon,
                      fact, generate_basic, generate_family,
                      generate_preexploration, instance_to_dot, load_instances,
@@ -212,6 +213,28 @@ def test_limited_plan_over_turn_limit_is_resampled(monkeypatch):
     assert limits == [INVENTORY_LIMIT] * 2
     assert inst.optimal_length <= TURN_LIMIT
     assert inst.to_json() != first.to_json()
+
+
+def test_delivery_instance_builds_one_parser_and_start_state(monkeypatch):
+    """The generator solves a delivery instance before it renders the prompt,
+    so the search and the prompt share the instance's cached parser and
+    start state: one of each per instance."""
+    built = {"parsers": 0, "start states": 0}
+    build_parser, initial_state = (ifbench.instance.build_parser,
+                                   ifbench.instance.initial_state)
+
+    def counting_parser(*args):
+        built["parsers"] += 1
+        return build_parser(*args)
+
+    def counting_start(*args):
+        built["start states"] += 1
+        return initial_state(*args)
+
+    monkeypatch.setattr(ifbench.instance, "build_parser", counting_parser)
+    monkeypatch.setattr(ifbench.instance, "initial_state", counting_start)
+    assert len(generate_family(17, "basic-easy", 4)) == 4
+    assert built == {"parsers": 4, "start states": 4}
 
 
 def test_preexploration_walks(bench144):

@@ -7,9 +7,10 @@ import ifbench.planner as planner
 from ifbench import (Engine, ScriptedAgent, SearchBudgetExceeded,
                      Unsolvable, apply_delta, run_episode, solve_optimal)
 from ifbench.grammar import ActionDef, ActionFlags, GroundedAction, Param
-from ifbench.world import INVENTORY, StateView
-from oracles import (brute_force_optimal, micro_instance,
-                     reference_effects, reference_preconditions)
+from ifbench.world import INVENTORY, InvariantViolation, StateView, successor
+from oracles import (brute_force_optimal, micro_corpus, micro_instance,
+                     reference_effects, reference_preconditions,
+                     reference_solve)
 
 
 def one_room():
@@ -144,22 +145,6 @@ def test_synthetic_hard_ternary_ordering(bench144):
     assert first_add[verbs[1]] == ternary.states[2]
 
 
-def _expanded_states(inst, start, monkeypatch) -> list:
-    """The states `solve_optimal(inst)` expands, in order: the search is
-    breadth-first, so they are the start state and then the states it makes,
-    in the order it makes them."""
-    made = []
-
-    def recording_apply_delta(*args):
-        made.append(apply_delta(*args))
-        return made[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(planner, "apply_delta", recording_apply_delta)
-        result = solve_optimal(inst)
-    return [start] + made[:result.states_expanded - 1]
-
-
 def _episode_states(inst, start, records) -> list:
     """The states of the pre-exploration walk, then those the episodes in
     `records` pass through."""
@@ -200,7 +185,7 @@ def _effects_or_error(effects, *args):
 
 
 def test_compiled_steps_match_reference(bench144, oracle_records,
-                                        heuristic_records, monkeypatch):
+                                        heuristic_records):
     """Compiled steps, and the planner's per-room candidate lists built from
     them, against the uncompiled code they replace, on every state the
     stored plans, the heuristic episodes and the search of each family's
@@ -234,8 +219,9 @@ def test_compiled_steps_match_reference(bench144, oracle_records,
                                 == _effects_or_error(reference_effects, engine,
                                                      state, action, grounded))
                     checked += len(compiled) + len(turn_only)
-                states = list(dict.fromkeys(
-                    states + _expanded_states(inst, start, monkeypatch)))
+                result, expanded = reference_solve(inst)
+                assert len(expanded) == result.states_expanded > 0
+                states = list(dict.fromkeys(states + expanded))
             for state in states:
                 view = StateView(state)
                 passing = []
@@ -258,6 +244,92 @@ def test_compiled_steps_match_reference(bench144, oracle_records,
                 assert passing == listed, (inst.id, state)
     assert checked > 500_000
     assert time.perf_counter() - started < 60.0
+
+
+# states_expanded summed over each family's 16 searches at seed 17
+SEED17_STATES_EXPANDED = {
+    "basic-easy": 2_008, "basic-hard": 5_546,
+    "limit-easy": 1_930, "limit-hard": 5_638,
+    "preexplore-easy": 1_999, "preexplore-hard": 5_739,
+    "synthetic-easy": 1_985, "synthetic-medium": 1_977, "synthetic-hard": 431,
+}
+
+
+def _matches_reference(inst, prune: bool = True) -> int:
+    """Assert that `solve_optimal` returns the plan and expansion count of
+    the search that checks every state, and that on every (state, step)
+    pair that search generates the unchecked successor equals
+    `apply_delta`'s result. Returns the states expanded."""
+    result = solve_optimal(inst, prune=prune)
+    reference, expanded = reference_solve(inst, prune=prune)
+    assert result == reference, inst.id
+    assert len(expanded) == reference.states_expanded, inst.id
+    engine = Engine(inst)
+    by_room = planner._moves_by_room(
+        engine, inst.start_state(), planner._candidates(engine, inst, prune))
+    for state in expanded:
+        view = StateView(state)
+        for step, tests in by_room[state.player_room]:
+            if all(holds(view) for holds in tests):
+                removes, adds = step.effects(view)
+                assert (successor(state, removes, adds)
+                        == apply_delta(inst.world, state, removes, adds)), (
+                    inst.id, step.grounded)
+    return result.states_expanded
+
+
+def test_bare_search_matches_reference(bench144):
+    """The search keeps bare states and keys them by fact bits; the
+    reference builds each new state with the checked `apply_delta` and keys
+    it by its fact set. Both agree on every seed-17 search and on criterion
+    4's micro corpus, pruned and unpruned."""
+    expanded = {family: sum(_matches_reference(inst) for inst in instances)
+                for family, instances in bench144.items()}
+    assert expanded == SEED17_STATES_EXPANDED
+    assert sum(expanded.values()) == 27_253
+    for inst in micro_corpus():
+        for prune in (True, False):
+            _matches_reference(inst, prune)
+
+
+def test_replay_rejects_a_wrong_plan():
+    inst = one_room()
+    engine = Engine(inst)
+    start = inst.start_state()
+    goal_facts = frozenset(g.fact for g in inst.goals)
+    take, put, done = solve_optimal(inst).actions
+    after_take = apply_delta(inst.world, start,
+                             *engine.step(take).effects(StateView(start)))
+    reached = apply_delta(inst.world, after_take,
+                          *engine.step(put).effects(StateView(after_take)))
+    planner._replay(engine, start, [take, put, done], goal_facts, reached)
+    with pytest.raises(InvariantViolation, match="fails on replay"):
+        planner._replay(engine, start, [put, done], goal_facts, reached)
+    with pytest.raises(InvariantViolation, match="does not reach"):
+        planner._replay(engine, start, [take, done], goal_facts, reached)
+    with pytest.raises(InvariantViolation, match="does not reach"):
+        planner._replay(engine, start, [take, done], goal_facts, after_take)
+
+
+def test_search_with_a_wrong_successor_raises(monkeypatch):
+    """A successor that forgets the inventory limit lets the search carry
+    two objects at once; the replay of that plan fails."""
+    inst = micro_instance(
+        rooms=["kitchen", "pantry"], connections=[("kitchen", "pantry")],
+        entities=[("table", "support", ["pantry"]),
+                  ("apple", "takeable", ["kitchen"]),
+                  ("peach", "takeable", ["kitchen"])],
+        facts=["at(player,kitchen)", "at(table,pantry)", "at(apple,kitchen)",
+               "at(peach,kitchen)"],
+        goals=["on(apple,table)", "on(peach,table)"], inventory_limit=1)
+    unchecked = planner.successor
+
+    def unlimited(state, removes, adds):
+        return replace(unchecked(state, removes, adds), inventory_limit=None)
+
+    monkeypatch.setattr(planner, "successor", unlimited)
+    with pytest.raises(InvariantViolation, match="fails on replay"):
+        solve_optimal(inst)
 
 
 def test_connects_effect_fails_loudly():
