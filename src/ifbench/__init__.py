@@ -6,7 +6,7 @@ The generator's names are imported on first use (PEP 562), so that importing
 the package, or a command other than ``generate``, does not load numpy."""
 
 from .world import (Fact, fact, parse_fact, EntityDef, RoomDef, StateGroup,
-                    GoalCondition, WorldDef, WorldState, Observation,
+                    GoalCondition, WorldDef, WorldState,
                     InvariantViolation, apply_delta, visible_facts,
                     check_goals, load_entity_catalogue, load_room_catalogue)
 from .grammar import (ActionDef, ActionFlags, Lexicon, ParsedCommand,
@@ -22,7 +22,7 @@ from .planner import PlanResult, Unsolvable, SearchBudgetExceeded, solve_optimal
 from .pseudowords import PseudowordMaker, load_english_words
 from .metrics import (EpisodeSummary, ExperimentScores, EmptyInput,
                       goal_success_rate, aggregate,
-                      clemscore, combine_clemscore, label_action)
+                      clemscore, combine_clemscore)
 from .agents import (ScriptedAgent, HeuristicAgent, HumanAgent, LlmAgent,
                      LlmConfig, MalformedResponse, llm_chat,
                      transcript_to_messages)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 _GENERATE_NAMES = frozenset({
     "GenerationExhausted", "WalkNotFound", "generate_basic", "generate_family",
-    "generate_preexploration", "apply_lexicon"})
+    "generate_preexploration"})
 
 
 def __getattr__(name: str):

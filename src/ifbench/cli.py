@@ -149,9 +149,9 @@ def _make_agent(engine: Engine, args):
     raise SystemExit(f"unknown agent {args.agent!r}")
 
 
-def run_benchmark(args) -> tuple[int, dict]:
-    """Run every instance, write transcripts and scores; returns (exit, scores).
-    `args` are the parsed arguments of the `run` command.
+def run_benchmark(args) -> int:
+    """The `run` command: play every instance, write the transcripts and
+    scores, and return the exit code.
 
     `scripted` and `heuristic` play whole families through `_fork_map`;
     `llm` waits on the network, so it plays in `--parallel` threads; `human`
@@ -199,7 +199,7 @@ def run_benchmark(args) -> tuple[int, dict]:
               for family, group in sorted(per_family.items())]
     if not scores:
         print("no episodes produced scores", file=sys.stderr)
-        return 2, {}
+        return 2
     agent_dir.mkdir(parents=True, exist_ok=True)
     payload = scores_to_json(agent_name, scores)
     (agent_dir / "scores.json").write_text(
@@ -210,12 +210,7 @@ def run_benchmark(args) -> tuple[int, dict]:
           f"(quality {payload['macro_quality']:.1f}, "
           f"played {payload['macro_played']:.1f}, "
           f"goal rate {payload['macro_gsr']:.1f})")
-    return (3 if all_agent_aborted else 0), payload
-
-
-def cmd_run(args) -> int:
-    code, _ = run_benchmark(args)
-    return code
+    return 3 if all_agent_aborted else 0
 
 
 def _pick_instance(args) -> Instance:
@@ -329,7 +324,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--retries", type=_at_least(0), default=2)
     p.add_argument("--dry-run", action="store_true",
                    help="exclude agent-unreachable episodes from scoring")
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=run_benchmark)
 
     p = sub.add_parser("play", help="play one instance interactively")
     p.add_argument("--instances", required=True)

@@ -12,7 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .grammar import ActionDef, ActionFlags, Lexicon, Param, staple_verbs
+from .grammar import (ActionDef, ActionFlags, Lexicon, Param,
+                      load_standard_actions, staple_verbs)
 from .instance import FAMILIES, INSTANCES_PER_FAMILY, Instance
 from .interpreter import TURN_LIMIT, Engine, number_word
 from .planner import Unsolvable, solve_optimal
@@ -22,9 +23,6 @@ from .world import (EntityDef, GoalCondition, RoomDef, StateGroup, fact,
 
 INVENTORY_LIMIT = 2
 GOAL_COUNT = 3
-
-_REPLACEABLE_VERBS = ("open", "close", "take", "put")
-_SYNTHETIC_HARD_VERBS = ("go", "done", "examine", "look")
 
 _MAX_INSTANCE_ATTEMPTS = 200
 _MAX_GOAL_ATTEMPTS = 500
@@ -131,7 +129,9 @@ def _goal_sentence(engine: Engine) -> str:
     return template.format(parts=joined)
 
 
-def _finalize_prompt(inst: Instance, extras: list[str]) -> Instance:
+def _finalize_prompt(inst: Instance, extras: list[str]) -> str:
+    """The instance's prompt: preamble, `extras`, goal, closing and the
+    start room's description."""
     prompts = load_data("prompts.json")
     engine = Engine(inst)
     start_desc = engine.room_description(inst.start_state())
@@ -140,7 +140,7 @@ def _finalize_prompt(inst: Instance, extras: list[str]) -> Instance:
     pieces.append(prompts["goal_line"].format(goal=_goal_sentence(engine)))
     pieces.append(prompts["closing"])
     pieces.append(start_desc)
-    return replace(inst, prompt="\n\n".join(pieces))
+    return "\n\n".join(pieces)
 
 
 def _standard_extras(inst: Instance) -> list[str]:
@@ -163,14 +163,14 @@ def _new_words_extra(pseudo_verbs: list[str]) -> str:
 
 # -- basic instances ---------------------------------------------------------
 
-def _item_room(inst_facts, item: str, receptacle_rooms: dict[str, str]) -> str:
-    for f in inst_facts:
-        if f.args and f.args[0] == item:
-            if f.predicate == "at":
-                return f.args[1]
-            if f.predicate in ("on", "in"):
-                return receptacle_rooms[f.args[1]]
-    raise ValueError(f"{item} not placed")
+def _start_rooms(inst: Instance) -> dict[str, str]:
+    """The room each entity starts in: its holder's if it is on or in one."""
+    rooms = {f.args[0]: f.args[1] for f in inst.initial_facts
+             if f.predicate == "at"}
+    for f in inst.initial_facts:
+        if f.predicate in ("on", "in"):
+            rooms[f.args[0]] = rooms[f.args[1]]
+    return rooms
 
 
 def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
@@ -199,11 +199,9 @@ def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
             continue
 
         facts = [fact("at", "player", _choice(rng, sorted(rooms)))]
-        for r in receptacles:
-            facts.append(fact("at", r, placement[r]))
-        container_state = {}
-        for c in containers:
-            container_state[c] = _choice(rng, ["closed", "open"])
+        facts += [fact("at", r, placement[r]) for r in receptacles]
+        container_state = {c: _choice(rng, ["closed", "open"])
+                           for c in containers}
         goal_items = set()
         goals = []
         for item, target, where in goals_spec:
@@ -217,8 +215,7 @@ def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
                 facts.append(fact("at", item, where))
             prep = "in" if "container" in entities[target].traits else "on"
             goals.append(GoalCondition("placement", fact(prep, item, target)))
-        for c in containers:
-            facts.append(fact(container_state[c], c))
+        facts += [fact(container_state[c], c) for c in containers]
         for item in takeables:
             if item in goal_items:
                 continue
@@ -258,8 +255,11 @@ def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
             continue
         if plan.length > TURN_LIMIT:
             continue
-        inst = _finalize_prompt(inst, _standard_extras(inst))
-        return replace(inst, optimal_plan=plan.actions)
+        # set in place: no cached property reads either field, so the
+        # parser and start state built for the search are kept
+        inst.prompt = _finalize_prompt(inst, _standard_extras(inst))
+        inst.optimal_plan = plan.actions
+        return inst
     raise GenerationExhausted(f"basic-{difficulty}")
 
 
@@ -272,36 +272,29 @@ def _sample_goals(rng, difficulty, adj, placement, entities,
         if difficulty == "easy":
             targets = [_choice(rng, supports) for _ in range(GOAL_COUNT)]
             spec = []
-            ok = True
             for item, target in zip(items, targets):
                 near = {placement[target]} | set(adj[placement[target]])
                 options = sorted(near & entities[item].allowed_rooms)
                 if not options:
-                    ok = False
                     break
                 room = _choice(rng, options)
                 spots = ["floor"] + [s for s in supports
                                      if placement[s] == room and s != target]
                 spot = _choice(rng, spots)
                 spec.append((item, target, room if spot == "floor" else spot))
-            if ok:
+            else:
                 return spec
         else:
             targets = _sample(rng, supports, GOAL_COUNT)
             hiders = _sample(rng, containers, GOAL_COUNT)
             spec = []
-            ok = True
             for item, target, hider in zip(items, targets, hiders):
                 c_room = placement[hider]
-                if c_room not in entities[item].allowed_rooms:
-                    ok = False
-                    break
-                dist = _distances(adj, c_room)
-                if dist.get(placement[target], 99) < 2:
-                    ok = False
+                if (c_room not in entities[item].allowed_rooms
+                        or _distances(adj, c_room).get(placement[target], 99) < 2):
                     break
                 spec.append((item, target, hider))
-            if ok:
+            else:
                 return spec
     return None
 
@@ -312,18 +305,13 @@ def generate_preexploration(inst: Instance) -> Instance:
     """Prepend a 6-8 step closed `go` walk that visits every room holding a
     goal object (or its container) and every target receptacle, with feedback
     simulated through the interpreter."""
-    receptacle_rooms = {f.args[0]: f.args[1] for f in inst.initial_facts
-                        if f.predicate == "at" and f.args[0] != "player"}
-    required = set()
-    for goal in inst.goals:
-        required.add(_item_room(inst.initial_facts, goal.fact.args[0],
-                                receptacle_rooms))
-        if goal.kind == "placement":
-            required.add(receptacle_rooms[goal.fact.args[1]])
-    start = inst.start_room
+    rooms = _start_rooms(inst)
+    required = {rooms[ident] for goal in inst.goals for ident in goal.fact.args}
+    state = inst.start_state()
+    start = state.player_room
     adj = _adjacency(inst.connections)
 
-    walk = _covering_closed_walk(adj, start, frozenset(required))
+    walk = _covering_closed_walk(adj, start, required)
     if walk is None or len(walk) > 8:
         raise WalkNotFound(inst.id)
     pad_room = adj[start][0]
@@ -331,7 +319,6 @@ def generate_preexploration(inst: Instance) -> Instance:
         walk = walk + [pad_room, start]
 
     engine = Engine(inst)
-    state = inst.start_state()
     pairs = []
     for room in walk:
         command = f"> go {engine.surface(room)}"
@@ -395,24 +382,24 @@ def _vocabulary(inst: Instance) -> set[str]:
 def _synthesize_easy(rng, base: Instance) -> Instance:
     maker = PseudowordMaker(rng, forbidden=_vocabulary(base))
     world = base.world
-    receptacle_rooms = {f.args[0]: f.args[1] for f in base.initial_facts
-                        if f.predicate == "at" and f.args[0] != "player"}
     goal = base.goals[int(rng.integers(len(base.goals)))]
     item, target = goal.fact.args
-    item_room = _item_room(base.initial_facts, item, receptacle_rooms)
+    item_room = _start_rooms(base)[item]
     nouns = {}
     for ident in (item, target, item_room):
         nouns[world.noun_of(ident)] = maker.make()
-    verb = _choice(rng, sorted(_REPLACEABLE_VERBS))
+    replaceable = {a.verb: a for a in base.actions if a.flags.replaceable}
+    verb = _choice(rng, sorted(replaceable))
     pseudo_verb = maker.make()
-    action = {a.verb: a for a in base.actions}[verb]
+    action = replaceable[verb]
     explanation = action.explanation.format(word=pseudo_verb)
     lexicon = Lexicon(nouns=nouns, verbs={verb: pseudo_verb},
                       explanations={verb: explanation})
     inst = replace(base, family="synthetic-easy", lexicon=lexicon)
     extra = load_data("prompts.json")["new_words_one"].format(
         word=pseudo_verb, explanation=explanation)
-    return _finalize_prompt(inst, [extra])
+    inst.prompt = _finalize_prompt(inst, [extra])
+    return inst
 
 
 def _synthesize_medium(rng, base: Instance) -> Instance:
@@ -429,12 +416,14 @@ def _synthesize_medium(rng, base: Instance) -> Instance:
     pool = [n for n in pool if n not in chosen]
     while len(chosen) < 9:
         chosen.append(pool.pop(int(rng.integers(len(pool)))))
-    verbs = _sample(rng, sorted(_REPLACEABLE_VERBS), 3)
+    verbs = _sample(rng, sorted(a.verb for a in base.actions
+                                if a.flags.replaceable), 3)
     lexicon = Lexicon(nouns={n: maker.make() for n in chosen},
                       verbs={v: maker.make() for v in verbs})
     inst = replace(base, family="synthetic-medium", lexicon=lexicon)
     extra = _new_words_extra([lexicon.verbs[v] for v in verbs])
-    return _finalize_prompt(inst, [extra])
+    inst.prompt = _finalize_prompt(inst, [extra])
+    return inst
 
 
 def _synthesize_hard(rng) -> Instance:
@@ -514,16 +503,17 @@ def _synthesize_hard(rng) -> Instance:
         goals=tuple(goals),
         inventory_limit=None,
         lexicon=Lexicon(nouns=noun_map),
-        base_verbs=_SYNTHETIC_HARD_VERBS,
+        base_verbs=tuple(a.verb for a in load_standard_actions()
+                         if not a.flags.replaceable),
         extra_actions=tuple(actions),
         preexploration=None,
         prompt="",
         optimal_plan=None,
     )
     extra = _new_words_extra(_shuffled(rng, display_verbs))
-    plan = solve_optimal(inst)
-    inst = _finalize_prompt(inst, [extra])
-    return replace(inst, optimal_plan=plan.actions)
+    inst.optimal_plan = solve_optimal(inst).actions
+    inst.prompt = _finalize_prompt(inst, [extra])
+    return inst
 
 
 def _linear_paths(rooms: dict[str, RoomDef], length: int) -> list[tuple[str, ...]]:
@@ -545,17 +535,6 @@ def _linear_paths(rooms: dict[str, RoomDef], length: int) -> list[tuple[str, ...
     return sorted(paths)
 
 
-def apply_lexicon(inst: Instance, lexicon: Lexicon) -> Instance:
-    """Substitute an arbitrary lexicon onto an instance (prompt re-rendered,
-    optimal plan unchanged by construction). Pre-exploration pairs are
-    re-simulated so their surface forms match the new vocabulary."""
-    new = replace(inst, lexicon=lexicon, preexploration=None)
-    new = _finalize_prompt(new, _standard_extras(new))
-    if inst.preexploration:
-        new = generate_preexploration(new)
-    return new
-
-
 # -- family driver -------------------------------------------------------------
 
 def generate_family(base_seed: int, family: str,
@@ -572,7 +551,6 @@ def generate_family(base_seed: int, family: str,
         elif family in ("limit-easy", "limit-hard"):
             inst = generate_basic(rng, family.split("-")[1], INVENTORY_LIMIT)
         elif family in ("preexplore-easy", "preexplore-hard"):
-            inst = None
             for _ in range(_MAX_INSTANCE_ATTEMPTS):
                 base = generate_basic(rng, family.split("-")[1])
                 try:
@@ -580,7 +558,7 @@ def generate_family(base_seed: int, family: str,
                     break
                 except WalkNotFound:
                     continue
-            if inst is None:
+            else:
                 raise GenerationExhausted(family)
         elif family == "synthetic-easy":
             inst = _synthesize_easy(rng, generate_basic(rng, "easy"))

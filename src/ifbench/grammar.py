@@ -326,7 +326,7 @@ class Parser:
             if len(ids) > 1:
                 raise GroundFailure("ambiguous", phrase, cmd.verb)
             ident = ids[0]
-            if not _trait_ok(world, ident, param.trait):
+            if not fits_trait(world, ident, param.trait):
                 raise GroundFailure("trait-mismatch", phrase, cmd.verb)
             bindings.append((param.name, ident))
         if verb_id == "put" and cmd.preposition in ("on", "in"):
@@ -352,7 +352,9 @@ class Parser:
         return " ".join(words)
 
 
-def _trait_ok(world: WorldDef, ident: str, trait: str) -> bool:
+def fits_trait(world: WorldDef, ident: str, trait: str) -> bool:
+    """Whether the id may fill a parameter of the trait: the one rule for
+    both grounding a command and listing the planner's candidates."""
     if trait == "room":
         return ident in world.rooms
     if ident in world.rooms:

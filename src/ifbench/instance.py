@@ -81,13 +81,6 @@ class Instance:
             facts.append(fact(CONNECTS, b, a))
         return initial_state(self.world, facts, self.inventory_limit)
 
-    @property
-    def start_room(self) -> str:
-        for f in self.initial_facts:
-            if f.predicate == "at" and f.args[0] == "player":
-                return f.args[1]
-        raise ValueError("instance has no player placement")
-
     def to_json(self) -> dict:
         return {
             "id": self.id,
@@ -121,36 +114,59 @@ class Instance:
 
     @staticmethod
     def from_json(data: dict) -> "Instance":
-        lex = Lexicon.from_json(data["lexicon"]) if data.get("lexicon") else None
+        """Inverse of `to_json`: KeyError for a missing field, ValueError
+        naming the field whose value is malformed."""
+        def read(name, convert, optional=False):
+            value = data.get(name) if optional else data[name]
+            try:
+                return convert(value)
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ValueError(f"field {name!r}: {exc}") from exc
+
         return Instance(
             id=data["id"],
             family=data["family"],
-            rooms=tuple(RoomDef(r["id"], r["noun"],
-                                frozenset(r["allowed_adjacent"]))
-                        for r in data["rooms"]),
-            connections=tuple(tuple(c) for c in data["connections"]),
-            entities=tuple(EntityDef(e["id"], e["noun"], frozenset(e["traits"]),
-                                     frozenset(e["allowed_rooms"]))
-                           for e in data["entities"]),
-            state_groups=tuple(StateGroup(g["entity"], tuple(g["states"]),
-                                          g["initial"])
-                               for g in data["state_groups"]),
-            initial_facts=tuple(parse_fact(s) for s in data["initial_facts"]),
-            goals=tuple(GoalCondition(g["kind"], parse_fact(g["fact"]))
-                        for g in data["goals"]),
+            rooms=read("rooms", lambda rows: tuple(
+                RoomDef(r["id"], r["noun"],
+                        frozenset(_strings(r["allowed_adjacent"])))
+                for r in rows)),
+            connections=read("connections", lambda pairs: tuple(
+                _strings(c) for c in pairs)),
+            entities=read("entities", lambda rows: tuple(
+                EntityDef(e["id"], e["noun"], frozenset(_strings(e["traits"])),
+                          frozenset(_strings(e["allowed_rooms"])))
+                for e in rows)),
+            state_groups=read("state_groups", lambda rows: tuple(
+                StateGroup(g["entity"], _strings(g["states"]), g["initial"])
+                for g in rows)),
+            initial_facts=read("initial_facts", lambda facts: tuple(
+                parse_fact(s) for s in facts)),
+            goals=read("goals", lambda rows: tuple(
+                GoalCondition(g["kind"], parse_fact(g["fact"])) for g in rows)),
             inventory_limit=data["inventory_limit"],
-            lexicon=lex,
-            base_verbs=tuple(data["base_verbs"]),
-            extra_actions=tuple(action_from_json(a)
-                                for a in data["extra_actions"]),
-            preexploration=(tuple(tuple(p) for p in data["preexploration"])
-                            if data.get("preexploration") else None),
+            lexicon=read("lexicon", lambda lex: (
+                Lexicon.from_json(lex) if lex else None), optional=True),
+            base_verbs=read("base_verbs", _strings),
+            extra_actions=read("extra_actions", lambda rows: tuple(
+                action_from_json(a) for a in rows)),
+            preexploration=read("preexploration", lambda pairs: (
+                tuple(_strings(p) for p in pairs) if pairs else None),
+                optional=True),
             prompt=data["prompt"],
-            optimal_plan=(None if data["optimal_plan"] is None else tuple(
-                GroundedAction(verb, tuple(map(tuple, binding)))
-                for verb, binding in data["optimal_plan"])),
+            optimal_plan=read("optimal_plan", lambda plan: (
+                None if plan is None else tuple(
+                    GroundedAction(verb, tuple(map(tuple, binding)))
+                    for verb, binding in plan))),
             seed_path=tuple(data.get("seed_path", ())),
         )
+
+
+def _strings(value) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; TypeError for anything else, such
+    as one string, which `tuple` would split into its letters."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{value!r} is not a list of strings")
+    return tuple(value)
 
 
 def _check_plan(instance: Instance, optimal_length) -> None:
@@ -188,7 +204,12 @@ def save_instances(instances: list[Instance], path: str | Path,
 
 
 def load_instances(path: str | Path) -> list[Instance]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: the top level is not a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: schema version {version}, expected "
@@ -197,6 +218,8 @@ def load_instances(path: str | Path) -> list[Instance]:
         raise ValueError(f"{path}: field 'instances' is missing or not a list")
     instances = []
     for index, row in enumerate(payload["instances"]):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: instance {index} is not a JSON object")
         where = f"{path}: instance {index} ({row.get('id', 'no id')})"
         try:
             instance = Instance.from_json(row)

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, NamedTuple
 from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure)
 from .instance import Instance
 from .world import (CONNECTS, INVENTORY, PLAYER, Fact, GoalCondition,
-                    Observation, StateView, WorldDef, WorldState, apply_delta,
+                    StateView, WorldDef, WorldState, apply_delta,
                     check_goals, connections_of, contents_in, contents_on,
                     entities_at, fact, load_data, state_facts_of,
                     state_to_json, visible_entities, visible_facts)
@@ -77,10 +77,6 @@ class TurnRecord:
     revealed_facts: frozenset[Fact]
     goals_achieved_now: frozenset[GoalCondition]
     epistemic_gain: int
-
-    @property
-    def observation(self) -> Observation:
-        return Observation(self.feedback, self.revealed_facts)
 
 
 @dataclass

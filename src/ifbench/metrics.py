@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from .interpreter import PHASES, EpisodeRecord, TurnRecord, episode_summary
+from .interpreter import PHASES, EpisodeRecord, episode_summary
 
 _FAILURE_PHASES = tuple(p for p in PHASES if p != "success")
 
@@ -149,16 +149,6 @@ def clemscore(per_experiment: Iterable[ExperimentScores]) -> float:
 
 def macro_gsr(per_experiment: Iterable[ExperimentScores]) -> float:
     return macro_averages(per_experiment)[2]
-
-
-def label_action(turn: TurnRecord, actions_by_verb: Mapping) -> dict:
-    """Epistemic/pragmatic flags for a grounded turn, straight from the
-    action catalogue, with the turn's epistemic gain attached."""
-    if turn.grounded is None:
-        raise ValueError("turn was not grounded")
-    flags = actions_by_verb[turn.grounded.action].flags
-    return {"epistemic": flags.epistemic, "pragmatic": flags.pragmatic,
-            "epistemic_gain": turn.epistemic_gain}
 
 
 # -- reporting ----------------------------------------------------------------

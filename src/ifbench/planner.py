@@ -1,13 +1,12 @@
 """Optimal-plan oracle: uniform-cost breadth-first search over canonical
 fact sets, with deterministic lexicographic tie-breaking.
 
-`examine` and `look` never change facts and are excluded from branching, so
-they never appear in optimal plans. By default the search also prunes
-branches that provably cannot shorten a plan: taking or putting non-goal
-objects, `close`, and `open` on containers that neither hide a goal object
-nor are goal targets. The unpruned search (`prune=False`) is kept for
-equivalence checking. Candidates run as the engine's compiled steps, listed
-per player room (`_moves_by_room`).
+Actions with no effects (`examine`, `look`, `done`) are not branched on;
+`done` ends every plan. The search also prunes branches that provably
+cannot shorten a plan: taking or putting non-goal objects, `close`, and
+`open` on containers that neither hide a goal object nor are goal targets.
+Candidates run as the engine's compiled steps, listed per player room
+(`_moves_by_room`).
 
 The search keeps bare states: it keys each one by a bit mask of its facts
 and builds it with the unchecked `world.successor`, not `apply_delta`. Only
@@ -23,15 +22,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .grammar import GroundedAction
+from .grammar import ActionDef, GroundedAction, fits_trait
 from .instance import Instance
 from .interpreter import GROUNDING, ROOM, STATE, Engine, Step
-from .world import (Fact, InvariantViolation, StateView, WorldState,
+from .world import (Fact, InvariantViolation, StateView, WorldDef, WorldState,
                     apply_delta, successor)
 
-DEFAULT_BUDGET = 500_000
-
-_NEVER_BRANCH = ("examine", "look", "done")
+DEFAULT_BUDGET = 500_000  # states a search may expand; read at each call
 
 
 class Unsolvable(Exception):
@@ -49,77 +46,53 @@ class PlanResult:
     states_expanded: int
 
 
-def _param_candidates(engine: Engine, trait: str) -> list[str]:
-    world = engine.world
-    if trait == "room":
-        return sorted(world.rooms)
-    ids = sorted(world.entities)
-    if trait == "thing":
-        return ids
-    if trait == "receptacle":
-        return [e for e in ids if world.is_container(e) or world.is_support(e)]
-    return [e for e in ids if world.has_trait(e, trait)]
+def _groundings(world: WorldDef, action: ActionDef) -> list[GroundedAction]:
+    """Every binding of the action's required parameters to room and entity
+    ids that fit their traits."""
+    ids = sorted(world.rooms.keys() | world.entities.keys())
+    required = [p for p in action.params if not p.optional]
+    pools = [[i for i in ids if fits_trait(world, i, p.trait)] for p in required]
+    return [GroundedAction(action.verb,
+                           tuple((p.name, v) for p, v in zip(required, combo)))
+            for combo in product(*pools)]
 
 
-def _candidates(engine: Engine, instance: Instance,
-                prune: bool) -> list[GroundedAction]:
+def _candidates(engine: Engine, instance: Instance) -> list[GroundedAction]:
     """The groundings the search branches on, in (verb, bindings) order,
     which fixes its tie-breaking."""
     goal_items: dict[str, set[str]] = {}
     for goal in instance.goals:
         if goal.kind == "placement":
             goal_items.setdefault(goal.fact.args[0], set()).add(goal.fact.args[1])
-    start = instance.start_state()
-    needed_containers = set()
-    closeable = set()
-    for f in start.facts:
-        if f.predicate == "in" and f.args[0] in goal_items:
-            needed_containers.add(f.args[1])
-    for targets in goal_items.values():
-        needed_containers.update(t for t in targets
-                                 if engine.world.is_container(t))
-    for goal in instance.goals:
-        # open/closed goal states keep those container actions in play
-        if goal.fact.predicate == "open":
-            needed_containers.add(goal.fact.args[0])
-        elif goal.fact.predicate == "closed":
-            closeable.add(goal.fact.args[0])
+    # containers that hide a goal object or are a goal target; open/closed
+    # goal states keep those container actions in play
+    needed_containers = {f.args[1] for f in instance.start_state().facts
+                         if f.predicate == "in" and f.args[0] in goal_items}
+    needed_containers.update(t for targets in goal_items.values()
+                             for t in targets if engine.world.is_container(t))
+    needed_containers.update(g.fact.args[0] for g in instance.goals
+                             if g.fact.predicate == "open")
+    closeable = {g.fact.args[0] for g in instance.goals
+                 if g.fact.predicate == "closed"}
 
     out = []
-    for verb in sorted(engine.actions):
-        if verb in _NEVER_BRANCH:
-            continue
-        action = engine.actions[verb]
-        if prune:
-            if verb == "close":
-                groundings = [((action.params[0].name, c),)
-                              for c in sorted(closeable)]
-                out.extend(GroundedAction(verb, g) for g in groundings)
-                continue
-            if verb == "open":
-                groundings = [((p.name, c),)
-                              for p in action.params
-                              for c in sorted(needed_containers)
-                              if engine.world.has_trait(c, p.trait)]
-                out.extend(GroundedAction(verb, g) for g in groundings)
-                continue
-            if verb == "take":
-                item_param = action.params[0].name
-                out.extend(GroundedAction(verb, ((item_param, i),))
-                           for i in sorted(goal_items))
-                continue
-            if verb == "put":
-                names = [p.name for p in action.params if not p.optional]
-                for item in sorted(goal_items):
-                    for target in sorted(goal_items[item]):
-                        binding = ((names[0], item), (names[1], target))
-                        out.append(GroundedAction(verb, binding))
-                continue
-        required = [p for p in action.params if not p.optional]
-        pools = [_param_candidates(engine, p.trait) for p in required]
-        for combo in product(*pools):
-            binding = tuple((p.name, v) for p, v in zip(required, combo))
-            out.append(GroundedAction(verb, binding))
+    for verb, action in engine.actions.items():
+        if verb == "close":
+            out.extend(GroundedAction(verb, ((action.params[0].name, c),))
+                       for c in closeable)
+        elif verb == "open":
+            out.extend(GroundedAction(verb, ((p.name, c),))
+                       for p in action.params for c in needed_containers
+                       if engine.world.has_trait(c, p.trait))
+        elif verb == "take":
+            out.extend(GroundedAction(verb, ((action.params[0].name, i),))
+                       for i in goal_items)
+        elif verb == "put":
+            names = [p.name for p in action.params if not p.optional]
+            out.extend(GroundedAction(verb, ((names[0], item), (names[1], t)))
+                       for item, targets in goal_items.items() for t in targets)
+        elif action.removes or action.adds:
+            out.extend(_groundings(engine.world, action))
     out.sort(key=lambda grounded: (grounded.action, grounded.bindings))
     return out
 
@@ -157,8 +130,7 @@ def _moves_by_room(engine: Engine, start: WorldState,
     return by_room
 
 
-def solve_optimal(instance: Instance, budget: int = DEFAULT_BUDGET,
-                  prune: bool = True) -> PlanResult:
+def solve_optimal(instance: Instance) -> PlanResult:
     """Minimum-length action sequence (including final `done`) that reaches a
     state satisfying every goal. Raises Unsolvable or SearchBudgetExceeded.
 
@@ -170,7 +142,8 @@ def solve_optimal(instance: Instance, budget: int = DEFAULT_BUDGET,
     key is new. Keys are only tested for equality, so the plan does not
     depend on the bit order (which follows the hash-seeded order of the
     start state's facts). The plan is replayed through the checked
-    `apply_delta` before it is returned."""
+    `apply_delta` before it is returned. A search may expand at most
+    `DEFAULT_BUDGET` states."""
     engine = Engine(instance)
     goal_facts = frozenset(g.fact for g in instance.goals)
     start = instance.start_state()
@@ -197,7 +170,7 @@ def solve_optimal(instance: Instance, budget: int = DEFAULT_BUDGET,
     step_masks = {}
     moves = {}
     for room, listed in _moves_by_room(
-            engine, start, _candidates(engine, instance, prune)).items():
+            engine, start, _candidates(engine, instance)).items():
         for step, _ in listed:
             if step.grounded not in step_masks:
                 step_masks[step.grounded] = (mask(step.removes), mask(step.adds))
@@ -207,6 +180,7 @@ def solve_optimal(instance: Instance, budget: int = DEFAULT_BUDGET,
     parents: dict[int, tuple[int, GroundedAction] | None] = {start_mask: None}
     queue: deque[tuple[WorldState, int]] = deque([(start, start_mask)])
     expanded = 0
+    budget = DEFAULT_BUDGET
     while queue:
         state, key = queue.popleft()
         expanded += 1

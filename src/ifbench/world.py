@@ -39,7 +39,7 @@ def fact(predicate: str, *args: str) -> Fact:
 
 
 def parse_fact(text: str) -> Fact:
-    m = _FACT_RE.match(text.strip())
+    m = _FACT_RE.match(text.strip()) if isinstance(text, str) else None
     if not m:
         raise ValueError(f"not a fact string: {text!r}")
     args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2) else ()
@@ -131,12 +131,6 @@ class WorldState:
     inventory_limit: int | None = None
 
 
-@dataclass(frozen=True)
-class Observation:
-    text: str
-    revealed_facts: frozenset[Fact]
-
-
 def initial_state(world: WorldDef, facts: Iterable[Fact],
                   inventory_limit: int | None = None) -> WorldState:
     """Build and validate a state from an ordered fact list."""
@@ -191,22 +185,9 @@ def validate_state(world: WorldDef, state: WorldState) -> None:
         if len(locs) != 1:
             raise InvariantViolation(f"{eid} has {len(locs)} location facts")
 
-    # state-group exclusivity (containers: exactly one of open/closed)
-    for eid, group in world.state_groups.items():
-        held = [f for f in state.facts
-                if f.predicate in group.states and f.args == (eid,)]
-        if len(held) > 1:
-            raise InvariantViolation(f"{eid} holds several states: {held}")
-        if group.initial is not None and not held:
-            raise InvariantViolation(f"{eid} lost its state fact")
-
-    # inventory mirror and limit
-    carried = {f.args[0] for f in state.facts
-               if f.predicate == "in" and f.args[1] == INVENTORY}
-    if carried != set(state.inventory):
-        raise InvariantViolation("inventory does not mirror in(_, inventory)")
-    if state.inventory_limit is not None and len(carried) > state.inventory_limit:
-        raise InvariantViolation("inventory over limit")
+    for eid in world.state_groups:
+        _check_state_group(world, state, eid)
+    _check_inventory(state)
 
     # room connectivity: symmetric and connected
     edges = {f.args for f in state.facts if f.predicate == CONNECTS}
@@ -233,7 +214,7 @@ def apply_delta(world: WorldDef, state: WorldState,
     """Return the state with `removes` taken out and `adds` put in.
 
     `state` must satisfy every invariant of `validate_state`, as each state
-    built by `initial_state`, `state_from_json` or this function does. The
+    built by `initial_state` or this function does. The
     result is therefore checked only where the delta lands:
 
     - each added fact has a known predicate and the right arity, and
@@ -337,19 +318,30 @@ def _check_delta(world: WorldDef, state: WorldState,
         if change:
             raise InvariantViolation(f"{who} has {1 + change} location facts")
     for eid in stateful:
-        group = world.state_groups[eid]
-        held = {s for s in group.states if Fact(s, (eid,)) in state.facts}
-        if len(held) > 1:
-            raise InvariantViolation(f"{eid} holds several states: {held}")
-        if group.initial is not None and not held:
-            raise InvariantViolation(f"{eid} lost its state fact")
+        _check_state_group(world, state, eid)
     if carried_changed:
-        carried = {f.args[0] for f in state.facts
-                   if f.predicate == "in" and f.args[1] == INVENTORY}
-        if carried != set(state.inventory):
-            raise InvariantViolation("inventory does not mirror in(_, inventory)")
-        if state.inventory_limit is not None and len(carried) > state.inventory_limit:
-            raise InvariantViolation("inventory over limit")
+        _check_inventory(state)
+
+
+def _check_state_group(world: WorldDef, state: WorldState, eid: str) -> None:
+    """The entity holds at most one state of its group (containers: exactly
+    one of open/closed), and one if the group has an initial state."""
+    group = world.state_groups[eid]
+    held = [s for s in group.states if Fact(s, (eid,)) in state.facts]
+    if len(held) > 1:
+        raise InvariantViolation(f"{eid} holds several states: {held}")
+    if group.initial is not None and not held:
+        raise InvariantViolation(f"{eid} lost its state fact")
+
+
+def _check_inventory(state: WorldState) -> None:
+    """The inventory mirrors the in(_, inventory) facts, within the limit."""
+    carried = {f.args[0] for f in state.facts
+               if f.predicate == "in" and f.args[1] == INVENTORY}
+    if carried != set(state.inventory):
+        raise InvariantViolation("inventory does not mirror in(_, inventory)")
+    if state.inventory_limit is not None and len(carried) > state.inventory_limit:
+        raise InvariantViolation("inventory over limit")
 
 
 def connections_of(state: WorldState, room: str) -> list[str]:
@@ -477,14 +469,6 @@ def state_to_json(state: WorldState) -> dict:
         "inventory": list(state.inventory),
         "inventory_limit": state.inventory_limit,
     }
-
-
-def state_from_json(world: WorldDef, data: dict) -> WorldState:
-    facts = [parse_fact(s) for s in data["facts"]]
-    state = WorldState(frozenset(facts), data["player_room"],
-                       tuple(data["inventory"]), data.get("inventory_limit"))
-    validate_state(world, state)
-    return state
 
 
 @cache

@@ -1,18 +1,22 @@
 """Independent test oracles: a per-fact visibility filter, the uncompiled
 precondition and effect code, the planner's search with every state checked,
-and a raw-string brute-force optimal search driven through the public
-interpreter, plus a builder for handcrafted micro instances and criterion 4's
-corpus of them."""
+the planner's candidates without its pruning, and a raw-string brute-force
+optimal search driven through the public interpreter; plus helpers: a
+builder for handcrafted micro instances, criterion 4's corpus of them, and a
+lexicon swap for generated instances."""
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from itertools import product
 
-from ifbench import Engine, Instance
+import ifbench.planner as planner
+from ifbench import Engine, Instance, generate_preexploration
+from ifbench.generate import _finalize_prompt, _standard_extras
 from ifbench.grammar import ActionDef, GroundedAction, Lexicon, staple_verbs
-from ifbench.planner import (DEFAULT_BUDGET, PlanResult, SearchBudgetExceeded,
-                             Unsolvable, _candidates, _moves_by_room)
+from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
+                             _candidates, _groundings, _moves_by_room)
 from ifbench.world import (INVENTORY, PLAYER, EntityDef, GoalCondition,
                            RoomDef, StateGroup, StateView, WorldDef,
                            WorldState, Fact, apply_delta, fact, parse_fact,
@@ -183,11 +187,20 @@ def _reference_resolve(name: str, grounded: GroundedAction) -> str:
 # built by the checked `apply_delta` and keyed by its fact set
 
 
-def reference_solve(instance: Instance, budget: int = DEFAULT_BUDGET,
-                    prune: bool = True) -> tuple[PlanResult, list[WorldState]]:
+def unpruned_candidates(instance: Instance) -> list[GroundedAction]:
+    """The planner's candidates without its pruning: every grounding of
+    every action that changes facts, in (verb, bindings) order."""
+    out = [grounded for action in instance.actions
+           if action.removes or action.adds
+           for grounded in _groundings(instance.world, action)]
+    return sorted(out, key=lambda grounded: (grounded.action, grounded.bindings))
+
+
+def reference_solve(instance: Instance, candidates=None
+                    ) -> tuple[PlanResult, list[WorldState]]:
     """`solve_optimal`'s breadth-first search as it was before it kept bare
-    states, with the same candidates in the same order. Returns the plan and
-    the states the search expanded, in order."""
+    states, over `candidates` (by default the planner's own, in the same
+    order). Returns the plan and the states the search expanded, in order."""
     engine = Engine(instance)
     world = engine.world
     goal_facts = frozenset(g.fact for g in instance.goals)
@@ -196,8 +209,9 @@ def reference_solve(instance: Instance, budget: int = DEFAULT_BUDGET,
     if goal_facts <= start.facts:
         return PlanResult((done,), 1, 0), []
 
-    by_room = _moves_by_room(engine, start,
-                             _candidates(engine, instance, prune))
+    if candidates is None:
+        candidates = _candidates(engine, instance)
+    by_room = _moves_by_room(engine, start, candidates)
     parents: dict[frozenset, tuple[frozenset, GroundedAction] | None] = {
         start.facts: None}
     queue: deque[WorldState] = deque([start])
@@ -205,8 +219,9 @@ def reference_solve(instance: Instance, budget: int = DEFAULT_BUDGET,
     while queue:
         state = queue.popleft()
         expanded.append(state)
-        if len(expanded) > budget:
-            raise SearchBudgetExceeded(f"expanded more than {budget} states")
+        if len(expanded) > planner.DEFAULT_BUDGET:
+            raise SearchBudgetExceeded(
+                f"expanded more than {planner.DEFAULT_BUDGET} states")
         view = StateView(state)
         for step, tests in by_room[state.player_room]:
             for holds in tests:
@@ -383,3 +398,14 @@ def micro_corpus() -> list[Instance]:
                             inventory_limit=limit,
                             instance_id=f"micro-{len(corpus):02d}"))
     return corpus
+
+
+def apply_lexicon(inst: Instance, lexicon: Lexicon) -> Instance:
+    """Substitute an arbitrary lexicon onto a generated instance (prompt
+    re-rendered, optimal plan unchanged by construction). Pre-exploration
+    pairs are re-simulated so their surface forms match the new vocabulary."""
+    new = replace(inst, lexicon=lexicon, preexploration=None)
+    new.prompt = _finalize_prompt(new, _standard_extras(new))
+    if inst.preexploration:
+        new = generate_preexploration(new)
+    return new

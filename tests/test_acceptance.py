@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ifbench import (Engine, Episode, EpisodeSummary, ScriptedAgent,
-                     aggregate, apply_lexicon, clemscore, combine_clemscore,
+                     aggregate, clemscore, combine_clemscore,
                      load_standard_actions, run_episode, solve_optimal)
 import ifbench.cli
 from ifbench.cli import main
@@ -19,7 +19,8 @@ from ifbench.grammar import Lexicon
 from ifbench.metrics import macro_gsr, paper_pct
 from ifbench.pseudowords import PseudowordMaker
 from ifbench.world import validate_state
-from oracles import brute_force_optimal, micro_corpus, micro_instance
+from oracles import (apply_lexicon, brute_force_optimal, micro_corpus,
+                     micro_instance, reference_solve, unpruned_candidates)
 
 # SHA-256 of the scored outputs of `generate --seed 17`, `run --agent
 # scripted` and `report` (turns.csv holds the scripted rows only). A change
@@ -116,7 +117,7 @@ def test_criterion_4_planner_equivalence():
     assert len(corpus) >= 50
     for inst in corpus:
         pruned = solve_optimal(inst).length
-        unpruned = solve_optimal(inst, prune=False).length
+        unpruned = reference_solve(inst, unpruned_candidates(inst))[0].length
         brute = brute_force_optimal(inst)
         assert pruned == unpruned == brute, inst.id
     assert time.perf_counter() - started < 300.0
@@ -212,7 +213,6 @@ def test_criterion_7_interaction_fuzz(bench144):
             validate_state(engine.world, episode.state)
             if record.phase_outcome != "format-fail":
                 assert record.feedback  # non-empty on every non-aborting turn
-                assert record.observation.text == record.feedback
             if record.phase_outcome != "success":
                 assert episode.state == before
                 assert not record.removes and not record.adds

@@ -8,14 +8,14 @@ import pytest
 
 import ifbench.generate
 import ifbench.instance
-from ifbench import (TURN_LIMIT, Engine, PlanResult, Unsolvable, apply_lexicon,
+from ifbench import (TURN_LIMIT, Engine, PlanResult, Unsolvable,
                      fact, generate_basic, generate_family,
                      generate_preexploration, instance_to_dot, load_instances,
                      save_instances, solve_optimal)
 from ifbench.generate import FAMILIES, INVENTORY_LIMIT, catalogue_vocabulary
 from ifbench.grammar import GroundedAction, Lexicon
 from ifbench.pseudowords import PseudowordMaker, load_english_words
-from oracles import micro_instance
+from oracles import apply_lexicon, micro_instance
 
 WORD_RE = re.compile(r"^[a-z]{4,8}$")
 
@@ -217,8 +217,9 @@ def test_limited_plan_over_turn_limit_is_resampled(monkeypatch):
 
 def test_delivery_instance_builds_one_parser_and_start_state(monkeypatch):
     """The generator solves a delivery instance before it renders the prompt,
-    so the search and the prompt share the instance's cached parser and
-    start state: one of each per instance."""
+    and sets the prompt and the plan on the instance it solved, so the
+    search, the prompt and a pre-exploration walk share the instance's
+    cached parser and start state: one of each per instance."""
     built = {"parsers": 0, "start states": 0}
     build_parser, initial_state = (ifbench.instance.build_parser,
                                    ifbench.instance.initial_state)
@@ -233,8 +234,10 @@ def test_delivery_instance_builds_one_parser_and_start_state(monkeypatch):
 
     monkeypatch.setattr(ifbench.instance, "build_parser", counting_parser)
     monkeypatch.setattr(ifbench.instance, "initial_state", counting_start)
-    assert len(generate_family(17, "basic-easy", 4)) == 4
-    assert built == {"parsers": 4, "start states": 4}
+    for family in ("basic-easy", "preexplore-easy"):
+        built.update({"parsers": 0, "start states": 0})
+        assert len(generate_family(17, family, 4)) == 4
+        assert built == {"parsers": 4, "start states": 4}, family
 
 
 def test_preexploration_walks(bench144):
@@ -250,15 +253,16 @@ def test_preexploration_walks(bench144):
                 assert record.phase_outcome == "success"
                 assert record.feedback == feedback
                 walked.append(state.player_room)
-            assert walked[-1] == inst.start_room
+            start_room = inst.start_state().player_room
+            assert walked[-1] == start_room
             # the walk covers every goal-relevant room
             rooms = _receptacle_rooms(inst)
             for goal in inst.goals:
                 loc = _item_location(inst, goal.fact.args[0])
                 item_room = (loc.args[1] if loc.predicate == "at"
                              else rooms[loc.args[1]])
-                assert item_room in set(walked) | {inst.start_room}
-                assert rooms[goal.fact.args[1]] in set(walked) | {inst.start_room}
+                assert item_room in set(walked) | {start_room}
+                assert rooms[goal.fact.args[1]] in set(walked) | {start_room}
 
 
 def test_preexploration_padding_minimum():
@@ -567,6 +571,49 @@ def test_invalid_plan_names_file_instance_and_field(tmp_path, bench144, field,
     message = str(err.value)
     assert str(path) in message
     assert "instance 1 (basic-easy-01)" in message
+    assert named in message
+
+
+def _set_field(field, value):
+    """Set a field of the second instance to `value(row)`."""
+    def mutate(payload):
+        row = payload["instances"][1]
+        row[field] = value(row)
+        return payload
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (None, "not valid JSON ("),
+    (lambda payload: [payload], "the top level is not a JSON object"),
+    (lambda payload: {**payload, "instances": [payload["instances"][0], 5]},
+     "instance 1 is not a JSON object"),
+    (_set_field("initial_facts", lambda row: row["initial_facts"] + [5]),
+     "instance 1 (basic-easy-01): field 'initial_facts': not a fact string: 5"),
+    (_set_field("goals", lambda row: [{"kind": "placement", "fact": 5}]),
+     "instance 1 (basic-easy-01): field 'goals': not a fact string: 5"),
+    (_set_field("lexicon", lambda row: "nouns"),
+     "instance 1 (basic-easy-01): field 'lexicon': "),
+    (_set_field("entities", lambda row: [
+        {**row["entities"][0], "traits": "takeable"}] + row["entities"][1:]),
+     "instance 1 (basic-easy-01): field 'entities': "
+     "'takeable' is not a list of strings"),
+], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
+        "goal-not-string", "lexicon-not-object", "traits-string"])
+def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
+                                                      mutate, named):
+    """Malformed JSON, or a value of the wrong JSON type, is a ValueError
+    that names the file and, below the top level, the instance and the
+    field; a string where a list of strings belongs is not split."""
+    path = tmp_path / "broken.json"
+    save_instances(bench144["basic-easy"][:2], path, base_seed=17)
+    text = path.read_text()
+    path.write_text(text[:-10] if mutate is None
+                    else json.dumps(mutate(json.loads(text))))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: ")
     assert named in message
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from ifbench import (EmptyInput, EpisodeSummary, ScriptedAgent, aggregate,
                      clemscore, combine_clemscore,
-                     goal_success_rate, label_action, load_standard_actions,
+                     goal_success_rate, load_standard_actions,
                      run_episode, solve_optimal)
 from ifbench.metrics import macro_gsr, paper_pct, scores_to_csv, scores_to_json
 from oracles import micro_instance
@@ -135,16 +135,16 @@ def test_label_action_flags():
         facts=["at(player,kitchen)", "at(cupboard,kitchen)",
                "closed(cupboard)", "at(apple,kitchen)"],
         goals=["in(apple,cupboard)"])
+    # examine: epistemic only; open: both; close and done: pragmatic only;
+    # the unknown verb is not grounded and counts in neither
     record = run_episode(inst, ScriptedAgent(
-        ["> examine apple", "> open cupboard", "> close cupboard", "> done"]))
-    labels = [label_action(t, ACTIONS) for t in record.turns]
-    assert labels[0] == {"epistemic": True, "pragmatic": False,
-                         "epistemic_gain": labels[0]["epistemic_gain"]}
-    assert labels[1]["epistemic"] and labels[1]["pragmatic"]
-    assert not labels[2]["epistemic"] and labels[2]["pragmatic"]
-    with pytest.raises(ValueError):
-        label_action(run_episode(inst, ScriptedAgent(["nope"])).turns[-1],
-                     ACTIONS)
+        ["> examine apple", "> open cupboard", "> close cupboard", "> dance",
+         "> done"]))
+    assert [t.grounded is not None for t in record.turns] == [
+        True, True, True, False, True]
+    assert (record.grounded_turns, record.epistemic_turns,
+            record.pragmatic_turns) == (4, 2, 3)
+    assert EpisodeSummary.from_record(record).epistemic_turns == 2
 
 
 def test_table_flags_catalogue():

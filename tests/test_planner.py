@@ -10,7 +10,7 @@ from ifbench.grammar import ActionDef, ActionFlags, GroundedAction, Param
 from ifbench.world import INVENTORY, InvariantViolation, StateView, successor
 from oracles import (brute_force_optimal, micro_corpus, micro_instance,
                      reference_effects, reference_preconditions,
-                     reference_solve)
+                     reference_solve, unpruned_candidates)
 
 
 def one_room():
@@ -82,10 +82,13 @@ def test_examine_and_look_never_in_plans(bench144):
             assert not verbs & {"examine", "look"}
 
 
+def unpruned_length(inst) -> int:
+    return reference_solve(inst, unpruned_candidates(inst))[0].length
+
+
 def test_pruned_equals_unpruned():
     for inst in (one_room(), hidden_apple()):
-        assert (solve_optimal(inst, prune=True).length
-                == solve_optimal(inst, prune=False).length)
+        assert solve_optimal(inst).length == unpruned_length(inst)
 
 
 def test_inventory_limit_monotonicity():
@@ -113,9 +116,10 @@ def test_zero_limit_unsolvable():
         solve_optimal(inst)
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(planner, "DEFAULT_BUDGET", 1)
     with pytest.raises(SearchBudgetExceeded):
-        solve_optimal(hidden_apple(), budget=1)
+        solve_optimal(hidden_apple())
 
 
 def test_close_needed_for_closed_goal():
@@ -129,7 +133,7 @@ def test_close_needed_for_closed_goal():
         goals=["in(apple,cupboard)", "closed(cupboard)"])
     # open, take, put in, close again, done
     assert solve_optimal(inst).length == 5
-    assert solve_optimal(inst, prune=False).length == 5
+    assert unpruned_length(inst) == 5
     assert brute_force_optimal(inst) == 5
 
 
@@ -202,7 +206,7 @@ def test_compiled_steps_match_reference(bench144, oracle_records,
             start = inst.start_state()
             states = _episode_states(inst, start, records)
             engine = Engine(inst)
-            candidates = planner._candidates(engine, inst, prune=False)
+            candidates = unpruned_candidates(inst)
             by_room = planner._moves_by_room(engine, start, candidates)
             compiled = [(engine.step(g), engine.actions[g.action], g)
                         for g in candidates]
@@ -255,18 +259,22 @@ SEED17_STATES_EXPANDED = {
 }
 
 
-def _matches_reference(inst, prune: bool = True) -> int:
+def _matches_reference(inst, candidates=None) -> int:
     """Assert that `solve_optimal` returns the plan and expansion count of
-    the search that checks every state, and that on every (state, step)
-    pair that search generates the unchecked successor equals
+    the search that checks every state (over the same candidates, or only
+    the same plan length over other `candidates`), and that on every
+    (state, step) pair that search generates the unchecked successor equals
     `apply_delta`'s result. Returns the states expanded."""
-    result = solve_optimal(inst, prune=prune)
-    reference, expanded = reference_solve(inst, prune=prune)
-    assert result == reference, inst.id
+    result = solve_optimal(inst)
+    reference, expanded = reference_solve(inst, candidates)
+    if candidates is None:
+        assert result == reference, inst.id
+    assert result.length == reference.length, inst.id
     assert len(expanded) == reference.states_expanded, inst.id
     engine = Engine(inst)
     by_room = planner._moves_by_room(
-        engine, inst.start_state(), planner._candidates(engine, inst, prune))
+        engine, inst.start_state(),
+        candidates or planner._candidates(engine, inst))
     for state in expanded:
         view = StateView(state)
         for step, tests in by_room[state.player_room]:
@@ -282,14 +290,15 @@ def test_bare_search_matches_reference(bench144):
     """The search keeps bare states and keys them by fact bits; the
     reference builds each new state with the checked `apply_delta` and keys
     it by its fact set. Both agree on every seed-17 search and on criterion
-    4's micro corpus, pruned and unpruned."""
+    4's micro corpus. Over the unpruned candidates, the reference finds a
+    plan of the same length."""
     expanded = {family: sum(_matches_reference(inst) for inst in instances)
                 for family, instances in bench144.items()}
     assert expanded == SEED17_STATES_EXPANDED
     assert sum(expanded.values()) == 27_253
     for inst in micro_corpus():
-        for prune in (True, False):
-            _matches_reference(inst, prune)
+        _matches_reference(inst)
+        _matches_reference(inst, unpruned_candidates(inst))
 
 
 def test_replay_rejects_a_wrong_plan():

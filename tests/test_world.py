@@ -10,8 +10,7 @@ from ifbench.grammar import GroundedAction
 from ifbench.interpreter import Engine
 from ifbench.world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
                            GoalCondition, StateGroup, StateView, WorldState,
-                           state_from_json, state_to_json, validate_state,
-                           visible_entities)
+                           state_to_json, validate_state, visible_entities)
 from oracles import micro_instance, reference_visible
 
 
@@ -163,6 +162,15 @@ def test_check_goals_all_and_none(kitchen):
     assert check_goals(state, done) == done
     assert check_goals(state, {GoalCondition(
         "placement", parse_fact("on(sandwich,table)"))}) == set()
+
+
+def state_from_json(world, data: dict) -> WorldState:
+    """Inverse of `state_to_json`, validated."""
+    state = WorldState(frozenset(parse_fact(s) for s in data["facts"]),
+                       data["player_room"], tuple(data["inventory"]),
+                       data.get("inventory_limit"))
+    validate_state(world, state)
+    return state
 
 
 def test_state_json_roundtrip(kitchen):
