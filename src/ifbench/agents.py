@@ -258,26 +258,61 @@ def transcript_to_messages(transcript: Transcript) -> list[dict]:
     return [{"role": roles[role], "content": text} for role, text in transcript]
 
 
+# the longest wait a Retry-After header may ask for, in seconds
+RETRY_AFTER_MAX = 60.0
+
+
+def _retry_after(value: str | None) -> float | None:
+    """A Retry-After header given in delta-seconds (RFC 9110 10.2.3),
+    capped at RETRY_AFTER_MAX; None when absent or in any other form."""
+    value = (value or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), RETRY_AFTER_MAX)
+
+
 def _retryable(status: int | None, error: Exception) -> bool:
     """Whether a failed attempt may pass on another try."""
-    import requests
-    if status is None:
-        return isinstance(error, (requests.Timeout, requests.ConnectionError))
+    import http.client
+    if status is None:  # no reply: transport failures only, not a bad URL
+        return (isinstance(error, (OSError, http.client.HTTPException))
+                and not isinstance(error, http.client.InvalidURL))
     return status < 400 or status in (408, 429) or status >= 500
+
+
+def _reply_text(data) -> str:
+    """The first choice's message content of a chat-completion body."""
+    try:
+        message = data["choices"][0]["message"]
+    except (KeyError, IndexError, TypeError):
+        raise MalformedResponse("no choices in response") from None
+    text = message.get("content") if isinstance(message, dict) else None
+    if not isinstance(text, str):
+        raise MalformedResponse("no message content")
+    return text
 
 
 def llm_chat(config: LlmConfig, transcript: Transcript,
              log: list | None = None) -> str:
-    """One chat-completion round trip with bounded retries.
+    """One chat-completion round trip with bounded retries, over one new
+    connection per attempt (standard library HTTP client).
 
     Timeouts, connection errors, malformed bodies and HTTP 408, 429 and 5xx
-    are each retried up to config.retries times; any other HTTP error (401,
-    404, ...) is not. A failure that is not retried surfaces as
-    AgentUnavailable.
+    are each retried up to config.retries times, after config.backoff times
+    the attempt number, or after a 429's or 503's Retry-After seconds; any
+    other HTTP error (401, 404, ...) and a malformed endpoint URL are not.
+    A failure that is not retried surfaces as AgentUnavailable.
     """
-    import requests  # here, not at the top: only the llm agent needs it
+    # here, not at the top: only the llm agent needs them
+    import http.client
+    import json
+    import urllib.error
+    import urllib.request
+
+    from . import __version__
     url = config.endpoint.rstrip("/") + "/chat/completions"
-    headers = {"Content-Type": "application/json"}
+    headers = {"Content-Type": "application/json",
+               "User-Agent": f"ifbench/{__version__}"}
     for var in API_KEY_VARS:
         if os.environ.get(var):
             headers["Authorization"] = f"Bearer {os.environ[var]}"
@@ -291,24 +326,31 @@ def llm_chat(config: LlmConfig, transcript: Transcript,
     last_error = None
     for attempt in range(config.retries + 1):
         entry = {"attempt": attempt + 1, "model": config.model}
+        delay = config.backoff * (attempt + 1)
         try:
-            response = requests.post(url, json=body, headers=headers,
-                                     timeout=config.timeout)
-            entry["status"] = response.status_code
-            if response.status_code >= 400:
-                raise MalformedResponse(f"HTTP {response.status_code}")
-            data = response.json()
-            choices = data.get("choices") or []
-            if not choices or "message" not in choices[0]:
-                raise MalformedResponse("no choices in response")
-            text = choices[0]["message"].get("content")
-            if not isinstance(text, str):
-                raise MalformedResponse("no message content")
+            data = json.dumps(body, allow_nan=False).encode("utf-8")
+            request = urllib.request.Request(url, data=data, headers=headers)
+            if request.type not in ("http", "https") or not request.host:
+                raise ValueError(f"not an http(s) URL with a host: {url!r}")
+            try:
+                with urllib.request.urlopen(request,
+                                            timeout=config.timeout) as response:
+                    entry["status"] = response.status
+                    raw = response.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                entry["status"] = exc.code
+                after = _retry_after(exc.headers.get("Retry-After"))
+                if exc.code in (429, 503) and after is not None:
+                    delay = after
+                raise MalformedResponse(f"HTTP {exc.code}") from None
+            text = _reply_text(json.loads(raw))
             entry["response"] = text
             if log is not None:
                 log.append(entry)
             return text
-        except (requests.RequestException, MalformedResponse, ValueError) as exc:
+        except (OSError, http.client.HTTPException, MalformedResponse,
+                ValueError) as exc:
             entry["error"] = str(exc)
             if log is not None:
                 log.append(entry)
@@ -316,5 +358,5 @@ def llm_chat(config: LlmConfig, transcript: Transcript,
             if not _retryable(entry.get("status"), exc):
                 break
             if attempt < config.retries:
-                time.sleep(config.backoff * (attempt + 1))
+                time.sleep(delay)
     raise AgentUnavailable(str(last_error)) from last_error

@@ -357,15 +357,15 @@ def fits_trait(world: WorldDef, ident: str, trait: str) -> bool:
     both grounding a command and listing the planner's candidates."""
     if trait == "room":
         return ident in world.rooms
+    if trait == "location":
+        return (ident in world.rooms or world.is_container(ident)
+                or world.is_support(ident))
     if ident in world.rooms:
         return False
     if trait == "thing":
         return ident in world.entities or ident == INVENTORY
     if trait == "receptacle":
         return world.is_container(ident) or world.is_support(ident)
-    if trait == "location":
-        return (world.is_container(ident) or world.is_support(ident)
-                or ident in world.rooms)
     return world.has_trait(ident, trait)
 
 

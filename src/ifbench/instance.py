@@ -143,7 +143,7 @@ class Instance:
                 parse_fact(s) for s in facts)),
             goals=read("goals", lambda rows: tuple(
                 GoalCondition(g["kind"], parse_fact(g["fact"])) for g in rows)),
-            inventory_limit=data["inventory_limit"],
+            inventory_limit=read("inventory_limit", _limit),
             lexicon=read("lexicon", lambda lex: (
                 Lexicon.from_json(lex) if lex else None), optional=True),
             base_verbs=read("base_verbs", _strings),
@@ -169,9 +169,17 @@ def _strings(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _limit(value) -> int | None:
+    """A JSON inventory limit: null or a positive integer, not a bool."""
+    if value is not None and not (type(value) is int and value > 0):
+        raise ValueError(f"{value!r} is not null or a positive integer")
+    return value
+
+
 def _check_plan(instance: Instance, optimal_length) -> None:
     """Raise ValueError unless the stored plan ends in `done`, uses only the
-    instance's verbs, parameters and ids, and has `optimal_length` steps."""
+    instance's verbs, parameters and ids, binds each required parameter of a
+    step's verb exactly once and has `optimal_length` steps."""
     plan = instance.optimal_plan
     if not plan or plan[-1].action != "done":
         raise ValueError("optimal_plan is missing, empty or does not end in done")
@@ -184,6 +192,12 @@ def _check_plan(instance: Instance, optimal_length) -> None:
                 for name, ident in step.bindings):
             raise ValueError(f"optimal_plan step {n} names a verb, parameter "
                              f"or id the instance lacks: {step}")
+        names = [name for name, _ in step.bindings]
+        if len(set(names)) < len(names) or any(
+                not p.optional and p.name not in names for p in action.params):
+            raise ValueError(f"optimal_plan step {n} does not bind each "
+                             f"required parameter of {step.action} exactly "
+                             f"once: {step}")
     if instance.optimal_length != optimal_length:
         raise ValueError(f"optimal_plan has {instance.optimal_length} steps, "
                          f"optimal_length is {optimal_length}")

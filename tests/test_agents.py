@@ -1,10 +1,14 @@
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
-import requests
 
+import ifbench
+from ifbench import agents
 from ifbench import (AgentUnavailable, Engine, GroundedAction, HeuristicAgent,
                      HumanAgent, LlmAgent, LlmConfig, MalformedResponse,
                      ScriptedAgent, llm_chat, run_episode, solve_optimal,
@@ -15,10 +19,15 @@ from oracles import micro_instance
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
-        self.server.requests.append({"path": self.path, "body": body})
-        kind, payload = self.server.script[min(len(self.server.requests) - 1,
+        sent = self.rfile.read(length)
+        self.server.received.append({"path": self.path, "raw": sent,
+                                     "body": json.loads(sent),
+                                     "headers": self.headers})
+        kind, payload = self.server.script[min(len(self.server.received) - 1,
                                                len(self.server.script) - 1)]
+        if kind == "stall":  # no reply for `payload` seconds, then hang up
+            time.sleep(payload)
+            return
         if kind == "ok":
             data = {"choices": [{"message": {"role": "assistant",
                                              "content": payload}}]}
@@ -30,9 +39,14 @@ class _StubHandler(BaseHTTPRequestHandler):
         elif kind == "garbage":
             raw = b"not json at all"
             self.send_response(200)
-        else:
+        elif kind == "list":
+            raw = b"[]"
+            self.send_response(200)
+        else:  # an HTTP status, with `payload` as its Retry-After if given
             raw = b"{}"
             self.send_response(int(kind))
+            if payload is not None:
+                self.send_header("Retry-After", payload)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
@@ -45,19 +59,21 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.requests = []
+    server.received = []
     server.script = [("ok", "> look")]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def _config(server, **kwargs):
     port = server.server_address[1]
     return LlmConfig(endpoint=f"http://127.0.0.1:{port}/v1",
                      model="stub-model", retries=kwargs.pop("retries", 2),
-                     backoff=0.01, **kwargs)
+                     backoff=kwargs.pop("backoff", 0.01), **kwargs)
 
 
 TRANSCRIPT = (("environment", "You are playing."),
@@ -76,8 +92,8 @@ def test_llm_chat_request_shape(stub_server):
     stub_server.script = [("ok", "> take plate")]
     text = llm_chat(_config(stub_server), TRANSCRIPT)
     assert text == "> take plate"
-    assert len(stub_server.requests) == 1
-    request = stub_server.requests[0]
+    assert len(stub_server.received) == 1
+    request = stub_server.received[0]
     assert request["path"].endswith("/chat/completions")
     assert request["body"]["model"] == "stub-model"
     assert request["body"]["temperature"] == 0.0
@@ -100,42 +116,113 @@ def test_llm_chat_retries_then_succeeds(stub_server):
     assert "error" in log[0] and log[1]["response"] == "> go hallway"
 
 
-def test_llm_chat_timeout_then_success(monkeypatch):
-    calls = []
-
-    class FakeResponse:
-        status_code = 200
-
-        @staticmethod
-        def json():
-            return {"choices": [{"message": {"content": "> done"}}]}
-
-    def fake_post(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            raise requests.Timeout("deadline")
-        return FakeResponse()
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    config = LlmConfig(endpoint="http://example.invalid/v1", model="m",
-                       retries=1, backoff=0.0)
+def test_llm_chat_timeout_then_success(stub_server):
+    stub_server.script = [("stall", 1.0), ("ok", "> done")]
     log = []
-    assert llm_chat(config, TRANSCRIPT, log=log) == "> done"
+    text = llm_chat(_config(stub_server, retries=1, timeout=0.2), TRANSCRIPT,
+                    log=log)
+    assert text == "> done"
+    assert len(stub_server.received) == 2
     assert len(log) == 2
+    assert "status" not in log[0] and "timed out" in log[0]["error"]
+    assert log[1] == {"attempt": 2, "model": "stub-model", "status": 200,
+                      "response": "> done"}
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_llm_chat_connection_refused_is_retried():
+    config = LlmConfig(endpoint=f"http://127.0.0.1:{_closed_port()}/v1",
+                       model="m", retries=1, backoff=0.0)
+    log = []
+    with pytest.raises(AgentUnavailable):
+        llm_chat(config, TRANSCRIPT, log=log)
+    assert [sorted(entry) for entry in log] == [["attempt", "error", "model"]] * 2
+
+
+@pytest.mark.parametrize("endpoint", [
+    "not a url", "ftp://127.0.0.1/v1", "http:///v1", "http://127.0.0.1:port/v1"])
+def test_llm_chat_malformed_url_not_retried(endpoint):
+    log = []
+    with pytest.raises(AgentUnavailable):
+        llm_chat(LlmConfig(endpoint=endpoint, model="m", backoff=0.0),
+                 TRANSCRIPT, log=log)
+    assert len(log) == 1 and "status" not in log[0]
+
+
+def test_llm_chat_request_bytes_and_headers(stub_server, monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "openai-key")
+    monkeypatch.setenv("IFBENCH_API_KEY", "ifbench-key")
+    transcript = TRANSCRIPT + (("agent", "> take café"),)
+    llm_chat(_config(stub_server), transcript)
+    monkeypatch.delenv("IFBENCH_API_KEY")
+    llm_chat(_config(stub_server), transcript)
+    body = {"model": "stub-model",
+            "messages": transcript_to_messages(transcript),
+            "temperature": 0.0, "max_tokens": 128}
+    first, second = stub_server.received
+    assert first["raw"] == json.dumps(body, allow_nan=False).encode("utf-8")
+    assert first["headers"]["Content-Type"] == "application/json"
+    assert first["headers"]["User-Agent"] == f"ifbench/{ifbench.__version__}"
+    assert first["headers"]["Authorization"] == "Bearer ifbench-key"
+    assert second["headers"]["Authorization"] == "Bearer openai-key"
+
+
+@pytest.mark.parametrize("kind", ["garbage", "list"])
+def test_llm_chat_malformed_body_is_retried(stub_server, kind):
+    stub_server.script = [(kind, None), ("ok", "> look")]
+    log = []
+    assert llm_chat(_config(stub_server), TRANSCRIPT, log=log) == "> look"
+    assert log[0]["status"] == 200 and "error" in log[0]
+    assert len(log) == 2
+
+
+def test_llm_chat_honours_retry_after(stub_server):
+    stub_server.script = [("429", "0"), ("ok", "> look")]
+    log = []
+    start = time.monotonic()
+    text = llm_chat(_config(stub_server, backoff=30), TRANSCRIPT, log=log)
+    assert time.monotonic() - start < 10
+    assert text == "> look"
+    assert [entry["status"] for entry in log] == [429, 200]
+
+
+def test_llm_chat_caps_retry_after(stub_server, monkeypatch):
+    monkeypatch.setattr(agents, "RETRY_AFTER_MAX", 0.01)
+    stub_server.script = [("503", "86400"), ("ok", "> look")]
+    start = time.monotonic()
+    assert llm_chat(_config(stub_server, backoff=30), TRANSCRIPT) == "> look"
+    assert time.monotonic() - start < 10
+
+
+@pytest.mark.parametrize("status, header, wait", [
+    ("429", "2", 2.0), ("503", " 7 ", 7.0),
+    ("429", "Wed, 21 Oct 2015 07:28:00 GMT", 30.0), ("429", "-1", 30.0),
+    ("429", "1.5", 30.0), ("429", None, 30.0), ("500", "0", 30.0)])
+def test_llm_chat_retry_wait(stub_server, monkeypatch, status, header, wait):
+    waits = []
+    monkeypatch.setattr(agents, "time", SimpleNamespace(sleep=waits.append))
+    stub_server.script = [(status, header), ("ok", "> look")]
+    assert llm_chat(_config(stub_server, backoff=30), TRANSCRIPT) == "> look"
+    assert waits == [wait]
 
 
 def test_llm_chat_exhausted_retries(stub_server):
     stub_server.script = [("500", None)]
     with pytest.raises(AgentUnavailable):
         llm_chat(_config(stub_server, retries=1), TRANSCRIPT)
-    assert len(stub_server.requests) == 2
+    assert len(stub_server.received) == 2
 
 
 def test_llm_chat_client_error_not_retried(stub_server):
     stub_server.script = [("404", None)]
     with pytest.raises(AgentUnavailable):
         llm_chat(_config(stub_server, retries=2), TRANSCRIPT)
-    assert len(stub_server.requests) == 1
+    assert len(stub_server.received) == 1
 
 
 def test_llm_config_validation():
@@ -170,8 +257,8 @@ def test_llm_agent_full_episode(stub_server):
     agent = LlmAgent(_config(stub_server))
     record = run_episode(inst, agent)
     assert record.outcome == "success"
-    assert record.agent_log  # requests were logged into the episode record
-    first = stub_server.requests[0]["body"]["messages"]
+    assert record.agent_log  # every attempt was logged into the episode record
+    first = stub_server.received[0]["body"]["messages"]
     assert first[0]["role"] == "user"
     assert first[0]["content"] == inst.prompt
 

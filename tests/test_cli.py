@@ -407,8 +407,9 @@ def _imported_with_cli(module: str) -> bool:
     return run.stdout.strip() == "True"
 
 
-def test_cli_import_leaves_requests_out():
-    assert not _imported_with_cli("requests")
+def test_cli_import_leaves_urllib_request_out():
+    # only the llm agent speaks HTTP, and it imports the client itself
+    assert not _imported_with_cli("urllib.request")
 
 
 def test_cli_import_leaves_numpy_out():

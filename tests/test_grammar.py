@@ -146,6 +146,23 @@ def test_ground_trait_matrix(home):
             assert ok == should, (item, target)
 
 
+def test_ground_take_source_is_a_location(home):
+    # a source may be a room, a container or a support, never an object
+    world = home.world
+    for ident in sorted(world.entities) + sorted(world.rooms):
+        cmd = ParsedCommand("take", ("plate", world.noun_of(ident)), "from")
+        try:
+            grounded = home.parser.ground(cmd, world)
+        except GroundFailure as err:
+            assert err.kind == "trait-mismatch", ident
+            ok = False
+        else:
+            assert grounded.get("source") == ident
+            ok = True
+        assert ok == (ident in world.rooms or world.is_container(ident)
+                      or world.is_support(ident)), ident
+
+
 def test_render_round_trip(home):
     world = home.world
     samples = [GroundedAction("take", (("item", "plate"),)),

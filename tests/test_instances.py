@@ -556,8 +556,15 @@ def test_instance_schema_version_guard(tmp_path):
     ("optimal_length", lambda row: row["optimal_length"] + 1,
      "optimal_plan has 11 steps, optimal_length is 12"),
     ("optimal_plan", lambda row: 5, "'int' object is not iterable"),
+    ("optimal_plan", lambda row: [["take", []]] + row["optimal_plan"][1:],
+     "optimal_plan step 0 does not bind each required parameter of take "
+     "exactly once: GroundedAction(action='take', bindings=())"),
+    ("optimal_plan", lambda row: [
+        [row["optimal_plan"][0][0], row["optimal_plan"][0][1] * 2]]
+        + row["optimal_plan"][1:],
+     "optimal_plan step 0 does not bind each required parameter of"),
 ], ids=["null", "empty", "no-done", "unknown-verb", "unknown-id", "unknown-parameter",
-        "length-mismatch", "not-a-list"])
+        "length-mismatch", "not-a-list", "unbound-parameter", "bound-twice"])
 def test_invalid_plan_names_file_instance_and_field(tmp_path, bench144, field,
                                                     value, named):
     path = tmp_path / "broken.json"
@@ -598,8 +605,18 @@ def _set_field(field, value):
         {**row["entities"][0], "traits": "takeable"}] + row["entities"][1:]),
      "instance 1 (basic-easy-01): field 'entities': "
      "'takeable' is not a list of strings"),
+    (_set_field("inventory_limit", lambda row: True),
+     "instance 1 (basic-easy-01): field 'inventory_limit': "
+     "True is not null or a positive integer"),
+    (_set_field("inventory_limit", lambda row: "2"),
+     "instance 1 (basic-easy-01): field 'inventory_limit': "
+     "'2' is not null or a positive integer"),
+    (_set_field("inventory_limit", lambda row: 0),
+     "instance 1 (basic-easy-01): field 'inventory_limit': "
+     "0 is not null or a positive integer"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
-        "goal-not-string", "lexicon-not-object", "traits-string"])
+        "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
+        "limit-string", "limit-zero"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError

@@ -166,6 +166,22 @@ def test_inventory_limit_blocks_third_take():
     assert state.inventory == ("apple", "peach")
 
 
+def test_take_from_the_room_an_object_lies_in():
+    inst = micro_instance(
+        rooms=["kitchen", "pantry"], connections=[("kitchen", "pantry")],
+        entities=[("apple", "takeable", ["kitchen"])],
+        facts=["at(player,kitchen)", "at(apple,kitchen)"],
+        goals=["in(apple,inventory)"])
+    engine = Engine(inst)
+    state = inst.start_state()
+    _, record = engine.execute(state, "> take apple from pantry")
+    assert record.phase_outcome == "precondition-fail"
+    state, record = engine.execute(state, "> take apple from kitchen")
+    assert record.phase_outcome == "success"
+    assert record.feedback == "You take the apple."
+    assert state.inventory == ("apple",)
+
+
 def test_render_feedback():
     assert render_feedback("You take the {item}.",
                            {"item": "plate"}) == "You take the plate."
