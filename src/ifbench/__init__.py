@@ -14,9 +14,9 @@ from .grammar import (ActionDef, ActionFlags, Lexicon, ParsedCommand,
                       DuplicateVerb, build_parser, load_standard_actions)
 from .instance import (FAMILIES, INSTANCES_PER_FAMILY, Instance,
                        instance_to_dot, load_instances, save_instances)
-from .interpreter import (Engine, Episode, EpisodeRecord, TurnRecord,
-                          FormatViolation, AgentUnavailable, MissingBinding,
-                          render_feedback, run_episode, write_episode,
+from .interpreter import (Engine, Episode, TurnRecord, FormatViolation,
+                          AgentUnavailable, MissingBinding, render_feedback,
+                          run_episode, episode_summary, write_episode,
                           read_episode_summary, TURN_LIMIT)
 from .planner import PlanResult, Unsolvable, SearchBudgetExceeded, solve_optimal
 from .pseudowords import PseudowordMaker, load_english_words

@@ -15,7 +15,7 @@ from pathlib import Path
 from .agents import HeuristicAgent, HumanAgent, LlmAgent, LlmConfig, ScriptedAgent
 from .instance import (FAMILIES, INSTANCES_PER_FAMILY, Instance,
                        instance_to_dot, load_instances, save_instances)
-from .interpreter import TURN_LIMIT, Engine, run_episode, write_episode
+from .interpreter import Engine, episode_summary, run_episode, write_episode
 from .metrics import (EpisodeSummary, ExperimentScores, aggregate,
                       format_grid, format_overview, goal_success_rate,
                       scores_to_csv, scores_to_json)
@@ -115,14 +115,28 @@ def cmd_generate(args) -> int:
 
 
 def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
+    """The instances of a file, or of every ``*.json`` file of a directory;
+    given `families` (as `run` is), only those of `families`. SystemExit
+    naming the instances when two share an id, which names an episode's
+    output files, and, given `families`, when one's family is unknown."""
     p = Path(path)
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
     instances = []
+    where_id: dict[str, str] = {}
     for f in files:
         try:
-            instances.extend(load_instances(f))
+            loaded = load_instances(f)
         except ValueError as exc:
             raise SystemExit(str(exc)) from exc
+        for index, instance in enumerate(loaded):
+            where = f"{f}: instance {index} ({instance.id})"
+            if instance.id in where_id:
+                raise SystemExit(f"{where_id[instance.id]} and {where} "
+                                 "have the same id")
+            where_id[instance.id] = where
+            if families and instance.family not in FAMILIES:
+                raise SystemExit(f"{where}: unknown family {instance.family!r}")
+        instances.extend(loaded)
     if families:
         instances = [i for i in instances if i.family in families]
     if not instances:
@@ -168,11 +182,11 @@ def run_benchmark(args) -> int:
     def play(instance: Instance) -> EpisodeSummary:
         engine = Engine(instance)
         agent = _make_agent(engine, args)
-        record = run_episode(instance, agent, args.turn_limit, engine)
+        episode = run_episode(instance, agent, engine)
         family_dir = agent_dir / instance.family
         family_dir.mkdir(parents=True, exist_ok=True)
-        write_episode(record, family_dir / f"{instance.id}.jsonl")
-        return EpisodeSummary.from_record(record)
+        return EpisodeSummary.from_json(
+            write_episode(episode, family_dir / f"{instance.id}.jsonl"))
 
     if args.agent in ("scripted", "heuristic"):
         by_family: dict[str, list[Instance]] = {}
@@ -228,9 +242,10 @@ def _pick_instance(args) -> Instance:
 
 def cmd_play(args) -> int:
     instance = _pick_instance(args)
-    record = run_episode(instance, HumanAgent(), args.turn_limit)
-    gsr = goal_success_rate(len(record.final_goals_achieved), record.goals_total)
-    print(f"--- {record.outcome} after {len(record.turns)} turns; "
+    summary = episode_summary(run_episode(instance, HumanAgent()))
+    gsr = goal_success_rate(len(summary["goals_achieved"]),
+                            summary["goals_total"])
+    print(f"--- {summary['outcome']} after {summary['turns']} turns; "
           f"goal success rate {gsr:.0f} ---")
     return 0
 
@@ -315,7 +330,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--families", default="all")
     p.add_argument("--parallel", type=_at_least(1), default=1)
-    p.add_argument("--turn-limit", type=_at_least(1), default=TURN_LIMIT)
     p.add_argument("--endpoint")
     p.add_argument("--model")
     p.add_argument("--temperature", type=_at_least(0, float), default=0.0)
@@ -330,7 +344,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True)
     p.add_argument("--id")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--turn-limit", type=_at_least(1), default=TURN_LIMIT)
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("plan", help="print the stored optimal plan of an instance")

@@ -4,6 +4,7 @@ optimal plan, plus their JSON serialization and DOT graph export."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -25,6 +26,7 @@ FAMILIES = (
     "synthetic-easy", "synthetic-medium", "synthetic-hard",
 )
 INSTANCES_PER_FAMILY = 16
+_FILE_TOKEN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
 @dataclass(eq=False)
@@ -124,7 +126,7 @@ class Instance:
                 raise ValueError(f"field {name!r}: {exc}") from exc
 
         return Instance(
-            id=data["id"],
+            id=read("id", _file_token),
             family=data["family"],
             rooms=read("rooms", lambda rows: tuple(
                 RoomDef(r["id"], r["noun"],
@@ -169,6 +171,15 @@ def _strings(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _file_token(value) -> str:
+    """An instance id, which names the files of its episodes and graph:
+    letters, digits and ``_.-``, not starting with ``.``."""
+    if not isinstance(value, str) or not _FILE_TOKEN.fullmatch(value):
+        raise ValueError(f"{value!r} is not letters, digits and _.- "
+                         "that do not start with .")
+    return value
+
+
 def _limit(value) -> int | None:
     """A JSON inventory limit: null or a positive integer, not a bool."""
     if value is not None and not (type(value) is int and value > 0):
@@ -178,14 +189,19 @@ def _limit(value) -> int | None:
 
 def _check_plan(instance: Instance, optimal_length) -> None:
     """Raise ValueError unless the stored plan ends in `done`, uses only the
-    instance's verbs, parameters and ids, binds each required parameter of a
-    step's verb exactly once and has `optimal_length` steps."""
+    instance's verbs, parameters and ids in [param, id] string pairs, binds
+    each required parameter exactly once and has `optimal_length` steps."""
     plan = instance.optimal_plan
     if not plan or plan[-1].action != "done":
         raise ValueError("optimal_plan is missing, empty or does not end in done")
     actions = {a.verb: a for a in instance.actions}
     ids = instance.world.entities.keys() | instance.world.rooms.keys()
     for n, step in enumerate(plan):
+        if not isinstance(step.action, str) or not all(
+                len(binding) == 2 and all(isinstance(x, str) for x in binding)
+                for binding in step.bindings):
+            raise ValueError(f"optimal_plan step {n} is not a verb with "
+                             f"[param, id] pairs of strings: {step}")
         action = actions.get(step.action)
         if action is None or not all(
                 name in {p.name for p in action.params} and ident in ids

@@ -9,7 +9,7 @@ turn limit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
@@ -17,9 +17,8 @@ from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure)
 from .instance import Instance
 from .world import (CONNECTS, INVENTORY, PLAYER, Fact, GoalCondition,
                     StateView, WorldDef, WorldState, apply_delta,
-                    check_goals, connections_of, contents_in, contents_on,
-                    entities_at, fact, load_data, state_facts_of,
-                    state_to_json, visible_entities, visible_facts)
+                    check_goals, connections_of, fact, load_data,
+                    state_facts_of, state_to_json, visible_facts)
 
 TURN_LIMIT = 50
 
@@ -79,22 +78,6 @@ class TurnRecord:
     epistemic_gain: int
 
 
-@dataclass
-class EpisodeRecord:
-    instance_id: str
-    family: str
-    turns: list[TurnRecord]
-    outcome: str
-    final_goals_achieved: frozenset[GoalCondition]
-    final_state: WorldState
-    goals_total: int
-    optimal_length: int | None = None
-    epistemic_turns: int = 0
-    pragmatic_turns: int = 0
-    grounded_turns: int = 0
-    agent_log: list = field(default_factory=list)
-
-
 def _article(noun: str) -> str:
     return "an" if noun[:1] in "aeiou" else "a"
 
@@ -104,6 +87,15 @@ def _join(nouns: list[str]) -> str:
     if len(items) == 1:
         return items[0]
     return ", ".join(items[:-1]) + " and " + items[-1]
+
+
+def _by_holder(view: StateView) -> dict[str, list[str]]:
+    """The entities the player perceives, grouped by what holds them: the
+    room, a support, an open container or the inventory; each group sorted."""
+    held: dict[str, list[str]] = {}
+    for eid, where in sorted(view.perceivable.items()):
+        held.setdefault(where.args[1], []).append(eid)
+    return held
 
 
 # -- compiled steps -----------------------------------------------------------
@@ -308,101 +300,84 @@ class Engine:
         return lex.adjective(state_name) if lex else state_name
 
     # -- descriptions ------------------------------------------------------
+    #
+    # Both read `view.perceivable`: what a description lists is exactly what
+    # the player can perceive, grouped by what holds it.
 
-    def room_description(self, state: WorldState) -> str:
-        msg = self.messages
-        room = state.player_room
-        parts = [render_feedback(msg["room_intro"], {"room": self.surface(room)})]
-        here = entities_at(self.world, state, room)
+    def _say(self, key: str, **bindings) -> str:
+        return render_feedback(self.messages[key], bindings)
+
+    def _names(self, idents) -> str:
+        return _join([self.surface(e) for e in idents])
+
+    def _in_it(self, items: list[str] | None) -> str:
+        """What an open container holds, or that it is empty."""
+        if items:
+            return self._say("container_contents", items=self._names(items))
+        return self.messages["container_empty"]
+
+    def _receptacle(self, eid: str, view: StateView,
+                    held: dict[str, list[str]], examined: bool) -> list[str]:
+        """The sentences about a container (open or closed, and what is in
+        an open one) or a support (what is on it); that one is empty is said
+        only when `examined`."""
+        name, items = self.surface(eid), held.get(eid)
+        if self.world.is_support(eid):
+            if items:
+                return [self._say("support_contents", support=name,
+                                  items=self._names(items))]
+            return [self._say("support_empty", support=name)] if examined else []
+        if fact("open", eid) not in view.facts:
+            return [self._say("container_closed", container=name)]
+        opened = self._say("container_open", container=name)
+        return [opened, self._in_it(items)] if items or examined else [opened]
+
+    def _state_sentence(self, eid: str, state_fact: Fact) -> str:
+        return self._say("state_sentence", entity=self.surface(eid),
+                         state=self.state_surface(state_fact.predicate))
+
+    def room_description(self, view: StateView) -> str:
+        held = _by_holder(view)
+        here = held.get(view.room, [])
+        parts = [self._say("room_intro", room=self.surface(view.room))]
         if here:
-            names = [self.surface(e) for e in here]
-            key = "here_one" if len(names) == 1 else "here_many"
-            parts.append(render_feedback(msg[key], {"items": _join(names)}))
+            parts.append(self._say("here_one" if len(here) == 1 else "here_many",
+                                   items=self._names(here)))
         for eid in here:
-            if self.world.is_container(eid):
-                if fact("open", eid) in state.facts:
-                    parts.append(render_feedback(
-                        msg["container_open"], {"container": self.surface(eid)}))
-                    inside = contents_in(state, eid)
-                    if inside:
-                        parts.append(render_feedback(
-                            msg["container_contents"],
-                            {"items": _join([self.surface(e) for e in inside])}))
-                else:
-                    parts.append(render_feedback(
-                        msg["container_closed"],
-                        {"container": self.surface(eid)}))
-            elif self.world.is_support(eid):
-                on_top = contents_on(state, eid)
-                if on_top:
-                    parts.append(render_feedback(
-                        msg["support_contents"],
-                        {"support": self.surface(eid),
-                         "items": _join([self.surface(e) for e in on_top])}))
-        for eid in visible_entities(self.world, state):
+            if self.world.is_container(eid) or self.world.is_support(eid):
+                parts.extend(self._receptacle(eid, view, held, False))
+        for eid in sorted(view.perceivable):
             if eid in self.world.state_groups:
-                for f in state_facts_of(self.world, state, eid):
+                for f in state_facts_of(self.world, view.state, eid):
                     if f.predicate not in ("open", "closed"):
-                        parts.append(render_feedback(
-                            msg["state_sentence"],
-                            {"entity": self.surface(eid),
-                             "state": self.state_surface(f.predicate)}))
-        exits = connections_of(state, room)
+                        parts.append(self._state_sentence(eid, f))
+        exits = connections_of(view.state, view.room)
         if exits:
-            key = "passage_one" if len(exits) == 1 else "passage_many"
-            parts.append(render_feedback(
-                msg[key], {"rooms": _join([self.surface(r) for r in exits])}))
+            parts.append(self._say(
+                "passage_one" if len(exits) == 1 else "passage_many",
+                rooms=self._names(exits)))
         return " ".join(parts)
 
-    def entity_description(self, state: WorldState, ident: str) -> str:
-        msg = self.messages
+    def entity_description(self, view: StateView, ident: str) -> str:
+        """What examining `ident`, the inventory or an entity the player
+        perceives, says."""
         if ident == INVENTORY:
-            if not state.inventory:
-                return msg["inventory_empty"]
-            names = [self.surface(e) for e in state.inventory]
-            return render_feedback(msg["inventory_contents"],
-                                   {"items": _join(names)})
-        name = self.surface(ident)
-        if self.world.is_container(ident):
-            if fact("open", ident) in state.facts:
-                inside = contents_in(state, ident)
-                tail = (render_feedback(
-                    msg["container_contents"],
-                    {"items": _join([self.surface(e) for e in inside])})
-                    if inside else msg["container_empty"])
-                return render_feedback(msg["container_open"],
-                                       {"container": name}) + " " + tail
-            return render_feedback(msg["container_closed"], {"container": name})
-        if self.world.is_support(ident):
-            on_top = contents_on(state, ident)
-            if on_top:
-                return render_feedback(
-                    msg["support_contents"],
-                    {"support": name,
-                     "items": _join([self.surface(e) for e in on_top])})
-            return render_feedback(msg["support_empty"], {"support": name})
-        for f in sorted(state.facts):
-            if f.predicate == "in" and f.args[0] == ident:
-                if f.args[1] == INVENTORY:
-                    return render_feedback(msg["examine_in_inventory"],
-                                           {"entity": name})
-                return render_feedback(
-                    msg["examine_in"],
-                    {"entity": name, "holder": self.surface(f.args[1])})
-            if f.predicate == "on" and f.args[0] == ident:
-                return render_feedback(
-                    msg["examine_on"],
-                    {"entity": name, "holder": self.surface(f.args[1])})
-        states = [f for f in state_facts_of(self.world, state, ident)]
+            carried = view.state.inventory
+            if not carried:
+                return self.messages["inventory_empty"]
+            return self._say("inventory_contents", items=self._names(carried))
+        if self.world.is_container(ident) or self.world.is_support(ident):
+            return " ".join(self._receptacle(ident, view, _by_holder(view), True))
+        name, where = self.surface(ident), view.perceivable[ident]
+        if where.args[1] == INVENTORY:
+            return self._say("examine_in_inventory", entity=name)
+        if where.predicate != "at":  # examine_in, examine_on
+            return self._say("examine_" + where.predicate, entity=name,
+                             holder=self.surface(where.args[1]))
+        states = state_facts_of(self.world, view.state, ident)
         if states:
-            return render_feedback(
-                msg["state_sentence"],
-                {"entity": name,
-                 "state": self.state_surface(states[0].predicate)})
-        for f in state.facts:
-            if f.predicate == "at" and f.args[0] == ident:
-                return render_feedback(msg["examine_at_room"], {"entity": name})
-        return render_feedback(msg["examine_plain"], {"entity": name})
+            return self._state_sentence(ident, states[0])
+        return self._say("examine_at_room", entity=name)
 
     # -- preconditions and effects ----------------------------------------
 
@@ -452,15 +427,17 @@ class Engine:
                                 frozenset(), frozenset(), 0)
             raise FormatViolation(record)
         line = trimmed.splitlines()[0][1:]
+        view = StateView(state)
 
-        def finish(phase: str, grounded, removes, adds, feedback, new_state,
-                   view: StateView | None = None):
-            revealed = visible_facts(self.world, new_state, view)
-            achieved = frozenset(check_goals(new_state, self.goals))
+        def finish(phase: str, feedback: str, view: StateView, grounded=None,
+                   removes=frozenset(), adds=frozenset()):
+            # `view` is of the turn's resulting state
+            revealed = visible_facts(self.world, view.state, view)
+            achieved = frozenset(check_goals(view.state, self.goals))
             gain = len(revealed - observed)
-            return new_state, TurnRecord(turn_index, raw, phase, grounded,
-                                         removes, adds, feedback, revealed,
-                                         achieved, gain)
+            return view.state, TurnRecord(turn_index, raw, phase, grounded,
+                                          removes, adds, feedback, revealed,
+                                          achieved, gain)
 
         msg = self.messages
         try:
@@ -468,8 +445,7 @@ class Engine:
         except ParseFailure as exc:
             template = msg["unknown_verb"] if exc.kind == "unknown-verb" else msg["malformed"]
             feedback = render_feedback(template, {"verb": exc.word})
-            return finish("parse-fail", None, frozenset(), frozenset(),
-                          feedback, state)
+            return finish("parse-fail", feedback, view)
         try:
             grounded = self.parser.ground(cmd, self.world)
         except GroundFailure as exc:
@@ -481,23 +457,20 @@ class Engine:
                 msg[templates[exc.kind]],
                 {"noun": exc.noun, "verb": cmd.verb,
                  "prep": cmd.preposition or ""})
-            return finish("resolution-fail", None, frozenset(), frozenset(),
-                          feedback, state)
+            return finish("resolution-fail", feedback, view)
 
         action = self.actions[grounded.action]
         bindings = self._feedback_bindings(state, action, grounded)
         step = self.step(grounded)
-        view = StateView(state)
         failure = step.failure(view)
         if failure is not None:
             feedback = render_feedback(action.feedback[failure], bindings)
-            return finish("precondition-fail", grounded, frozenset(),
-                          frozenset(), feedback, state, view)
+            return finish("precondition-fail", feedback, view, grounded)
 
         removes, adds = step.effects(view)
-        new_state = apply_delta(self.world, state, removes, adds)
-        feedback = self._success_feedback(new_state, action, grounded, bindings)
-        return finish("success", grounded, removes, adds, feedback, new_state)
+        new_view = StateView(apply_delta(self.world, state, removes, adds))
+        feedback = self._success_feedback(new_view, action, grounded, bindings)
+        return finish("success", feedback, new_view, grounded, removes, adds)
 
     def _feedback_bindings(self, state: WorldState, action: ActionDef,
                            grounded: GroundedAction) -> dict:
@@ -511,42 +484,35 @@ class Engine:
             bindings["limit"] = number_word(state.inventory_limit)
         return bindings
 
-    def _success_feedback(self, new_state: WorldState, action: ActionDef,
+    def _success_feedback(self, view: StateView, action: ActionDef,
                           grounded: GroundedAction, bindings: dict) -> str:
         template = action.feedback["success"]
         if "{room_description}" in template:
-            bindings["room_description"] = self.room_description(new_state)
+            bindings["room_description"] = self.room_description(view)
         if "{entity_description}" in template:
             bindings["entity_description"] = self.entity_description(
-                new_state, grounded.get("item"))
+                view, grounded.get("item"))
         if "{contents}" in template:
-            item = grounded.get("item")
-            inside = contents_in(new_state, item)
-            if inside:
-                bindings["contents"] = render_feedback(
-                    self.messages["container_contents"],
-                    {"items": _join([self.surface(e) for e in inside])})
-            else:
-                bindings["contents"] = self.messages["container_empty"]
+            bindings["contents"] = self._in_it(
+                _by_holder(view).get(grounded.get("item")))
         return render_feedback(template, bindings)
 
 
 class Episode:
-    """Mutable state of one running episode of `engine`'s instance: world
-    state, observation memory, turn records and the agent-visible
-    transcript."""
+    """One episode of `engine`'s instance: world state, observation memory,
+    turn records, the agent-visible transcript, the outcome once it ended,
+    and the agent's own log (`run_episode` fills it)."""
 
-    def __init__(self, engine: Engine, turn_limit: int = TURN_LIMIT):
+    def __init__(self, engine: Engine):
         self.engine = engine
         self.instance = instance = engine.instance
-        self.turn_limit = turn_limit
         self.state = instance.start_state()
-        self.observed: set[Fact] = set()
+        self.observed: set[Fact] = set(visible_facts(engine.world, self.state))
         self.turns: list[TurnRecord] = []
         self.transcript: list[tuple[str, str]] = [
             ("environment", instance.prompt)]
         self.outcome: str | None = None
-        self.observed |= visible_facts(self.engine.world, self.state)
+        self.agent_log: list = []
         if instance.preexploration:
             self._replay_preexploration()
 
@@ -571,9 +537,6 @@ class Episode:
     def done(self) -> bool:
         return self.outcome is not None
 
-    def abort(self, outcome: str) -> None:
-        self.outcome = outcome
-
     def step(self, raw: str) -> TurnRecord:
         if self.done:
             raise RuntimeError("episode already ended")
@@ -596,82 +559,67 @@ class Episode:
             achieved = check_goals(state, self.instance.goals)
             self.outcome = ("success" if len(achieved) == len(self.instance.goals)
                             else "lost")
-        elif index >= self.turn_limit:
+        elif index >= TURN_LIMIT:
             self.outcome = "aborted-turn-limit"
         return record
 
-    def record(self) -> EpisodeRecord:
-        achieved = frozenset(check_goals(self.state, self.instance.goals))
-        epistemic = pragmatic = grounded = 0
-        for turn in self.turns:
-            if turn.grounded is None:
-                continue
-            grounded += 1
-            flags = self.engine.actions[turn.grounded.action].flags
-            epistemic += flags.epistemic
-            pragmatic += flags.pragmatic
-        return EpisodeRecord(
-            instance_id=self.instance.id,
-            family=self.instance.family,
-            turns=list(self.turns),
-            outcome=self.outcome or "aborted-turn-limit",
-            final_goals_achieved=achieved,
-            final_state=self.state,
-            goals_total=len(self.instance.goals),
-            optimal_length=self.instance.optimal_length,
-            epistemic_turns=epistemic,
-            pragmatic_turns=pragmatic,
-            grounded_turns=grounded,
-        )
 
-
-def run_episode(instance: Instance, agent, turn_limit: int = TURN_LIMIT,
-                engine: Engine | None = None) -> EpisodeRecord:
-    """Loop agent against interpreter until done, abort, or the turn limit.
-    `engine`, if given, is an engine of `instance` that the agent shares, so
-    that each step is compiled once."""
-    episode = Episode(engine or Engine(instance), turn_limit)
+def run_episode(instance: Instance, agent,
+                engine: Engine | None = None) -> Episode:
+    """Loop agent against interpreter until done, abort, or the turn limit,
+    and return the ended episode. `engine`, if given, is an engine of
+    `instance` that the agent shares, so that each step is compiled once."""
+    episode = Episode(engine or Engine(instance))
     while not episode.done:
         try:
             raw = agent.next_action(tuple(episode.transcript))
         except AgentUnavailable:
-            episode.abort("aborted-agent")
+            episode.outcome = "aborted-agent"
             break
         episode.step(raw)
-    record = episode.record()
-    record.agent_log = list(getattr(agent, "log", ()) or ())
-    return record
+    episode.agent_log = list(getattr(agent, "log", ()) or ())
+    return episode
 
 
 # -- episode persistence ----------------------------------------------------
 
-def episode_summary(record: EpisodeRecord) -> dict:
-    """The summary object that closes an episode's JSON lines."""
+def episode_summary(episode: Episode) -> dict:
+    """The summary object that closes an episode's JSON lines: the one place
+    that tallies its turns, by phase and by the flags of their actions."""
+    instance = episode.instance
     phase_counts = {p: 0 for p in PHASES}
-    for turn in record.turns:
+    grounded = epistemic = pragmatic = 0
+    for turn in episode.turns:
         phase_counts[turn.phase_outcome] += 1
+        if turn.grounded is not None:
+            grounded += 1
+            flags = episode.engine.actions[turn.grounded.action].flags
+            epistemic += flags.epistemic
+            pragmatic += flags.pragmatic
+    achieved = check_goals(episode.state, instance.goals)
     return {
         "type": "summary",
-        "instance_id": record.instance_id,
-        "family": record.family,
-        "outcome": record.outcome,
-        "turns": len(record.turns),
-        "goals_total": record.goals_total,
-        "goals_achieved": sorted(str(g.fact) for g in record.final_goals_achieved),
+        "instance_id": instance.id,
+        "family": instance.family,
+        "outcome": episode.outcome,
+        "turns": len(episode.turns),
+        "goals_total": len(instance.goals),
+        "goals_achieved": sorted(str(g.fact) for g in achieved),
         "phase_counts": phase_counts,
-        "grounded_turns": record.grounded_turns,
-        "epistemic_turns": record.epistemic_turns,
-        "pragmatic_turns": record.pragmatic_turns,
-        "optimal_length": record.optimal_length,
-        "final_state": state_to_json(record.final_state),
-        "agent_log": record.agent_log,
+        "grounded_turns": grounded,
+        "epistemic_turns": epistemic,
+        "pragmatic_turns": pragmatic,
+        "optimal_length": instance.optimal_length,
+        "final_state": state_to_json(episode.state),
+        "agent_log": episode.agent_log,
     }
 
 
-def episode_to_lines(record: EpisodeRecord) -> list[str]:
-    """JSON-lines form: one turn per line, then one summary object."""
+def write_episode(episode: Episode, path: str | Path) -> dict:
+    """Write the episode as JSON lines, one per turn and then its summary;
+    return the summary."""
     lines = []
-    for turn in record.turns:
+    for turn in episode.turns:
         lines.append(json.dumps({
             "type": "turn",
             "turn": turn.turn_index,
@@ -687,13 +635,10 @@ def episode_to_lines(record: EpisodeRecord) -> list[str]:
             "goals_now": sorted(str(g.fact) for g in turn.goals_achieved_now),
             "epistemic_gain": turn.epistemic_gain,
         }, sort_keys=True))
-    lines.append(json.dumps(episode_summary(record), sort_keys=True))
-    return lines
-
-
-def write_episode(record: EpisodeRecord, path: str | Path) -> None:
-    Path(path).write_text("\n".join(episode_to_lines(record)) + "\n",
-                          encoding="utf-8")
+    summary = episode_summary(episode)
+    lines.append(json.dumps(summary, sort_keys=True))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return summary
 
 
 def read_episode_summary(path: str | Path) -> dict:

@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from .interpreter import PHASES, EpisodeRecord, episode_summary
+from .interpreter import PHASES
 
 _FAILURE_PHASES = tuple(p for p in PHASES if p != "success")
 
@@ -37,10 +37,6 @@ class EpisodeSummary:
     epistemic_turns: int = 0
     pragmatic_turns: int = 0
     optimal_length: int | None = None
-
-    @staticmethod
-    def from_record(record: EpisodeRecord) -> "EpisodeSummary":
-        return EpisodeSummary.from_json(episode_summary(record))
 
     @staticmethod
     def from_json(summary: Mapping) -> "EpisodeSummary":

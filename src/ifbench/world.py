@@ -349,22 +349,6 @@ def connections_of(state: WorldState, room: str) -> list[str]:
                   if f.predicate == CONNECTS and f.args[0] == room)
 
 
-def entities_at(world: WorldDef, state: WorldState, room: str) -> list[str]:
-    return sorted(f.args[0] for f in state.facts
-                  if f.predicate == "at" and f.args[1] == room
-                  and f.args[0] != PLAYER)
-
-
-def contents_on(state: WorldState, support: str) -> list[str]:
-    return sorted(f.args[0] for f in state.facts
-                  if f.predicate == "on" and f.args[1] == support)
-
-
-def contents_in(state: WorldState, container: str) -> list[str]:
-    return sorted(f.args[0] for f in state.facts
-                  if f.predicate == "in" and f.args[1] == container)
-
-
 def state_facts_of(world: WorldDef, state: WorldState, entity: str) -> list[Fact]:
     group = world.state_groups.get(entity)
     preds = set(group.states) if group else set()
@@ -401,9 +385,9 @@ def _perceivable(state: WorldState) -> dict[str, Fact]:
 
 
 class StateView:
-    """One state as compiled action steps read it. What the player can
-    perceive (`_perceivable`) and where each subject is are each worked out
-    at most once per view, and only when a step asks."""
+    """One state as compiled steps, descriptions and `visible_facts` read
+    it. What the player can perceive (`_perceivable`) and where each subject
+    is are each worked out at most once per view, and only when asked."""
 
     __slots__ = ("state", "facts", "room", "_perceivable", "_locations")
 
@@ -432,11 +416,6 @@ class StateView:
             return self._locations[subject]
         except KeyError:
             raise ValueError(f"{subject} has no location fact") from None
-
-
-def visible_entities(world: WorldDef, state: WorldState) -> list[str]:
-    """Entities the player can currently perceive, including carried ones."""
-    return sorted(_perceivable(state))
 
 
 def visible_facts(world: WorldDef, state: WorldState,

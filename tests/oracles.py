@@ -1,4 +1,5 @@
-"""Independent test oracles: a per-fact visibility filter, the uncompiled
+"""Independent test oracles: a per-fact visibility filter, the room and
+examine descriptions built by their own walks over the facts, the uncompiled
 precondition and effect code, the planner's search with every state checked,
 the planner's candidates without its pruning, and a raw-string brute-force
 optimal search driven through the public interpreter; plus helpers: a
@@ -17,10 +18,11 @@ from ifbench.generate import _finalize_prompt, _standard_extras
 from ifbench.grammar import ActionDef, GroundedAction, Lexicon, staple_verbs
 from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
                              _candidates, _groundings, _moves_by_room)
+from ifbench.interpreter import _join, render_feedback
 from ifbench.world import (INVENTORY, PLAYER, EntityDef, GoalCondition,
                            RoomDef, StateGroup, StateView, WorldDef,
-                           WorldState, Fact, apply_delta, fact, parse_fact,
-                           visible_entities)
+                           WorldState, Fact, apply_delta, connections_of,
+                           fact, parse_fact, state_facts_of)
 
 
 def reference_visible(world: WorldDef, state: WorldState) -> frozenset[Fact]:
@@ -72,6 +74,134 @@ def reference_visible(world: WorldDef, state: WorldState) -> frozenset[Fact]:
     return frozenset(keep)
 
 
+def reference_visible_entities(world: WorldDef,
+                               state: WorldState) -> list[str]:
+    """The entities whose location fact `reference_visible` keeps, sorted."""
+    return sorted({f.args[0] for f in reference_visible(world, state)
+                   if f.predicate in ("at", "on", "in")} - {PLAYER})
+
+
+# -- the interpreter's descriptions before they read the state view, kept
+# (methods of Engine then, `self` now `engine`) with the fact walks they
+# called, as the reference `room_description` and `entity_description` must
+# agree with
+
+
+def _entities_at(state: WorldState, room: str) -> list[str]:
+    return sorted(f.args[0] for f in state.facts
+                  if f.predicate == "at" and f.args[1] == room
+                  and f.args[0] != PLAYER)
+
+
+def _contents_on(state: WorldState, support: str) -> list[str]:
+    return sorted(f.args[0] for f in state.facts
+                  if f.predicate == "on" and f.args[1] == support)
+
+
+def _contents_in(state: WorldState, container: str) -> list[str]:
+    return sorted(f.args[0] for f in state.facts
+                  if f.predicate == "in" and f.args[1] == container)
+
+
+def reference_room_description(engine, state: WorldState) -> str:
+    msg = engine.messages
+    room = state.player_room
+    parts = [render_feedback(msg["room_intro"], {"room": engine.surface(room)})]
+    here = _entities_at(state, room)
+    if here:
+        names = [engine.surface(e) for e in here]
+        key = "here_one" if len(names) == 1 else "here_many"
+        parts.append(render_feedback(msg[key], {"items": _join(names)}))
+    for eid in here:
+        if engine.world.is_container(eid):
+            if fact("open", eid) in state.facts:
+                parts.append(render_feedback(
+                    msg["container_open"], {"container": engine.surface(eid)}))
+                inside = _contents_in(state, eid)
+                if inside:
+                    parts.append(render_feedback(
+                        msg["container_contents"],
+                        {"items": _join([engine.surface(e) for e in inside])}))
+            else:
+                parts.append(render_feedback(
+                    msg["container_closed"],
+                    {"container": engine.surface(eid)}))
+        elif engine.world.is_support(eid):
+            on_top = _contents_on(state, eid)
+            if on_top:
+                parts.append(render_feedback(
+                    msg["support_contents"],
+                    {"support": engine.surface(eid),
+                     "items": _join([engine.surface(e) for e in on_top])}))
+    for eid in reference_visible_entities(engine.world, state):
+        if eid in engine.world.state_groups:
+            for f in state_facts_of(engine.world, state, eid):
+                if f.predicate not in ("open", "closed"):
+                    parts.append(render_feedback(
+                        msg["state_sentence"],
+                        {"entity": engine.surface(eid),
+                         "state": engine.state_surface(f.predicate)}))
+    exits = connections_of(state, room)
+    if exits:
+        key = "passage_one" if len(exits) == 1 else "passage_many"
+        parts.append(render_feedback(
+            msg[key], {"rooms": _join([engine.surface(r) for r in exits])}))
+    return " ".join(parts)
+
+
+def reference_entity_description(engine, state: WorldState, ident: str) -> str:
+    msg = engine.messages
+    if ident == INVENTORY:
+        if not state.inventory:
+            return msg["inventory_empty"]
+        names = [engine.surface(e) for e in state.inventory]
+        return render_feedback(msg["inventory_contents"],
+                               {"items": _join(names)})
+    name = engine.surface(ident)
+    if engine.world.is_container(ident):
+        if fact("open", ident) in state.facts:
+            inside = _contents_in(state, ident)
+            tail = (render_feedback(
+                msg["container_contents"],
+                {"items": _join([engine.surface(e) for e in inside])})
+                if inside else msg["container_empty"])
+            return render_feedback(msg["container_open"],
+                                   {"container": name}) + " " + tail
+        return render_feedback(msg["container_closed"], {"container": name})
+    if engine.world.is_support(ident):
+        on_top = _contents_on(state, ident)
+        if on_top:
+            return render_feedback(
+                msg["support_contents"],
+                {"support": name,
+                 "items": _join([engine.surface(e) for e in on_top])})
+        return render_feedback(msg["support_empty"], {"support": name})
+    for f in sorted(state.facts):
+        if f.predicate == "in" and f.args[0] == ident:
+            if f.args[1] == INVENTORY:
+                return render_feedback(msg["examine_in_inventory"],
+                                       {"entity": name})
+            return render_feedback(
+                msg["examine_in"],
+                {"entity": name, "holder": engine.surface(f.args[1])})
+        if f.predicate == "on" and f.args[0] == ident:
+            return render_feedback(
+                msg["examine_on"],
+                {"entity": name, "holder": engine.surface(f.args[1])})
+    states = [f for f in state_facts_of(engine.world, state, ident)]
+    if states:
+        return render_feedback(
+            msg["state_sentence"],
+            {"entity": name,
+             "state": engine.state_surface(states[0].predicate)})
+    for f in state.facts:
+        if f.predicate == "at" and f.args[0] == ident:
+            return render_feedback(msg["examine_at_room"], {"entity": name})
+    # the old code's last fallback, whose message is gone: no entity the
+    # player perceives lacks a location fact
+    raise AssertionError(f"{ident} has no location fact")
+
+
 # -- the interpreter's precondition and effect code before steps were
 # compiled, kept verbatim (methods of Engine then, `self` now `engine`) as the
 # reference the compiled steps must agree with
@@ -106,8 +236,8 @@ def reference_preconditions(engine, state: WorldState, action: ActionDef,
         if check == "accessible_here":
             ok = _reference_accessible(engine, state, ident)
         elif check == "visible_here":
-            ok = (ident == INVENTORY
-                  or ident in visible_entities(engine.world, state))
+            ok = (ident == INVENTORY or ident in reference_visible_entities(
+                engine.world, state))
         elif check == "in_inventory":
             ok = ident in state.inventory
         elif check == "not_in_inventory":

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ifbench import (Engine, Episode, EpisodeSummary, ScriptedAgent,
-                     aggregate, clemscore, combine_clemscore,
+                     aggregate, clemscore, combine_clemscore, episode_summary,
                      load_standard_actions, run_episode, solve_optimal)
 import ifbench.cli
 from ifbench.cli import main
@@ -100,7 +100,7 @@ def test_criterion_3_oracle_agent_perfection(oracle_records):
         assert all(t.phase_outcome == "success" for t in record.turns)
         assert len(record.turns) == fresh.length
         per_family.setdefault(instance.family, []).append(
-            EpisodeSummary.from_record(record))
+            EpisodeSummary.from_json(episode_summary(record)))
     scores = [aggregate(group, family)
               for family, group in sorted(per_family.items())]
     assert all(s.played_pct == 100.0 for s in scores)

@@ -366,10 +366,47 @@ def test_instance_file_error_is_one_line(small_set, tmp_path):
         assert exit_.value.code == expected
 
 
+def _edited_copy(small_set, tmp_path, edit) -> Path:
+    """A directory holding `small_set`'s basic-easy file, its instances
+    passed through `edit`."""
+    out = tmp_path / "instances"
+    out.mkdir()
+    payload = json.loads((small_set / "basic-easy.json").read_text())
+    edit(payload["instances"])
+    (out / "basic-easy.json").write_text(json.dumps(payload))
+    return out
+
+
+def test_instance_set_rejects_a_shared_id(small_set, tmp_path):
+    def share(rows):
+        rows[1]["id"] = rows[0]["id"]
+    instances = _edited_copy(small_set, tmp_path, share)
+    path = instances / "basic-easy.json"
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--instances", str(instances), "--agent", "scripted",
+              "--out", str(tmp_path / "out")])
+    assert exit_.value.code == (f"{path}: instance 0 (basic-easy-00) and "
+                                f"{path}: instance 1 (basic-easy-00) have the "
+                                "same id")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_an_unknown_family(small_set, tmp_path):
+    def misspell(rows):
+        rows[1]["family"] = "basic-typo"
+    instances = _edited_copy(small_set, tmp_path, misspell)
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--instances", str(instances), "--agent", "scripted",
+              "--out", str(tmp_path / "out")])
+    assert exit_.value.code == (f"{instances / 'basic-easy.json'}: instance 1 "
+                                "(basic-easy-01): unknown family 'basic-typo'")
+    # the family plays no part in planning one instance
+    assert main(["plan", "--instances", str(instances), "--index", "1"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
-    "generate --count 0", "generate --seed -1", "run --turn-limit 0",
-    "run --retries -1", "run --temperature -1", "run --parallel 0",
-    "run --parallel 2", "run --families ,", "generate --families ,",
+    "generate --count 0", "generate --seed -1", "run --retries -1",
+    "run --temperature -1", "run --parallel 0", "run --parallel 2", "run --families ,", "generate --families ,",
     "plan --index 99", "plan --index -1", "play --index 16"])
 def test_bad_numbers_are_usage_errors(small_set, tmp_path, capsys, argv):
     command, flag, _ = argv.split()

@@ -563,8 +563,21 @@ def test_instance_schema_version_guard(tmp_path):
         [row["optimal_plan"][0][0], row["optimal_plan"][0][1] * 2]]
         + row["optimal_plan"][1:],
      "optimal_plan step 0 does not bind each required parameter of"),
+    ("optimal_plan", lambda row: [["go", [["room"]]]] + row["optimal_plan"][1:],
+     "optimal_plan step 0 is not a verb with [param, id] pairs of strings: "
+     "GroundedAction(action='go', bindings=(('room',),))"),
+    ("optimal_plan",
+     lambda row: [["go", [["room", "hallway", "x"]]]] + row["optimal_plan"][1:],
+     "optimal_plan step 0 is not a verb with [param, id] pairs of strings"),
+    ("optimal_plan",
+     lambda row: [["go", [["room", ["hallway"]]]]] + row["optimal_plan"][1:],
+     "optimal_plan step 0 is not a verb with [param, id] pairs of strings"),
+    ("optimal_plan", lambda row: [[["go"], []]] + row["optimal_plan"][1:],
+     "optimal_plan step 0 is not a verb with [param, id] pairs of strings"),
 ], ids=["null", "empty", "no-done", "unknown-verb", "unknown-id", "unknown-parameter",
-        "length-mismatch", "not-a-list", "unbound-parameter", "bound-twice"])
+        "length-mismatch", "not-a-list", "unbound-parameter", "bound-twice",
+        "binding-one-element", "binding-three-elements", "binding-not-strings",
+        "verb-not-a-string"])
 def test_invalid_plan_names_file_instance_and_field(tmp_path, bench144, field,
                                                     value, named):
     path = tmp_path / "broken.json"
@@ -614,9 +627,13 @@ def _set_field(field, value):
     (_set_field("inventory_limit", lambda row: 0),
      "instance 1 (basic-easy-01): field 'inventory_limit': "
      "0 is not null or a positive integer"),
+    (_set_field("id", lambda row: "../../../escaped"),
+     "instance 1 (../../../escaped): field 'id': '../../../escaped' is not "
+     "letters, digits and _.- that do not start with ."),
+    (_set_field("id", lambda row: ".hidden"), "field 'id': '.hidden' is not"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
-        "limit-string", "limit-zero"])
+        "limit-string", "limit-zero", "id-path", "id-dot-first"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError

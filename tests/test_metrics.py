@@ -3,8 +3,8 @@ from hypothesis import given, strategies as st
 
 from ifbench import (EmptyInput, EpisodeSummary, ScriptedAgent, aggregate,
                      clemscore, combine_clemscore,
-                     goal_success_rate, load_standard_actions,
-                     run_episode, solve_optimal)
+                     episode_summary, goal_success_rate,
+                     load_standard_actions, run_episode, solve_optimal)
 from ifbench.metrics import macro_gsr, paper_pct, scores_to_csv, scores_to_json
 from oracles import micro_instance
 
@@ -137,14 +137,15 @@ def test_label_action_flags():
         goals=["in(apple,cupboard)"])
     # examine: epistemic only; open: both; close and done: pragmatic only;
     # the unknown verb is not grounded and counts in neither
-    record = run_episode(inst, ScriptedAgent(
+    episode = run_episode(inst, ScriptedAgent(
         ["> examine apple", "> open cupboard", "> close cupboard", "> dance",
          "> done"]))
-    assert [t.grounded is not None for t in record.turns] == [
+    assert [t.grounded is not None for t in episode.turns] == [
         True, True, True, False, True]
-    assert (record.grounded_turns, record.epistemic_turns,
-            record.pragmatic_turns) == (4, 2, 3)
-    assert EpisodeSummary.from_record(record).epistemic_turns == 2
+    summary = episode_summary(episode)
+    assert (summary["grounded_turns"], summary["epistemic_turns"],
+            summary["pragmatic_turns"]) == (4, 2, 3)
+    assert EpisodeSummary.from_json(summary).epistemic_turns == 2
 
 
 def test_table_flags_catalogue():

@@ -10,8 +10,9 @@ from ifbench.grammar import GroundedAction
 from ifbench.interpreter import Engine
 from ifbench.world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
                            GoalCondition, StateGroup, StateView, WorldState,
-                           state_to_json, validate_state, visible_entities)
-from oracles import micro_instance, reference_visible
+                           state_to_json, validate_state)
+from oracles import (micro_instance, reference_visible,
+                     reference_visible_entities)
 
 
 @pytest.fixture
@@ -133,9 +134,8 @@ def test_visibility_matches_oracle_along_heuristic_episodes(heuristic_records):
         for state in states:
             expected = reference_visible(inst.world, state)
             assert visible_facts(inst.world, state) == expected
-            assert visible_entities(inst.world, state) == sorted(
-                {f.args[0] for f in expected
-                 if f.predicate in ("at", "on", "in")} - {PLAYER})
+            assert sorted(StateView(state).perceivable) == (
+                reference_visible_entities(inst.world, state))
 
 
 def test_visibility_monotone_under_opening(kitchen):
