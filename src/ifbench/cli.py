@@ -261,6 +261,39 @@ def cmd_plan(args) -> int:
     return 0
 
 
+def _read_scores(path: Path) -> tuple[dict, list[ExperimentScores]]:
+    """An agent's ``scores.json``, as `run` writes it: the object itself (its
+    overview row) and its per-experiment scores. ValueError naming the file
+    and the field when it is not valid JSON, not an object, or a field the
+    report reads is missing or of the wrong type."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: the top level is not a JSON object")
+    fields = [("agent", str, "a string"), ("experiments", dict, "an object")]
+    fields += [(name, (int, float), "a number") for name in
+               ("clemscore", "macro_quality", "macro_played", "macro_gsr")]
+    for name, kind, what in fields:
+        value = payload.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{path}: field {name!r} is missing or not {what}")
+    try:
+        scores = [ExperimentScores.from_json(name, v)
+                  for name, v in payload["experiments"].items()]
+    except TypeError as exc:
+        raise ValueError(f"{path}: field 'experiments': {exc}") from exc
+    for score in scores:  # the numbers the tables and turns.csv print
+        for name in ("played_pct", "quality", "mean_turns", "mean_optimal_turns"):
+            value = getattr(score, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                if not (value is None and name == "mean_optimal_turns"):
+                    raise ValueError(f"{path}: field 'experiments' "
+                                     f"{score.experiment}.{name} is not a number")
+    return payload, scores
+
+
 def cmd_report(args) -> int:
     results = Path(args.results)
     score_files = sorted(results.glob("*/scores.json"))
@@ -270,11 +303,13 @@ def cmd_report(args) -> int:
     overview_rows = []
     per_agent: dict[str, list[ExperimentScores]] = {}
     for path in score_files:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            payload, scores = _read_scores(path)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 1
         overview_rows.append(payload)
-        per_agent[payload["agent"]] = [
-            ExperimentScores.from_json(name, v)
-            for name, v in payload["experiments"].items()]
+        per_agent[payload["agent"]] = scores
     print(format_overview(overview_rows))
     print()
     print(format_grid(per_agent))

@@ -26,6 +26,7 @@ FAMILIES = (
     "synthetic-easy", "synthetic-medium", "synthetic-hard",
 )
 INSTANCES_PER_FAMILY = 16
+GOAL_KINDS = ("placement", "entity-state")
 _FILE_TOKEN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
@@ -143,8 +144,7 @@ class Instance:
                 for g in rows)),
             initial_facts=read("initial_facts", lambda facts: tuple(
                 parse_fact(s) for s in facts)),
-            goals=read("goals", lambda rows: tuple(
-                GoalCondition(g["kind"], parse_fact(g["fact"])) for g in rows)),
+            goals=read("goals", _goals),
             inventory_limit=read("inventory_limit", _limit),
             lexicon=read("lexicon", lambda lex: (
                 Lexicon.from_json(lex) if lex else None), optional=True),
@@ -157,8 +157,7 @@ class Instance:
             prompt=data["prompt"],
             optimal_plan=read("optimal_plan", lambda plan: (
                 None if plan is None else tuple(
-                    GroundedAction(verb, tuple(map(tuple, binding)))
-                    for verb, binding in plan))),
+                    _plan_step(n, step) for n, step in enumerate(plan)))),
             seed_path=tuple(data.get("seed_path", ())),
         )
 
@@ -169,6 +168,33 @@ def _strings(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"{value!r} is not a list of strings")
     return tuple(value)
+
+
+def _goals(rows) -> tuple[GoalCondition, ...]:
+    """A JSON goal list: one or more goals, each a placement or an entity
+    state; ValueError for any other kind or an empty list."""
+    goals = tuple(GoalCondition(g["kind"], parse_fact(g["fact"])) for g in rows)
+    if not goals:
+        raise ValueError("no goals")
+    for goal in goals:
+        if goal.kind not in GOAL_KINDS:
+            raise ValueError(f"goal kind {goal.kind!r} is not one of "
+                             f"{', '.join(GOAL_KINDS)}")
+    return goals
+
+
+def _plan_step(n: int, step) -> GroundedAction:
+    """Step `n` of a JSON plan, ``[verb, [[param, id], ...]]``; TypeError
+    quoting the step as the file holds it if its bindings are not lists of
+    strings."""
+    verb, bindings = step
+    try:
+        if not isinstance(bindings, list):
+            raise TypeError
+        return GroundedAction(verb, tuple(_strings(b) for b in bindings))
+    except TypeError:
+        raise TypeError(f"optimal_plan step {n} is not a verb with [param, id] "
+                        f"pairs of strings: {step!r}") from None
 
 
 def _file_token(value) -> str:
@@ -198,8 +224,7 @@ def _check_plan(instance: Instance, optimal_length) -> None:
     ids = instance.world.entities.keys() | instance.world.rooms.keys()
     for n, step in enumerate(plan):
         if not isinstance(step.action, str) or not all(
-                len(binding) == 2 and all(isinstance(x, str) for x in binding)
-                for binding in step.bindings):
+                len(binding) == 2 for binding in step.bindings):
             raise ValueError(f"optimal_plan step {n} is not a verb with "
                              f"[param, id] pairs of strings: {step}")
         action = actions.get(step.action)

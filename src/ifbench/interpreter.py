@@ -18,7 +18,8 @@ from .instance import Instance
 from .world import (CONNECTS, INVENTORY, PLAYER, Fact, GoalCondition,
                     StateView, WorldDef, WorldState, apply_delta,
                     check_goals, connections_of, fact, load_data,
-                    state_facts_of, state_to_json, visible_facts)
+                    perceivable_when, state_facts_of, state_to_json,
+                    visible_facts)
 
 TURN_LIMIT = 50
 
@@ -103,25 +104,54 @@ def _by_holder(view: StateView) -> dict[str, list[str]]:
 # A step is one action schema compiled for one grounding: its precondition
 # tests in declared order and its effect facts, resolved from the grounding
 # where they can be. Each test says what it reads, so that a caller that
-# knows more than one state (the planner) can decide it in advance.
+# knows more than one state (the planner) can decide it in advance; a test
+# that reads the state also states its fact form, which the planner
+# compiles into bit masks.
 
 GROUNDING = "grounding"  # only the grounding: the same in every state
 ROOM = "room"  # only `view.room` and the connects facts in `view.facts`
 STATE = "state"  # anything in the view
 
 
+class FactTest(NamedTuple):
+    """A STATE test in fact form, with the player in a given room: it holds
+    when all facts of one `any_of` set are held, no `none_of` fact is, and,
+    if `space`, fewer ``in(_, inventory)`` facts than the inventory limit."""
+    any_of: tuple[tuple[Fact, ...], ...] = ((),)
+    none_of: tuple[Fact, ...] = ()
+    space: bool = False
+
+    def holds(self, view: StateView) -> bool:
+        limit = view.state.inventory_limit
+        return (any(view.facts.issuperset(s) for s in self.any_of)
+                and view.facts.isdisjoint(self.none_of)
+                and not (self.space and limit is not None
+                         and len(view.state.inventory) >= limit))
+
+
 class Check(NamedTuple):
     holds: Callable[[StateView], bool]
     fail: str  # the failure kind, a key of the action's feedback
     reads: str  # GROUNDING, ROOM or STATE
+    # a STATE test's fact form, given the player's room and each subject's
+    # location facts that a state can hold
+    facts: Callable[[str, Mapping[str, list[Fact]]], FactTest] | None = None
 
 
 def _fixed(value: bool) -> tuple[Callable[[StateView], bool], str]:
     return (lambda view: value), GROUNDING
 
 
+def _state(*any_of: tuple[Fact, ...], none_of=(), space=False):
+    """A STATE test that its fact form states in full, for every room."""
+    form = FactTest(any_of or ((),), none_of, space)
+    return form.holds, STATE, lambda room, places: form
+
+
 def _perceivable_here(world, cond, ident, grounded):
-    return (lambda view: ident in view.perceivable), STATE
+    return ((lambda view: ident in view.perceivable), STATE,
+            lambda room, places: FactTest(
+                perceivable_when(ident, room, places.get(ident, ()))))
 
 
 def _visible_here(world, cond, ident, grounded):
@@ -131,18 +161,15 @@ def _visible_here(world, cond, ident, grounded):
 
 
 def _in_inventory(world, cond, ident, grounded):
-    return (lambda view: ident in view.state.inventory), STATE
+    return _state((fact("in", ident, INVENTORY),))
 
 
 def _not_in_inventory(world, cond, ident, grounded):
-    return (lambda view: ident not in view.state.inventory), STATE
+    return _state(none_of=(fact("in", ident, INVENTORY),))
 
 
 def _inventory_space(world, cond, ident, grounded):
-    def holds(view):
-        limit = view.state.inventory_limit
-        return limit is None or len(view.state.inventory) < limit
-    return holds, STATE
+    return _state(space=True)
 
 
 def _connected(world, cond, ident, grounded):
@@ -154,20 +181,17 @@ def _not_current_room(world, cond, ident, grounded):
 
 
 def _has_state(world, cond, ident, grounded):
-    held = fact(cond["state"], ident)
-    return (lambda view: held in view.facts), STATE
+    return _state((fact(cond["state"], ident),))
 
 
 def _not_has_state(world, cond, ident, grounded):
-    held = fact(cond["state"], ident)
-    return (lambda view: held not in view.facts), STATE
+    return _state(none_of=(fact(cond["state"], ident),))
 
 
 def _open_if_container(world, cond, ident, grounded):
     if not world.is_container(ident):
         return _fixed(True)
-    is_open = fact("open", ident)
-    return (lambda view: is_open in view.facts), STATE
+    return _state((fact("open", ident),))
 
 
 def _is_entity(world, cond, ident, grounded):
@@ -179,14 +203,12 @@ def _source_matches(world, cond, ident, grounded):
     if source is None:
         return _fixed(True)
     if source in world.rooms:
-        at = fact("at", ident, source)
-        return (lambda view: at in view.facts), STATE
-    on, inside = fact("on", ident, source), fact("in", ident, source)
-    return (lambda view: on in view.facts or inside in view.facts), STATE
+        return _state((fact("at", ident, source),))
+    return _state((fact("on", ident, source),), (fact("in", ident, source),))
 
 
 # precondition check name -> builder(world, cond, ident, grounded) of the
-# test's (holds, reads)
+# test's (holds, reads) and, for a STATE test, its fact form
 _CHECKS = {
     "accessible_here": _perceivable_here,
     "visible_here": _visible_here,
@@ -211,8 +233,8 @@ class Step(NamedTuple):
     tests: tuple[Check, ...]  # declared order: the first failing one reports
     removes: frozenset[Fact]  # resolved from the grounding
     adds: frozenset[Fact]
-    late_removes: tuple[Callable[[StateView], Fact], ...]  # read the state
-    late_adds: tuple[Callable[[StateView], Fact], ...]
+    # the subjects whose location fact (`StateView.location_of`) it removes
+    late_removes: tuple[str, ...]
 
     def failure(self, view: StateView) -> str | None:
         """First failing precondition's failure kind, or None when all hold."""
@@ -222,19 +244,19 @@ class Step(NamedTuple):
         return None
 
     def effects(self, view: StateView) -> tuple[frozenset[Fact], frozenset[Fact]]:
-        removes, adds = self.removes, self.adds
+        removes = self.removes
         if self.late_removes:
-            removes = removes.union([late(view) for late in self.late_removes])
-        if self.late_adds:
-            adds = adds.union([late(view) for late in self.late_adds])
-        return removes, adds
+            removes = removes.union([view.location_of(s)
+                                     for s in self.late_removes])
+        return removes, self.adds
 
 
 def compile_step(world: WorldDef, action: ActionDef,
                  grounded: GroundedAction) -> Step:
     """Compile `action` for `grounded`. ValueError on an unknown check or
-    effect template, and on an effect on ``connects`` facts: room connections
-    are fixed, which the planner relies on."""
+    effect template, on an effect on ``connects`` facts (room connections
+    are fixed, which the planner relies on) and on an added fact read from
+    the state (it is held already, so only a remove can name it)."""
     bound = dict(grounded.bindings)
     tests = []
     for cond in action.preconditions:
@@ -242,13 +264,14 @@ def compile_step(world: WorldDef, action: ActionDef,
         if build is None:
             raise ValueError(f"unknown precondition check {cond['check']!r}")
         ident = bound.get(cond["param"]) if "param" in cond else None
-        holds, reads = build(world, cond, ident, grounded)
-        tests.append(Check(holds, cond["fail"], reads))
+        holds, reads, *facts = build(world, cond, ident, grounded)
+        tests.append(Check(holds, cond["fail"], reads, *facts))
 
     def resolve(name: str) -> str:
         return name if name in (PLAYER, INVENTORY) else bound.get(name, name)
 
-    def effect(template: tuple[str, ...]) -> Fact | Callable[[StateView], Fact]:
+    def effect(template: tuple[str, ...]) -> Fact | str:
+        """The effect's fact, or the subject whose location fact it is."""
         kind = template[0]
         if kind == "fact":
             if template[1] == CONNECTS:
@@ -256,17 +279,16 @@ def compile_step(world: WorldDef, action: ActionDef,
                                  "facts; room connections must stay fixed")
             return Fact(template[1], tuple([resolve(a) for a in template[2:]]))
         if kind == "location_of":
-            item = resolve(template[1])
-            return lambda view: view.location_of(item)
+            return resolve(template[1])
         if kind == "placement":
             item, target = resolve(template[1]), resolve(template[2])
             return Fact("in" if world.is_container(target) else "on",
                         (item, target))
         if kind == "player_at":
-            return lambda view: Fact("at", (PLAYER, view.room))
+            return PLAYER
         raise ValueError(f"unknown effect template {template!r}")
 
-    def split(templates) -> tuple[frozenset[Fact], tuple]:
+    def split(templates) -> tuple[frozenset[Fact], tuple[str, ...]]:
         facts, late = [], []
         for template in templates:
             resolved = effect(template)
@@ -275,7 +297,10 @@ def compile_step(world: WorldDef, action: ActionDef,
 
     removes, late_removes = split(action.removes)
     adds, late_adds = split(action.adds)
-    return Step(grounded, tuple(tests), removes, adds, late_removes, late_adds)
+    if late_adds:
+        raise ValueError(f"action {action.verb!r} adds a location read from "
+                         "the state; such an effect can only remove")
+    return Step(grounded, tuple(tests), removes, adds, late_removes)
 
 
 class Engine:

@@ -8,25 +8,25 @@ cannot shorten a plan: taking or putting non-goal objects, `close`, and
 Candidates run as the engine's compiled steps, listed per player room
 (`_moves_by_room`).
 
-The search keeps bare states: it keys each one by a bit mask of its facts
-and builds it with the unchecked `world.successor`, not `apply_delta`. Only
-the plan it returns is checked: it is replayed through the steps'
-preconditions and the checked `apply_delta` (`_replay`). Every other caller
-of a delta still goes through `apply_delta`.
+The search runs on bit masks alone: a state is the player's room and the
+bit mask of its facts (its key), and each room's candidates are compiled
+once per search into mask tests and effects (`_mask_moves`) from the fact
+forms of their tests. It builds no state. `_replay` checks the plan it
+returns through the steps' preconditions and the checked `apply_delta`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import chain, product
 from typing import NamedTuple
 
 from .grammar import ActionDef, GroundedAction, fits_trait
 from .instance import Instance
 from .interpreter import GROUNDING, ROOM, STATE, Engine, Step
-from .world import (Fact, InvariantViolation, StateView, WorldDef, WorldState,
-                    apply_delta, successor)
+from .world import (INVENTORY, PLAYER, Fact, InvariantViolation, StateView,
+                    WorldState, apply_delta, fact)
 
 DEFAULT_BUDGET = 500_000  # states a search may expand; read at each call
 
@@ -97,12 +97,6 @@ def _candidates(engine: Engine, instance: Instance) -> list[GroundedAction]:
     return out
 
 
-class _RoomProbe(NamedTuple):
-    """What a ROOM test reads: the player's room and the connects facts."""
-    room: str
-    facts: frozenset
-
-
 def _moves_by_room(engine: Engine, start: WorldState,
                    candidates: list[GroundedAction]
                    ) -> dict[str, list[tuple[Step, tuple]]]:
@@ -123,27 +117,98 @@ def _moves_by_room(engine: Engine, start: WorldState,
             live.append((step, tests[ROOM], tuple(tests[STATE])))
     by_room = {}
     for room in engine.world.rooms:
-        probe = _RoomProbe(room, start.facts)
+        probe = StateView(replace(start, player_room=room))
         by_room[room] = [(step, state_tests)
                          for step, room_tests, state_tests in live
                          if all(holds(probe) for holds in room_tests)]
     return by_room
 
 
+class _Move(NamedTuple):
+    """A candidate in mask form, with the player in one room. It applies to
+    a key that holds all `need` bits, no `forbid` bit, all bits of one mask
+    of each `any_of` group, and fewer `space` bits than the limit; it clears
+    `removes`, sets `adds` and moves the player to `room`."""
+    grounded: GroundedAction
+    need: int
+    forbid: int
+    any_of: tuple[tuple[int, ...], ...]
+    space: int
+    removes: int
+    adds: int
+    room: str
+
+
+def _mask(facts, bits: dict[Fact, int]) -> int:
+    """The bits of `facts`; a fact with no bit is never held."""
+    out = 0
+    for f in facts:
+        out |= bits.get(f, 0)
+    return out
+
+
+def _compile(step: Step, room: str, bits: dict[Fact, int],
+             places: dict[str, list[Fact]], carried: int) -> _Move | None:
+    """`step` in mask form with the player in `room`; None if its tests can
+    never hold there. A location fact it removes as read from the state
+    clears all of its subject's `places`: a state holds one of them.
+    `carried` holds the bits that count against the limit."""
+    need = forbid = space = 0
+    any_of = []
+    for form in (t.facts(room, places) for t in step.tests if t.facts):
+        masks = [_mask(facts, bits) for facts in form.any_of
+                 if all(f in bits for f in facts)]
+        if not masks:
+            return None
+        if len(masks) == 1:
+            need |= masks[0]
+        else:
+            any_of.append(tuple(masks))
+        forbid |= _mask(form.none_of, bits)
+        space |= carried if form.space else 0
+    removes = _mask(step.removes, bits)
+    for subject in step.late_removes:
+        removes |= _mask([fact("at", PLAYER, room)] if subject == PLAYER
+                         else places.get(subject, ()), bits)
+    to_room = next((f.args[1] for f in step.adds
+                    if f.predicate == "at" and f.args[0] == PLAYER), room)
+    return _Move(step.grounded, need, forbid, tuple(any_of), space, removes,
+                 _mask(step.adds, bits), to_room)
+
+
+def _mask_moves(engine: Engine, start: WorldState, goal_facts: frozenset[Fact],
+                candidates: list[GroundedAction]
+                ) -> tuple[dict[Fact, int], dict[str, list[_Move]]]:
+    """A bit for each goal and each fact a reachable state can hold (the
+    start's and those a live candidate adds: other effects only remove a
+    held fact), and each room's candidates in mask form, in candidate order."""
+    by_room = _moves_by_room(engine, start, candidates)
+    bits: dict[Fact, int] = {}
+    for f in chain(start.facts, goal_facts, *(
+            step.adds for listed in by_room.values() for step, _ in listed)):
+        bits.setdefault(f, 1 << len(bits))
+    places: dict[str, list[Fact]] = {}  # subject -> its at/on/in facts
+    for f in bits:
+        if f.predicate in ("at", "on", "in"):
+            places.setdefault(f.args[0], []).append(f)
+    carried = 0 if start.inventory_limit is None else _mask(
+        [f for f in bits if f.predicate == "in" and f.args[1] == INVENTORY], bits)
+    moves = {room: [_compile(step, room, bits, places, carried)
+                    for step, _ in listed] for room, listed in by_room.items()}
+    return bits, {room: [m for m in listed if m is not None]
+                  for room, listed in moves.items()}
+
+
 def solve_optimal(instance: Instance) -> PlanResult:
     """Minimum-length action sequence (including final `done`) that reaches a
     state satisfying every goal. Raises Unsolvable or SearchBudgetExceeded.
 
-    Each fact the search meets gets a bit as it is first seen, and a state
-    is keyed by the bits of its facts. A successor's key is its parent's
-    with the step's removed bits cleared and added bits set; the bits of
-    the facts a step resolves from its grounding are looked up once per
-    search. The successor's `WorldState` is built, unchecked, only when its
-    key is new. Keys are only tested for equality, so the plan does not
-    depend on the bit order (which follows the hash-seeded order of the
-    start state's facts). The plan is replayed through the checked
-    `apply_delta` before it is returned. A search may expand at most
-    `DEFAULT_BUDGET` states."""
+    The queue holds (room, key) pairs, and `parents` maps each key met to
+    its parent's key and the step between them. Keys are only tested for
+    equality, so the plan does not depend on the bit order (which follows
+    the hash-seeded order of the start state's facts). The plan is replayed
+    through the checked `apply_delta` before it is returned. A search may
+    expand at most `DEFAULT_BUDGET` states."""
     engine = Engine(instance)
     goal_facts = frozenset(g.fact for g in instance.goals)
     start = instance.start_state()
@@ -151,73 +216,49 @@ def solve_optimal(instance: Instance) -> PlanResult:
     if goal_facts <= start.facts:
         return PlanResult((done,), 1, 0)
 
-    bits: dict[Fact, int] = {}
-
-    def bit(f: Fact) -> int:
-        b = bits.get(f)
-        if b is None:
-            b = bits[f] = 1 << len(bits)
-        return b
-
-    def mask(facts) -> int:
-        out = 0
-        for f in facts:
-            out |= bit(f)
-        return out
-
-    goal_mask = mask(goal_facts)
-    start_mask = mask(start.facts)
-    step_masks = {}
-    moves = {}
-    for room, listed in _moves_by_room(
-            engine, start, _candidates(engine, instance)).items():
-        for step, _ in listed:
-            if step.grounded not in step_masks:
-                step_masks[step.grounded] = (mask(step.removes), mask(step.adds))
-        moves[room] = [(step, tests, *step_masks[step.grounded])
-                       for step, tests in listed]
-
-    parents: dict[int, tuple[int, GroundedAction] | None] = {start_mask: None}
-    queue: deque[tuple[WorldState, int]] = deque([(start, start_mask)])
+    bits, moves = _mask_moves(engine, start, goal_facts,
+                              _candidates(engine, instance))
+    goal_mask = _mask(goal_facts, bits)
+    limit = start.inventory_limit
+    start_key = _mask(start.facts, bits)
+    parents: dict[int, tuple[int, GroundedAction] | None] = {start_key: None}
+    queue: deque[tuple[str, int]] = deque([(start.player_room, start_key)])
     expanded = 0
     budget = DEFAULT_BUDGET
     while queue:
-        state, key = queue.popleft()
+        room, key = queue.popleft()
         expanded += 1
         if expanded > budget:
             raise SearchBudgetExceeded(f"expanded more than {budget} states")
-        view = StateView(state)
-        for step, tests, removes_bits, adds_bits in moves[state.player_room]:
-            for holds in tests:
-                if not holds(view):
-                    break
-            else:
-                for late in step.late_removes:
-                    removes_bits |= bit(late(view))
-                for late in step.late_adds:
-                    adds_bits |= bit(late(view))
-                new_key = (key & ~removes_bits) | adds_bits
-                if new_key in parents:
-                    continue
-                parents[new_key] = (key, step.grounded)
-                new_state = successor(state, *step.effects(view))
-                if new_key & goal_mask == goal_mask:
-                    plan = [done]
-                    while parents[new_key] is not None:
-                        new_key, grounded = parents[new_key]
-                        plan.append(grounded)
-                    plan.reverse()
-                    _replay(engine, start, plan, goal_facts, new_state)
-                    return PlanResult(tuple(plan), len(plan), expanded)
-                queue.append((new_state, new_key))
+        for grounded, need, forbid, any_of, space, removes, adds, to in moves[room]:
+            if (key & need != need or key & forbid
+                    or space and (key & space).bit_count() >= limit
+                    or any_of and not all(any(key & m == m for m in masks)
+                                          for masks in any_of)):
+                continue
+            new_key = key & ~removes | adds
+            if new_key in parents:
+                continue
+            parents[new_key] = (key, grounded)
+            if new_key & goal_mask == goal_mask:
+                plan, back = [done], new_key
+                while parents[back] is not None:
+                    back, grounded = parents[back]
+                    plan.append(grounded)
+                plan.reverse()
+                _replay(engine, start, plan, goal_facts, bits, new_key)
+                return PlanResult(tuple(plan), len(plan), expanded)
+            queue.append((to, new_key))
     raise Unsolvable(instance.id)
 
 
 def _replay(engine: Engine, start: WorldState, plan: list[GroundedAction],
-            goal_facts: frozenset[Fact], reached: WorldState) -> None:
+            goal_facts: frozenset[Fact], bits: dict[Fact, int],
+            reached: int) -> None:
     """Check a found plan the way a turn would: each step's preconditions
-    hold and its delta goes through `apply_delta`, and the plan ends in
-    `reached`, a state that meets every goal. InvariantViolation if not."""
+    hold and its delta goes through `apply_delta`, and the plan ends in the
+    state whose facts have the bits of `reached`, a state that meets every
+    goal. InvariantViolation if not."""
     state = start
     for grounded in plan[:-1]:
         step = engine.step(grounded)
@@ -228,6 +269,7 @@ def _replay(engine: Engine, start: WorldState, plan: list[GroundedAction],
                 f"{engine.instance.id}: plan step {grounded} fails on replay "
                 f"({failure})")
         state = apply_delta(engine.world, state, *step.effects(view))
-    if state != reached or not goal_facts <= state.facts:
+    held = {f for f, b in bits.items() if reached & b}
+    if state.facts != held or not goal_facts <= state.facts:
         raise InvariantViolation(
             f"{engine.instance.id}: the replayed plan does not reach the goals")

@@ -234,8 +234,8 @@ def apply_delta(world: WorldDef, state: WorldState,
     result breaks an invariant; both signal a buggy action definition.
 
     Turns, agents and pre-exploration walks make every state with this
-    function. The planner's search builds the states it only visits with
-    `successor` and checks just the plan it returns, replayed through this
+    function. The planner's search builds no state: it works on fact bit
+    masks and checks just the plan it returns, replayed through this
     function.
     """
     removes = frozenset(removes)
@@ -384,6 +384,24 @@ def _perceivable(state: WorldState) -> dict[str, Fact]:
     return found
 
 
+def perceivable_when(entity: str, room: str,
+                     places: Iterable[Fact]) -> tuple[tuple[Fact, ...], ...]:
+    """`_perceivable`'s rule in fact form: with the player in `room`,
+    `entity` is perceivable when all facts of one of these sets hold, one
+    set for each of its location facts in `places` that can place it here:
+    in the room or the inventory, on a holder here, or in an open one."""
+    alternatives = []
+    for place in places:
+        predicate, (_, holder) = place
+        if holder == INVENTORY or predicate == "at" and holder == room:
+            alternatives.append((place,))
+        elif predicate != "at":  # on or in a holder, which must be here
+            here = (place, fact("at", holder, room))
+            alternatives.append(here if predicate == "on"
+                                else here + (fact("open", holder),))
+    return tuple(alternatives)
+
+
 class StateView:
     """One state as compiled steps, descriptions and `visible_facts` read
     it. What the player can perceive (`_perceivable`) and where each subject
@@ -406,7 +424,10 @@ class StateView:
 
     def location_of(self, subject: str) -> Fact:
         """The first ``at``/``on``/``in`` fact about `subject` in the
-        state's fact order; ValueError if there is none."""
+        state's fact order, and the player's ``at`` fact for the player;
+        ValueError if there is none."""
+        if subject == PLAYER:
+            return Fact("at", (PLAYER, self.room))
         if self._locations is None:
             self._locations = {}
             for f in self.facts:

@@ -318,6 +318,48 @@ def test_report_print_only(small_set, tmp_path, capsys):
     assert "experiment" in out and "basic-easy" in out
 
 
+def _edit_scores(text, experiment, **values):
+    """A scores.json text with the given values set in one experiment."""
+    payload = json.loads(text)
+    payload["experiments"][experiment].update(values)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda text: text[:-10], "not valid JSON ("),
+    (lambda text: "[]", "the top level is not a JSON object"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                              if k != "agent"}),
+     "field 'agent' is missing or not a string"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                              if k != "experiments"}),
+     "field 'experiments' is missing or not an object"),
+    (lambda text: json.dumps({**json.loads(text), "experiments": []}),
+     "field 'experiments' is missing or not an object"),
+    (lambda text: json.dumps({**json.loads(text), "clemscore": "high"}),
+     "field 'clemscore' is missing or not a number"),
+    (lambda text: json.dumps({**json.loads(text),
+                              "experiments": {"basic-easy": {"quality": 1}}}),
+     "field 'experiments': "),
+    (lambda text: _edit_scores(text, "basic-easy", quality="high"),
+     "field 'experiments' basic-easy.quality is not a number"),
+], ids=["invalid-json", "not-an-object", "no-agent", "no-experiments",
+        "experiments-a-list", "clemscore-a-string", "experiment-fields",
+        "quality-a-string"])
+def test_report_names_file_and_field_of_bad_scores(small_set, tmp_path,
+                                                   capsys, edit, named):
+    """A scores.json that `run` could not have written ends `report` with
+    exit 1 and a message naming the file and the field, not a traceback."""
+    results = tmp_path / "results"
+    main(["run", "--instances", str(small_set), "--agent", "scripted",
+          "--out", str(results), "--families", "basic-easy"])
+    path = results / "scripted" / "scores.json"
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert main(["report", "--results", str(results)]) == 1
+    assert capsys.readouterr().err.startswith(f"{path}: {named}")
+
+
 def test_plan_unknown_id(small_set):
     with pytest.raises(SystemExit):
         main(["plan", "--instances", str(small_set), "--id", "nope-99"])

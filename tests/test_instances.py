@@ -574,10 +574,18 @@ def test_instance_schema_version_guard(tmp_path):
      "optimal_plan step 0 is not a verb with [param, id] pairs of strings"),
     ("optimal_plan", lambda row: [[["go"], []]] + row["optimal_plan"][1:],
      "optimal_plan step 0 is not a verb with [param, id] pairs of strings"),
+    ("optimal_plan", lambda row: [["go", "room"]] + row["optimal_plan"][1:],
+     "field 'optimal_plan': optimal_plan step 0 is not a verb with "
+     "[param, id] pairs of strings: ['go', 'room']"),
+    ("optimal_plan",
+     lambda row: row["optimal_plan"][:1] + [["go", ["room", "hallway"]]]
+     + row["optimal_plan"][2:],
+     "field 'optimal_plan': optimal_plan step 1 is not a verb with "
+     "[param, id] pairs of strings: ['go', ['room', 'hallway']]"),
 ], ids=["null", "empty", "no-done", "unknown-verb", "unknown-id", "unknown-parameter",
         "length-mismatch", "not-a-list", "unbound-parameter", "bound-twice",
         "binding-one-element", "binding-three-elements", "binding-not-strings",
-        "verb-not-a-string"])
+        "verb-not-a-string", "bindings-a-string", "binding-not-a-list"])
 def test_invalid_plan_names_file_instance_and_field(tmp_path, bench144, field,
                                                     value, named):
     path = tmp_path / "broken.json"
@@ -631,9 +639,15 @@ def _set_field(field, value):
      "instance 1 (../../../escaped): field 'id': '../../../escaped' is not "
      "letters, digits and _.- that do not start with ."),
     (_set_field("id", lambda row: ".hidden"), "field 'id': '.hidden' is not"),
+    (_set_field("goals", lambda row: [{**row["goals"][0], "kind": "x"}]),
+     "instance 1 (basic-easy-01): field 'goals': goal kind 'x' is not one "
+     "of placement, entity-state"),
+    (_set_field("goals", lambda row: []),
+     "instance 1 (basic-easy-01): field 'goals': no goals"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
-        "limit-string", "limit-zero", "id-path", "id-dot-first"])
+        "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
+        "goals-empty"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError

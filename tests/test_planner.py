@@ -1,8 +1,10 @@
 import time
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
+import ifbench.interpreter as interpreter
 import ifbench.planner as planner
 from ifbench import (Engine, ScriptedAgent, SearchBudgetExceeded,
                      Unsolvable, apply_delta, run_episode, solve_optimal)
@@ -301,28 +303,168 @@ def test_bare_search_matches_reference(bench144):
         _matches_reference(inst, unpruned_candidates(inst))
 
 
-def test_replay_rejects_a_wrong_plan():
+def _mask_holds(move, key, limit) -> bool:
+    """Whether a compiled move (or None, a move dropped for its room)
+    applies to the state with `key`, as `planner._Move` states it."""
+    return (move is not None and key & move.need == move.need
+            and not key & move.forbid
+            and all(any(key & m == m for m in masks) for masks in move.any_of)
+            and not (move.space and (key & move.space).bit_count() >= limit))
+
+
+def _places_and_carried(bits, limit):
+    """What `planner._mask_moves` passes `planner._compile`: each subject's
+    location facts with a bit, and the inventory bits if there is a limit."""
+    places = {}
+    for f in bits:
+        if f.predicate in ("at", "on", "in"):
+            places.setdefault(f.args[0], []).append(f)
+    carried = 0 if limit is None else planner._mask(
+        [f for f in bits if f.predicate == "in" and f.args[1] == INVENTORY],
+        bits)
+    return places, carried
+
+
+def _masks_match_closures(inst, candidates=None) -> int:
+    """On every state the reference search expands, over the planner's
+    candidates (or `candidates`), each candidate's mask test equals its
+    closure tests, and where they hold its mask effects equal
+    `step.effects` and its room is the successor's. Every fact of those
+    states has a bit. Returns the (state, candidate) pairs checked."""
+    engine = Engine(inst)
+    start = inst.start_state()
+    goal_facts = frozenset(g.fact for g in inst.goals)
+    candidates = candidates or planner._candidates(engine, inst)
+    bits, moves = planner._mask_moves(engine, start, goal_facts, candidates)
+    by_room = planner._moves_by_room(engine, start, candidates)
+    checked = 0
+    for state in reference_solve(inst, candidates)[1]:
+        assert state.facts <= bits.keys(), inst.id
+        key = planner._mask(state.facts, bits)
+        view = StateView(state)
+        compiled = {move.grounded: move for move in moves[state.player_room]}
+        listed = [step.grounded for step, _ in by_room[state.player_room]]
+        assert list(compiled) == [g for g in listed if g in compiled]
+        for step, tests in by_room[state.player_room]:
+            move = compiled.get(step.grounded)
+            holds = all(test(view) for test in tests)
+            assert _mask_holds(move, key, inst.inventory_limit) == holds, (
+                inst.id, step.grounded, state)
+            if holds:
+                removes, adds = step.effects(view)
+                assert key & move.removes == planner._mask(removes, bits)
+                assert removes <= state.facts and adds <= bits.keys()
+                assert move.adds == planner._mask(adds, bits)
+                assert move.room == successor(state, removes, adds).player_room
+            checked += 1
+    return checked
+
+
+def test_mask_moves_match_closures(bench144):
+    """The search's mask tests and effects against the compiled steps'
+    closures, on every state the reference search expands at seed 17 and
+    on criterion 4's micro corpus, over the pruned and the unpruned
+    candidates."""
+    checked = sum(_masks_match_closures(inst)
+                  for instances in bench144.values() for inst in instances)
+    for inst in micro_corpus():
+        checked += _masks_match_closures(inst)
+        checked += _masks_match_closures(inst, unpruned_candidates(inst))
+    assert checked > 100_000
+
+
+def test_every_check_has_a_mask_form():
+    """Each precondition check is decided before the search (it reads only
+    the grounding or the room) or states a fact form; compiled alone into a
+    move, that form agrees with the check's closure on every state the
+    unpruned reference search of the micro corpus expands, with each id of
+    the instance as the parameter, each id or none as the source, and each
+    unary predicate with a bit as the state."""
+    names = set()
+    for inst in micro_corpus():
+        engine = Engine(inst)
+        world = engine.world
+        start = inst.start_state()
+        goal_facts = frozenset(g.fact for g in inst.goals)
+        candidates = unpruned_candidates(inst)
+        bits, _ = planner._mask_moves(engine, start, goal_facts, candidates)
+        places, carried = _places_and_carried(bits, inst.inventory_limit)
+        by_room = {room: [] for room in world.rooms}
+        for state in reference_solve(inst, candidates)[1] or [start]:
+            by_room[state.player_room].append(
+                (planner._mask(state.facts, bits), StateView(state)))
+        ids = sorted(world.entities) + sorted(world.rooms) + [INVENTORY]
+        unary = sorted({f.predicate for f in bits if len(f.args) == 1})
+        for name, build in interpreter._CHECKS.items():
+            names.add(name)
+            # only source_matches reads the source, only the state checks
+            # read the state
+            sources = [None] + ids if name == "source_matches" else [None]
+            for ident, source, held in product(ids, sources, unary or ["open"]):
+                cond = {"check": name, "param": "item", "fail": "x",
+                        "state": held, "entity": ids[0]}
+                grounded = GroundedAction("probe", (("item", ident),) + (
+                    (("source", source),) if source else ()))
+                holds, reads, *facts = build(world, cond, ident, grounded)
+                if reads != interpreter.STATE:
+                    assert not facts, name
+                    continue
+                step = interpreter.Step(
+                    grounded, (interpreter.Check(holds, "x", reads, *facts),),
+                    frozenset(), frozenset(), ())
+                for room, keyed in by_room.items():
+                    move = planner._compile(step, room, bits, places, carried)
+                    for key, view in keyed:
+                        assert _mask_holds(move, key, inst.inventory_limit) == (
+                            holds(view)), (name, ident, source)
+    assert names == set(interpreter._CHECKS) and len(names) == 12
+
+
+def _one_room_search():
+    """The one-room instance, its engine, start, goal facts and fact bits."""
     inst = one_room()
     engine = Engine(inst)
     start = inst.start_state()
     goal_facts = frozenset(g.fact for g in inst.goals)
+    bits, _ = planner._mask_moves(engine, start, goal_facts,
+                                  planner._candidates(engine, inst))
+    return inst, engine, start, goal_facts, bits
+
+
+def test_replay_rejects_a_wrong_plan():
+    inst, engine, start, goal_facts, bits = _one_room_search()
     take, put, done = solve_optimal(inst).actions
     after_take = apply_delta(inst.world, start,
                              *engine.step(take).effects(StateView(start)))
     reached = apply_delta(inst.world, after_take,
                           *engine.step(put).effects(StateView(after_take)))
-    planner._replay(engine, start, [take, put, done], goal_facts, reached)
+
+    def key(state):
+        return planner._mask(state.facts, bits)
+
+    planner._replay(engine, start, [take, put, done], goal_facts, bits,
+                    key(reached))
     with pytest.raises(InvariantViolation, match="fails on replay"):
-        planner._replay(engine, start, [put, done], goal_facts, reached)
+        planner._replay(engine, start, [put, done], goal_facts, bits,
+                        key(reached))
     with pytest.raises(InvariantViolation, match="does not reach"):
-        planner._replay(engine, start, [take, done], goal_facts, reached)
+        planner._replay(engine, start, [take, done], goal_facts, bits,
+                        key(reached))
     with pytest.raises(InvariantViolation, match="does not reach"):
-        planner._replay(engine, start, [take, done], goal_facts, after_take)
+        planner._replay(engine, start, [take, done], goal_facts, bits,
+                        key(after_take))
+    # the right plan, but not the key the search reached
+    for wrong in (key(after_take), key(reached) | key(start)):
+        with pytest.raises(InvariantViolation, match="does not reach"):
+            planner._replay(engine, start, [take, put, done], goal_facts,
+                            bits, wrong)
 
 
 def test_search_with_a_wrong_successor_raises(monkeypatch):
-    """A successor that forgets the inventory limit lets the search carry
-    two objects at once; the replay of that plan fails."""
+    """A compiled inventory test that forgets the limit lets the search
+    carry two objects at once; the replay of that plan fails. A compiled
+    `take` that leaves the object's old location set makes the search reach
+    a key that the replayed plan does not."""
     inst = micro_instance(
         rooms=["kitchen", "pantry"], connections=[("kitchen", "pantry")],
         entities=[("table", "support", ["pantry"]),
@@ -331,14 +473,25 @@ def test_search_with_a_wrong_successor_raises(monkeypatch):
         facts=["at(player,kitchen)", "at(table,pantry)", "at(apple,kitchen)",
                "at(peach,kitchen)"],
         goals=["on(apple,table)", "on(peach,table)"], inventory_limit=1)
-    unchecked = planner.successor
+    compile_move = planner._compile
 
-    def unlimited(state, removes, adds):
-        return replace(unchecked(state, removes, adds), inventory_limit=None)
+    def unlimited(step, room, bits, places, carried):
+        return compile_move(step, room, bits, places, 0)
 
-    monkeypatch.setattr(planner, "successor", unlimited)
+    monkeypatch.setattr(planner, "_compile", unlimited)
     with pytest.raises(InvariantViolation, match="fails on replay"):
         solve_optimal(inst)
+
+    def sticky(step, room, bits, places, carried):
+        move = compile_move(step, room, bits, places, carried)
+        if move is not None and step.late_removes:
+            move = move._replace(removes=move.removes & ~planner._mask(
+                places[step.grounded.get("item")], bits))
+        return move
+
+    monkeypatch.setattr(planner, "_compile", sticky)
+    with pytest.raises(InvariantViolation, match="does not reach"):
+        solve_optimal(one_room())
 
 
 def test_connects_effect_fails_loudly():
@@ -360,4 +513,26 @@ def test_connects_effect_fails_loudly():
     with pytest.raises(ValueError, match="'dig'.*connects"):
         engine.step(grounded).failure(StateView(inst.start_state()))
     with pytest.raises(ValueError, match="'dig'.*connects"):
+        solve_optimal(inst)
+
+
+def test_location_effect_among_adds_fails_loudly():
+    """An effect read from the state names a fact that is held already, so
+    it may only be removed; as an add it fails when the step is compiled."""
+    copy = ActionDef(
+        verb="copy", params=(Param("item", "takeable"),), grammar="copy <item>",
+        flags=ActionFlags(epistemic=False, pragmatic=True, replaceable=False),
+        preconditions=(),
+        removes=(),
+        adds=(("location_of", "item"),),
+        feedback={"success": "You copy it."})
+    inst = micro_instance(
+        rooms=["kitchen"], connections=[],
+        entities=[("table", "support", ["kitchen"]),
+                  ("apple", "takeable", ["kitchen"])],
+        facts=["at(player,kitchen)", "at(table,kitchen)", "at(apple,kitchen)"],
+        goals=["on(apple,table)"], extra_actions=[copy])
+    with pytest.raises(ValueError, match="'copy' adds a location"):
+        Engine(inst).step(GroundedAction("copy", (("item", "apple"),)))
+    with pytest.raises(ValueError, match="'copy' adds a location"):
         solve_optimal(inst)
