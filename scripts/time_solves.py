@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Time the planner on a suite's stored instances, in this process.
 
-    python3 scripts/time_solves.py --src SRC SUITE [--repeat 5] [--cpu N]
+    python3 scripts/time_solves.py --src SRC SUITE
 
 Imports `ifbench` from the source directory SRC (for example `src` of one
 checkout, then of another, to compare two versions on the same suite), loads
 every ``*.json`` instance file under SUITE (or the one file SUITE), pins this
-process to one CPU (by default the lowest it may run on), and solves every
-instance `--repeat` times. Each solve's plan must equal the stored one. It
-prints one JSON object: the solves and states expanded of one pass, the
-seconds of the fastest pass, the microseconds per expanded state of that
-pass, each pass's seconds, and the CPU, CPU count and Python version.
+process to the lowest CPU it may run on, and solves every instance in each
+of PASSES passes. Each solve's plan must equal the stored one. It prints one
+JSON object: the solves and states expanded of one pass, the seconds of the
+fastest pass, the microseconds per expanded state of that pass, each pass's
+seconds, and the CPU, CPU count and Python version.
 """
 
 import argparse
@@ -21,14 +21,14 @@ import sys
 import time
 from pathlib import Path
 
+PASSES = 5
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", required=True,
                         help="directory that holds the ifbench package")
-    parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--cpu", type=int, help="CPU to pin this process to")
     parser.add_argument("suite", help="a generated instance file or directory")
     args = parser.parse_args()
 
@@ -41,11 +41,11 @@ def main() -> int:
     instances = [i for f in files for i in load_instances(f)]
     if not instances:
         parser.error(f"no instances under {suite}")
-    cpu = min(os.sched_getaffinity(0)) if args.cpu is None else args.cpu
+    cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
 
     passes = []
-    for _ in range(args.repeat):
+    for _ in range(PASSES):
         states = 0
         started = time.perf_counter()
         for instance in instances:

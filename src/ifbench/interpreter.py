@@ -18,8 +18,7 @@ from .instance import Instance
 from .world import (CONNECTS, INVENTORY, PLAYER, Fact, GoalCondition,
                     StateView, WorldDef, WorldState, apply_delta,
                     check_goals, connections_of, fact, load_data,
-                    perceivable_when, state_facts_of, state_to_json,
-                    visible_facts)
+                    state_facts_of, state_to_json, visible_facts)
 
 TURN_LIMIT = 50
 
@@ -104,9 +103,8 @@ def _by_holder(view: StateView) -> dict[str, list[str]]:
 # A step is one action schema compiled for one grounding: its precondition
 # tests in declared order and its effect facts, resolved from the grounding
 # where they can be. Each test says what it reads, so that a caller that
-# knows more than one state (the planner) can decide it in advance; a test
-# that reads the state also states its fact form, which the planner
-# compiles into bit masks.
+# knows more than one state (the planner) can decide it in advance, and a
+# test that reads the state states its fact form beside its closure.
 
 GROUNDING = "grounding"  # only the grounding: the same in every state
 ROOM = "room"  # only `view.room` and the connects facts in `view.facts`
@@ -114,44 +112,29 @@ STATE = "state"  # anything in the view
 
 
 class FactTest(NamedTuple):
-    """A STATE test in fact form, with the player in a given room: it holds
-    when all facts of one `any_of` set are held, no `none_of` fact is, and,
-    if `space`, fewer ``in(_, inventory)`` facts than the inventory limit."""
+    """A STATE test in fact form: it holds when all facts of one `any_of`
+    set are held, no `none_of` fact is, if `space` fewer ``in(_, inventory)``
+    facts than the inventory limit, and if `seen` is set, that entity is
+    perceivable (`world.perceivable_when`)."""
     any_of: tuple[tuple[Fact, ...], ...] = ((),)
     none_of: tuple[Fact, ...] = ()
     space: bool = False
-
-    def holds(self, view: StateView) -> bool:
-        limit = view.state.inventory_limit
-        return (any(view.facts.issuperset(s) for s in self.any_of)
-                and view.facts.isdisjoint(self.none_of)
-                and not (self.space and limit is not None
-                         and len(view.state.inventory) >= limit))
+    seen: str | None = None
 
 
 class Check(NamedTuple):
     holds: Callable[[StateView], bool]
     fail: str  # the failure kind, a key of the action's feedback
     reads: str  # GROUNDING, ROOM or STATE
-    # a STATE test's fact form, given the player's room and each subject's
-    # location facts that a state can hold
-    facts: Callable[[str, Mapping[str, list[Fact]]], FactTest] | None = None
+    facts: FactTest | None = None  # a STATE test's fact form
 
 
 def _fixed(value: bool) -> tuple[Callable[[StateView], bool], str]:
     return (lambda view: value), GROUNDING
 
 
-def _state(*any_of: tuple[Fact, ...], none_of=(), space=False):
-    """A STATE test that its fact form states in full, for every room."""
-    form = FactTest(any_of or ((),), none_of, space)
-    return form.holds, STATE, lambda room, places: form
-
-
 def _perceivable_here(world, cond, ident, grounded):
-    return ((lambda view: ident in view.perceivable), STATE,
-            lambda room, places: FactTest(
-                perceivable_when(ident, room, places.get(ident, ()))))
+    return (lambda view: ident in view.perceivable), STATE, FactTest(seen=ident)
 
 
 def _visible_here(world, cond, ident, grounded):
@@ -161,15 +144,20 @@ def _visible_here(world, cond, ident, grounded):
 
 
 def _in_inventory(world, cond, ident, grounded):
-    return _state((fact("in", ident, INVENTORY),))
+    return ((lambda view: ident in view.state.inventory), STATE,
+            FactTest(((fact("in", ident, INVENTORY),),)))
 
 
 def _not_in_inventory(world, cond, ident, grounded):
-    return _state(none_of=(fact("in", ident, INVENTORY),))
+    return ((lambda view: ident not in view.state.inventory), STATE,
+            FactTest(none_of=(fact("in", ident, INVENTORY),)))
 
 
 def _inventory_space(world, cond, ident, grounded):
-    return _state(space=True)
+    def holds(view):
+        limit = view.state.inventory_limit
+        return limit is None or len(view.state.inventory) < limit
+    return holds, STATE, FactTest(space=True)
 
 
 def _connected(world, cond, ident, grounded):
@@ -181,17 +169,20 @@ def _not_current_room(world, cond, ident, grounded):
 
 
 def _has_state(world, cond, ident, grounded):
-    return _state((fact(cond["state"], ident),))
+    held = fact(cond["state"], ident)
+    return (lambda view: held in view.facts), STATE, FactTest(((held,),))
 
 
 def _not_has_state(world, cond, ident, grounded):
-    return _state(none_of=(fact(cond["state"], ident),))
+    held = fact(cond["state"], ident)
+    return (lambda view: held not in view.facts), STATE, FactTest(none_of=(held,))
 
 
 def _open_if_container(world, cond, ident, grounded):
     if not world.is_container(ident):
         return _fixed(True)
-    return _state((fact("open", ident),))
+    is_open = fact("open", ident)
+    return (lambda view: is_open in view.facts), STATE, FactTest(((is_open,),))
 
 
 def _is_entity(world, cond, ident, grounded):
@@ -203,8 +194,11 @@ def _source_matches(world, cond, ident, grounded):
     if source is None:
         return _fixed(True)
     if source in world.rooms:
-        return _state((fact("at", ident, source),))
-    return _state((fact("on", ident, source),), (fact("in", ident, source),))
+        at = fact("at", ident, source)
+        return (lambda view: at in view.facts), STATE, FactTest(((at,),))
+    on, inside = fact("on", ident, source), fact("in", ident, source)
+    return ((lambda view: on in view.facts or inside in view.facts), STATE,
+            FactTest(((on,), (inside,))))
 
 
 # precondition check name -> builder(world, cond, ident, grounded) of the
@@ -233,8 +227,7 @@ class Step(NamedTuple):
     tests: tuple[Check, ...]  # declared order: the first failing one reports
     removes: frozenset[Fact]  # resolved from the grounding
     adds: frozenset[Fact]
-    # the subjects whose location fact (`StateView.location_of`) it removes
-    late_removes: tuple[str, ...]
+    late_removes: tuple[str, ...]  # subjects whose `location_of` it removes
 
     def failure(self, view: StateView) -> str | None:
         """First failing precondition's failure kind, or None when all hold."""
@@ -246,8 +239,7 @@ class Step(NamedTuple):
     def effects(self, view: StateView) -> tuple[frozenset[Fact], frozenset[Fact]]:
         removes = self.removes
         if self.late_removes:
-            removes = removes.union([view.location_of(s)
-                                     for s in self.late_removes])
+            removes = removes.union(map(view.location_of, self.late_removes))
         return removes, self.adds
 
 
@@ -255,8 +247,7 @@ def compile_step(world: WorldDef, action: ActionDef,
                  grounded: GroundedAction) -> Step:
     """Compile `action` for `grounded`. ValueError on an unknown check or
     effect template, on an effect on ``connects`` facts (room connections
-    are fixed, which the planner relies on) and on an added fact read from
-    the state (it is held already, so only a remove can name it)."""
+    are fixed, which the planner relies on) and on an added location."""
     bound = dict(grounded.bindings)
     tests = []
     for cond in action.preconditions:
@@ -271,7 +262,6 @@ def compile_step(world: WorldDef, action: ActionDef,
         return name if name in (PLAYER, INVENTORY) else bound.get(name, name)
 
     def effect(template: tuple[str, ...]) -> Fact | str:
-        """The effect's fact, or the subject whose location fact it is."""
         kind = template[0]
         if kind == "fact":
             if template[1] == CONNECTS:
@@ -298,8 +288,7 @@ def compile_step(world: WorldDef, action: ActionDef,
     removes, late_removes = split(action.removes)
     adds, late_adds = split(action.adds)
     if late_adds:
-        raise ValueError(f"action {action.verb!r} adds a location read from "
-                         "the state; such an effect can only remove")
+        raise ValueError(f"{action.verb!r} adds a location read from the state")
     return Step(grounded, tuple(tests), removes, adds, late_removes)
 
 

@@ -20,13 +20,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import chain, product
+from math import inf
 from typing import NamedTuple
 
 from .grammar import ActionDef, GroundedAction, fits_trait
 from .instance import Instance
 from .interpreter import GROUNDING, ROOM, STATE, Engine, Step
 from .world import (INVENTORY, PLAYER, Fact, InvariantViolation, StateView,
-                    WorldState, apply_delta, fact)
+                    WorldDef, WorldState, apply_delta, perceivable_when)
 
 DEFAULT_BUDGET = 500_000  # states a search may expand; read at each call
 
@@ -127,13 +128,13 @@ def _moves_by_room(engine: Engine, start: WorldState,
 class _Move(NamedTuple):
     """A candidate in mask form, with the player in one room. It applies to
     a key that holds all `need` bits, no `forbid` bit, all bits of one mask
-    of each `any_of` group, and fewer `space` bits than the limit; it clears
-    `removes`, sets `adds` and moves the player to `room`."""
+    of each `any_of` group and, if `space`, fewer inventory bits than the
+    limit; it clears `removes`, sets `adds` and moves the player to `room`."""
     grounded: GroundedAction
     need: int
     forbid: int
     any_of: tuple[tuple[int, ...], ...]
-    space: int
+    space: bool
     removes: int
     adds: int
     room: str
@@ -148,55 +149,56 @@ def _mask(facts, bits: dict[Fact, int]) -> int:
 
 
 def _compile(step: Step, room: str, bits: dict[Fact, int],
-             places: dict[str, list[Fact]], carried: int) -> _Move | None:
+             places: dict[str, list[Fact]]) -> _Move | None:
     """`step` in mask form with the player in `room`; None if its tests can
-    never hold there. A location fact it removes as read from the state
-    clears all of its subject's `places`: a state holds one of them.
-    `carried` holds the bits that count against the limit."""
-    need = forbid = space = 0
+    never hold there. A location it removes as read from the state clears
+    all of its subject's `places`: a state holds one of them."""
+    need = forbid = 0
     any_of = []
-    for form in (t.facts(room, places) for t in step.tests if t.facts):
-        masks = [_mask(facts, bits) for facts in form.any_of
-                 if all(f in bits for f in facts)]
+    forms = [test.facts for test in step.tests if test.facts]
+    for form in forms:
+        sets = form.any_of if form.seen is None else perceivable_when(
+            room, places.get(form.seen, ()))
+        masks = tuple(_mask(s, bits) for s in sets if all(f in bits for f in s))
         if not masks:
             return None
         if len(masks) == 1:
             need |= masks[0]
         else:
-            any_of.append(tuple(masks))
+            any_of.append(masks)
         forbid |= _mask(form.none_of, bits)
-        space |= carried if form.space else 0
-    removes = _mask(step.removes, bits)
-    for subject in step.late_removes:
-        removes |= _mask([fact("at", PLAYER, room)] if subject == PLAYER
-                         else places.get(subject, ()), bits)
+    removes = chain(step.removes,
+                    *(places.get(subject, ()) for subject in step.late_removes))
     to_room = next((f.args[1] for f in step.adds
                     if f.predicate == "at" and f.args[0] == PLAYER), room)
-    return _Move(step.grounded, need, forbid, tuple(any_of), space, removes,
+    return _Move(step.grounded, need, forbid, tuple(any_of),
+                 any(form.space for form in forms), _mask(removes, bits),
                  _mask(step.adds, bits), to_room)
 
 
 def _mask_moves(engine: Engine, start: WorldState, goal_facts: frozenset[Fact],
                 candidates: list[GroundedAction]
-                ) -> tuple[dict[Fact, int], dict[str, list[_Move]]]:
+                ) -> tuple[dict[Fact, int], dict[str, list[Fact]], int,
+                           dict[str, list[_Move]]]:
     """A bit for each goal and each fact a reachable state can hold (the
     start's and those a live candidate adds: other effects only remove a
-    held fact), and each room's candidates in mask form, in candidate order."""
+    held fact), each subject's location facts with a bit, the inventory's
+    bits, and each room's candidates in mask form, in candidate order."""
     by_room = _moves_by_room(engine, start, candidates)
     bits: dict[Fact, int] = {}
     for f in chain(start.facts, goal_facts, *(
             step.adds for listed in by_room.values() for step, _ in listed)):
         bits.setdefault(f, 1 << len(bits))
-    places: dict[str, list[Fact]] = {}  # subject -> its at/on/in facts
+    places: dict[str, list[Fact]] = {}
     for f in bits:
         if f.predicate in ("at", "on", "in"):
             places.setdefault(f.args[0], []).append(f)
-    carried = 0 if start.inventory_limit is None else _mask(
-        [f for f in bits if f.predicate == "in" and f.args[1] == INVENTORY], bits)
-    moves = {room: [_compile(step, room, bits, places, carried)
-                    for step, _ in listed] for room, listed in by_room.items()}
-    return bits, {room: [m for m in listed if m is not None]
-                  for room, listed in moves.items()}
+    carried = _mask([f for f in bits
+                     if f.predicate == "in" and f.args[1] == INVENTORY], bits)
+    moves = {room: [_compile(step, room, bits, places) for step, _ in listed]
+             for room, listed in by_room.items()}
+    return bits, places, carried, {room: [m for m in listed if m]
+                                   for room, listed in moves.items()}
 
 
 def solve_optimal(instance: Instance) -> PlanResult:
@@ -216,10 +218,10 @@ def solve_optimal(instance: Instance) -> PlanResult:
     if goal_facts <= start.facts:
         return PlanResult((done,), 1, 0)
 
-    bits, moves = _mask_moves(engine, start, goal_facts,
-                              _candidates(engine, instance))
+    bits, _, carried, moves = _mask_moves(engine, start, goal_facts,
+                                          _candidates(engine, instance))
     goal_mask = _mask(goal_facts, bits)
-    limit = start.inventory_limit
+    limit = inf if start.inventory_limit is None else start.inventory_limit
     start_key = _mask(start.facts, bits)
     parents: dict[int, tuple[int, GroundedAction] | None] = {start_key: None}
     queue: deque[tuple[str, int]] = deque([(start.player_room, start_key)])
@@ -232,7 +234,7 @@ def solve_optimal(instance: Instance) -> PlanResult:
             raise SearchBudgetExceeded(f"expanded more than {budget} states")
         for grounded, need, forbid, any_of, space, removes, adds, to in moves[room]:
             if (key & need != need or key & forbid
-                    or space and (key & space).bit_count() >= limit
+                    or space and (key & carried).bit_count() >= limit
                     or any_of and not all(any(key & m == m for m in masks)
                                           for masks in any_of)):
                 continue

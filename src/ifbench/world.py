@@ -384,22 +384,23 @@ def _perceivable(state: WorldState) -> dict[str, Fact]:
     return found
 
 
-def perceivable_when(entity: str, room: str,
-                     places: Iterable[Fact]) -> tuple[tuple[Fact, ...], ...]:
-    """`_perceivable`'s rule in fact form: with the player in `room`,
-    `entity` is perceivable when all facts of one of these sets hold, one
-    set for each of its location facts in `places` that can place it here:
-    in the room or the inventory, on a holder here, or in an open one."""
+def perceivable_when(room: str,
+                     places: Iterable[Fact]) -> list[tuple[Fact, ...]]:
+    """`_perceivable`'s rule in fact form: with the player in `room`, an
+    entity whose location facts may be `places` is perceivable when all
+    facts of one of these sets hold, one set for each place that can put
+    it here."""
     alternatives = []
     for place in places:
         predicate, (_, holder) = place
         if holder == INVENTORY or predicate == "at" and holder == room:
             alternatives.append((place,))
-        elif predicate != "at":  # on or in a holder, which must be here
-            here = (place, fact("at", holder, room))
-            alternatives.append(here if predicate == "on"
-                                else here + (fact("open", holder),))
-    return tuple(alternatives)
+        elif predicate == "on":
+            alternatives.append((place, fact("at", holder, room)))
+        elif predicate == "in":
+            alternatives.append((place, fact("at", holder, room),
+                                 fact("open", holder)))
+    return alternatives
 
 
 class StateView:
@@ -424,8 +425,8 @@ class StateView:
 
     def location_of(self, subject: str) -> Fact:
         """The first ``at``/``on``/``in`` fact about `subject` in the
-        state's fact order, and the player's ``at`` fact for the player;
-        ValueError if there is none."""
+        state's fact order (for the player, its ``at`` fact); ValueError if
+        there is none."""
         if subject == PLAYER:
             return Fact("at", (PLAYER, self.room))
         if self._locations is None:

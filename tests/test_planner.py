@@ -303,26 +303,15 @@ def test_bare_search_matches_reference(bench144):
         _matches_reference(inst, unpruned_candidates(inst))
 
 
-def _mask_holds(move, key, limit) -> bool:
+def _mask_holds(move, key, carried, limit) -> bool:
     """Whether a compiled move (or None, a move dropped for its room)
-    applies to the state with `key`, as `planner._Move` states it."""
+    applies to the state with `key`, as `planner._Move` states it, where
+    `carried` holds the inventory's bits."""
     return (move is not None and key & move.need == move.need
             and not key & move.forbid
             and all(any(key & m == m for m in masks) for masks in move.any_of)
-            and not (move.space and (key & move.space).bit_count() >= limit))
-
-
-def _places_and_carried(bits, limit):
-    """What `planner._mask_moves` passes `planner._compile`: each subject's
-    location facts with a bit, and the inventory bits if there is a limit."""
-    places = {}
-    for f in bits:
-        if f.predicate in ("at", "on", "in"):
-            places.setdefault(f.args[0], []).append(f)
-    carried = 0 if limit is None else planner._mask(
-        [f for f in bits if f.predicate == "in" and f.args[1] == INVENTORY],
-        bits)
-    return places, carried
+            and not (move.space and limit is not None
+                     and (key & carried).bit_count() >= limit))
 
 
 def _masks_match_closures(inst, candidates=None) -> int:
@@ -335,7 +324,8 @@ def _masks_match_closures(inst, candidates=None) -> int:
     start = inst.start_state()
     goal_facts = frozenset(g.fact for g in inst.goals)
     candidates = candidates or planner._candidates(engine, inst)
-    bits, moves = planner._mask_moves(engine, start, goal_facts, candidates)
+    bits, _, carried, moves = planner._mask_moves(engine, start, goal_facts,
+                                                  candidates)
     by_room = planner._moves_by_room(engine, start, candidates)
     checked = 0
     for state in reference_solve(inst, candidates)[1]:
@@ -348,8 +338,8 @@ def _masks_match_closures(inst, candidates=None) -> int:
         for step, tests in by_room[state.player_room]:
             move = compiled.get(step.grounded)
             holds = all(test(view) for test in tests)
-            assert _mask_holds(move, key, inst.inventory_limit) == holds, (
-                inst.id, step.grounded, state)
+            assert _mask_holds(move, key, carried, inst.inventory_limit) == (
+                holds), (inst.id, step.grounded, state)
             if holds:
                 removes, adds = step.effects(view)
                 assert key & move.removes == planner._mask(removes, bits)
@@ -387,8 +377,8 @@ def test_every_check_has_a_mask_form():
         start = inst.start_state()
         goal_facts = frozenset(g.fact for g in inst.goals)
         candidates = unpruned_candidates(inst)
-        bits, _ = planner._mask_moves(engine, start, goal_facts, candidates)
-        places, carried = _places_and_carried(bits, inst.inventory_limit)
+        bits, places, carried, _ = planner._mask_moves(
+            engine, start, goal_facts, candidates)
         by_room = {room: [] for room in world.rooms}
         for state in reference_solve(inst, candidates)[1] or [start]:
             by_room[state.player_room].append(
@@ -413,9 +403,10 @@ def test_every_check_has_a_mask_form():
                     grounded, (interpreter.Check(holds, "x", reads, *facts),),
                     frozenset(), frozenset(), ())
                 for room, keyed in by_room.items():
-                    move = planner._compile(step, room, bits, places, carried)
+                    move = planner._compile(step, room, bits, places)
                     for key, view in keyed:
-                        assert _mask_holds(move, key, inst.inventory_limit) == (
+                        assert _mask_holds(
+                            move, key, carried, inst.inventory_limit) == (
                             holds(view)), (name, ident, source)
     assert names == set(interpreter._CHECKS) and len(names) == 12
 
@@ -426,8 +417,8 @@ def _one_room_search():
     engine = Engine(inst)
     start = inst.start_state()
     goal_facts = frozenset(g.fact for g in inst.goals)
-    bits, _ = planner._mask_moves(engine, start, goal_facts,
-                                  planner._candidates(engine, inst))
+    bits, *_ = planner._mask_moves(engine, start, goal_facts,
+                                   planner._candidates(engine, inst))
     return inst, engine, start, goal_facts, bits
 
 
@@ -475,15 +466,16 @@ def test_search_with_a_wrong_successor_raises(monkeypatch):
         goals=["on(apple,table)", "on(peach,table)"], inventory_limit=1)
     compile_move = planner._compile
 
-    def unlimited(step, room, bits, places, carried):
-        return compile_move(step, room, bits, places, 0)
+    def unlimited(step, room, bits, places):
+        move = compile_move(step, room, bits, places)
+        return move and move._replace(space=False)
 
     monkeypatch.setattr(planner, "_compile", unlimited)
     with pytest.raises(InvariantViolation, match="fails on replay"):
         solve_optimal(inst)
 
-    def sticky(step, room, bits, places, carried):
-        move = compile_move(step, room, bits, places, carried)
+    def sticky(step, room, bits, places):
+        move = compile_move(step, room, bits, places)
         if move is not None and step.late_removes:
             move = move._replace(removes=move.removes & ~planner._mask(
                 places[step.grounded.get("item")], bits))
