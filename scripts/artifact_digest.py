@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """One SHA-256 over the artifacts of a seeded benchmark pipeline.
 
-    python3 scripts/artifact_digest.py SEED OUTDIR
+    PYTHONPATH=src python3 scripts/artifact_digest.py SEED OUTDIR
 
-Runs `generate --seed SEED`, `run --agent scripted`, `run --agent heuristic`
+Run from the repository root (or with ifbench installed). Runs `generate --seed SEED`, `run --agent scripted`, `run --agent heuristic`
 and `report --instances --out` into OUTDIR, which must not exist yet or be
 empty, and prints the SHA-256 over the tree's files: each file's path
 relative to OUTDIR, its size and its bytes, in sorted path order. The

@@ -128,7 +128,7 @@ class Instance:
 
         return Instance(
             id=read("id", _file_token),
-            family=data["family"],
+            family=read("family", _string),
             rooms=read("rooms", lambda rows: tuple(
                 RoomDef(r["id"], r["noun"],
                         frozenset(_strings(r["allowed_adjacent"])))
@@ -154,12 +154,18 @@ class Instance:
             preexploration=read("preexploration", lambda pairs: (
                 tuple(_strings(p) for p in pairs) if pairs else None),
                 optional=True),
-            prompt=data["prompt"],
+            prompt=read("prompt", _string),
             optimal_plan=read("optimal_plan", lambda plan: (
                 None if plan is None else tuple(
                     _plan_step(n, step) for n, step in enumerate(plan)))),
             seed_path=tuple(data.get("seed_path", ())),
         )
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
 
 
 def _strings(value) -> tuple[str, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure)
 from .instance import Instance
@@ -102,119 +102,85 @@ def _by_holder(view: StateView) -> dict[str, list[str]]:
 #
 # A step is one action schema compiled for one grounding: its precondition
 # tests in declared order and its effect facts, resolved from the grounding
-# where they can be. Each test says what it reads, so that a caller that
-# knows more than one state (the planner) can decide it in advance, and a
-# test that reads the state states its fact form beside its closure.
-
-GROUNDING = "grounding"  # only the grounding: the same in every state
-ROOM = "room"  # only `view.room` and the connects facts in `view.facts`
-STATE = "state"  # anything in the view
+# where they can be. Each test is a fact form: a turn decides it on a view
+# (`FactTest.holds`), and the planner compiles the same form into bit masks.
 
 
 class FactTest(NamedTuple):
-    """A STATE test in fact form: it holds when all facts of one `any_of`
-    set are held, no `none_of` fact is, if `space` fewer ``in(_, inventory)``
-    facts than the inventory limit, and if `seen` is set, that entity is
-    perceivable (`world.perceivable_when`)."""
+    """A precondition test in fact form: it holds when all facts of one
+    `any_of` set are held (never, if there is no set), no `none_of` fact is,
+    if `space` fewer ``in(_, inventory)`` facts than the inventory limit, and
+    if `seen` is set, that entity is perceivable (`world.perceivable_when`)."""
     any_of: tuple[tuple[Fact, ...], ...] = ((),)
     none_of: tuple[Fact, ...] = ()
     space: bool = False
     seen: str | None = None
 
-
-class Check(NamedTuple):
-    holds: Callable[[StateView], bool]
-    fail: str  # the failure kind, a key of the action's feedback
-    reads: str  # GROUNDING, ROOM or STATE
-    facts: FactTest | None = None  # a STATE test's fact form
-
-
-def _fixed(value: bool) -> tuple[Callable[[StateView], bool], str]:
-    return (lambda view: value), GROUNDING
-
-
-def _perceivable_here(world, cond, ident, grounded):
-    return (lambda view: ident in view.perceivable), STATE, FactTest(seen=ident)
-
-
-def _visible_here(world, cond, ident, grounded):
-    if ident == INVENTORY:
-        return _fixed(True)
-    return _perceivable_here(world, cond, ident, grounded)
+    def holds(self, view: StateView) -> bool:
+        if self.seen is not None and self.seen not in view.perceivable:
+            return False
+        state = view.state
+        if (self.space and state.inventory_limit is not None
+                and len(state.inventory) >= state.inventory_limit):
+            return False
+        facts = view.facts
+        if not facts.isdisjoint(self.none_of):
+            return False
+        for needed in self.any_of:
+            if facts.issuperset(needed):
+                return True
+        return False
 
 
-def _in_inventory(world, cond, ident, grounded):
-    return ((lambda view: ident in view.state.inventory), STATE,
-            FactTest(((fact("in", ident, INVENTORY),),)))
+def _held(f: Fact) -> FactTest:
+    return FactTest(((f,),))
 
 
-def _not_in_inventory(world, cond, ident, grounded):
-    return ((lambda view: ident not in view.state.inventory), STATE,
-            FactTest(none_of=(fact("in", ident, INVENTORY),)))
+def _absent(f: Fact) -> FactTest:
+    return FactTest(none_of=(f,))
 
 
-def _inventory_space(world, cond, ident, grounded):
-    def holds(view):
-        limit = view.state.inventory_limit
-        return limit is None or len(view.state.inventory) < limit
-    return holds, STATE, FactTest(space=True)
+def _seen(ident: str | None) -> FactTest:
+    """The player perceives `ident`; never, for an unbound parameter."""
+    return FactTest(()) if ident is None else FactTest(seen=ident)
 
 
 def _connected(world, cond, ident, grounded):
-    return (lambda view: Fact(CONNECTS, (view.room, ident)) in view.facts), ROOM
-
-
-def _not_current_room(world, cond, ident, grounded):
-    return (lambda view: ident != view.room), ROOM
-
-
-def _has_state(world, cond, ident, grounded):
-    held = fact(cond["state"], ident)
-    return (lambda view: held in view.facts), STATE, FactTest(((held,),))
-
-
-def _not_has_state(world, cond, ident, grounded):
-    held = fact(cond["state"], ident)
-    return (lambda view: held not in view.facts), STATE, FactTest(none_of=(held,))
-
-
-def _open_if_container(world, cond, ident, grounded):
-    if not world.is_container(ident):
-        return _fixed(True)
-    is_open = fact("open", ident)
-    return (lambda view: is_open in view.facts), STATE, FactTest(((is_open,),))
-
-
-def _is_entity(world, cond, ident, grounded):
-    return _fixed(ident == cond["entity"])
+    return FactTest(tuple((fact("at", PLAYER, room), fact(CONNECTS, room, ident))
+                          for room in world.rooms))
 
 
 def _source_matches(world, cond, ident, grounded):
     source = grounded.get(cond.get("source", "source"))
     if source is None:
-        return _fixed(True)
+        return None
     if source in world.rooms:
-        at = fact("at", ident, source)
-        return (lambda view: at in view.facts), STATE, FactTest(((at,),))
-    on, inside = fact("on", ident, source), fact("in", ident, source)
-    return ((lambda view: on in view.facts or inside in view.facts), STATE,
-            FactTest(((on,), (inside,))))
+        return _held(fact("at", ident, source))
+    return FactTest(((fact("on", ident, source),), (fact("in", ident, source),)))
 
 
 # precondition check name -> builder(world, cond, ident, grounded) of the
-# test's (holds, reads) and, for a STATE test, its fact form
+# check's fact form, or None when the grounding alone makes it hold
 _CHECKS = {
-    "accessible_here": _perceivable_here,
-    "visible_here": _visible_here,
-    "in_inventory": _in_inventory,
-    "not_in_inventory": _not_in_inventory,
-    "inventory_space": _inventory_space,
+    "accessible_here": lambda world, cond, ident, grounded: _seen(ident),
+    "visible_here": lambda world, cond, ident, grounded: (
+        None if ident == INVENTORY else _seen(ident)),
+    "in_inventory": lambda world, cond, ident, grounded: _held(
+        fact("in", ident, INVENTORY)),
+    "not_in_inventory": lambda world, cond, ident, grounded: _absent(
+        fact("in", ident, INVENTORY)),
+    "inventory_space": lambda world, cond, ident, grounded: FactTest(space=True),
     "connected": _connected,
-    "not_current_room": _not_current_room,
-    "has_state": _has_state,
-    "not_has_state": _not_has_state,
-    "open_if_container": _open_if_container,
-    "is_entity": _is_entity,
+    "not_current_room": lambda world, cond, ident, grounded: _absent(
+        fact("at", PLAYER, ident)),
+    "has_state": lambda world, cond, ident, grounded: _held(
+        fact(cond["state"], ident)),
+    "not_has_state": lambda world, cond, ident, grounded: _absent(
+        fact(cond["state"], ident)),
+    "open_if_container": lambda world, cond, ident, grounded: (
+        _held(fact("open", ident)) if world.is_container(ident) else None),
+    "is_entity": lambda world, cond, ident, grounded: (
+        None if ident == cond["entity"] else FactTest(())),
     "source_matches": _source_matches,
 }
 
@@ -224,16 +190,17 @@ class Step(NamedTuple):
     only where the grounding leaves something open."""
 
     grounded: GroundedAction
-    tests: tuple[Check, ...]  # declared order: the first failing one reports
+    # (form, failure kind), in declared order: the first failing one reports
+    tests: tuple[tuple[FactTest, str], ...]
     removes: frozenset[Fact]  # resolved from the grounding
     adds: frozenset[Fact]
     late_removes: tuple[str, ...]  # subjects whose `location_of` it removes
 
     def failure(self, view: StateView) -> str | None:
         """First failing precondition's failure kind, or None when all hold."""
-        for test in self.tests:
-            if not test.holds(view):
-                return test.fail
+        for form, fail in self.tests:
+            if not form.holds(view):
+                return fail
         return None
 
     def effects(self, view: StateView) -> tuple[frozenset[Fact], frozenset[Fact]]:
@@ -255,8 +222,9 @@ def compile_step(world: WorldDef, action: ActionDef,
         if build is None:
             raise ValueError(f"unknown precondition check {cond['check']!r}")
         ident = bound.get(cond["param"]) if "param" in cond else None
-        holds, reads, *facts = build(world, cond, ident, grounded)
-        tests.append(Check(holds, cond["fail"], reads, *facts))
+        form = build(world, cond, ident, grounded)
+        if form is not None:
+            tests.append((form, cond["fail"]))
 
     def resolve(name: str) -> str:
         return name if name in (PLAYER, INVENTORY) else bound.get(name, name)

@@ -5,27 +5,26 @@ Actions with no effects (`examine`, `look`, `done`) are not branched on;
 `done` ends every plan. The search also prunes branches that provably
 cannot shorten a plan: taking or putting non-goal objects, `close`, and
 `open` on containers that neither hide a goal object nor are goal targets.
-Candidates run as the engine's compiled steps, listed per player room
-(`_moves_by_room`).
 
 The search runs on bit masks alone: a state is the player's room and the
-bit mask of its facts (its key), and each room's candidates are compiled
-once per search into mask tests and effects (`_mask_moves`) from the fact
-forms of their tests. It builds no state. `_replay` checks the plan it
-returns through the steps' preconditions and the checked `apply_delta`.
+bit mask of its facts (its key). Each candidate's compiled step is compiled
+once per search and player room into mask tests and effects (`_mask_moves`)
+from the fact forms of its tests, the forms a turn decides on a view. It
+builds no state. `_replay` checks the plan it returns through the steps'
+preconditions and the checked `apply_delta`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, product
 from math import inf
 from typing import NamedTuple
 
 from .grammar import ActionDef, GroundedAction, fits_trait
 from .instance import Instance
-from .interpreter import GROUNDING, ROOM, STATE, Engine, Step
+from .interpreter import Engine, Step
 from .world import (INVENTORY, PLAYER, Fact, InvariantViolation, StateView,
                     WorldDef, WorldState, apply_delta, perceivable_when)
 
@@ -98,33 +97,6 @@ def _candidates(engine: Engine, instance: Instance) -> list[GroundedAction]:
     return out
 
 
-def _moves_by_room(engine: Engine, start: WorldState,
-                   candidates: list[GroundedAction]
-                   ) -> dict[str, list[tuple[Step, tuple]]]:
-    """For each room, the candidates that can apply with the player there,
-    each with the tests left to run on a state, in candidate order.
-
-    A test that reads only the grounding is decided once, and a candidate
-    with a false one dropped. Compiled steps never change ``connects``
-    facts, so a test that reads only the player's room and the connections
-    is decided once per room, against the start state's connections."""
-    live = []
-    for grounded in candidates:
-        step = engine.step(grounded)
-        tests = {GROUNDING: [], ROOM: [], STATE: []}
-        for test in step.tests:
-            tests[test.reads].append(test.holds)
-        if all(holds(None) for holds in tests[GROUNDING]):
-            live.append((step, tests[ROOM], tuple(tests[STATE])))
-    by_room = {}
-    for room in engine.world.rooms:
-        probe = StateView(replace(start, player_room=room))
-        by_room[room] = [(step, state_tests)
-                         for step, room_tests, state_tests in live
-                         if all(holds(probe) for holds in room_tests)]
-    return by_room
-
-
 class _Move(NamedTuple):
     """A candidate in mask form, with the player in one room. It applies to
     a key that holds all `need` bits, no `forbid` bit, all bits of one mask
@@ -149,17 +121,21 @@ def _mask(facts, bits: dict[Fact, int]) -> int:
 
 
 def _compile(step: Step, room: str, bits: dict[Fact, int],
-             places: dict[str, list[Fact]]) -> _Move | None:
+             places: dict[str, list[Fact]],
+             possible: set[Fact]) -> _Move | None:
     """`step` in mask form with the player in `room`; None if its tests can
-    never hold there. A location it removes as read from the state clears
-    all of its subject's `places`: a state holds one of them."""
+    never hold there. A set of facts that a test needs all of is dropped
+    unless all of them are `possible`: they have a bit, so that a state may
+    hold them, and none places the player in another room. Compiled steps
+    never change ``connects`` facts, so this decides the room's connections
+    once. A location it removes as read from the state clears all of its
+    subject's `places`: a state holds one of them."""
     need = forbid = 0
     any_of = []
-    forms = [test.facts for test in step.tests if test.facts]
-    for form in forms:
+    for form, _ in step.tests:
         sets = form.any_of if form.seen is None else perceivable_when(
             room, places.get(form.seen, ()))
-        masks = tuple(_mask(s, bits) for s in sets if all(f in bits for f in s))
+        masks = tuple(_mask(s, bits) for s in sets if possible.issuperset(s))
         if not masks:
             return None
         if len(masks) == 1:
@@ -172,8 +148,8 @@ def _compile(step: Step, room: str, bits: dict[Fact, int],
     to_room = next((f.args[1] for f in step.adds
                     if f.predicate == "at" and f.args[0] == PLAYER), room)
     return _Move(step.grounded, need, forbid, tuple(any_of),
-                 any(form.space for form in forms), _mask(removes, bits),
-                 _mask(step.adds, bits), to_room)
+                 any(form.space for form, _ in step.tests),
+                 _mask(removes, bits), _mask(step.adds, bits), to_room)
 
 
 def _mask_moves(engine: Engine, start: WorldState, goal_facts: frozenset[Fact],
@@ -181,13 +157,12 @@ def _mask_moves(engine: Engine, start: WorldState, goal_facts: frozenset[Fact],
                 ) -> tuple[dict[Fact, int], dict[str, list[Fact]], int,
                            dict[str, list[_Move]]]:
     """A bit for each goal and each fact a reachable state can hold (the
-    start's and those a live candidate adds: other effects only remove a
-    held fact), each subject's location facts with a bit, the inventory's
-    bits, and each room's candidates in mask form, in candidate order."""
-    by_room = _moves_by_room(engine, start, candidates)
+    start's and those a candidate adds: other effects only remove a held
+    fact), each subject's location facts with a bit, the inventory's bits,
+    and each room's candidates in mask form, in candidate order."""
+    steps = [engine.step(grounded) for grounded in candidates]
     bits: dict[Fact, int] = {}
-    for f in chain(start.facts, goal_facts, *(
-            step.adds for listed in by_room.values() for step, _ in listed)):
+    for f in chain(start.facts, goal_facts, *(step.adds for step in steps)):
         bits.setdefault(f, 1 << len(bits))
     places: dict[str, list[Fact]] = {}
     for f in bits:
@@ -195,10 +170,13 @@ def _mask_moves(engine: Engine, start: WorldState, goal_facts: frozenset[Fact],
             places.setdefault(f.args[0], []).append(f)
     carried = _mask([f for f in bits
                      if f.predicate == "in" and f.args[1] == INVENTORY], bits)
-    moves = {room: [_compile(step, room, bits, places) for step, _ in listed]
-             for room, listed in by_room.items()}
-    return bits, places, carried, {room: [m for m in listed if m]
-                                   for room, listed in moves.items()}
+    moves = {}
+    for room in engine.world.rooms:
+        possible = bits.keys() - {f for f in places.get(PLAYER, ())
+                                  if f.args[1] != room}
+        moves[room] = [move for step in steps
+                       if (move := _compile(step, room, bits, places, possible))]
+    return bits, places, carried, moves
 
 
 def solve_optimal(instance: Instance) -> PlanResult:

@@ -54,6 +54,7 @@ class EntityDef:
     allowed_rooms: frozenset[str]
 
     def __post_init__(self):
+        _check_noun(self.id, self.noun)
         if "container" in self.traits and "support" in self.traits:
             raise ValueError(f"{self.id}: container and support are exclusive")
         if "container" in self.traits and "openable" not in self.traits:
@@ -70,6 +71,14 @@ class RoomDef:
     noun: str
     allowed_adjacent: frozenset[str]
 
+    def __post_init__(self):
+        _check_noun(self.id, self.noun)
+
+
+def _check_noun(ident: str, noun) -> None:
+    if not isinstance(noun, str) or not noun:
+        raise ValueError(f"{ident}: noun {noun!r} is not a non-empty string")
+
 
 @dataclass(frozen=True)
 class StateGroup:
@@ -78,6 +87,11 @@ class StateGroup:
     entity: str
     states: tuple[str, ...]
     initial: str | None  # None: entity may start with no state fact
+
+    def __post_init__(self):
+        if self.initial is not None and self.initial not in self.states:
+            raise ValueError(f"{self.entity}: initial state {self.initial!r} "
+                             f"is not one of {', '.join(self.states)}")
 
 
 @dataclass(frozen=True)
@@ -217,8 +231,9 @@ def apply_delta(world: WorldDef, state: WorldState,
     built by `initial_state` or this function does. The
     result is therefore checked only where the delta lands:
 
-    - each added fact has a known predicate and the right arity, and
-      ``open``/``closed`` hold only of containers;
+    - each added fact has a known predicate and the right arity,
+      ``open``/``closed`` hold only of containers, and only takeables are
+      ``on`` or ``in`` something;
     - the player, if the delta moves it, and each takeable whose location
       facts it touches keep exactly one location fact, and each added one
       points at a room, a support, a container or the inventory;
@@ -244,31 +259,21 @@ def apply_delta(world: WorldDef, state: WorldState,
         raise InvariantViolation(f"removes not in state: {removes - state.facts}")
     if adds & (state.facts - removes):
         raise InvariantViolation(f"adds already present: {adds & state.facts}")
-    for f in adds:
-        _check_fact(world, f)
-    result = successor(state, removes, adds)
-    _check_delta(world, result, removes, adds)
-    return result
-
-
-def successor(state: WorldState, removes: frozenset[Fact],
-              adds: frozenset[Fact]) -> WorldState:
-    """The state with `removes` taken out and `adds` put in, unchecked: the
-    player's room and the inventory follow the ``at(player, _)`` and
-    ``in(_, inventory)`` facts of the delta. `apply_delta` builds its result
-    with this function and then checks it."""
     player_room = state.player_room
     inventory = list(state.inventory)
     for f in removes:
         if f.predicate == "in" and f.args[1] == INVENTORY:
             inventory.remove(f.args[0])
     for f in sorted(adds):
+        _check_fact(world, f)
         if f.predicate == "in" and f.args[1] == INVENTORY:
             inventory.append(f.args[0])
         if f.predicate == "at" and f.args[0] == PLAYER:
             player_room = f.args[1]
-    return WorldState((state.facts - removes) | adds, player_room,
-                      tuple(inventory), state.inventory_limit)
+    result = WorldState((state.facts - removes) | adds, player_room,
+                        tuple(inventory), state.inventory_limit)
+    _check_delta(world, result, removes, adds)
+    return result
 
 
 def _check_fact(world: WorldDef, f: Fact) -> None:
@@ -276,6 +281,8 @@ def _check_fact(world: WorldDef, f: Fact) -> None:
     if f.predicate in ("at", "in", "on", CONNECTS):
         if len(f.args) != 2:
             raise InvariantViolation(f"{f} must have 2 args")
+        if f.predicate in ("in", "on") and not world.is_takeable(f.args[0]):
+            raise InvariantViolation(f"{f}: {f.args[0]} is not takeable")
     elif f.predicate in ("open", "closed") or f.predicate in world.state_predicates():
         if len(f.args) != 1:
             raise InvariantViolation(f"{f} must have 1 arg")
@@ -361,10 +368,10 @@ def state_facts_of(world: WorldDef, state: WorldState, entity: str) -> list[Fact
 def _perceivable(state: WorldState) -> dict[str, Fact]:
     """Each entity the player can perceive, mapped to the location fact that
     places it in the player's room, on or (if open) in something there, or
-    in the inventory. No holder's traits are looked up: ``on`` targets are
-    supports and ``in`` targets containers or the inventory, as
-    `validate_state` and `apply_delta` enforce for takeables (the only
-    entities ever placed on or in another)."""
+    in the inventory. No holder's traits are looked up: only takeables are
+    ``on`` or ``in`` something, ``on`` targets are supports and ``in``
+    targets containers or the inventory, as `validate_state` and
+    `apply_delta` enforce."""
     room = state.player_room
     here = {}
     held = []  # the on and in facts, in fact order

@@ -17,7 +17,7 @@ from ifbench import Engine, Instance, generate_preexploration
 from ifbench.generate import _finalize_prompt, _standard_extras
 from ifbench.grammar import ActionDef, GroundedAction, Lexicon, staple_verbs
 from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
-                             _candidates, _groundings, _moves_by_room)
+                             _candidates, _groundings)
 from ifbench.interpreter import _join, render_feedback
 from ifbench.world import (INVENTORY, PLAYER, EntityDef, GoalCondition,
                            RoomDef, StateGroup, StateView, WorldDef,
@@ -330,7 +330,8 @@ def reference_solve(instance: Instance, candidates=None
                     ) -> tuple[PlanResult, list[WorldState]]:
     """`solve_optimal`'s breadth-first search as it was before it kept bare
     states, over `candidates` (by default the planner's own, in the same
-    order). Returns the plan and the states the search expanded, in order."""
+    order), each decided by its compiled step's `failure` on every state.
+    Returns the plan and the states the search expanded, in order."""
     engine = Engine(instance)
     world = engine.world
     goal_facts = frozenset(g.fact for g in instance.goals)
@@ -341,7 +342,7 @@ def reference_solve(instance: Instance, candidates=None
 
     if candidates is None:
         candidates = _candidates(engine, instance)
-    by_room = _moves_by_room(engine, start, candidates)
+    steps = [engine.step(grounded) for grounded in candidates]
     parents: dict[frozenset, tuple[frozenset, GroundedAction] | None] = {
         start.facts: None}
     queue: deque[WorldState] = deque([start])
@@ -353,27 +354,25 @@ def reference_solve(instance: Instance, candidates=None
             raise SearchBudgetExceeded(
                 f"expanded more than {planner.DEFAULT_BUDGET} states")
         view = StateView(state)
-        for step, tests in by_room[state.player_room]:
-            for holds in tests:
-                if not holds(view):
-                    break
-            else:
-                removes, adds = step.effects(view)
-                new_facts = (state.facts - removes) | adds
-                if new_facts in parents:
-                    continue
-                new_state = apply_delta(world, state, removes, adds)
-                parents[new_facts] = (state.facts, step.grounded)
-                if goal_facts <= new_facts:
-                    plan = [done]
-                    key = new_facts
-                    while parents[key] is not None:
-                        key, grounded = parents[key]
-                        plan.append(grounded)
-                    plan.reverse()
-                    return PlanResult(tuple(plan), len(plan),
-                                      len(expanded)), expanded
-                queue.append(new_state)
+        for step in steps:
+            if step.failure(view) is not None:
+                continue
+            removes, adds = step.effects(view)
+            new_facts = (state.facts - removes) | adds
+            if new_facts in parents:
+                continue
+            new_state = apply_delta(world, state, removes, adds)
+            parents[new_facts] = (state.facts, step.grounded)
+            if goal_facts <= new_facts:
+                plan = [done]
+                key = new_facts
+                while parents[key] is not None:
+                    key, grounded = parents[key]
+                    plan.append(grounded)
+                plan.reverse()
+                return PlanResult(tuple(plan), len(plan),
+                                  len(expanded)), expanded
+            queue.append(new_state)
     raise Unsolvable(instance.id)
 
 

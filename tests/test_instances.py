@@ -644,10 +644,32 @@ def _set_field(field, value):
      "of placement, entity-state"),
     (_set_field("goals", lambda row: []),
      "instance 1 (basic-easy-01): field 'goals': no goals"),
+    (_set_field("entities", lambda row: [
+        {**row["entities"][0], "noun": None}] + row["entities"][1:]),
+     "instance 1 (basic-easy-01): field 'entities': apple: noun None is not "
+     "a non-empty string"),
+    (_set_field("entities", lambda row: [
+        {**row["entities"][0], "noun": ""}] + row["entities"][1:]),
+     "instance 1 (basic-easy-01): field 'entities': apple: noun '' is not "
+     "a non-empty string"),
+    (_set_field("rooms", lambda row: [
+        {**row["rooms"][0], "noun": ["x"]}] + row["rooms"][1:]),
+     "instance 1 (basic-easy-01): field 'rooms': bedroom: noun ['x'] is not "
+     "a non-empty string"),
+    (_set_field("state_groups", lambda row: [
+        {**row["state_groups"][0], "initial": "ajar"}] + row["state_groups"][1:]),
+     "instance 1 (basic-easy-01): field 'state_groups': cupboard: initial "
+     "state 'ajar' is not one of open, closed"),
+    (_set_field("family", lambda row: 0),
+     "instance 1 (basic-easy-01): field 'family': 0 is not a string"),
+    (_set_field("prompt", lambda row: 5),
+     "instance 1 (basic-easy-01): field 'prompt': 5 is not a string"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
-        "goals-empty"])
+        "goals-empty", "entity-noun-null", "entity-noun-empty",
+        "room-noun-list", "initial-not-a-state", "family-not-string",
+        "prompt-not-string"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError
@@ -684,17 +706,22 @@ def test_malformed_instance_names_file_instance_and_field(tmp_path, bench144):
     ("on(plate,counter)", "at(plate)", "at(plate) must have 2 args"),
     ("on(plate,counter)", "in(plate)", "in(plate) must have 2 args"),
     (None, "at(plate,kitchen)", "plate has 2 location facts"),
+    ("at(table,kitchen)", "on(table,counter)",
+     "on(table,counter): table is not takeable"),
+    (None, "in(player,inventory)",
+     "in(player,inventory): player is not takeable"),
 ], ids=["malformed", "missing-argument", "missing-argument-in",
-        "placed-twice"])
+        "placed-twice", "fixture-on-support", "player-in-inventory"])
 def test_invalid_start_state_names_file_instance_and_fact(tmp_path, replaced,
                                                           added, named):
     path = tmp_path / "broken.json"
     inst = micro_instance(
         rooms=["kitchen"], connections=[],
         entities=[("counter", "support", ["kitchen"]),
+                  ("table", "support", ["kitchen"]),
                   ("plate", "takeable", ["kitchen"])],
         facts=["at(player,kitchen)", "at(counter,kitchen)",
-               "on(plate,counter)"],
+               "at(table,kitchen)", "on(plate,counter)"],
         goals=["in(plate,inventory)"])
     inst = replace(inst, optimal_plan=solve_optimal(inst).actions)
     save_instances([replace(inst, id=f"micro-{i}") for i in range(2)], path)

@@ -1,6 +1,7 @@
 import time
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,7 @@ import ifbench.planner as planner
 from ifbench import (Engine, ScriptedAgent, SearchBudgetExceeded,
                      Unsolvable, apply_delta, run_episode, solve_optimal)
 from ifbench.grammar import ActionDef, ActionFlags, GroundedAction, Param
-from ifbench.world import INVENTORY, InvariantViolation, StateView, successor
+from ifbench.world import INVENTORY, PLAYER, InvariantViolation, StateView
 from oracles import (brute_force_optimal, micro_corpus, micro_instance,
                      reference_effects, reference_preconditions,
                      reference_solve, unpruned_candidates)
@@ -192,13 +193,14 @@ def _effects_or_error(effects, *args):
 
 def test_compiled_steps_match_reference(bench144, oracle_records,
                                         heuristic_records):
-    """Compiled steps, and the planner's per-room candidate lists built from
-    them, against the uncompiled code they replace, on every state the
-    stored plans, the heuristic episodes and the search of each family's
-    first instance reach: the failure kind of every unpruned candidate, and
-    the effects of every candidate that applies. On the first instance's
-    episode states, the groundings only turns reach are checked too, and
-    effects are compared whether the action applies or not."""
+    """Compiled steps, and the planner's mask moves compiled from them,
+    against the uncompiled code they replace, on every state the stored
+    plans, the heuristic episodes and the search of each family's first
+    instance reach: the failure kind of every unpruned candidate, the
+    effects of every candidate that applies, and which mask moves apply.
+    On the first instance's episode states, the groundings only turns reach
+    are checked too, and effects are compared whether the action applies or
+    not."""
     started = time.perf_counter()
     checked = 0
     for family, instances in sorted(bench144.items()):
@@ -209,7 +211,9 @@ def test_compiled_steps_match_reference(bench144, oracle_records,
             states = _episode_states(inst, start, records)
             engine = Engine(inst)
             candidates = unpruned_candidates(inst)
-            by_room = planner._moves_by_room(engine, start, candidates)
+            bits, _, carried, moves = planner._mask_moves(
+                engine, start, frozenset(g.fact for g in inst.goals),
+                candidates)
             compiled = [(engine.step(g), engine.actions[g.action], g)
                         for g in candidates]
             if index == 0:
@@ -240,13 +244,10 @@ def test_compiled_steps_match_reference(bench144, oracle_records,
                             engine, state, action, grounded), (inst.id, grounded)
                         passing.append(grounded)
                 checked += len(compiled)
-                listed = []
-                for step, tests in by_room[state.player_room]:
-                    for holds in tests:
-                        if not holds(view):
-                            break
-                    else:
-                        listed.append(step.grounded)
+                key = planner._mask(state.facts, bits)
+                listed = [move.grounded for move in moves[state.player_room]
+                          if _mask_holds(move, key, carried,
+                                         inst.inventory_limit)]
                 assert passing == listed, (inst.id, state)
     assert checked > 500_000
     assert time.perf_counter() - started < 60.0
@@ -264,27 +265,14 @@ SEED17_STATES_EXPANDED = {
 def _matches_reference(inst, candidates=None) -> int:
     """Assert that `solve_optimal` returns the plan and expansion count of
     the search that checks every state (over the same candidates, or only
-    the same plan length over other `candidates`), and that on every
-    (state, step) pair that search generates the unchecked successor equals
-    `apply_delta`'s result. Returns the states expanded."""
+    the same plan length over other `candidates`). Returns the states
+    expanded."""
     result = solve_optimal(inst)
     reference, expanded = reference_solve(inst, candidates)
     if candidates is None:
         assert result == reference, inst.id
     assert result.length == reference.length, inst.id
     assert len(expanded) == reference.states_expanded, inst.id
-    engine = Engine(inst)
-    by_room = planner._moves_by_room(
-        engine, inst.start_state(),
-        candidates or planner._candidates(engine, inst))
-    for state in expanded:
-        view = StateView(state)
-        for step, tests in by_room[state.player_room]:
-            if all(holds(view) for holds in tests):
-                removes, adds = step.effects(view)
-                assert (successor(state, removes, adds)
-                        == apply_delta(inst.world, state, removes, adds)), (
-                    inst.id, step.grounded)
     return result.states_expanded
 
 
@@ -314,62 +302,70 @@ def _mask_holds(move, key, carried, limit) -> bool:
                      and (key & carried).bit_count() >= limit))
 
 
-def _masks_match_closures(inst, candidates=None) -> int:
+def _masks_match_steps(inst, candidates=None) -> int:
     """On every state the reference search expands, over the planner's
     candidates (or `candidates`), each candidate's mask test equals its
-    closure tests, and where they hold its mask effects equal
-    `step.effects` and its room is the successor's. Every fact of those
-    states has a bit. Returns the (state, candidate) pairs checked."""
+    step's `failure` being None, and where they hold its mask effects equal
+    `step.effects` and its room is that of `apply_delta`'s result. Every
+    fact of those states has a bit. Returns the (state, candidate) pairs
+    checked."""
     engine = Engine(inst)
     start = inst.start_state()
     goal_facts = frozenset(g.fact for g in inst.goals)
     candidates = candidates or planner._candidates(engine, inst)
     bits, _, carried, moves = planner._mask_moves(engine, start, goal_facts,
                                                   candidates)
-    by_room = planner._moves_by_room(engine, start, candidates)
     checked = 0
     for state in reference_solve(inst, candidates)[1]:
         assert state.facts <= bits.keys(), inst.id
         key = planner._mask(state.facts, bits)
         view = StateView(state)
         compiled = {move.grounded: move for move in moves[state.player_room]}
-        listed = [step.grounded for step, _ in by_room[state.player_room]]
-        assert list(compiled) == [g for g in listed if g in compiled]
-        for step, tests in by_room[state.player_room]:
-            move = compiled.get(step.grounded)
-            holds = all(test(view) for test in tests)
+        assert list(compiled) == [g for g in candidates if g in compiled]
+        for grounded in candidates:
+            step = engine.step(grounded)
+            move = compiled.get(grounded)
+            holds = step.failure(view) is None
             assert _mask_holds(move, key, carried, inst.inventory_limit) == (
-                holds), (inst.id, step.grounded, state)
+                holds), (inst.id, grounded, state)
             if holds:
                 removes, adds = step.effects(view)
                 assert key & move.removes == planner._mask(removes, bits)
                 assert removes <= state.facts and adds <= bits.keys()
                 assert move.adds == planner._mask(adds, bits)
-                assert move.room == successor(state, removes, adds).player_room
+                assert move.room == apply_delta(
+                    inst.world, state, removes, adds).player_room
             checked += 1
     return checked
 
 
-def test_mask_moves_match_closures(bench144):
+def test_mask_moves_match_steps(bench144):
     """The search's mask tests and effects against the compiled steps'
-    closures, on every state the reference search expands at seed 17 and
-    on criterion 4's micro corpus, over the pruned and the unpruned
-    candidates."""
-    checked = sum(_masks_match_closures(inst)
+    `failure` and `effects`, on every state the reference search expands at
+    seed 17 and on criterion 4's micro corpus, over the pruned and the
+    unpruned candidates."""
+    checked = sum(_masks_match_steps(inst)
                   for instances in bench144.values() for inst in instances)
     for inst in micro_corpus():
-        checked += _masks_match_closures(inst)
-        checked += _masks_match_closures(inst, unpruned_candidates(inst))
+        checked += _masks_match_steps(inst)
+        checked += _masks_match_steps(inst, unpruned_candidates(inst))
     assert checked > 100_000
 
 
+def _possible(bits, room: str) -> set:
+    """The facts with a bit that a state with the player in `room` may
+    hold: all but the player's location facts for the other rooms."""
+    return {f for f in bits if f.predicate != "at" or f.args[0] != PLAYER
+            or f.args[1] == room}
+
+
 def test_every_check_has_a_mask_form():
-    """Each precondition check is decided before the search (it reads only
-    the grounding or the room) or states a fact form; compiled alone into a
-    move, that form agrees with the check's closure on every state the
+    """Each precondition check, alone, is decided alike by the uncompiled
+    reference, by its fact form's `holds` (a check with no form holds in
+    every state) and by that form compiled into a move, on every state the
     unpruned reference search of the micro corpus expands, with each id of
-    the instance as the parameter, each id or none as the source, and each
-    unary predicate with a bit as the state."""
+    the instance or none (an unbound parameter) as the parameter, each id or
+    none as the source, and each unary predicate with a bit as the state."""
     names = set()
     for inst in micro_corpus():
         engine = Engine(inst)
@@ -382,32 +378,37 @@ def test_every_check_has_a_mask_form():
         by_room = {room: [] for room in world.rooms}
         for state in reference_solve(inst, candidates)[1] or [start]:
             by_room[state.player_room].append(
-                (planner._mask(state.facts, bits), StateView(state)))
+                (planner._mask(state.facts, bits), state))
         ids = sorted(world.entities) + sorted(world.rooms) + [INVENTORY]
         unary = sorted({f.predicate for f in bits if len(f.args) == 1})
         for name, build in interpreter._CHECKS.items():
             names.add(name)
-            # only source_matches reads the source, only the state checks
-            # read the state
+            # only source_matches reads the source
             sources = [None] + ids if name == "source_matches" else [None]
-            for ident, source, held in product(ids, sources, unary or ["open"]):
+            for ident, source, held in product(ids + [None], sources,
+                                               unary or ["open"]):
                 cond = {"check": name, "param": "item", "fail": "x",
                         "state": held, "entity": ids[0]}
-                grounded = GroundedAction("probe", (("item", ident),) + (
+                grounded = GroundedAction("probe", (
+                    (("item", ident),) if ident else ()) + (
                     (("source", source),) if source else ()))
-                holds, reads, *facts = build(world, cond, ident, grounded)
-                if reads != interpreter.STATE:
-                    assert not facts, name
-                    continue
+                form = build(world, cond, ident, grounded)
                 step = interpreter.Step(
-                    grounded, (interpreter.Check(holds, "x", reads, *facts),),
+                    grounded, ((form, "x"),) if form else (),
                     frozenset(), frozenset(), ())
+                probe = SimpleNamespace(preconditions=(cond,))
                 for room, keyed in by_room.items():
-                    move = planner._compile(step, room, bits, places)
-                    for key, view in keyed:
+                    move = planner._compile(step, room, bits, places,
+                                            _possible(bits, room))
+                    for key, state in keyed:
+                        expected = reference_preconditions(
+                            engine, state, probe, grounded) is None
+                        assert (form is None
+                                or form.holds(StateView(state))) == expected, (
+                            name, ident, source)
                         assert _mask_holds(
                             move, key, carried, inst.inventory_limit) == (
-                            holds(view)), (name, ident, source)
+                            expected), (name, ident, source)
     assert names == set(interpreter._CHECKS) and len(names) == 12
 
 
@@ -466,16 +467,16 @@ def test_search_with_a_wrong_successor_raises(monkeypatch):
         goals=["on(apple,table)", "on(peach,table)"], inventory_limit=1)
     compile_move = planner._compile
 
-    def unlimited(step, room, bits, places):
-        move = compile_move(step, room, bits, places)
+    def unlimited(*args):
+        move = compile_move(*args)
         return move and move._replace(space=False)
 
     monkeypatch.setattr(planner, "_compile", unlimited)
     with pytest.raises(InvariantViolation, match="fails on replay"):
         solve_optimal(inst)
 
-    def sticky(step, room, bits, places):
-        move = compile_move(step, room, bits, places)
+    def sticky(step, room, bits, places, possible):
+        move = compile_move(step, room, bits, places, possible)
         if move is not None and step.late_removes:
             move = move._replace(removes=move.removes & ~planner._mask(
                 places[step.grounded.get("item")], bits))
