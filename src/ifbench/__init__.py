@@ -21,8 +21,7 @@ from .interpreter import (Engine, Episode, TurnRecord, FormatViolation,
 from .planner import PlanResult, Unsolvable, SearchBudgetExceeded, solve_optimal
 from .pseudowords import PseudowordMaker, load_english_words
 from .metrics import (EpisodeSummary, ExperimentScores, EmptyInput,
-                      goal_success_rate, aggregate,
-                      clemscore, combine_clemscore)
+                      goal_success_rate, aggregate, combine_clemscore)
 from .agents import (ScriptedAgent, HeuristicAgent, HumanAgent, LlmAgent,
                      LlmConfig, MalformedResponse, llm_chat,
                      transcript_to_messages)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .grammar import GroundedAction, staple_verbs
 from .instance import Instance
 from .interpreter import AgentUnavailable, Engine
-from .world import StateView, connections_of, fact
+from .world import connections_of, fact
 
 API_KEY_VARS = ("IFBENCH_API_KEY", "OPENAI_API_KEY")
 
@@ -115,14 +115,12 @@ class HeuristicAgent:
     # -- belief upkeep ------------------------------------------------------
 
     def _observe(self):
-        """Take in the current state; its view, and what is visible in it,
-        serve every decision until the next step."""
-        self.view = StateView(self.state)
+        """Take in what is visible in the current state."""
         room = self.state.player_room
         self.seen_rooms.add(room)
         for other in connections_of(self.state, room):
             self.known_edges.update({(room, other), (other, room)})
-        for eid in sorted(self.view.perceivable):
+        for eid in sorted(self.state.perceivable):
             if eid not in self.state.inventory:
                 self.known_locations[eid] = room
 
@@ -150,7 +148,7 @@ class HeuristicAgent:
                    if g.fact not in self.state.facts]
         if not pending:
             return _action("done")
-        visible = self.view.perceivable
+        visible = self.state.perceivable
 
         # open any closed container here we have not opened ourselves
         for container in sorted(visible):
@@ -169,7 +167,7 @@ class HeuristicAgent:
                 continue
             for verb in sorted(set(self.engine.actions) - set(staple_verbs())):
                 grounded = _action(verb, item=obj)
-                if self.engine.step(grounded).failure(self.view) is None:
+                if self.engine.step(grounded).failure(self.state) is None:
                     return grounded
 
         # deliver a carried goal object whose target is here

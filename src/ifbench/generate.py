@@ -18,7 +18,7 @@ from .instance import FAMILIES, INSTANCES_PER_FAMILY, Instance
 from .interpreter import TURN_LIMIT, Engine, number_word
 from .planner import Unsolvable, solve_optimal
 from .pseudowords import PseudowordMaker
-from .world import (EntityDef, GoalCondition, RoomDef, StateGroup, StateView,
+from .world import (EntityDef, GoalCondition, RoomDef, StateGroup,
                     fact, load_data, load_entity_catalogue, load_room_catalogue)
 
 INVENTORY_LIMIT = 2
@@ -134,7 +134,7 @@ def _finalize_prompt(inst: Instance, extras: list[str]) -> str:
     start room's description."""
     prompts = load_data("prompts.json")
     engine = Engine(inst)
-    start_desc = engine.room_description(StateView(inst.start_state()))
+    start_desc = engine.room_description(inst.start_state())
     pieces = [prompts["preamble"]]
     pieces.extend(extras)
     pieces.append(prompts["goal_line"].format(goal=_goal_sentence(engine)))

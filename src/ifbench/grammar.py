@@ -9,7 +9,7 @@ pattern is compiled. Multiword nouns are matched greedily, longest first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from typing import Iterable, Mapping
 
@@ -74,12 +74,9 @@ class ActionDef:
     def to_json(self) -> dict:
         data = {
             "verb": self.verb,
-            "params": [{"name": p.name, "trait": p.trait, "optional": p.optional}
-                       for p in self.params],
+            "params": [asdict(p) for p in self.params],
             "grammar": self.grammar,
-            "flags": {"epistemic": self.flags.epistemic,
-                      "pragmatic": self.flags.pragmatic,
-                      "replaceable": self.flags.replaceable},
+            "flags": asdict(self.flags),
             "preconditions": [dict(p) for p in self.preconditions],
             "effects": {"removes": [list(t) for t in self.removes],
                         "adds": [list(t) for t in self.adds]},
@@ -130,6 +127,12 @@ class Lexicon:
     explanations: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            for word, value in getattr(self, name).items():
+                if not (isinstance(word, str) and isinstance(value, str)
+                        and value):
+                    raise ValueError(f"{name}: {word!r} maps to {value!r}, "
+                                     "not a non-empty string")
         replaced = list(self.nouns) + list(self.verbs) + list(self.adjectives)
         for word in replaced:
             if word in FUNCTION_WORDS:
@@ -149,15 +152,11 @@ class Lexicon:
         return self.adjectives.get(base, base)
 
     def to_json(self) -> dict:
-        return {"nouns": dict(self.nouns), "verbs": dict(self.verbs),
-                "adjectives": dict(self.adjectives),
-                "explanations": dict(self.explanations)}
+        return asdict(self)
 
     @staticmethod
     def from_json(data: Mapping) -> "Lexicon":
-        return Lexicon(dict(data.get("nouns", {})), dict(data.get("verbs", {})),
-                       dict(data.get("adjectives", {})),
-                       dict(data.get("explanations", {})))
+        return Lexicon(*(dict(data.get(f.name, {})) for f in fields(Lexicon)))
 
 
 @dataclass(frozen=True)
@@ -334,8 +333,7 @@ class Parser:
             required = "in" if world.is_container(target) else "on"
             if cmd.preposition != required:
                 raise GroundFailure("prep-mismatch",
-                                    self.lexicon.noun(world.noun_of(target)),
-                                    cmd.verb)
+                                    self.surface_of(target, world), cmd.verb)
         return GroundedAction(verb_id, tuple(bindings))
 
     def render(self, grounded: GroundedAction, world: WorldDef) -> str:

@@ -149,8 +149,7 @@ class Instance:
             lexicon=read("lexicon", lambda lex: (
                 Lexicon.from_json(lex) if lex else None), optional=True),
             base_verbs=read("base_verbs", _strings),
-            extra_actions=read("extra_actions", lambda rows: tuple(
-                action_from_json(a) for a in rows)),
+            extra_actions=read("extra_actions", _extra_actions),
             preexploration=read("preexploration", lambda pairs: (
                 tuple(_strings(p) for p in pairs) if pairs else None),
                 optional=True),
@@ -158,7 +157,8 @@ class Instance:
             optimal_plan=read("optimal_plan", lambda plan: (
                 None if plan is None else tuple(
                     _plan_step(n, step) for n, step in enumerate(plan)))),
-            seed_path=tuple(data.get("seed_path", ())),
+            seed_path=(read("seed_path", _seed_path)
+                       if "seed_path" in data else ()),
         )
 
 
@@ -174,6 +174,41 @@ def _strings(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"{value!r} is not a list of strings")
     return tuple(value)
+
+
+def _seed_path(value) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+            type(v) is int and v >= 0 for v in value):
+        raise ValueError(f"{value!r} is not a list of non-negative integers")
+    return tuple(value)
+
+
+def _extra_actions(rows) -> tuple[ActionDef, ...]:
+    """The instance's own actions. ValueError naming the verb and the check
+    of a precondition that no turn could decide or report: an unknown check,
+    one missing the state or entity it tests, a `param` or `source` that is
+    not a parameter of the action, or a failure kind with no feedback."""
+    from .interpreter import _CHECKS  # interpreter imports this module
+    actions = tuple(action_from_json(a) for a in rows)
+    for action in actions:
+        params = [p.name for p in action.params]
+        for cond in action.preconditions:
+            check = cond.get("check") if isinstance(cond, dict) else None
+            where = f"action {action.verb!r}, precondition check {check!r}"
+            if not isinstance(check, str) or check not in _CHECKS:
+                raise ValueError(f"{where}: not a known check")
+            tested = {"has_state": "state", "not_has_state": "state",
+                      "is_entity": "entity"}.get(check)
+            if tested is not None and not isinstance(cond.get(tested), str):
+                raise ValueError(f"{where}: {tested} is not a string")
+            for key in ("param", "source"):
+                if key in cond and cond[key] not in params:
+                    raise ValueError(f"{where}: {key} {cond[key]!r} is not a "
+                                     "parameter of the action")
+            if cond.get("fail") not in list(action.feedback):
+                raise ValueError(f"{where}: failure kind {cond.get('fail')!r} "
+                                 "has no feedback template")
+    return actions
 
 
 def _goals(rows) -> tuple[GoalCondition, ...]:

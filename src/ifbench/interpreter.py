@@ -16,9 +16,9 @@ from typing import Mapping, NamedTuple
 from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure)
 from .instance import Instance
 from .world import (CONNECTS, INVENTORY, PLAYER, Fact, GoalCondition,
-                    StateView, WorldDef, WorldState, apply_delta,
-                    check_goals, connections_of, fact, load_data,
-                    state_facts_of, state_to_json, visible_facts)
+                    WorldDef, WorldState, apply_delta, check_goals,
+                    connections_of, fact, load_data, state_facts_of,
+                    state_to_json, visible_facts)
 
 TURN_LIMIT = 50
 
@@ -89,11 +89,11 @@ def _join(nouns: list[str]) -> str:
     return ", ".join(items[:-1]) + " and " + items[-1]
 
 
-def _by_holder(view: StateView) -> dict[str, list[str]]:
+def _by_holder(state: WorldState) -> dict[str, list[str]]:
     """The entities the player perceives, grouped by what holds them: the
     room, a support, an open container or the inventory; each group sorted."""
     held: dict[str, list[str]] = {}
-    for eid, where in sorted(view.perceivable.items()):
+    for eid, where in sorted(state.perceivable.items()):
         held.setdefault(where.args[1], []).append(eid)
     return held
 
@@ -102,7 +102,7 @@ def _by_holder(view: StateView) -> dict[str, list[str]]:
 #
 # A step is one action schema compiled for one grounding: its precondition
 # tests in declared order and its effect facts, resolved from the grounding
-# where they can be. Each test is a fact form: a turn decides it on a view
+# where they can be. Each test is a fact form: a turn decides it on a state
 # (`FactTest.holds`), and the planner compiles the same form into bit masks.
 
 
@@ -116,14 +116,13 @@ class FactTest(NamedTuple):
     space: bool = False
     seen: str | None = None
 
-    def holds(self, view: StateView) -> bool:
-        if self.seen is not None and self.seen not in view.perceivable:
+    def holds(self, state: WorldState) -> bool:
+        if self.seen is not None and self.seen not in state.perceivable:
             return False
-        state = view.state
         if (self.space and state.inventory_limit is not None
                 and len(state.inventory) >= state.inventory_limit):
             return False
-        facts = view.facts
+        facts = state.facts
         if not facts.isdisjoint(self.none_of):
             return False
         for needed in self.any_of:
@@ -196,17 +195,17 @@ class Step(NamedTuple):
     adds: frozenset[Fact]
     late_removes: tuple[str, ...]  # subjects whose `location_of` it removes
 
-    def failure(self, view: StateView) -> str | None:
+    def failure(self, state: WorldState) -> str | None:
         """First failing precondition's failure kind, or None when all hold."""
         for form, fail in self.tests:
-            if not form.holds(view):
+            if not form.holds(state):
                 return fail
         return None
 
-    def effects(self, view: StateView) -> tuple[frozenset[Fact], frozenset[Fact]]:
+    def effects(self, state: WorldState) -> tuple[frozenset[Fact], frozenset[Fact]]:
         removes = self.removes
         if self.late_removes:
-            removes = removes.union(map(view.location_of, self.late_removes))
+            removes = removes.union(map(state.location_of, self.late_removes))
         return removes, self.adds
 
 
@@ -283,8 +282,8 @@ class Engine:
 
     # -- descriptions ------------------------------------------------------
     #
-    # Both read `view.perceivable`: what a description lists is exactly what
-    # the player can perceive, grouped by what holds it.
+    # Both read `WorldState.perceivable`: what a description lists is
+    # exactly what the player can perceive, grouped by what holds it.
 
     def _say(self, key: str, **bindings) -> str:
         return render_feedback(self.messages[key], bindings)
@@ -298,7 +297,7 @@ class Engine:
             return self._say("container_contents", items=self._names(items))
         return self.messages["container_empty"]
 
-    def _receptacle(self, eid: str, view: StateView,
+    def _receptacle(self, eid: str, state: WorldState,
                     held: dict[str, list[str]], examined: bool) -> list[str]:
         """The sentences about a container (open or closed, and what is in
         an open one) or a support (what is on it); that one is empty is said
@@ -309,7 +308,7 @@ class Engine:
                 return [self._say("support_contents", support=name,
                                   items=self._names(items))]
             return [self._say("support_empty", support=name)] if examined else []
-        if fact("open", eid) not in view.facts:
+        if fact("open", eid) not in state.facts:
             return [self._say("container_closed", container=name)]
         opened = self._say("container_open", container=name)
         return [opened, self._in_it(items)] if items or examined else [opened]
@@ -318,45 +317,46 @@ class Engine:
         return self._say("state_sentence", entity=self.surface(eid),
                          state=self.state_surface(state_fact.predicate))
 
-    def room_description(self, view: StateView) -> str:
-        held = _by_holder(view)
-        here = held.get(view.room, [])
-        parts = [self._say("room_intro", room=self.surface(view.room))]
+    def room_description(self, state: WorldState) -> str:
+        held = _by_holder(state)
+        room = state.player_room
+        here = held.get(room, [])
+        parts = [self._say("room_intro", room=self.surface(room))]
         if here:
             parts.append(self._say("here_one" if len(here) == 1 else "here_many",
                                    items=self._names(here)))
         for eid in here:
             if self.world.is_container(eid) or self.world.is_support(eid):
-                parts.extend(self._receptacle(eid, view, held, False))
-        for eid in sorted(view.perceivable):
+                parts.extend(self._receptacle(eid, state, held, False))
+        for eid in sorted(state.perceivable):
             if eid in self.world.state_groups:
-                for f in state_facts_of(self.world, view.state, eid):
+                for f in state_facts_of(self.world, state, eid):
                     if f.predicate not in ("open", "closed"):
                         parts.append(self._state_sentence(eid, f))
-        exits = connections_of(view.state, view.room)
+        exits = connections_of(state, room)
         if exits:
             parts.append(self._say(
                 "passage_one" if len(exits) == 1 else "passage_many",
                 rooms=self._names(exits)))
         return " ".join(parts)
 
-    def entity_description(self, view: StateView, ident: str) -> str:
+    def entity_description(self, state: WorldState, ident: str) -> str:
         """What examining `ident`, the inventory or an entity the player
         perceives, says."""
         if ident == INVENTORY:
-            carried = view.state.inventory
+            carried = state.inventory
             if not carried:
                 return self.messages["inventory_empty"]
             return self._say("inventory_contents", items=self._names(carried))
         if self.world.is_container(ident) or self.world.is_support(ident):
-            return " ".join(self._receptacle(ident, view, _by_holder(view), True))
-        name, where = self.surface(ident), view.perceivable[ident]
+            return " ".join(self._receptacle(ident, state, _by_holder(state), True))
+        name, where = self.surface(ident), state.perceivable[ident]
         if where.args[1] == INVENTORY:
             return self._say("examine_in_inventory", entity=name)
         if where.predicate != "at":  # examine_in, examine_on
             return self._say("examine_" + where.predicate, entity=name,
                              holder=self.surface(where.args[1]))
-        states = state_facts_of(self.world, view.state, ident)
+        states = state_facts_of(self.world, state, ident)
         if states:
             return self._state_sentence(ident, states[0])
         return self._say("examine_at_room", entity=name)
@@ -385,12 +385,10 @@ class Engine:
         except (ParseFailure, GroundFailure) as exc:
             raise ValueError(f"{command!r} failed: {exc}") from exc
         step = self.step(grounded)
-        view = StateView(state)
-        failure = step.failure(view)
+        failure = step.failure(state)
         if failure is not None:
             raise ValueError(f"{command!r} failed: {failure}")
-        removes, adds = step.effects(view)
-        return grounded, apply_delta(self.world, state, removes, adds)
+        return grounded, apply_delta(self.world, state, *step.effects(state))
 
     # -- the turn pipeline -------------------------------------------------
 
@@ -409,50 +407,44 @@ class Engine:
                                 frozenset(), frozenset(), 0)
             raise FormatViolation(record)
         line = trimmed.splitlines()[0][1:]
-        view = StateView(state)
 
-        def finish(phase: str, feedback: str, view: StateView, grounded=None,
-                   removes=frozenset(), adds=frozenset()):
-            # `view` is of the turn's resulting state
-            revealed = visible_facts(self.world, view.state, view)
-            achieved = frozenset(check_goals(view.state, self.goals))
+        def finish(phase: str, feedback: str, result: WorldState,
+                   grounded=None, removes=frozenset(), adds=frozenset()):
+            revealed = visible_facts(self.world, result)
+            achieved = frozenset(check_goals(result, self.goals))
             gain = len(revealed - observed)
-            return view.state, TurnRecord(turn_index, raw, phase, grounded,
-                                          removes, adds, feedback, revealed,
-                                          achieved, gain)
+            return result, TurnRecord(turn_index, raw, phase, grounded,
+                                      removes, adds, feedback, revealed,
+                                      achieved, gain)
 
         msg = self.messages
         try:
             cmd = self.parser.parse(line)
-        except ParseFailure as exc:
-            template = msg["unknown_verb"] if exc.kind == "unknown-verb" else msg["malformed"]
-            feedback = render_feedback(template, {"verb": exc.word})
-            return finish("parse-fail", feedback, view)
+        except ParseFailure as exc:  # unknown-verb or malformed
+            feedback = render_feedback(msg[exc.kind.replace("-", "_")],
+                                       {"verb": exc.word})
+            return finish("parse-fail", feedback, state)
         try:
             grounded = self.parser.ground(cmd, self.world)
         except GroundFailure as exc:
-            templates = {"unknown-entity": "unknown_entity",
-                         "trait-mismatch": "trait_mismatch",
-                         "ambiguous": "ambiguous",
-                         "prep-mismatch": "prep_mismatch"}
             feedback = render_feedback(
-                msg[templates[exc.kind]],
+                msg[exc.kind.replace("-", "_")],
                 {"noun": exc.noun, "verb": cmd.verb,
                  "prep": cmd.preposition or ""})
-            return finish("resolution-fail", feedback, view)
+            return finish("resolution-fail", feedback, state)
 
         action = self.actions[grounded.action]
         bindings = self._feedback_bindings(state, action, grounded)
         step = self.step(grounded)
-        failure = step.failure(view)
+        failure = step.failure(state)
         if failure is not None:
             feedback = render_feedback(action.feedback[failure], bindings)
-            return finish("precondition-fail", feedback, view, grounded)
+            return finish("precondition-fail", feedback, state, grounded)
 
-        removes, adds = step.effects(view)
-        new_view = StateView(apply_delta(self.world, state, removes, adds))
-        feedback = self._success_feedback(new_view, action, grounded, bindings)
-        return finish("success", feedback, new_view, grounded, removes, adds)
+        removes, adds = step.effects(state)
+        result = apply_delta(self.world, state, removes, adds)
+        feedback = self._success_feedback(result, action, grounded, bindings)
+        return finish("success", feedback, result, grounded, removes, adds)
 
     def _feedback_bindings(self, state: WorldState, action: ActionDef,
                            grounded: GroundedAction) -> dict:
@@ -466,17 +458,17 @@ class Engine:
             bindings["limit"] = number_word(state.inventory_limit)
         return bindings
 
-    def _success_feedback(self, view: StateView, action: ActionDef,
+    def _success_feedback(self, state: WorldState, action: ActionDef,
                           grounded: GroundedAction, bindings: dict) -> str:
         template = action.feedback["success"]
         if "{room_description}" in template:
-            bindings["room_description"] = self.room_description(view)
+            bindings["room_description"] = self.room_description(state)
         if "{entity_description}" in template:
             bindings["entity_description"] = self.entity_description(
-                view, grounded.get("item"))
+                state, grounded.get("item"))
         if "{contents}" in template:
             bindings["contents"] = self._in_it(
-                _by_holder(view).get(grounded.get("item")))
+                _by_holder(state).get(grounded.get("item")))
         return render_feedback(template, bindings)
 
 

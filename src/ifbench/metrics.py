@@ -137,16 +137,6 @@ def macro_averages(per_experiment: Iterable[ExperimentScores]
             sum(s.gsr for s in scores) / n)
 
 
-def clemscore(per_experiment: Iterable[ExperimentScores]) -> float:
-    """Macro-average quality x macro-average played proportion."""
-    macro_quality, macro_played, _ = macro_averages(per_experiment)
-    return combine_clemscore(macro_quality, macro_played)
-
-
-def macro_gsr(per_experiment: Iterable[ExperimentScores]) -> float:
-    return macro_averages(per_experiment)[2]
-
-
 # -- reporting ----------------------------------------------------------------
 
 def paper_pct(value: float) -> str:

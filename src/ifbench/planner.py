@@ -9,7 +9,7 @@ cannot shorten a plan: taking or putting non-goal objects, `close`, and
 The search runs on bit masks alone: a state is the player's room and the
 bit mask of its facts (its key). Each candidate's compiled step is compiled
 once per search and player room into mask tests and effects (`_mask_moves`)
-from the fact forms of its tests, the forms a turn decides on a view. It
+from the fact forms of its tests, the forms a turn decides on a state. It
 builds no state. `_replay` checks the plan it returns through the steps'
 preconditions and the checked `apply_delta`.
 """
@@ -25,8 +25,8 @@ from typing import NamedTuple
 from .grammar import ActionDef, GroundedAction, fits_trait
 from .instance import Instance
 from .interpreter import Engine, Step
-from .world import (INVENTORY, PLAYER, Fact, InvariantViolation, StateView,
-                    WorldDef, WorldState, apply_delta, perceivable_when)
+from .world import (INVENTORY, PLAYER, Fact, InvariantViolation, WorldDef,
+                    WorldState, apply_delta, perceivable_when)
 
 DEFAULT_BUDGET = 500_000  # states a search may expand; read at each call
 
@@ -242,13 +242,12 @@ def _replay(engine: Engine, start: WorldState, plan: list[GroundedAction],
     state = start
     for grounded in plan[:-1]:
         step = engine.step(grounded)
-        view = StateView(state)
-        failure = step.failure(view)
+        failure = step.failure(state)
         if failure is not None:
             raise InvariantViolation(
                 f"{engine.instance.id}: plan step {grounded} fails on replay "
                 f"({failure})")
-        state = apply_delta(engine.world, state, *step.effects(view))
+        state = apply_delta(engine.world, state, *step.effects(state))
     held = {f for f, b in bits.items() if reached & b}
     if state.facts != held or not goal_facts <= state.facts:
         raise InvariantViolation(

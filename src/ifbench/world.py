@@ -144,6 +144,62 @@ class WorldState:
     inventory: tuple[str, ...]  # insertion order, for deterministic feedback
     inventory_limit: int | None = None
 
+    # `perceivable` and `location_of` read maps worked out at most once per
+    # state, when first asked. They are kept in the instance dict, not in
+    # fields, so __eq__, __hash__ and `state_to_json` never see them; no
+    # lock guards them, as two threads can only store equal maps.
+
+    @property
+    def perceivable(self) -> dict[str, Fact]:
+        """Each entity the player can perceive, mapped to the location fact
+        that places it in the player's room, on or (if open) in something
+        there, or in the inventory."""
+        found = self.__dict__.get("_perceived")
+        if found is None:
+            found = self.__dict__["_perceived"] = self._perceive()
+        return found
+
+    def _perceive(self) -> dict[str, Fact]:
+        # No holder's traits are looked up: only takeables are ``on`` or
+        # ``in`` something, ``on`` targets are supports and ``in`` targets
+        # containers or the inventory, as `validate_state` and
+        # `apply_delta` enforce.
+        room = self.player_room
+        here = {}
+        held = []  # the on and in facts, in fact order
+        for f in self.facts:
+            predicate, args = f
+            if predicate == "at":
+                if args[1] == room and args[0] != PLAYER:
+                    here[args[0]] = f
+            elif predicate == "on" or predicate == "in":
+                held.append(f)
+        found = dict(here)
+        for f in held:
+            holder = f.args[1]
+            if holder == INVENTORY or holder in here and (
+                    f.predicate == "on" or fact("open", holder) in self.facts):
+                found[f.args[0]] = f
+        return found
+
+    def location_of(self, subject: str) -> Fact:
+        """The first ``at``/``on``/``in`` fact about `subject` in the
+        state's fact order (for the player, its ``at`` fact); ValueError if
+        there is none."""
+        if subject == PLAYER:
+            return Fact("at", (PLAYER, self.player_room))
+        locations = self.__dict__.get("_locations")
+        if locations is None:
+            locations = {}
+            for f in self.facts:
+                if f.predicate in ("at", "on", "in"):
+                    locations.setdefault(f.args[0], f)
+            self.__dict__["_locations"] = locations
+        try:
+            return locations[subject]
+        except KeyError:
+            raise ValueError(f"{subject} has no location fact") from None
+
 
 def initial_state(world: WorldDef, facts: Iterable[Fact],
                   inventory_limit: int | None = None) -> WorldState:
@@ -178,26 +234,16 @@ def validate_state(world: WorldDef, state: WorldState) -> None:
     if state.player_room not in world.rooms:
         raise InvariantViolation(f"unknown room {state.player_room}")
 
-    # every takeable entity has exactly one location fact
-    for eid, ent in world.entities.items():
-        if "takeable" not in ent.traits:
-            continue
-        locs = []
-        for f in state.facts:
-            if f.predicate == "at" and f.args[0] == eid:
-                if f.args[1] not in world.rooms:
-                    raise InvariantViolation(f"{f}: not a room")
-                locs.append(f)
-            elif f.predicate == "on" and f.args[0] == eid:
-                if not world.is_support(f.args[1]):
-                    raise InvariantViolation(f"{f}: not a support")
-                locs.append(f)
-            elif f.predicate == "in" and f.args[0] == eid:
-                if f.args[1] != INVENTORY and not world.is_container(f.args[1]):
-                    raise InvariantViolation(f"{f}: not a container")
-                locs.append(f)
-        if len(locs) != 1:
-            raise InvariantViolation(f"{eid} has {len(locs)} location facts")
+    # every takeable entity has exactly one location fact, at a valid place
+    placed = {eid: 0 for eid in world.entities if world.is_takeable(eid)}
+    for f in state.facts:
+        if f.predicate in ("at", "on", "in") and f.args[0] in placed:
+            if not _valid_place(world, f):
+                raise InvariantViolation(f"{f}: not a valid location")
+            placed[f.args[0]] += 1
+    for eid, count in placed.items():
+        if count != 1:
+            raise InvariantViolation(f"{eid} has {count} location facts")
 
     for eid in world.state_groups:
         _check_state_group(world, state, eid)
@@ -307,13 +353,7 @@ def _check_delta(world: WorldDef, state: WorldState,
                 if not (world.is_takeable(who)
                         or who == PLAYER and f.predicate == "at"):
                     continue
-                if f.predicate == "at":
-                    valid = where in world.rooms
-                elif f.predicate == "on":
-                    valid = world.is_support(where)
-                else:
-                    valid = where == INVENTORY or world.is_container(where)
-                if sign > 0 and not valid:
+                if sign > 0 and not _valid_place(world, f):
                     raise InvariantViolation(f"{f}: not a valid location")
                 placed[who] = placed.get(who, 0) + sign
             elif f.predicate == CONNECTS:
@@ -328,6 +368,17 @@ def _check_delta(world: WorldDef, state: WorldState,
         _check_state_group(world, state, eid)
     if carried_changed:
         _check_inventory(state)
+
+
+def _valid_place(world: WorldDef, place: Fact) -> bool:
+    """An ``at`` fact names a room, an ``on`` fact a support and an ``in``
+    fact a container or the inventory."""
+    predicate, (_, where) = place
+    if predicate == "at":
+        return where in world.rooms
+    if predicate == "on":
+        return world.is_support(where)
+    return where == INVENTORY or world.is_container(where)
 
 
 def _check_state_group(world: WorldDef, state: WorldState, eid: str) -> None:
@@ -365,38 +416,12 @@ def state_facts_of(world: WorldDef, state: WorldState, entity: str) -> list[Fact
                   if f.args == (entity,) and f.predicate in preds)
 
 
-def _perceivable(state: WorldState) -> dict[str, Fact]:
-    """Each entity the player can perceive, mapped to the location fact that
-    places it in the player's room, on or (if open) in something there, or
-    in the inventory. No holder's traits are looked up: only takeables are
-    ``on`` or ``in`` something, ``on`` targets are supports and ``in``
-    targets containers or the inventory, as `validate_state` and
-    `apply_delta` enforce."""
-    room = state.player_room
-    here = {}
-    held = []  # the on and in facts, in fact order
-    for f in state.facts:
-        predicate, args = f
-        if predicate == "at":
-            if args[1] == room and args[0] != PLAYER:
-                here[args[0]] = f
-        elif predicate == "on" or predicate == "in":
-            held.append(f)
-    found = dict(here)
-    for f in held:
-        holder = f.args[1]
-        if holder == INVENTORY or holder in here and (
-                f.predicate == "on" or fact("open", holder) in state.facts):
-            found[f.args[0]] = f
-    return found
-
-
 def perceivable_when(room: str,
                      places: Iterable[Fact]) -> list[tuple[Fact, ...]]:
-    """`_perceivable`'s rule in fact form: with the player in `room`, an
-    entity whose location facts may be `places` is perceivable when all
-    facts of one of these sets hold, one set for each place that can put
-    it here."""
+    """`WorldState.perceivable`'s rule in fact form: with the player in
+    `room`, an entity whose location facts may be `places` is perceivable
+    when all facts of one of these sets hold, one set for each place that
+    can put it here."""
     alternatives = []
     for place in places:
         predicate, (_, holder) = place
@@ -410,52 +435,12 @@ def perceivable_when(room: str,
     return alternatives
 
 
-class StateView:
-    """One state as compiled steps, descriptions and `visible_facts` read
-    it. What the player can perceive (`_perceivable`) and where each subject
-    is are each worked out at most once per view, and only when asked."""
-
-    __slots__ = ("state", "facts", "room", "_perceivable", "_locations")
-
-    def __init__(self, state: WorldState):
-        self.state = state
-        self.facts = state.facts
-        self.room = state.player_room
-        self._perceivable: dict[str, Fact] | None = None
-        self._locations: dict[str, Fact] | None = None
-
-    @property
-    def perceivable(self) -> dict[str, Fact]:
-        if self._perceivable is None:
-            self._perceivable = _perceivable(self.state)
-        return self._perceivable
-
-    def location_of(self, subject: str) -> Fact:
-        """The first ``at``/``on``/``in`` fact about `subject` in the
-        state's fact order (for the player, its ``at`` fact); ValueError if
-        there is none."""
-        if subject == PLAYER:
-            return Fact("at", (PLAYER, self.room))
-        if self._locations is None:
-            self._locations = {}
-            for f in self.facts:
-                if f.predicate in ("at", "on", "in"):
-                    self._locations.setdefault(f.args[0], f)
-        try:
-            return self._locations[subject]
-        except KeyError:
-            raise ValueError(f"{subject} has no location fact") from None
-
-
-def visible_facts(world: WorldDef, state: WorldState,
-                  view: StateView | None = None) -> frozenset[Fact]:
+def visible_facts(world: WorldDef, state: WorldState) -> frozenset[Fact]:
     """All facts observable from the player's room: the player's location,
     the room's connections, and each perceivable entity's location fact and
-    open/closed or custom state facts. Closed containers hide their contents.
-    A `view` of `state`, if given, supplies the perceivable entities, so a
-    state whose view a step has already read is not walked again."""
+    open/closed or custom state facts. Closed containers hide their contents."""
     room = state.player_room
-    located = _perceivable(state) if view is None else view.perceivable
+    located = state.perceivable
     out = {fact("at", PLAYER, room), *located.values()}
     for other in connections_of(state, room):
         out.add(fact(CONNECTS, room, other))

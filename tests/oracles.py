@@ -20,8 +20,7 @@ from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
                              _candidates, _groundings)
 from ifbench.interpreter import _join, render_feedback
 from ifbench.world import (INVENTORY, PLAYER, EntityDef, GoalCondition,
-                           RoomDef, StateGroup, StateView, WorldDef,
-                           WorldState, Fact, apply_delta, connections_of,
+                           RoomDef, StateGroup, WorldDef, WorldState, Fact, apply_delta, connections_of,
                            fact, parse_fact, state_facts_of)
 
 
@@ -81,8 +80,8 @@ def reference_visible_entities(world: WorldDef,
                    if f.predicate in ("at", "on", "in")} - {PLAYER})
 
 
-# -- the interpreter's descriptions before they read the state view, kept
-# (methods of Engine then, `self` now `engine`) with the fact walks they
+# -- the interpreter's descriptions before they read the perceivable map,
+# kept (methods of Engine then, `self` now `engine`) with the fact walks they
 # called, as the reference `room_description` and `entity_description` must
 # agree with
 
@@ -353,11 +352,10 @@ def reference_solve(instance: Instance, candidates=None
         if len(expanded) > planner.DEFAULT_BUDGET:
             raise SearchBudgetExceeded(
                 f"expanded more than {planner.DEFAULT_BUDGET} states")
-        view = StateView(state)
         for step in steps:
-            if step.failure(view) is not None:
+            if step.failure(state) is not None:
                 continue
-            removes, adds = step.effects(view)
+            removes, adds = step.effects(state)
             new_facts = (state.facts - removes) | adds
             if new_facts in parents:
                 continue

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from ifbench import (Engine, Episode, EpisodeSummary, ScriptedAgent,
-                     aggregate, clemscore, combine_clemscore, episode_summary,
+                     aggregate, combine_clemscore, episode_summary,
                      load_standard_actions, run_episode, solve_optimal)
 import ifbench.cli
 from ifbench.cli import main
 from ifbench.generate import catalogue_vocabulary
 from ifbench.grammar import Lexicon
-from ifbench.metrics import macro_gsr, paper_pct
+from ifbench.metrics import paper_pct, scores_to_json
 from ifbench.pseudowords import PseudowordMaker
 from ifbench.world import validate_state
 from oracles import (apply_lexicon, brute_force_optimal, micro_corpus,
@@ -106,8 +106,9 @@ def test_criterion_3_oracle_agent_perfection(oracle_records):
     assert all(s.played_pct == 100.0 for s in scores)
     assert all(s.quality == 100.0 for s in scores)
     assert all(s.gsr == 100.0 for s in scores)
-    assert clemscore(scores) == 100.0
-    assert macro_gsr(scores) == 100.0
+    payload = scores_to_json("oracle", scores)
+    assert payload["clemscore"] == 100.0
+    assert payload["macro_gsr"] == 100.0
     assert oracle_records.elapsed < 120.0
 
 

@@ -664,12 +664,30 @@ def _set_field(field, value):
      "instance 1 (basic-easy-01): field 'family': 0 is not a string"),
     (_set_field("prompt", lambda row: 5),
      "instance 1 (basic-easy-01): field 'prompt': 5 is not a string"),
+    (_set_field("lexicon", lambda row: {"nouns": {"apple": None}}),
+     "instance 1 (basic-easy-01): field 'lexicon': nouns: 'apple' maps to "
+     "None, not a non-empty string"),
+    (_set_field("lexicon", lambda row: {"verbs": {"open": 0}}),
+     "field 'lexicon': verbs: 'open' maps to 0, not a non-empty string"),
+    (_set_field("lexicon", lambda row: {"adjectives": {"open": True}}),
+     "field 'lexicon': adjectives: 'open' maps to True, not a non-empty "
+     "string"),
+    (_set_field("lexicon", lambda row: {"explanations": {"open": ""}}),
+     "field 'lexicon': explanations: 'open' maps to '', not a non-empty "
+     "string"),
+    (_set_field("seed_path", lambda row: "x"),
+     "instance 1 (basic-easy-01): field 'seed_path': 'x' is not a list of "
+     "non-negative integers"),
+    (_set_field("seed_path", lambda row: [17, -1]),
+     "field 'seed_path': [17, -1] is not a list of non-negative integers"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
         "goals-empty", "entity-noun-null", "entity-noun-empty",
         "room-noun-list", "initial-not-a-state", "family-not-string",
-        "prompt-not-string"])
+        "prompt-not-string", "lexicon-noun-null", "lexicon-verb-zero",
+        "lexicon-adjective-true", "lexicon-explanation-empty",
+        "seed-path-string", "seed-path-negative"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError
@@ -685,6 +703,33 @@ def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
     message = str(err.value)
     assert message.startswith(f"{path}: ")
     assert named in message
+
+
+@pytest.mark.parametrize("index, key, value, fault", [
+    (0, "check", "acessible_here", "not a known check"),
+    (0, "param", "itme", "param 'itme' is not a parameter of the action"),
+    (0, "fail", "nope", "failure kind 'nope' has no feedback template"),
+    (2, "state", None, "state is not a string"),
+], ids=["unknown-check", "unknown-param", "fail-without-template",
+        "state-missing"])
+def test_bad_precondition_names_file_instance_verb_and_check(
+        tmp_path, bench144, index, key, value, fault):
+    """An instance's own action whose precondition no turn could decide or
+    report is rejected at load, naming the file, the instance, the field,
+    the verb and the check."""
+    path = tmp_path / "broken.json"
+    save_instances(bench144["synthetic-hard"][:2], path, base_seed=17)
+    payload = json.loads(path.read_text())
+    action = payload["instances"][1]["extra_actions"][0]
+    cond = action["preconditions"][index]
+    cond[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    assert str(err.value) == (
+        f"{path}: instance 1 (synthetic-hard-01): field 'extra_actions': "
+        f"action {action['verb']!r}, precondition check {cond['check']!r}: "
+        f"{fault}")
 
 
 def test_malformed_instance_names_file_instance_and_field(tmp_path, bench144):

@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifbench import (Engine, Episode, MissingBinding, ScriptedAgent,
-                     episode_summary, fact, render_feedback, run_episode,
-                     solve_optimal)
-from ifbench.world import INVENTORY, StateView, apply_delta, validate_state
+from ifbench import (Engine, Episode, HeuristicAgent, MissingBinding,
+                     ScriptedAgent, WorldState, episode_summary, fact,
+                     render_feedback, run_episode, solve_optimal)
+from ifbench.world import INVENTORY, apply_delta, validate_state
 from oracles import (micro_corpus, micro_instance, reference_entity_description,
                      reference_room_description, reference_solve,
                      reference_visible)
@@ -90,21 +90,37 @@ def test_golden_failures_fresh_state():
         assert record.feedback == feedback, raw
 
 
-def test_failed_turn_walks_visibility_once(monkeypatch):
-    # the precondition's view of the state also gives the revealed facts
-    from ifbench import world
+def _recorded_walks(monkeypatch) -> list[WorldState]:
+    """Each state whose perceivable map is worked out, once per walk."""
     walks = []
-    perceivable = world._perceivable
+    perceive = WorldState._perceive
 
-    def counting_perceivable(state):
+    def counting_perceive(state):
         walks.append(state)
-        return perceivable(state)
+        return perceive(state)
 
-    monkeypatch.setattr(world, "_perceivable", counting_perceivable)
+    monkeypatch.setattr(WorldState, "_perceive", counting_perceive)
+    return walks
+
+
+def test_failed_turn_walks_visibility_once(monkeypatch):
+    # the precondition's read of the state also gives the revealed facts
+    walks = _recorded_walks(monkeypatch)
     inst = kitchen_instance()
     _, record = Engine(inst).execute(inst.start_state(), "> take sandwich")
     assert record.phase_outcome == "precondition-fail"
     assert len(walks) == 1
+
+
+def test_episode_walks_each_state_once(monkeypatch):
+    """Over a whole heuristic episode no state is walked twice: a turn
+    reads the map its state got as the result of the turn before."""
+    walks = _recorded_walks(monkeypatch)
+    inst = kitchen_instance()
+    engine = Engine(inst)
+    episode = run_episode(inst, HeuristicAgent(engine), engine)
+    assert episode.outcome == "success" and len(episode.turns) > 2
+    assert len({id(state) for state in walks}) == len(walks)
 
 
 def test_failed_turns_never_mutate_state():
@@ -351,7 +367,8 @@ def _case(world, state, ident) -> str:
 
 
 def test_descriptions_match_reference(oracle_records, heuristic_records):
-    """Room and examine text read the view; the reference walks the facts.
+    """Room and examine text read the state's perceivable map; the
+    reference walks the facts.
     Both agree on every state of the seed-17 scripted and heuristic episodes
     and of the planner's search over criterion 4's micro corpus, for every
     entity the player perceives and the inventory."""
@@ -364,12 +381,11 @@ def test_descriptions_match_reference(oracle_records, heuristic_records):
     seen = set()
     for engine, states in worlds:
         for state in states:
-            view = StateView(state)
-            assert engine.room_description(view) == (
+            assert engine.room_description(state) == (
                 reference_room_description(engine, state))
-            for ident in [*view.perceivable, INVENTORY]:
+            for ident in [*state.perceivable, INVENTORY]:
                 seen.add(_case(engine.world, state, ident))
-                assert engine.entity_description(view, ident) == (
+                assert engine.entity_description(state, ident) == (
                     reference_entity_description(engine, state, ident))
     assert seen == {"inventory", "container-closed", "container-open-full",
                     "container-open-empty", "support-loaded", "support-empty",

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ifbench import (EmptyInput, EpisodeSummary, ScriptedAgent, aggregate,
-                     clemscore, combine_clemscore,
-                     episode_summary, goal_success_rate,
+                     combine_clemscore, episode_summary, goal_success_rate,
                      load_standard_actions, run_episode, solve_optimal)
-from ifbench.metrics import macro_gsr, paper_pct, scores_to_csv, scores_to_json
+from ifbench.metrics import (macro_averages, paper_pct, scores_to_csv,
+                             scores_to_json)
 from oracles import micro_instance
 
 ACTIONS = {a.verb: a for a in load_standard_actions()}
@@ -115,16 +115,19 @@ def test_clemscore_reference_rows():
 def test_clemscore_trivial_and_macro():
     a = aggregate([summary("success")] * 4, "basic-easy")
     b = aggregate([summary("success")] * 4, "basic-hard")
-    assert clemscore([a, b]) == pytest.approx(100.0)
-    assert macro_gsr([a, b]) == pytest.approx(100.0)
+    assert scores_to_json("a", [a, b])["clemscore"] == pytest.approx(100.0)
+    assert macro_averages([a, b])[2] == pytest.approx(100.0)
     c = aggregate([summary("aborted-format", achieved=0, turns=1)] * 4,
                   "basic-easy")
-    assert clemscore([a, c]) == pytest.approx(25.0)  # macro 50 x macro 50
+    # macro 50 x macro 50
+    assert scores_to_json("a", [a, c])["clemscore"] == pytest.approx(25.0)
 
 
 def test_clemscore_empty():
     with pytest.raises(EmptyInput):
-        clemscore([])
+        scores_to_json("a", [])
+    with pytest.raises(EmptyInput):
+        macro_averages([])
 
 
 def test_label_action_flags():
@@ -197,7 +200,7 @@ def test_clemscore_bounded_by_macros(pairs):
     for s, (q, p) in zip(scores, pairs):
         s.quality = q
         s.played_pct = p
-    value = clemscore(scores)
+    value = scores_to_json("a", scores)["clemscore"]
     macro_q = sum(q for q, _ in pairs) / len(pairs)
     macro_p = sum(p for _, p in pairs) / len(pairs)
     assert value <= min(macro_q, macro_p) + 1e-9

@@ -10,7 +10,7 @@ import ifbench.planner as planner
 from ifbench import (Engine, ScriptedAgent, SearchBudgetExceeded,
                      Unsolvable, apply_delta, run_episode, solve_optimal)
 from ifbench.grammar import ActionDef, ActionFlags, GroundedAction, Param
-from ifbench.world import INVENTORY, PLAYER, InvariantViolation, StateView
+from ifbench.world import INVENTORY, PLAYER, InvariantViolation
 from oracles import (brute_force_optimal, micro_corpus, micro_instance,
                      reference_effects, reference_preconditions,
                      reference_solve, unpruned_candidates)
@@ -220,12 +220,11 @@ def test_compiled_steps_match_reference(bench144, oracle_records,
                 turn_only = [(engine.step(g), engine.actions[g.action], g)
                              for g in _turn_groundings(inst, engine)]
                 for state in states:
-                    view = StateView(state)
                     for step, action, grounded in turn_only:
-                        assert step.failure(view) == reference_preconditions(
+                        assert step.failure(state) == reference_preconditions(
                             engine, state, action, grounded), (inst.id, grounded)
                     for step, action, grounded in compiled + turn_only:
-                        assert (_effects_or_error(step.effects, view)
+                        assert (_effects_or_error(step.effects, state)
                                 == _effects_or_error(reference_effects, engine,
                                                      state, action, grounded))
                     checked += len(compiled) + len(turn_only)
@@ -233,14 +232,13 @@ def test_compiled_steps_match_reference(bench144, oracle_records,
                 assert len(expanded) == result.states_expanded > 0
                 states = list(dict.fromkeys(states + expanded))
             for state in states:
-                view = StateView(state)
                 passing = []
                 for step, action, grounded in compiled:
-                    failure = step.failure(view)
+                    failure = step.failure(state)
                     assert failure == reference_preconditions(
                         engine, state, action, grounded), (inst.id, grounded)
                     if failure is None:
-                        assert step.effects(view) == reference_effects(
+                        assert step.effects(state) == reference_effects(
                             engine, state, action, grounded), (inst.id, grounded)
                         passing.append(grounded)
                 checked += len(compiled)
@@ -319,17 +317,16 @@ def _masks_match_steps(inst, candidates=None) -> int:
     for state in reference_solve(inst, candidates)[1]:
         assert state.facts <= bits.keys(), inst.id
         key = planner._mask(state.facts, bits)
-        view = StateView(state)
         compiled = {move.grounded: move for move in moves[state.player_room]}
         assert list(compiled) == [g for g in candidates if g in compiled]
         for grounded in candidates:
             step = engine.step(grounded)
             move = compiled.get(grounded)
-            holds = step.failure(view) is None
+            holds = step.failure(state) is None
             assert _mask_holds(move, key, carried, inst.inventory_limit) == (
                 holds), (inst.id, grounded, state)
             if holds:
-                removes, adds = step.effects(view)
+                removes, adds = step.effects(state)
                 assert key & move.removes == planner._mask(removes, bits)
                 assert removes <= state.facts and adds <= bits.keys()
                 assert move.adds == planner._mask(adds, bits)
@@ -404,7 +401,7 @@ def test_every_check_has_a_mask_form():
                         expected = reference_preconditions(
                             engine, state, probe, grounded) is None
                         assert (form is None
-                                or form.holds(StateView(state))) == expected, (
+                                or form.holds(state)) == expected, (
                             name, ident, source)
                         assert _mask_holds(
                             move, key, carried, inst.inventory_limit) == (
@@ -427,9 +424,9 @@ def test_replay_rejects_a_wrong_plan():
     inst, engine, start, goal_facts, bits = _one_room_search()
     take, put, done = solve_optimal(inst).actions
     after_take = apply_delta(inst.world, start,
-                             *engine.step(take).effects(StateView(start)))
+                             *engine.step(take).effects(start))
     reached = apply_delta(inst.world, after_take,
-                          *engine.step(put).effects(StateView(after_take)))
+                          *engine.step(put).effects(after_take))
 
     def key(state):
         return planner._mask(state.facts, bits)
@@ -504,7 +501,7 @@ def test_connects_effect_fails_loudly():
     engine = Engine(inst)
     grounded = GroundedAction("dig", (("room", "pantry"),))
     with pytest.raises(ValueError, match="'dig'.*connects"):
-        engine.step(grounded).failure(StateView(inst.start_state()))
+        engine.step(grounded).failure(inst.start_state())
     with pytest.raises(ValueError, match="'dig'.*connects"):
         solve_optimal(inst)
 

@@ -9,7 +9,7 @@ from ifbench import (InvariantViolation, apply_delta, check_goals, fact,
 from ifbench.grammar import GroundedAction
 from ifbench.interpreter import Engine
 from ifbench.world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
-                           GoalCondition, StateGroup, StateView, WorldState,
+                           GoalCondition, StateGroup, WorldState,
                            state_to_json, validate_state)
 from oracles import (micro_instance, reference_visible,
                      reference_visible_entities)
@@ -134,7 +134,7 @@ def test_visibility_matches_oracle_along_heuristic_episodes(heuristic_records):
         for state in states:
             expected = reference_visible(inst.world, state)
             assert visible_facts(inst.world, state) == expected
-            assert sorted(StateView(state).perceivable) == (
+            assert sorted(state.perceivable) == (
                 reference_visible_entities(inst.world, state))
 
 
@@ -180,6 +180,22 @@ def test_state_json_roundtrip(kitchen):
     again = state_from_json(world, data)
     assert again.facts == state.facts
     assert again.inventory == state.inventory
+
+
+def test_read_maps_stay_out_of_equality_hash_and_json(kitchen):
+    """The perceivable and location maps a state keeps once read are not
+    part of what it is: equality, hash, repr and JSON form ignore them."""
+    _, walked = kitchen
+    fresh = WorldState(walked.facts, walked.player_room, walked.inventory,
+                       walked.inventory_limit)
+    assert walked.perceivable == {"counter": fact("at", "counter", "kitchen"),
+                                  "cupboard": fact("at", "cupboard", "kitchen"),
+                                  "plate": fact("on", "plate", "counter")}
+    assert walked.location_of("plate") == fact("on", "plate", "counter")
+    assert walked == fresh and hash(walked) == hash(fresh)
+    assert repr(walked) == repr(fresh)
+    assert state_to_json(walked) == state_to_json(fresh)
+    assert walked.perceivable is walked.perceivable
 
 
 def test_state_from_json_rejects_malformed_fact(kitchen):
@@ -345,8 +361,7 @@ def _random_delta(engine, state, edits):
                             for i, name in enumerate(params))
             try:
                 more_removes, more_adds = engine.step(
-                    GroundedAction(action.verb, binding)).effects(
-                        StateView(state))
+                    GroundedAction(action.verb, binding)).effects(state)
             except ValueError:  # location_of an id that has no location
                 continue
             removes |= more_removes
