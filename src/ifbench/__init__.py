@@ -1,9 +1,7 @@
 """Deterministic interactive-fiction benchmark engine: world interpreter,
 command grammar, seeded instance generator, optimal-plan oracle, metrics,
-and a pluggable agent harness.
-
-The generator's names are imported on first use (PEP 562), so that importing
-the package, or a command other than ``generate``, does not load numpy."""
+and a pluggable agent harness. The package has no dependency outside the
+standard library."""
 
 from .world import (Fact, fact, parse_fact, EntityDef, RoomDef, StateGroup,
                     GoalCondition, WorldDef, WorldState,
@@ -20,6 +18,8 @@ from .interpreter import (Engine, Episode, TurnRecord, FormatViolation,
                           read_episode_summary, TURN_LIMIT)
 from .planner import PlanResult, Unsolvable, SearchBudgetExceeded, solve_optimal
 from .pseudowords import PseudowordMaker, load_english_words
+from .generate import (GenerationExhausted, WalkNotFound, generate_basic,
+                       generate_family, generate_preexploration)
 from .metrics import (EpisodeSummary, ExperimentScores, EmptyInput,
                       goal_success_rate, aggregate, combine_clemscore)
 from .agents import (ScriptedAgent, HeuristicAgent, HumanAgent, LlmAgent,
@@ -27,14 +27,3 @@ from .agents import (ScriptedAgent, HeuristicAgent, HumanAgent, LlmAgent,
                      transcript_to_messages)
 
 __version__ = "0.1.0"
-
-_GENERATE_NAMES = frozenset({
-    "GenerationExhausted", "WalkNotFound", "generate_basic", "generate_family",
-    "generate_preexploration"})
-
-
-def __getattr__(name: str):
-    if name in _GENERATE_NAMES:
-        from . import generate
-        return getattr(generate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,16 +1,15 @@
 """Seeded generation of the nine experiment families (16 instances each).
 
-Seeding scheme: instance rng = numpy default_rng([base_seed, family_index,
-instance_index]) over PCG64, with family_index taken from FAMILIES order.
-Identical seeds reproduce byte-identical instance files.
+Seeding scheme: instance rng = Rng([base_seed, family_index, instance_index]),
+numpy's default_rng in the standard library, with family_index taken from
+FAMILIES order. Identical seeds reproduce byte-identical instance files.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-
-import numpy as np
+from itertools import permutations, product
 
 from .grammar import (ActionDef, ActionFlags, Lexicon, Param,
                       load_standard_actions, staple_verbs)
@@ -36,15 +35,96 @@ class WalkNotFound(Exception):
     """No <= 8 step closed walk covers the required rooms."""
 
 
+# -- random stream --------------------------------------------------------------
+# numpy.random.default_rng(entropy), draw for draw: SeedSequence hashing,
+# PCG64 (a 128-bit LCG with XSL-RR output; O'Neill 2014) and Lemire's bounded
+# integers over buffered 32-bit draws (Lemire 2019, ACM TOMACS 29(1)).
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _entropy_words(entropy) -> list[int]:
+    """A seed int, or a sequence of them, as 32-bit words, low word first."""
+    if not isinstance(entropy, int):
+        return [w for part in entropy for w in _entropy_words(part)]
+    if entropy < 0:
+        raise ValueError(f"negative seed {entropy}")
+    return [entropy >> s & _M32 for s in range(0, entropy.bit_length() or 1, 32)]
+
+
+def _seed_state(entropy) -> list[int]:
+    """SeedSequence(entropy).generate_state(8): the entropy words hashed into
+    a 4-word pool, then drawn out as eight 32-bit words."""
+    const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        const, value = const * mult & _M32, value ^ const
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return result ^ result >> 16
+
+    words = _entropy_words(entropy)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    return [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+
+
+class Rng:
+    """`numpy.random.default_rng(entropy)`, draw for draw, for what ifbench
+    draws: `integers(n)` for 1 <= n < 2**32, by multiply-and-reject on 32-bit
+    draws, and `random()`, from the top 53 bits of a 64-bit draw."""
+
+    def __init__(self, entropy):
+        w = _seed_state(entropy)
+        seed = (w[1] << 32 | w[0]) << 64 | w[3] << 32 | w[2]
+        self._inc = (((w[5] << 32 | w[4]) << 64 | w[7] << 32 | w[6]) << 1 | 1) & _M128
+        self._state = ((self._inc + seed) * _PCG_MULT + self._inc) & _M128
+        self._spare = None  # the unused upper half of the last 64-bit draw
+
+    def _next64(self) -> int:
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _M128
+        value, rot = (state >> 64 ^ state) & _M64, state >> 122
+        return (value >> rot | value << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        spare, self._spare = self._spare, None
+        if spare is None:
+            spare = self._next64()
+            self._spare = spare >> 32
+        return spare & _M32
+
+    def integers(self, n: int) -> int:
+        if not 1 <= n <= _M32:
+            raise ValueError(f"integers({n}): n must be in [1, 2**32)")
+        if n == 1:
+            return 0
+        m, threshold = self._next32() * n, ((1 << 32) - n) % n
+        while m & _M32 < threshold:
+            m = self._next32() * n
+        return m >> 32
+
+    def random(self) -> float:
+        return (self._next64() >> 11) / (1 << 53)
+
+
 def _choice(rng, seq):
-    return seq[int(rng.integers(len(seq)))]
+    return seq[rng.integers(len(seq))]
 
 
 def _sample(rng, seq, k):
     pool = list(seq)
     out = []
     for _ in range(k):
-        out.append(pool.pop(int(rng.integers(len(pool)))))
+        out.append(pool.pop(rng.integers(len(pool))))
     return out
 
 
@@ -382,7 +462,7 @@ def _vocabulary(inst: Instance) -> set[str]:
 def _synthesize_easy(rng, base: Instance) -> Instance:
     maker = PseudowordMaker(rng, forbidden=_vocabulary(base))
     world = base.world
-    goal = base.goals[int(rng.integers(len(base.goals)))]
+    goal = base.goals[rng.integers(len(base.goals))]
     item, target = goal.fact.args
     item_room = _start_rooms(base)[item]
     nouns = {}
@@ -415,7 +495,7 @@ def _synthesize_medium(rng, base: Instance) -> Instance:
                   | {r.noun for r in base.rooms})
     pool = [n for n in pool if n not in chosen]
     while len(chosen) < 9:
-        chosen.append(pool.pop(int(rng.integers(len(pool)))))
+        chosen.append(pool.pop(rng.integers(len(pool))))
     verbs = _sample(rng, sorted(a.verb for a in base.actions
                                 if a.flags.replaceable), 3)
     lexicon = Lexicon(nouns={n: maker.make() for n in chosen},
@@ -544,7 +624,7 @@ def generate_family(base_seed: int, family: str,
     family_index = FAMILIES.index(family)
     out = []
     for idx in range(count):
-        rng = np.random.default_rng([base_seed, family_index, idx])
+        rng = Rng([base_seed, family_index, idx])
         seed_path = (base_seed, family_index, idx)
         if family in ("basic-easy", "basic-hard"):
             inst = generate_basic(rng, family.split("-")[1])

@@ -211,6 +211,16 @@ def _compile_snippet(snippet: str) -> tuple[str, tuple[_Slot, ...]]:
     return verb, tuple(slots)
 
 
+def snippet_fits(snippet, verb: str, params) -> bool:
+    """Whether `snippet` is a grammar snippet for `verb` whose slots are
+    all among `params`."""
+    try:
+        snippet_verb, slots = _compile_snippet(snippet)
+    except (TypeError, IndexError, ValueError):
+        return False
+    return snippet_verb == verb and all(s.param in params for s in slots)
+
+
 def _clean(line: str) -> list[str]:
     line = line.strip().lower()
     while line and line[-1] in ".!":
@@ -348,6 +358,11 @@ class Parser:
                 words.append("in" if world.is_container(value) else "on")
             words.append(self.surface_of(value, world))
         return " ".join(words)
+
+
+# the traits a parameter may require: `fits_trait`'s own and the entity traits
+PARAM_TRAITS = frozenset({"room", "location", "thing", "receptacle", "container",
+                          "openable", "room-fixture", "support", "takeable"})
 
 
 def fits_trait(world: WorldDef, ident: str, trait: str) -> bool:

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
-                      action_from_json, build_parser, load_standard_actions)
+from .grammar import (PARAM_TRAITS, ActionDef, GroundedAction, Lexicon,
+                      Parser, action_from_json, build_parser,
+                      load_standard_actions, snippet_fits)
 from .world import (CONNECTS, EntityDef, Fact, GoalCondition,
                     InvariantViolation, RoomDef, StateGroup, WorldDef,
                     WorldState, fact, initial_state, parse_fact)
@@ -126,6 +127,9 @@ class Instance:
             except (TypeError, ValueError, AttributeError) as exc:
                 raise ValueError(f"field {name!r}: {exc}") from exc
 
+        groups = read("state_groups", lambda rows: tuple(
+            StateGroup(g["entity"], _strings(g["states"]), g["initial"])
+            for g in rows))
         return Instance(
             id=read("id", _file_token),
             family=read("family", _string),
@@ -139,9 +143,7 @@ class Instance:
                 EntityDef(e["id"], e["noun"], frozenset(_strings(e["traits"])),
                           frozenset(_strings(e["allowed_rooms"])))
                 for e in rows)),
-            state_groups=read("state_groups", lambda rows: tuple(
-                StateGroup(g["entity"], _strings(g["states"]), g["initial"])
-                for g in rows)),
+            state_groups=groups,
             initial_facts=read("initial_facts", lambda facts: tuple(
                 parse_fact(s) for s in facts)),
             goals=read("goals", _goals),
@@ -149,7 +151,8 @@ class Instance:
             lexicon=read("lexicon", lambda lex: (
                 Lexicon.from_json(lex) if lex else None), optional=True),
             base_verbs=read("base_verbs", _strings),
-            extra_actions=read("extra_actions", _extra_actions),
+            extra_actions=read("extra_actions",
+                               lambda rows: _extra_actions(rows, groups)),
             preexploration=read("preexploration", lambda pairs: (
                 tuple(_strings(p) for p in pairs) if pairs else None),
                 optional=True),
@@ -183,32 +186,81 @@ def _seed_path(value) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _extra_actions(rows) -> tuple[ActionDef, ...]:
-    """The instance's own actions. ValueError naming the verb and the check
-    of a precondition that no turn could decide or report: an unknown check,
-    one missing the state or entity it tests, a `param` or `source` that is
-    not a parameter of the action, or a failure kind with no feedback."""
+def _extra_actions(rows, groups) -> tuple[ActionDef, ...]:
+    """The instance's own actions; a fact effect may name a state of
+    `groups`."""
+    unary = {"open", "closed"}.union(*(g.states for g in groups))
+    return tuple(_action(row, unary) for row in rows)
+
+
+def _action(row, unary: set[str]) -> ActionDef:
+    """One `extra_actions` row as an action. ValueError naming the verb and
+    either the field that no turn could use or the check of a precondition
+    that no turn could decide or report."""
     from .interpreter import _CHECKS  # interpreter imports this module
-    actions = tuple(action_from_json(a) for a in rows)
-    for action in actions:
-        params = [p.name for p in action.params]
-        for cond in action.preconditions:
-            check = cond.get("check") if isinstance(cond, dict) else None
-            where = f"action {action.verb!r}, precondition check {check!r}"
-            if not isinstance(check, str) or check not in _CHECKS:
-                raise ValueError(f"{where}: not a known check")
-            tested = {"has_state": "state", "not_has_state": "state",
-                      "is_entity": "entity"}.get(check)
-            if tested is not None and not isinstance(cond.get(tested), str):
-                raise ValueError(f"{where}: {tested} is not a string")
-            for key in ("param", "source"):
-                if key in cond and cond[key] not in params:
-                    raise ValueError(f"{where}: {key} {cond[key]!r} is not a "
-                                     "parameter of the action")
-            if cond.get("fail") not in list(action.feedback):
-                raise ValueError(f"{where}: failure kind {cond.get('fail')!r} "
-                                 "has no feedback template")
-    return actions
+    verb = row.get("verb") if isinstance(row, dict) else None
+    if not isinstance(verb, str):
+        raise ValueError(f"{row!r} is not an action with a string verb")
+
+    def expect(field, ok, expected):
+        if not ok:
+            raise ValueError(f"action {verb!r}, {field}: "
+                             f"{row.get(field)!r} is not {expected}")
+
+    params = row.get("params", [])
+    expect("params", isinstance(params, list) and all(
+        isinstance(p, dict) and isinstance(p.get("name"), str)
+        and p.get("trait") in PARAM_TRAITS
+        and isinstance(p.get("optional", False), bool) for p in params),
+        "a list of parameters, each a name and a known trait")
+    names = [p["name"] for p in params]
+    expect("grammar", snippet_fits(row.get("grammar"), verb, names),
+           "a snippet that starts with the verb and names only its parameters")
+    feedback = row.get("feedback")
+    expect("feedback", isinstance(feedback, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in feedback.items()),
+        "a map of strings to strings")
+    effects = row.get("effects", {})
+    expect("effects", isinstance(effects, dict) and all(
+        isinstance(effects[key], list)
+        and all(_known_effect(t, key == "adds", unary) for t in effects[key])
+        for key in ("removes", "adds") if key in effects),
+        "removes and adds of effect templates that resolve to valid facts")
+    expect("preconditions", isinstance(row.get("preconditions", []), list),
+           "a list")
+    for cond in row.get("preconditions", []):
+        check = cond.get("check") if isinstance(cond, dict) else None
+        where = f"action {verb!r}, precondition check {check!r}"
+        if not isinstance(check, str) or check not in _CHECKS:
+            raise ValueError(f"{where}: not a known check")
+        tested = {"has_state": "state", "not_has_state": "state",
+                  "is_entity": "entity"}.get(check)
+        if tested is not None and not isinstance(cond.get(tested), str):
+            raise ValueError(f"{where}: {tested} is not a string")
+        for key in ("param", "source"):
+            if key in cond and cond[key] not in names:
+                raise ValueError(f"{where}: {key} {cond[key]!r} is not a "
+                                 "parameter of the action")
+        if cond.get("fail") not in list(feedback):
+            raise ValueError(f"{where}: failure kind {cond.get('fail')!r} "
+                             "has no feedback template")
+    return action_from_json(row)
+
+
+def _known_effect(template, adding: bool, unary: set[str]) -> bool:
+    """Whether `interpreter.compile_step` resolves the template, and to a
+    fact of a known predicate and arity other than ``connects`` or, outside
+    `adding`, a location read from the state."""
+    if not (isinstance(template, list) and template
+            and all(isinstance(t, str) for t in template)):
+        return False
+    kind, *names = template
+    if kind == "fact":
+        binary = names[:1] in (["at"], ["on"], ["in"])
+        return len(names) == 1 + (2 if binary else 1) and (
+            binary or names[0] in unary)
+    arity = {"placement": 2, "location_of": 1, "player_at": 0}.get(kind)
+    return len(names) == arity and (kind == "placement" or not adding)
 
 
 def _goals(rows) -> tuple[GoalCondition, ...]:

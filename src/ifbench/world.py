@@ -412,8 +412,8 @@ def state_facts_of(world: WorldDef, state: WorldState, entity: str) -> list[Fact
     preds = set(group.states) if group else set()
     if world.is_container(entity):
         preds |= {"open", "closed"}
-    return sorted(f for f in state.facts
-                  if f.args == (entity,) and f.predicate in preds)
+    # a lookup per candidate state fact, not a scan of the state's facts
+    return sorted(f for p in preds if (f := Fact(p, (entity,))) in state.facts)
 
 
 def perceivable_when(room: str,

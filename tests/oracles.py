@@ -21,7 +21,7 @@ from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
 from ifbench.interpreter import _join, render_feedback
 from ifbench.world import (INVENTORY, PLAYER, EntityDef, GoalCondition,
                            RoomDef, StateGroup, WorldDef, WorldState, Fact, apply_delta, connections_of,
-                           fact, parse_fact, state_facts_of)
+                           fact, parse_fact)
 
 
 def reference_visible(world: WorldDef, state: WorldState) -> frozenset[Fact]:
@@ -71,6 +71,18 @@ def reference_visible(world: WorldDef, state: WorldState) -> frozenset[Fact]:
         if ok:
             keep.add(f)
     return frozenset(keep)
+
+
+def reference_state_facts(world: WorldDef, state: WorldState,
+                          entity: str) -> list[Fact]:
+    """The entity's state facts (its group's states, and open/closed for a
+    container), sorted, by a scan over all of the state's facts."""
+    group = world.state_groups.get(entity)
+    preds = set(group.states) if group else set()
+    if world.is_container(entity):
+        preds |= {"open", "closed"}
+    return sorted(f for f in state.facts
+                  if f.args == (entity,) and f.predicate in preds)
 
 
 def reference_visible_entities(world: WorldDef,
@@ -134,7 +146,7 @@ def reference_room_description(engine, state: WorldState) -> str:
                      "items": _join([engine.surface(e) for e in on_top])}))
     for eid in reference_visible_entities(engine.world, state):
         if eid in engine.world.state_groups:
-            for f in state_facts_of(engine.world, state, eid):
+            for f in reference_state_facts(engine.world, state, eid):
                 if f.predicate not in ("open", "closed"):
                     parts.append(render_feedback(
                         msg["state_sentence"],
@@ -187,7 +199,7 @@ def reference_entity_description(engine, state: WorldState, ident: str) -> str:
             return render_feedback(
                 msg["examine_on"],
                 {"entity": name, "holder": engine.surface(f.args[1])})
-    states = [f for f in state_facts_of(engine.world, state, ident)]
+    states = reference_state_facts(engine.world, state, ident)
     if states:
         return render_feedback(
             msg["state_sentence"],

@@ -476,11 +476,11 @@ def test_summary_guard_names_file(tmp_path, content):
         read_episode_summary(bad)
 
 
-def _imported_with_cli(module: str) -> bool:
+def _imported_with(package: str, module: str) -> bool:
     src = str(Path(ifbench.__file__).parents[1])
     run = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, ifbench.cli; print({module!r} in sys.modules)"],
+         f"import sys, {package}; print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     return run.stdout.strip() == "True"
@@ -488,12 +488,14 @@ def _imported_with_cli(module: str) -> bool:
 
 def test_cli_import_leaves_urllib_request_out():
     # only the llm agent speaks HTTP, and it imports the client itself
-    assert not _imported_with_cli("urllib.request")
+    assert not _imported_with("ifbench.cli", "urllib.request")
 
 
 def test_cli_import_leaves_numpy_out():
-    # only `generate` needs numpy; the package serves its names on first
-    # use, and each of them resolves
-    assert not _imported_with_cli("numpy")
-    for name in sorted(ifbench._GENERATE_NAMES):
+    # the generator draws its stream from the standard library, and the
+    # package exports its names
+    assert not _imported_with("ifbench.cli", "numpy")
+    assert not _imported_with("ifbench.generate", "numpy")
+    for name in ("GenerationExhausted", "WalkNotFound", "generate_basic",
+                 "generate_family", "generate_preexploration"):
         assert getattr(ifbench, name) is getattr(ifbench.generate, name), name

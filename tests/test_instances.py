@@ -3,7 +3,6 @@ import json
 import re
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import ifbench.generate
@@ -12,7 +11,8 @@ from ifbench import (TURN_LIMIT, Engine, PlanResult, Unsolvable,
                      fact, generate_basic, generate_family,
                      generate_preexploration, instance_to_dot, load_instances,
                      save_instances, solve_optimal)
-from ifbench.generate import FAMILIES, INVENTORY_LIMIT, catalogue_vocabulary
+from ifbench.generate import (FAMILIES, INVENTORY_LIMIT, Rng,
+                              catalogue_vocabulary)
 from ifbench.grammar import GroundedAction, Lexicon
 from ifbench.pseudowords import PseudowordMaker, load_english_words
 from oracles import apply_lexicon, micro_instance
@@ -78,8 +78,8 @@ def _distance(inst, a, b):
 
 
 def test_same_seed_same_instance():
-    a = generate_basic(np.random.default_rng(5), "easy")
-    b = generate_basic(np.random.default_rng(5), "easy")
+    a = generate_basic(Rng(5), "easy")
+    b = generate_basic(Rng(5), "easy")
     assert a.to_json() == b.to_json()
 
 
@@ -203,13 +203,13 @@ def test_limit_families_solve_once_under_the_limit(monkeypatch):
 
 
 def test_limited_plan_over_turn_limit_is_resampled(monkeypatch):
-    first = generate_basic(np.random.default_rng(5), "easy", INVENTORY_LIMIT)
+    first = generate_basic(Rng(5), "easy", INVENTORY_LIMIT)
     too_long = PlanResult(
         actions=(GroundedAction("look", ()),) * TURN_LIMIT
         + (GroundedAction("done", ()),),
         length=TURN_LIMIT + 1, states_expanded=0)
     limits = _counting_solves(monkeypatch, fake_first=too_long)
-    inst = generate_basic(np.random.default_rng(5), "easy", INVENTORY_LIMIT)
+    inst = generate_basic(Rng(5), "easy", INVENTORY_LIMIT)
     assert limits == [INVENTORY_LIMIT] * 2
     assert inst.optimal_length <= TURN_LIMIT
     assert inst.to_json() != first.to_json()
@@ -398,7 +398,7 @@ def _shortest_path(inst, start, goal):
 
 def test_lexicon_isomorphism_sample(bench144):
     base = bench144["basic-easy"][2]
-    maker = PseudowordMaker(np.random.default_rng(99),
+    maker = PseudowordMaker(Rng(99),
                             forbidden=catalogue_vocabulary())
     lexicon = Lexicon(nouns={"plate": maker.make(), "kitchen": maker.make()},
                       verbs={"take": maker.make(), "put": maker.make()})
@@ -409,7 +409,7 @@ def test_lexicon_isomorphism_sample(bench144):
 def test_pseudoword_shape_and_rejection():
     english = load_english_words()
     vocabulary = catalogue_vocabulary()
-    maker = PseudowordMaker(np.random.default_rng(0), forbidden=vocabulary)
+    maker = PseudowordMaker(Rng(0), forbidden=vocabulary)
     words = [maker.make() for _ in range(10_000)]
     assert len(set(words)) == 10_000
     for word in words:
@@ -420,7 +420,7 @@ def test_pseudoword_shape_and_rejection():
 
 
 def test_pseudoword_exhaustion_extends_space():
-    maker = PseudowordMaker(np.random.default_rng(1))
+    maker = PseudowordMaker(Rng(1))
     maker.onsets, maker.nuclei, maker.codas = ["b"], ["a"], [""]
     first = maker.make()
     assert first == "baba"  # only 4..8 letter word in this tiny space
@@ -611,6 +611,33 @@ def _set_field(field, value):
     return mutate
 
 
+# an instance's own action that loads: a cupboard-opening verb
+_ZAP = {"verb": "zap", "params": [{"name": "item", "trait": "openable"}],
+        "grammar": "zap <item>",
+        "flags": {"epistemic": False, "pragmatic": True, "replaceable": False},
+        "preconditions": [{"check": "has_state", "param": "item",
+                           "state": "closed", "fail": "no_effect"}],
+        "effects": {"removes": [["fact", "closed", "item"]],
+                    "adds": [["fact", "open", "item"]]},
+        "feedback": {"success": "Zap.", "no_effect": "Nothing happens."}}
+
+
+def _set_action(field, value):
+    """Give the second instance `_ZAP` as its own action, with `field` set
+    to `value`."""
+    return _set_field("extra_actions", lambda row: [{**_ZAP, field: value}])
+
+
+def test_extra_action_row_loads(tmp_path, bench144):
+    path = tmp_path / "zap.json"
+    save_instances(bench144["basic-easy"][:2], path, base_seed=17)
+    payload = _set_action("verb", "zap")(json.loads(path.read_text()))
+    path.write_text(json.dumps(payload))
+    assert [a.to_json() for a in load_instances(path)[1].extra_actions] == [
+        {**_ZAP, "params": [{"name": "item", "trait": "openable",
+                             "optional": False}]}]
+
+
 @pytest.mark.parametrize("mutate, named", [
     (None, "not valid JSON ("),
     (lambda payload: [payload], "the top level is not a JSON object"),
@@ -680,6 +707,34 @@ def _set_field(field, value):
      "non-negative integers"),
     (_set_field("seed_path", lambda row: [17, -1]),
      "field 'seed_path': [17, -1] is not a list of non-negative integers"),
+    (_set_action("effects", {"adds": [["x", "item"]]}),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "effects: {'adds': [['x', 'item']]} is not removes and adds of effect "
+     "templates that resolve to valid facts"),
+    (_set_action("effects", {"adds": [["fact", "connects", "item", "x"]]}),
+     "field 'extra_actions': action 'zap', effects: "),
+    (_set_action("effects", {"adds": [["fact", "ajar", "item"]]}),
+     "field 'extra_actions': action 'zap', effects: "),
+    (_set_action("feedback", {"success": 5}),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "feedback: {'success': 5} is not a map of strings to strings"),
+    (_set_action("grammar", "zip <item>"),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "grammar: 'zip <item>' is not a snippet that starts with the verb and "
+     "names only its parameters"),
+    (_set_action("grammar", None),
+     "field 'extra_actions': action 'zap', grammar: None is not a snippet"),
+    (_set_action("params", [{"name": "item", "trait": "shiny"}]),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "params: [{'name': 'item', 'trait': 'shiny'}] is not a list of "
+     "parameters, each a name and a known trait"),
+    (_set_action("params", [["item", "thing"]]),
+     "field 'extra_actions': action 'zap', params: [['item', 'thing']] is not"),
+    (_set_action("preconditions", ""),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "preconditions: '' is not a list"),
+    (_set_action("preconditions", {}),
+     "field 'extra_actions': action 'zap', preconditions: {} is not a list"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
@@ -687,7 +742,11 @@ def _set_field(field, value):
         "room-noun-list", "initial-not-a-state", "family-not-string",
         "prompt-not-string", "lexicon-noun-null", "lexicon-verb-zero",
         "lexicon-adjective-true", "lexicon-explanation-empty",
-        "seed-path-string", "seed-path-negative"])
+        "seed-path-string", "seed-path-negative", "effect-unknown-kind",
+        "effect-connects", "effect-unknown-predicate", "feedback-not-string",
+        "grammar-other-verb", "grammar-null", "params-unknown-trait",
+        "params-pair-list", "preconditions-empty-string",
+        "preconditions-empty-map"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError
@@ -782,6 +841,29 @@ def test_invalid_start_state_names_file_instance_and_fact(tmp_path, replaced,
     assert str(path) in message
     assert "instance 1 (micro-1)" in message
     assert named in message
+
+
+def test_one_way_connection_names_file_instance_and_lacks_mirror(tmp_path):
+    """A `connects` fact in `initial_facts` without its mirror is rejected
+    at load: rooms connect both ways."""
+    path = tmp_path / "broken.json"
+    inst = micro_instance(
+        rooms=["kitchen", "pantry", "bedroom"],
+        connections=[("kitchen", "pantry"), ("pantry", "bedroom")],
+        entities=[("counter", "support", ["kitchen"]),
+                  ("plate", "takeable", ["kitchen"])],
+        facts=["at(player,kitchen)", "at(counter,kitchen)",
+               "on(plate,counter)"],
+        goals=["in(plate,inventory)"])
+    inst = replace(inst, optimal_plan=solve_optimal(inst).actions)
+    save_instances([replace(inst, id=f"micro-{i}") for i in range(2)], path)
+    payload = json.loads(path.read_text())
+    payload["instances"][1]["initial_facts"].append("connects(kitchen,bedroom)")
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    assert str(err.value) == (f"{path}: instance 1 (micro-1): "
+                              "connects(kitchen,bedroom) lacks mirror")
 
 
 def test_dot_export(bench144):

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 from ifbench import (Engine, Episode, HeuristicAgent, MissingBinding,
                      ScriptedAgent, WorldState, episode_summary, fact,
                      render_feedback, run_episode, solve_optimal)
-from ifbench.world import INVENTORY, apply_delta, validate_state
+from ifbench.world import (INVENTORY, apply_delta, state_facts_of,
+                           validate_state, visible_facts)
 from oracles import (micro_corpus, micro_instance, reference_entity_description,
                      reference_room_description, reference_solve,
-                     reference_visible)
+                     reference_state_facts, reference_visible)
 
 
 def kitchen_instance(**kwargs):
@@ -364,6 +365,25 @@ def _case(world, state, ident) -> str:
     if where.predicate == "at" and world.state_groups.get(ident):
         return "custom-state"
     return {"at": "on-floor", "on": "item-on", "in": "item-in"}[where.predicate]
+
+
+def test_state_facts_lookup_matches_scan(oracle_records, heuristic_records):
+    """`state_facts_of` looks up each candidate state fact; the reference
+    scans every fact of the state. Both agree for every entity on every
+    state of the seed-17 scripted and heuristic episodes, and so does
+    visibility, which reads them."""
+    checked = 0
+    for records in (oracle_records.records, heuristic_records):
+        for inst, episode in records.values():
+            world = inst.world
+            for state in _episode_states(inst, episode):
+                assert visible_facts(world, state) == (
+                    reference_visible(world, state))
+                for eid in world.entities:
+                    found = state_facts_of(world, state, eid)
+                    assert found == reference_state_facts(world, state, eid)
+                    checked += bool(found)
+    assert checked
 
 
 def test_descriptions_match_reference(oracle_records, heuristic_records):
