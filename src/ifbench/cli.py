@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
+from . import generate
 from .agents import HeuristicAgent, HumanAgent, LlmAgent, LlmConfig, ScriptedAgent
 from .instance import (FAMILIES, INSTANCES_PER_FAMILY, Instance,
                        instance_to_dot, load_instances, save_instances)
@@ -86,8 +87,7 @@ def _fork_map(fn, items, cost=None):
 
 def _generate_file(seed: int, family: str, count: int, out: Path) -> str:
     """Generate one family into `out`; return its summary line."""
-    from .generate import generate_family
-    instances = generate_family(seed, family, count)
+    instances = generate.generate_family(seed, family, count)
     save_instances(instances, out / f"{family}.json", base_seed=seed)
     lengths = [i.optimal_length for i in instances]
     return (f"{family}: {len(instances)} instances, "
@@ -99,7 +99,6 @@ def cmd_generate(args) -> int:
     """Generate whole families through `_fork_map`. Every family is seeded
     on its own, so the files and the printed lines, kept in family order, do
     not depend on the number of workers."""
-    from .generate import GenerationExhausted
     families = _parse_families(args.families)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -108,7 +107,7 @@ def cmd_generate(args) -> int:
                 lambda family: _generate_file(args.seed, family, args.count, out),
                 families):
             print(line)
-    except GenerationExhausted as exc:
+    except generate.GenerationExhausted as exc:
         print(f"generation exhausted for {exc}", file=sys.stderr)
         return 1
     return 0

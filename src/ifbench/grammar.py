@@ -1,4 +1,6 @@
-"""Verb schemas, the command grammar, and grounding of parsed commands.
+"""Verb schemas, their one reader (`action_from_json`, for bundled and
+instance rows alike, accepting just what `compile_step` resolves) and their
+compiler, the command grammar, and grounding of parsed commands.
 
 Commands have the shape ``<verb> [function-words] <noun-phrase>
 [<prep> <noun-phrase>]``; ``done`` and ``look`` take no arguments. Each verb
@@ -11,9 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .world import INVENTORY, WorldDef, load_data
+from .world import (CONNECTS, INVENTORY, PLAYER, Fact, WorldDef, WorldState,
+                    fact, load_data)
 
 FUNCTION_WORDS = frozenset({"the", "a", "an", "to", "at", "on", "in", "from"})
 
@@ -87,28 +90,272 @@ class ActionDef:
         return data
 
 
-def action_from_json(row: Mapping) -> ActionDef:
-    params = tuple(Param(p["name"], p["trait"], p.get("optional", False))
-                   for p in row.get("params", ()))
-    flags = ActionFlags(**row["flags"])
+# -- compiled steps -----------------------------------------------------------
+#
+# A step is one action schema compiled for one grounding: its precondition
+# tests in declared order and its effect facts, resolved from the grounding
+# where they can be. Each test is a fact form: a turn decides it on a state
+# (`FactTest.holds`), and the planner compiles the same form into bit masks.
+
+
+class FactTest(NamedTuple):
+    """A precondition test in fact form: it holds when all facts of one
+    `any_of` set are held (never, if there is no set), no `none_of` fact is,
+    if `space` fewer ``in(_, inventory)`` facts than the inventory limit, and
+    if `seen` is set, that entity is perceivable (`world.perceivable_when`)."""
+    any_of: tuple[tuple[Fact, ...], ...] = ((),)
+    none_of: tuple[Fact, ...] = ()
+    space: bool = False
+    seen: str | None = None
+
+    def holds(self, state: WorldState) -> bool:
+        if self.seen is not None and self.seen not in state.perceivable:
+            return False
+        if (self.space and state.inventory_limit is not None
+                and len(state.inventory) >= state.inventory_limit):
+            return False
+        facts = state.facts
+        if not facts.isdisjoint(self.none_of):
+            return False
+        for needed in self.any_of:
+            if facts.issuperset(needed):
+                return True
+        return False
+
+
+def _held(f: Fact) -> FactTest:
+    return FactTest(((f,),))
+
+
+def _absent(f: Fact) -> FactTest:
+    return FactTest(none_of=(f,))
+
+
+def _seen(ident: str | None) -> FactTest:
+    """The player perceives `ident`; never, for an unbound parameter."""
+    return FactTest(()) if ident is None else FactTest(seen=ident)
+
+
+def _connected(world, cond, ident, grounded):
+    return FactTest(tuple((fact("at", PLAYER, room), fact(CONNECTS, room, ident))
+                          for room in world.rooms))
+
+
+def _source_matches(world, cond, ident, grounded):
+    source = grounded.get(cond.get("source", "source"))
+    if source is None:
+        return None
+    if source in world.rooms:
+        return _held(fact("at", ident, source))
+    return FactTest(((fact("on", ident, source),), (fact("in", ident, source),)))
+
+
+# precondition check name -> builder(world, cond, ident, grounded) of the
+# check's fact form, or None when the grounding alone makes it hold
+_CHECKS = {
+    "accessible_here": lambda world, cond, ident, grounded: _seen(ident),
+    "visible_here": lambda world, cond, ident, grounded: (
+        None if ident == INVENTORY else _seen(ident)),
+    "in_inventory": lambda world, cond, ident, grounded: _held(
+        fact("in", ident, INVENTORY)),
+    "not_in_inventory": lambda world, cond, ident, grounded: _absent(
+        fact("in", ident, INVENTORY)),
+    "inventory_space": lambda world, cond, ident, grounded: FactTest(space=True),
+    "connected": _connected,
+    "not_current_room": lambda world, cond, ident, grounded: _absent(
+        fact("at", PLAYER, ident)),
+    "has_state": lambda world, cond, ident, grounded: _held(
+        fact(cond["state"], ident)),
+    "not_has_state": lambda world, cond, ident, grounded: _absent(
+        fact(cond["state"], ident)),
+    "open_if_container": lambda world, cond, ident, grounded: (
+        _held(fact("open", ident)) if world.is_container(ident) else None),
+    "is_entity": lambda world, cond, ident, grounded: (
+        None if ident == cond["entity"] else FactTest(())),
+    "source_matches": _source_matches,
+}
+
+
+class Step(NamedTuple):
+    """One grounded action, compiled: `failure` and `effects` read the state
+    only where the grounding leaves something open."""
+
+    grounded: GroundedAction
+    # (form, failure kind), in declared order: the first failing one reports
+    tests: tuple[tuple[FactTest, str], ...]
+    removes: frozenset[Fact]  # resolved from the grounding
+    adds: frozenset[Fact]
+    late_removes: tuple[str, ...]  # subjects whose `location_of` it removes
+
+    def failure(self, state: WorldState) -> str | None:
+        """First failing precondition's failure kind, or None when all hold."""
+        for form, fail in self.tests:
+            if not form.holds(state):
+                return fail
+        return None
+
+    def effects(self, state: WorldState) -> tuple[frozenset[Fact], frozenset[Fact]]:
+        removes = self.removes
+        if self.late_removes:
+            removes = removes.union(map(state.location_of, self.late_removes))
+        return removes, self.adds
+
+
+def compile_step(world: WorldDef, action: ActionDef,
+                 grounded: GroundedAction) -> Step:
+    """Compile `action` for `grounded`. ValueError on an unknown check or
+    effect template, on an effect on ``connects`` facts (room connections
+    are fixed, which the planner relies on) and on an added location."""
+    bound = dict(grounded.bindings)
+    tests = []
+    for cond in action.preconditions:
+        build = _CHECKS.get(cond["check"])
+        if build is None:
+            raise ValueError(f"unknown precondition check {cond['check']!r}")
+        ident = bound.get(cond["param"]) if "param" in cond else None
+        form = build(world, cond, ident, grounded)
+        if form is not None:
+            tests.append((form, cond["fail"]))
+
+    def resolve(name: str) -> str:
+        return name if name in (PLAYER, INVENTORY) else bound.get(name, name)
+
+    def effect(template: tuple[str, ...]) -> Fact | str:
+        kind = template[0]
+        if kind == "fact":
+            if template[1] == CONNECTS:
+                raise ValueError(f"action {action.verb!r} changes connects "
+                                 "facts; room connections must stay fixed")
+            return Fact(template[1], tuple([resolve(a) for a in template[2:]]))
+        if kind == "location_of":
+            return resolve(template[1])
+        if kind == "placement":
+            item, target = resolve(template[1]), resolve(template[2])
+            return Fact("in" if world.is_container(target) else "on",
+                        (item, target))
+        if kind == "player_at":
+            return PLAYER
+        raise ValueError(f"unknown effect template {template!r}")
+
+    def split(templates) -> tuple[frozenset[Fact], tuple[str, ...]]:
+        facts, late = [], []
+        for template in templates:
+            resolved = effect(template)
+            (facts if isinstance(resolved, Fact) else late).append(resolved)
+        return frozenset(facts), tuple(late)
+
+    removes, late_removes = split(action.removes)
+    adds, late_adds = split(action.adds)
+    if late_adds:
+        raise ValueError(f"{action.verb!r} adds a location read from the state")
+    return Step(grounded, tuple(tests), removes, adds, late_removes)
+
+
+def action_from_json(row, unary: Collection[str],
+                     ids: Iterable[str] = ()) -> ActionDef:
+    """The one reader of an action row, bundled or an instance's own. A fact
+    effect may name a state of `unary`, and any effect may name the action's
+    parameters, `player`, `inventory` and `ids`. ValueError naming the verb
+    and either the field that no turn could use or the check of a
+    precondition that no turn could decide or report."""
+    verb = row.get("verb") if isinstance(row, dict) else None
+    if not isinstance(verb, str):
+        raise ValueError(f"{row!r} is not an action with a string verb")
+
+    def expect(field, ok, expected):
+        if not ok:
+            raise ValueError(f"action {verb!r}, {field}: "
+                             f"{row.get(field)!r} is not {expected}")
+
+    params = row.get("params", [])
+    expect("params", isinstance(params, list) and all(
+        isinstance(p, dict) and isinstance(p.get("name"), str)
+        and p.get("trait") in PARAM_TRAITS
+        and isinstance(p.get("optional", False), bool) for p in params),
+        "a list of parameters, each a name and a known trait")
+    names = [p["name"] for p in params]
+    try:
+        snippet_verb, slots = _compile_snippet(row.get("grammar"))
+    except (TypeError, IndexError, ValueError):
+        snippet_verb, slots = None, ()
+    expect("grammar", snippet_verb == verb and all(
+        s.param in names for s in slots),
+        "a snippet that starts with the verb and names only its parameters")
+    flags = row.get("flags")
+    expect("flags", isinstance(flags, dict)
+           and set(flags) == {f.name for f in fields(ActionFlags)}
+           and all(type(v) is bool for v in flags.values()),
+           "a map of epistemic, pragmatic and replaceable to bools")
+    feedback = row.get("feedback")
+    expect("feedback", isinstance(feedback, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in feedback.items()),
+        "a map of strings to strings")
     effects = row.get("effects", {})
+    known = {PLAYER, INVENTORY, *names, *ids}
+    expect("effects", isinstance(effects, dict) and all(
+        isinstance(effects[key], list) and all(
+            _known_effect(t, key == "adds", unary, known)
+            for t in effects[key])
+        for key in ("removes", "adds") if key in effects),
+        "removes and adds of effect templates that resolve to valid facts")
+    expect("preconditions", isinstance(row.get("preconditions", []), list),
+           "a list")
+    for cond in row.get("preconditions", []):
+        check = cond.get("check") if isinstance(cond, dict) else None
+        where = f"action {verb!r}, precondition check {check!r}"
+        if not isinstance(check, str) or check not in _CHECKS:
+            raise ValueError(f"{where}: not a known check")
+        tested = {"has_state": "state", "not_has_state": "state",
+                  "is_entity": "entity"}.get(check)
+        if tested is not None and not isinstance(cond.get(tested), str):
+            raise ValueError(f"{where}: {tested} is not a string")
+        for key in ("param", "source"):
+            if key in cond and cond[key] not in names:
+                raise ValueError(f"{where}: {key} {cond[key]!r} is not a "
+                                 "parameter of the action")
+        if cond.get("fail") not in list(feedback):
+            raise ValueError(f"{where}: failure kind {cond.get('fail')!r} "
+                             "has no feedback template")
     return ActionDef(
-        verb=row["verb"],
-        params=params,
+        verb=verb,
+        params=tuple(Param(p["name"], p["trait"], p.get("optional", False))
+                     for p in params),
         grammar=row["grammar"],
-        flags=flags,
+        flags=ActionFlags(**flags),
         preconditions=tuple(row.get("preconditions", ())),
         removes=tuple(tuple(t) for t in effects.get("removes", ())),
         adds=tuple(tuple(t) for t in effects.get("adds", ())),
-        feedback=dict(row["feedback"]),
+        feedback=dict(feedback),
         explanation=row.get("explanation"),
     )
 
 
+def _known_effect(template, adding: bool, unary: Collection[str],
+                  known: set[str]) -> bool:
+    """Whether `compile_step` resolves the template, and to a fact of a
+    known predicate and arity other than ``connects`` or, outside `adding`,
+    a location read from the state, with every argument in `known`."""
+    if not (isinstance(template, list) and template
+            and all(isinstance(t, str) for t in template)):
+        return False
+    kind, *args = template
+    arity = {"placement": 2, "location_of": 1, "player_at": 0}.get(kind)
+    if kind == "fact" and args:
+        predicate, *args = args
+        arity = (2 if predicate in ("at", "on", "in")
+                 else 1 if predicate in unary else None)
+    elif adding and kind != "placement":
+        return False
+    return len(args) == arity and known.issuperset(args)
+
+
 @cache
 def load_standard_actions() -> tuple[ActionDef, ...]:
-    return tuple(action_from_json(row)
-                 for row in load_data("actions.json")["actions"])
+    try:
+        return tuple(action_from_json(row, ("open", "closed"))
+                     for row in load_data("actions.json")["actions"])
+    except ValueError as exc:
+        raise ValueError(f"actions.json: {exc}") from exc
 
 
 @cache
@@ -209,16 +456,6 @@ def _compile_snippet(snippet: str) -> tuple[str, tuple[_Slot, ...]]:
         else:
             raise ValueError(f"bad grammar snippet token {tok!r} in {snippet!r}")
     return verb, tuple(slots)
-
-
-def snippet_fits(snippet, verb: str, params) -> bool:
-    """Whether `snippet` is a grammar snippet for `verb` whose slots are
-    all among `params`."""
-    try:
-        snippet_verb, slots = _compile_snippet(snippet)
-    except (TypeError, IndexError, ValueError):
-        return False
-    return snippet_verb == verb and all(s.param in params for s in slots)
 
 
 def _clean(line: str) -> list[str]:

@@ -1,5 +1,7 @@
 """Episode definitions: rooms, entities, goals, lexicon, prompt and the
-optimal plan, plus their JSON serialization and DOT graph export."""
+optimal plan, plus their JSON serialization and DOT graph export. Loading
+reads each `extra_actions` row with `grammar.action_from_json`, the reader
+of the bundled verbs too."""
 
 from __future__ import annotations
 
@@ -9,9 +11,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .grammar import (PARAM_TRAITS, ActionDef, GroundedAction, Lexicon,
-                      Parser, action_from_json, build_parser,
-                      load_standard_actions, snippet_fits)
+from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
+                      action_from_json, build_parser, fits_trait,
+                      load_standard_actions)
 from .world import (CONNECTS, EntityDef, Fact, GoalCondition,
                     InvariantViolation, RoomDef, StateGroup, WorldDef,
                     WorldState, fact, initial_state, parse_fact)
@@ -130,19 +132,24 @@ class Instance:
         groups = read("state_groups", lambda rows: tuple(
             StateGroup(g["entity"], _strings(g["states"]), g["initial"])
             for g in rows))
+        rooms = read("rooms", lambda rows: tuple(
+            RoomDef(r["id"], r["noun"],
+                    frozenset(_strings(r["allowed_adjacent"])))
+            for r in rows))
+        entities = read("entities", lambda rows: tuple(
+            EntityDef(e["id"], e["noun"], frozenset(_strings(e["traits"])),
+                      frozenset(_strings(e["allowed_rooms"])))
+            for e in rows))
+        # a fact effect may name a state of a group and any id
+        unary = {"open", "closed"}.union(*(g.states for g in groups))
+        ids = [r.id for r in rooms] + [e.id for e in entities]
         return Instance(
             id=read("id", _file_token),
             family=read("family", _string),
-            rooms=read("rooms", lambda rows: tuple(
-                RoomDef(r["id"], r["noun"],
-                        frozenset(_strings(r["allowed_adjacent"])))
-                for r in rows)),
+            rooms=rooms,
             connections=read("connections", lambda pairs: tuple(
                 _strings(c) for c in pairs)),
-            entities=read("entities", lambda rows: tuple(
-                EntityDef(e["id"], e["noun"], frozenset(_strings(e["traits"])),
-                          frozenset(_strings(e["allowed_rooms"])))
-                for e in rows)),
+            entities=entities,
             state_groups=groups,
             initial_facts=read("initial_facts", lambda facts: tuple(
                 parse_fact(s) for s in facts)),
@@ -151,10 +158,10 @@ class Instance:
             lexicon=read("lexicon", lambda lex: (
                 Lexicon.from_json(lex) if lex else None), optional=True),
             base_verbs=read("base_verbs", _strings),
-            extra_actions=read("extra_actions",
-                               lambda rows: _extra_actions(rows, groups)),
+            extra_actions=read("extra_actions", lambda rows: tuple(
+                action_from_json(row, unary, ids) for row in rows)),
             preexploration=read("preexploration", lambda pairs: (
-                tuple(_strings(p) for p in pairs) if pairs else None),
+                tuple(_pair(p) for p in pairs) if pairs else None),
                 optional=True),
             prompt=read("prompt", _string),
             optimal_plan=read("optimal_plan", lambda plan: (
@@ -179,88 +186,20 @@ def _strings(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _pair(value) -> tuple[str, str]:
+    """A pre-exploration entry: a [command, feedback] pair of strings."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"{value!r} is not a [command, feedback] pair of "
+                        "strings")
+    return tuple(value)
+
+
 def _seed_path(value) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(
             type(v) is int and v >= 0 for v in value):
         raise ValueError(f"{value!r} is not a list of non-negative integers")
     return tuple(value)
-
-
-def _extra_actions(rows, groups) -> tuple[ActionDef, ...]:
-    """The instance's own actions; a fact effect may name a state of
-    `groups`."""
-    unary = {"open", "closed"}.union(*(g.states for g in groups))
-    return tuple(_action(row, unary) for row in rows)
-
-
-def _action(row, unary: set[str]) -> ActionDef:
-    """One `extra_actions` row as an action. ValueError naming the verb and
-    either the field that no turn could use or the check of a precondition
-    that no turn could decide or report."""
-    from .interpreter import _CHECKS  # interpreter imports this module
-    verb = row.get("verb") if isinstance(row, dict) else None
-    if not isinstance(verb, str):
-        raise ValueError(f"{row!r} is not an action with a string verb")
-
-    def expect(field, ok, expected):
-        if not ok:
-            raise ValueError(f"action {verb!r}, {field}: "
-                             f"{row.get(field)!r} is not {expected}")
-
-    params = row.get("params", [])
-    expect("params", isinstance(params, list) and all(
-        isinstance(p, dict) and isinstance(p.get("name"), str)
-        and p.get("trait") in PARAM_TRAITS
-        and isinstance(p.get("optional", False), bool) for p in params),
-        "a list of parameters, each a name and a known trait")
-    names = [p["name"] for p in params]
-    expect("grammar", snippet_fits(row.get("grammar"), verb, names),
-           "a snippet that starts with the verb and names only its parameters")
-    feedback = row.get("feedback")
-    expect("feedback", isinstance(feedback, dict) and all(
-        isinstance(k, str) and isinstance(v, str) for k, v in feedback.items()),
-        "a map of strings to strings")
-    effects = row.get("effects", {})
-    expect("effects", isinstance(effects, dict) and all(
-        isinstance(effects[key], list)
-        and all(_known_effect(t, key == "adds", unary) for t in effects[key])
-        for key in ("removes", "adds") if key in effects),
-        "removes and adds of effect templates that resolve to valid facts")
-    expect("preconditions", isinstance(row.get("preconditions", []), list),
-           "a list")
-    for cond in row.get("preconditions", []):
-        check = cond.get("check") if isinstance(cond, dict) else None
-        where = f"action {verb!r}, precondition check {check!r}"
-        if not isinstance(check, str) or check not in _CHECKS:
-            raise ValueError(f"{where}: not a known check")
-        tested = {"has_state": "state", "not_has_state": "state",
-                  "is_entity": "entity"}.get(check)
-        if tested is not None and not isinstance(cond.get(tested), str):
-            raise ValueError(f"{where}: {tested} is not a string")
-        for key in ("param", "source"):
-            if key in cond and cond[key] not in names:
-                raise ValueError(f"{where}: {key} {cond[key]!r} is not a "
-                                 "parameter of the action")
-        if cond.get("fail") not in list(feedback):
-            raise ValueError(f"{where}: failure kind {cond.get('fail')!r} "
-                             "has no feedback template")
-    return action_from_json(row)
-
-
-def _known_effect(template, adding: bool, unary: set[str]) -> bool:
-    """Whether `interpreter.compile_step` resolves the template, and to a
-    fact of a known predicate and arity other than ``connects`` or, outside
-    `adding`, a location read from the state."""
-    if not (isinstance(template, list) and template
-            and all(isinstance(t, str) for t in template)):
-        return False
-    kind, *names = template
-    if kind == "fact":
-        binary = names[:1] in (["at"], ["on"], ["in"])
-        return len(names) == 1 + (2 if binary else 1) and (
-            binary or names[0] in unary)
-    arity = {"placement": 2, "location_of": 1, "player_at": 0}.get(kind)
-    return len(names) == arity and (kind == "placement" or not adding)
 
 
 def _goals(rows) -> tuple[GoalCondition, ...]:
@@ -309,20 +248,24 @@ def _limit(value) -> int | None:
 def _check_plan(instance: Instance, optimal_length) -> None:
     """Raise ValueError unless the stored plan ends in `done`, uses only the
     instance's verbs, parameters and ids in [param, id] string pairs, binds
-    each required parameter exactly once and has `optimal_length` steps."""
+    each required parameter exactly once, to an id that fits its trait as
+    `grammar.fits_trait` (the parser's rule) says, and has `optimal_length`
+    steps."""
     plan = instance.optimal_plan
     if not plan or plan[-1].action != "done":
         raise ValueError("optimal_plan is missing, empty or does not end in done")
     actions = {a.verb: a for a in instance.actions}
-    ids = instance.world.entities.keys() | instance.world.rooms.keys()
+    world = instance.world
+    ids = world.entities.keys() | world.rooms.keys()
     for n, step in enumerate(plan):
         if not isinstance(step.action, str) or not all(
                 len(binding) == 2 for binding in step.bindings):
             raise ValueError(f"optimal_plan step {n} is not a verb with "
                              f"[param, id] pairs of strings: {step}")
         action = actions.get(step.action)
+        traits = {p.name: p.trait for p in action.params} if action else {}
         if action is None or not all(
-                name in {p.name for p in action.params} and ident in ids
+                name in traits and ident in ids
                 for name, ident in step.bindings):
             raise ValueError(f"optimal_plan step {n} names a verb, parameter "
                              f"or id the instance lacks: {step}")
@@ -332,6 +275,10 @@ def _check_plan(instance: Instance, optimal_length) -> None:
             raise ValueError(f"optimal_plan step {n} does not bind each "
                              f"required parameter of {step.action} exactly "
                              f"once: {step}")
+        if not all(fits_trait(world, ident, traits[name])
+                   for name, ident in step.bindings):
+            raise ValueError(f"optimal_plan step {n} binds an id that does "
+                             f"not fit its parameter's trait: {step}")
     if instance.optimal_length != optimal_length:
         raise ValueError(f"optimal_plan has {instance.optimal_length} steps, "
                          f"optimal_length is {optimal_length}")

@@ -3,7 +3,8 @@
 Each turn runs format -> parse -> ground -> preconditions -> state change ->
 goal check -> feedback; the first failing phase stops the turn and reports
 that phase's feedback. Episodes end on ``done``, a format violation, or the
-turn limit.
+turn limit. A turn's preconditions and effects are the step that
+`grammar.compile_step` makes of its grounded action, once per engine.
 """
 
 from __future__ import annotations
@@ -11,14 +12,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping
 
-from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure)
-from .instance import Instance
-from .world import (CONNECTS, INVENTORY, PLAYER, Fact, GoalCondition,
-                    WorldDef, WorldState, apply_delta, check_goals,
-                    connections_of, fact, load_data, state_facts_of,
-                    state_to_json, visible_facts)
+from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure,
+                      Step, compile_step)
+from .world import (INVENTORY, Fact, GoalCondition, WorldState, apply_delta,
+                    check_goals, connections_of, fact, load_data,
+                    state_facts_of, state_to_json, visible_facts)
+
+if TYPE_CHECKING:
+    from .instance import Instance
 
 TURN_LIMIT = 50
 
@@ -98,167 +101,6 @@ def _by_holder(state: WorldState) -> dict[str, list[str]]:
     return held
 
 
-# -- compiled steps -----------------------------------------------------------
-#
-# A step is one action schema compiled for one grounding: its precondition
-# tests in declared order and its effect facts, resolved from the grounding
-# where they can be. Each test is a fact form: a turn decides it on a state
-# (`FactTest.holds`), and the planner compiles the same form into bit masks.
-
-
-class FactTest(NamedTuple):
-    """A precondition test in fact form: it holds when all facts of one
-    `any_of` set are held (never, if there is no set), no `none_of` fact is,
-    if `space` fewer ``in(_, inventory)`` facts than the inventory limit, and
-    if `seen` is set, that entity is perceivable (`world.perceivable_when`)."""
-    any_of: tuple[tuple[Fact, ...], ...] = ((),)
-    none_of: tuple[Fact, ...] = ()
-    space: bool = False
-    seen: str | None = None
-
-    def holds(self, state: WorldState) -> bool:
-        if self.seen is not None and self.seen not in state.perceivable:
-            return False
-        if (self.space and state.inventory_limit is not None
-                and len(state.inventory) >= state.inventory_limit):
-            return False
-        facts = state.facts
-        if not facts.isdisjoint(self.none_of):
-            return False
-        for needed in self.any_of:
-            if facts.issuperset(needed):
-                return True
-        return False
-
-
-def _held(f: Fact) -> FactTest:
-    return FactTest(((f,),))
-
-
-def _absent(f: Fact) -> FactTest:
-    return FactTest(none_of=(f,))
-
-
-def _seen(ident: str | None) -> FactTest:
-    """The player perceives `ident`; never, for an unbound parameter."""
-    return FactTest(()) if ident is None else FactTest(seen=ident)
-
-
-def _connected(world, cond, ident, grounded):
-    return FactTest(tuple((fact("at", PLAYER, room), fact(CONNECTS, room, ident))
-                          for room in world.rooms))
-
-
-def _source_matches(world, cond, ident, grounded):
-    source = grounded.get(cond.get("source", "source"))
-    if source is None:
-        return None
-    if source in world.rooms:
-        return _held(fact("at", ident, source))
-    return FactTest(((fact("on", ident, source),), (fact("in", ident, source),)))
-
-
-# precondition check name -> builder(world, cond, ident, grounded) of the
-# check's fact form, or None when the grounding alone makes it hold
-_CHECKS = {
-    "accessible_here": lambda world, cond, ident, grounded: _seen(ident),
-    "visible_here": lambda world, cond, ident, grounded: (
-        None if ident == INVENTORY else _seen(ident)),
-    "in_inventory": lambda world, cond, ident, grounded: _held(
-        fact("in", ident, INVENTORY)),
-    "not_in_inventory": lambda world, cond, ident, grounded: _absent(
-        fact("in", ident, INVENTORY)),
-    "inventory_space": lambda world, cond, ident, grounded: FactTest(space=True),
-    "connected": _connected,
-    "not_current_room": lambda world, cond, ident, grounded: _absent(
-        fact("at", PLAYER, ident)),
-    "has_state": lambda world, cond, ident, grounded: _held(
-        fact(cond["state"], ident)),
-    "not_has_state": lambda world, cond, ident, grounded: _absent(
-        fact(cond["state"], ident)),
-    "open_if_container": lambda world, cond, ident, grounded: (
-        _held(fact("open", ident)) if world.is_container(ident) else None),
-    "is_entity": lambda world, cond, ident, grounded: (
-        None if ident == cond["entity"] else FactTest(())),
-    "source_matches": _source_matches,
-}
-
-
-class Step(NamedTuple):
-    """One grounded action, compiled: `failure` and `effects` read the state
-    only where the grounding leaves something open."""
-
-    grounded: GroundedAction
-    # (form, failure kind), in declared order: the first failing one reports
-    tests: tuple[tuple[FactTest, str], ...]
-    removes: frozenset[Fact]  # resolved from the grounding
-    adds: frozenset[Fact]
-    late_removes: tuple[str, ...]  # subjects whose `location_of` it removes
-
-    def failure(self, state: WorldState) -> str | None:
-        """First failing precondition's failure kind, or None when all hold."""
-        for form, fail in self.tests:
-            if not form.holds(state):
-                return fail
-        return None
-
-    def effects(self, state: WorldState) -> tuple[frozenset[Fact], frozenset[Fact]]:
-        removes = self.removes
-        if self.late_removes:
-            removes = removes.union(map(state.location_of, self.late_removes))
-        return removes, self.adds
-
-
-def compile_step(world: WorldDef, action: ActionDef,
-                 grounded: GroundedAction) -> Step:
-    """Compile `action` for `grounded`. ValueError on an unknown check or
-    effect template, on an effect on ``connects`` facts (room connections
-    are fixed, which the planner relies on) and on an added location."""
-    bound = dict(grounded.bindings)
-    tests = []
-    for cond in action.preconditions:
-        build = _CHECKS.get(cond["check"])
-        if build is None:
-            raise ValueError(f"unknown precondition check {cond['check']!r}")
-        ident = bound.get(cond["param"]) if "param" in cond else None
-        form = build(world, cond, ident, grounded)
-        if form is not None:
-            tests.append((form, cond["fail"]))
-
-    def resolve(name: str) -> str:
-        return name if name in (PLAYER, INVENTORY) else bound.get(name, name)
-
-    def effect(template: tuple[str, ...]) -> Fact | str:
-        kind = template[0]
-        if kind == "fact":
-            if template[1] == CONNECTS:
-                raise ValueError(f"action {action.verb!r} changes connects "
-                                 "facts; room connections must stay fixed")
-            return Fact(template[1], tuple([resolve(a) for a in template[2:]]))
-        if kind == "location_of":
-            return resolve(template[1])
-        if kind == "placement":
-            item, target = resolve(template[1]), resolve(template[2])
-            return Fact("in" if world.is_container(target) else "on",
-                        (item, target))
-        if kind == "player_at":
-            return PLAYER
-        raise ValueError(f"unknown effect template {template!r}")
-
-    def split(templates) -> tuple[frozenset[Fact], tuple[str, ...]]:
-        facts, late = [], []
-        for template in templates:
-            resolved = effect(template)
-            (facts if isinstance(resolved, Fact) else late).append(resolved)
-        return frozenset(facts), tuple(late)
-
-    removes, late_removes = split(action.removes)
-    adds, late_adds = split(action.adds)
-    if late_adds:
-        raise ValueError(f"{action.verb!r} adds a location read from the state")
-    return Step(grounded, tuple(tests), removes, adds, late_removes)
-
-
 class Engine:
     """Turn resolution for one instance; parser and templates are prebuilt
     and immutable, so one engine can serve many states."""
@@ -269,7 +111,7 @@ class Engine:
         self.parser = instance.parser
         self.messages = load_messages()
         self.goals = instance.goals
-        self.actions = {a.verb: a for a in instance.actions}
+        self.actions = self.parser.actions  # the parser's map, by verb
         self.lexicon = instance.lexicon
         self._steps: dict[GroundedAction, Step] = {}
 

@@ -22,9 +22,9 @@ from itertools import chain, product
 from math import inf
 from typing import NamedTuple
 
-from .grammar import ActionDef, GroundedAction, fits_trait
+from .grammar import ActionDef, GroundedAction, Step, fits_trait
 from .instance import Instance
-from .interpreter import Engine, Step
+from .interpreter import Engine
 from .world import (INVENTORY, PLAYER, Fact, InvariantViolation, WorldDef,
                     WorldState, apply_delta, perceivable_when)
 

@@ -245,6 +245,12 @@ def validate_state(world: WorldDef, state: WorldState) -> None:
         if count != 1:
             raise InvariantViolation(f"{eid} has {count} location facts")
 
+    for eid in world.entities:
+        group = world.state_groups.get(eid)
+        if world.is_container(eid) and not (group and group.initial and set(
+                group.states) == {"open", "closed"}):
+            raise InvariantViolation(f"{eid}: a container needs a state group "
+                                     "of open and closed with an initial state")
     for eid in world.state_groups:
         _check_state_group(world, state, eid)
     _check_inventory(state)
@@ -409,11 +415,11 @@ def connections_of(state: WorldState, room: str) -> list[str]:
 
 def state_facts_of(world: WorldDef, state: WorldState, entity: str) -> list[Fact]:
     group = world.state_groups.get(entity)
-    preds = set(group.states) if group else set()
-    if world.is_container(entity):
-        preds |= {"open", "closed"}
+    if group is None:
+        return []
     # a lookup per candidate state fact, not a scan of the state's facts
-    return sorted(f for p in preds if (f := Fact(p, (entity,))) in state.facts)
+    return sorted(f for p in group.states
+                  if (f := Fact(p, (entity,))) in state.facts)
 
 
 def perceivable_when(room: str,

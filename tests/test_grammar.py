@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from ifbench import (DuplicateVerb, GroundFailure, Lexicon, ParseFailure,
                      build_parser, load_standard_actions)
-from ifbench.grammar import GroundedAction, ParsedCommand
+from ifbench.grammar import GroundedAction, ParsedCommand, action_from_json
+from ifbench.world import load_data
 from oracles import micro_instance
 
 ACTIONS = load_standard_actions()
@@ -177,6 +178,18 @@ def test_render_round_trip(home):
         text = home.parser.render(grounded, world)
         again = home.parser.ground(home.parser.parse(text), world)
         assert again == grounded, text
+
+
+def test_bundled_rows_pass_the_reader_and_round_trip():
+    """Every bundled actions.json row passes the reader that instance rows
+    go through too, and `to_json` gives the row back, with each parameter's
+    `optional` spelled out."""
+    rows = load_data("actions.json")["actions"]
+    assert len(rows) == len(ACTIONS)
+    for row, action in zip(rows, ACTIONS):
+        assert action_from_json(row, ("open", "closed")) == action
+        assert action.to_json() == {**row, "params": [
+            {"optional": False, **p} for p in row["params"]]}
 
 
 def test_build_parser_empty_action_set(home):

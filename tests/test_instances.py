@@ -582,10 +582,16 @@ def test_instance_schema_version_guard(tmp_path):
      + row["optimal_plan"][2:],
      "field 'optimal_plan': optimal_plan step 1 is not a verb with "
      "[param, id] pairs of strings: ['go', ['room', 'hallway']]"),
+    ("optimal_plan",
+     lambda row: row["optimal_plan"][:1] + [["take", [["item", "bed"]]]]
+     + row["optimal_plan"][2:],
+     "optimal_plan step 1 binds an id that does not fit its parameter's "
+     "trait: GroundedAction(action='take', bindings=(('item', 'bed'),))"),
 ], ids=["null", "empty", "no-done", "unknown-verb", "unknown-id", "unknown-parameter",
         "length-mismatch", "not-a-list", "unbound-parameter", "bound-twice",
         "binding-one-element", "binding-three-elements", "binding-not-strings",
-        "verb-not-a-string", "bindings-a-string", "binding-not-a-list"])
+        "verb-not-a-string", "bindings-a-string", "binding-not-a-list",
+        "binding-wrong-trait"])
 def test_invalid_plan_names_file_instance_and_field(tmp_path, bench144, field,
                                                     value, named):
     path = tmp_path / "broken.json"
@@ -735,6 +741,24 @@ def test_extra_action_row_loads(tmp_path, bench144):
      "preconditions: '' is not a list"),
     (_set_action("preconditions", {}),
      "field 'extra_actions': action 'zap', preconditions: {} is not a list"),
+    (_set_action("flags", {**_ZAP["flags"], "epistemic": "x"}),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "flags: {'epistemic': 'x', 'pragmatic': True, 'replaceable': False} is "
+     "not a map of epistemic, pragmatic and replaceable to bools"),
+    (_set_action("effects", {**_ZAP["effects"], "adds": [["fact", "open", "x"]]}),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "effects: {'removes': [['fact', 'closed', 'item']], 'adds': [['fact', "
+     "'open', 'x']]} is not removes and adds of effect templates that "
+     "resolve to valid facts"),
+    (_set_field("preexploration", lambda row: [["x"]]),
+     "instance 1 (basic-easy-01): field 'preexploration': ['x'] is not a "
+     "[command, feedback] pair of strings"),
+    (_set_field("state_groups", lambda row: row["state_groups"][1:]),
+     "instance 1 (basic-easy-01): cupboard: a container needs a state group "
+     "of open and closed with an initial state"),
+    (_set_field("state_groups", lambda row: [
+        {**row["state_groups"][0], "initial": None}] + row["state_groups"][1:]),
+     "instance 1 (basic-easy-01): cupboard: a container needs a state group"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
@@ -746,7 +770,9 @@ def test_extra_action_row_loads(tmp_path, bench144):
         "effect-connects", "effect-unknown-predicate", "feedback-not-string",
         "grammar-other-verb", "grammar-null", "params-unknown-trait",
         "params-pair-list", "preconditions-empty-string",
-        "preconditions-empty-map"])
+        "preconditions-empty-map", "flags-not-bool", "effect-unknown-argument",
+        "preexploration-not-a-pair", "container-without-state-group",
+        "container-without-initial-state"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import ifbench.interpreter as interpreter
+import ifbench.grammar as grammar
 import ifbench.planner as planner
 from ifbench import (Engine, ScriptedAgent, SearchBudgetExceeded,
                      Unsolvable, apply_delta, run_episode, solve_optimal)
@@ -378,7 +378,7 @@ def test_every_check_has_a_mask_form():
                 (planner._mask(state.facts, bits), state))
         ids = sorted(world.entities) + sorted(world.rooms) + [INVENTORY]
         unary = sorted({f.predicate for f in bits if len(f.args) == 1})
-        for name, build in interpreter._CHECKS.items():
+        for name, build in grammar._CHECKS.items():
             names.add(name)
             # only source_matches reads the source
             sources = [None] + ids if name == "source_matches" else [None]
@@ -390,7 +390,7 @@ def test_every_check_has_a_mask_form():
                     (("item", ident),) if ident else ()) + (
                     (("source", source),) if source else ()))
                 form = build(world, cond, ident, grounded)
-                step = interpreter.Step(
+                step = grammar.Step(
                     grounded, ((form, "x"),) if form else (),
                     frozenset(), frozenset(), ())
                 probe = SimpleNamespace(preconditions=(cond,))
@@ -406,7 +406,7 @@ def test_every_check_has_a_mask_form():
                         assert _mask_holds(
                             move, key, carried, inst.inventory_limit) == (
                             expected), (name, ident, source)
-    assert names == set(interpreter._CHECKS) and len(names) == 12
+    assert names == set(grammar._CHECKS) and len(names) == 12
 
 
 def _one_room_search():
