@@ -316,6 +316,22 @@ def action_from_json(row, unary: Collection[str],
         if cond.get("fail") not in list(feedback):
             raise ValueError(f"{where}: failure kind {cond.get('fail')!r} "
                              "has no feedback template")
+    # a unary state may be added only to what a precondition shows not to
+    # hold it: `apply_delta` refuses to add a fact that is already held
+    removes = effects.get("removes", [])
+    for template in effects.get("adds", []):
+        if template[0] == "fact" and len(template) == 3:
+            _, state, target = template
+            if not any(cond.get("param") == target and (
+                    cond["check"] == "not_has_state" and cond["state"] == state
+                    or cond["check"] == "has_state" and cond["state"] != state
+                    and ["fact", cond["state"], target] in removes)
+                    for cond in row.get("preconditions", [])):
+                raise ValueError(
+                    f"action {verb!r}, effects: adds {state}({target}), but no "
+                    f"precondition rules out that {target} holds it already "
+                    f"(not_has_state {state}, or has_state of a state the "
+                    "action removes)")
     return ActionDef(
         verb=verb,
         params=tuple(Param(p["name"], p["trait"], p.get("optional", False))

@@ -1,7 +1,8 @@
 """Episode definitions: rooms, entities, goals, lexicon, prompt and the
 optimal plan, plus their JSON serialization and DOT graph export. Loading
 reads each `extra_actions` row with `grammar.action_from_json`, the reader
-of the bundled verbs too."""
+of the bundled verbs too, and shares each loaded value that equals one
+loaded before (`_shared`)."""
 
 from __future__ import annotations
 
@@ -9,11 +10,12 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
                       action_from_json, build_parser, fits_trait,
-                      load_standard_actions)
+                      load_standard_actions, staple_verbs)
 from .world import (CONNECTS, EntityDef, Fact, GoalCondition,
                     InvariantViolation, RoomDef, StateGroup, WorldDef,
                     WorldState, fact, initial_state, parse_fact)
@@ -31,6 +33,19 @@ FAMILIES = (
 INSTANCES_PER_FAMILY = 16
 GOAL_KINDS = ("placement", "entity-state")
 _FILE_TOKEN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+# One object per distinct loaded value (hash-consing): a suite repeats the
+# same rooms, entities and facts from instance to instance. Keyed on the type
+# too, as a `Fact` equals the plain tuple of its items. The values are
+# immutable and the table lasts as long as the process; two threads loading
+# at once can at worst leave two equal objects unshared.
+_SHARED: dict = {}
+
+
+def _shared(value):
+    try:
+        return _SHARED.setdefault((type(value), value), value)
+    except TypeError:  # unhashable: left as it is, for a later check to reject
+        return value
 
 
 @dataclass(eq=False)
@@ -83,8 +98,8 @@ class Instance:
         # built and validated once; `dataclasses.replace` starts a new cache
         facts = list(self.initial_facts)
         for a, b in self.connections:
-            facts.append(fact(CONNECTS, a, b))
-            facts.append(fact(CONNECTS, b, a))
+            facts.append(_shared(fact(CONNECTS, a, b)))
+            facts.append(_shared(fact(CONNECTS, b, a)))
         return initial_state(self.world, facts, self.inventory_limit)
 
     def to_json(self) -> dict:
@@ -129,37 +144,38 @@ class Instance:
             except (TypeError, ValueError, AttributeError) as exc:
                 raise ValueError(f"field {name!r}: {exc}") from exc
 
-        groups = read("state_groups", lambda rows: tuple(
-            StateGroup(g["entity"], _strings(g["states"]), g["initial"])
-            for g in rows))
-        rooms = read("rooms", lambda rows: tuple(
+        rooms = read("rooms", lambda rows: _distinct(tuple(_shared(
             RoomDef(r["id"], r["noun"],
-                    frozenset(_strings(r["allowed_adjacent"])))
-            for r in rows))
-        entities = read("entities", lambda rows: tuple(
-            EntityDef(e["id"], e["noun"], frozenset(_strings(e["traits"])),
-                      frozenset(_strings(e["allowed_rooms"])))
-            for e in rows))
+                    frozenset(_strings(r["allowed_adjacent"]))))
+            for r in rows), "id {!r} names two rooms"))
+        entities = read("entities", lambda rows: _entities(rows, rooms))
+        groups = read("state_groups", lambda rows: _state_groups(rows, entities))
         # a fact effect may name a state of a group and any id
         unary = {"open", "closed"}.union(*(g.states for g in groups))
         ids = [r.id for r in rooms] + [e.id for e in entities]
+        base_verbs = read("base_verbs", _base_verbs)
+        # a parser serves each verb once
+        extra_actions = read("extra_actions", lambda rows: _distinct(tuple(
+            action_from_json(row, unary, ids) for row in rows),
+            "verb {!r} is a base verb or an earlier action's",
+            attrgetter("verb"), base_verbs))
+        verbs = base_verbs + tuple(a.verb for a in extra_actions)
         return Instance(
             id=read("id", _file_token),
             family=read("family", _string),
             rooms=rooms,
             connections=read("connections", lambda pairs: tuple(
-                _strings(c) for c in pairs)),
+                _shared(_connection(c)) for c in pairs)),
             entities=entities,
             state_groups=groups,
             initial_facts=read("initial_facts", lambda facts: tuple(
-                parse_fact(s) for s in facts)),
+                _shared(parse_fact(s)) for s in facts)),
             goals=read("goals", _goals),
             inventory_limit=read("inventory_limit", _limit),
-            lexicon=read("lexicon", lambda lex: (
-                Lexicon.from_json(lex) if lex else None), optional=True),
-            base_verbs=read("base_verbs", _strings),
-            extra_actions=read("extra_actions", lambda rows: tuple(
-                action_from_json(row, unary, ids) for row in rows)),
+            lexicon=read("lexicon", lambda lex: _lexicon(lex, verbs),
+                         optional=True),
+            base_verbs=base_verbs,
+            extra_actions=extra_actions,
             preexploration=read("preexploration", lambda pairs: (
                 tuple(_pair(p) for p in pairs) if pairs else None),
                 optional=True),
@@ -186,6 +202,66 @@ def _strings(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _distinct(rows: tuple, fault: str, key=attrgetter("id"),
+              taken=()) -> tuple:
+    """`rows`, whose `key`s must be strings; ValueError `fault`, formatted
+    with the key, if one is in `taken` or is the key of an earlier row."""
+    seen = set(taken)
+    for row in rows:
+        name = _string(key(row))
+        if name in seen:
+            raise ValueError(fault.format(name))
+        seen.add(name)
+    return rows
+
+
+def _entities(rows, rooms: tuple[RoomDef, ...]) -> tuple[EntityDef, ...]:
+    entities = _distinct(tuple(_shared(
+        EntityDef(e["id"], e["noun"], frozenset(_strings(e["traits"])),
+                  frozenset(_strings(e["allowed_rooms"]))))
+        for e in rows), "id {!r} names two entities")
+    _distinct(rooms + entities, "id {!r} names a room and an entity")
+    return entities
+
+
+def _state_groups(rows, entities: tuple[EntityDef, ...]) -> tuple[StateGroup, ...]:
+    groups = _distinct(tuple(_shared(
+        StateGroup(g["entity"], _strings(g["states"]), g["initial"]))
+        for g in rows), "entity {!r} has two state groups",
+        attrgetter("entity"))
+    ids = {e.id for e in entities}
+    for group in groups:
+        if group.entity not in ids:
+            raise ValueError(f"{group.entity!r} has a state group but is no "
+                             "entity")
+    return groups
+
+
+def _base_verbs(value) -> tuple[str, ...]:
+    verbs = _distinct(_strings(value), "verb {!r} is listed twice", str)
+    for verb in verbs:
+        if verb not in staple_verbs():
+            raise ValueError(f"{verb!r} is not a bundled verb")
+    return verbs
+
+
+def _lexicon(data, verbs: tuple[str, ...]) -> Lexicon | None:
+    """A lexicon, unless it writes two of the instance's verbs alike."""
+    if not data:
+        return None
+    lexicon = Lexicon.from_json(data)
+    _distinct(tuple(lexicon.verb(v) for v in verbs),
+              "verbs: two verbs are written {!r}", str)
+    return lexicon
+
+
+def _connection(value) -> tuple[str, str]:
+    pair = _strings(value)
+    if len(pair) != 2 or pair[0] == pair[1]:
+        raise ValueError(f"{value!r} is not a pair of two different rooms")
+    return pair
+
+
 def _pair(value) -> tuple[str, str]:
     """A pre-exploration entry: a [command, feedback] pair of strings."""
     if not (isinstance(value, list) and len(value) == 2
@@ -205,7 +281,8 @@ def _seed_path(value) -> tuple[int, ...]:
 def _goals(rows) -> tuple[GoalCondition, ...]:
     """A JSON goal list: one or more goals, each a placement or an entity
     state; ValueError for any other kind or an empty list."""
-    goals = tuple(GoalCondition(g["kind"], parse_fact(g["fact"])) for g in rows)
+    goals = tuple(_shared(GoalCondition(g["kind"], _shared(parse_fact(g["fact"]))))
+                  for g in rows)
     if not goals:
         raise ValueError("no goals")
     for goal in goals:
@@ -223,7 +300,7 @@ def _plan_step(n: int, step) -> GroundedAction:
     try:
         if not isinstance(bindings, list):
             raise TypeError
-        return GroundedAction(verb, tuple(_strings(b) for b in bindings))
+        return _shared(GroundedAction(verb, tuple(_strings(b) for b in bindings)))
     except TypeError:
         raise TypeError(f"optimal_plan step {n} is not a verb with [param, id] "
                         f"pairs of strings: {step!r}") from None

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -446,6 +447,75 @@ def test_save_load_roundtrip(tmp_path, bench144, family):
     assert len(record.turns) == again[0].optimal_length
 
 
+def _save_suite(tmp_path, bench144) -> list:
+    """Save each family of `bench144` under `tmp_path`; the file paths."""
+    paths = []
+    for family, instances in bench144.items():
+        paths.append(tmp_path / f"{family}.json")
+        save_instances(instances, paths[-1], base_seed=17)
+    return paths
+
+
+def test_loaded_suite_shares_equal_values(tmp_path, bench144):
+    suite = [i for path in _save_suite(tmp_path, bench144)
+             for i in load_instances(path)]
+    assert [i.to_json() for i in suite] == [
+        i.to_json() for instances in bench144.values() for i in instances]
+    first, seen = {}, 0
+    for inst in suite:
+        for value in (*inst.rooms, *inst.entities, *inst.state_groups,
+                      *inst.connections, *inst.initial_facts, *inst.goals,
+                      *(g.fact for g in inst.goals), *inst.optimal_plan,
+                      *inst.start_state().facts):
+            seen += 1
+            assert first.setdefault((type(value), value), value) is value
+    assert len(first) < seen / 10  # the suite does repeat itself
+
+
+def test_shared_fact_is_never_a_plain_tuple(monkeypatch):
+    monkeypatch.setattr(ifbench.instance, "_SHARED", {})
+    plain = ifbench.instance._shared(("at", ("player", "hall")))
+    shared = ifbench.instance._shared(fact("at", "player", "hall"))
+    assert plain == shared and type(plain) is tuple
+    assert type(shared) is ifbench.instance.Fact
+    assert ifbench.instance._shared(fact("at", "player", "hall")) is shared
+
+
+def test_repeated_row_is_checked_again(tmp_path, bench144):
+    """A row whose id an earlier, valid row of the file shares is still
+    checked in full: sharing happens after the checks."""
+    path = tmp_path / "broken.json"
+    save_instances(bench144["basic-easy"][:2], path, base_seed=17)
+    payload = json.loads(path.read_text())
+    apple = payload["instances"][0]["entities"][0]
+    assert apple["id"] == "apple"
+    payload["instances"][1]["entities"][0] = {**apple, "traits": [
+        "container", "support"]}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        load_instances(path)
+    assert str(err.value) == (
+        f"{path}: instance 1 (basic-easy-01): field 'entities': apple: "
+        "container and support are exclusive")
+
+
+def test_loaded_suite_memory(tmp_path, bench144, monkeypatch):
+    """Loading the saved seed-17 suite keeps at most 2.5 MB allocated, as
+    `tracemalloc` counts it; without sharing equal values it was about
+    6.5 MB."""
+    paths = _save_suite(tmp_path, bench144)
+    load_instances(paths[0])  # bundled data read and cached, as in a run
+    monkeypatch.setattr(ifbench.instance, "_SHARED", {}, raising=False)
+    tracemalloc.start()
+    try:
+        suite = [i for path in paths for i in load_instances(path)]
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(suite) == 144
+    assert kept <= 2_500_000
+
+
 def test_start_state_built_once(tmp_path, bench144, monkeypatch):
     # the load check builds each start state; the episode and the heuristic
     # agent then share it
@@ -759,6 +829,56 @@ def test_extra_action_row_loads(tmp_path, bench144):
     (_set_field("state_groups", lambda row: [
         {**row["state_groups"][0], "initial": None}] + row["state_groups"][1:]),
      "instance 1 (basic-easy-01): cupboard: a container needs a state group"),
+    (_set_field("entities", lambda row: row["entities"] + [
+        {**row["entities"][0], "noun": "pear"}]),
+     "instance 1 (basic-easy-01): field 'entities': id 'apple' names two "
+     "entities"),
+    (_set_field("rooms", lambda row: row["rooms"] + [
+        {**row["rooms"][2], "noun": "attic"}]),
+     "instance 1 (basic-easy-01): field 'rooms': id 'hallway' names two rooms"),
+    (_set_field("entities", lambda row: row["entities"] + [
+        {**row["entities"][2], "id": "hallway"}]),
+     "instance 1 (basic-easy-01): field 'entities': id 'hallway' names a room "
+     "and an entity"),
+    (_set_field("state_groups", lambda row: row["state_groups"] + [
+        {**row["state_groups"][0], "initial": "closed"}]),
+     "instance 1 (basic-easy-01): field 'state_groups': entity 'cupboard' has "
+     "two state groups"),
+    (_set_field("state_groups", lambda row: row["state_groups"] + [
+        {"entity": "attic", "states": ["dusty"], "initial": None}]),
+     "instance 1 (basic-easy-01): field 'state_groups': 'attic' has a state "
+     "group but is no entity"),
+    (_set_field("base_verbs", lambda row: row["base_verbs"] + ["open"]),
+     "instance 1 (basic-easy-01): field 'base_verbs': verb 'open' is listed "
+     "twice"),
+    (_set_field("base_verbs", lambda row: row["base_verbs"] + ["fly"]),
+     "instance 1 (basic-easy-01): field 'base_verbs': 'fly' is not a bundled "
+     "verb"),
+    (_set_field("extra_actions", lambda row: [_ZAP, _ZAP]),
+     "instance 1 (basic-easy-01): field 'extra_actions': verb 'zap' is a base "
+     "verb or an earlier action's"),
+    (_set_field("extra_actions", lambda row: [
+        {**_ZAP, "verb": "open", "grammar": "open <item>"}]),
+     "instance 1 (basic-easy-01): field 'extra_actions': verb 'open' is a base "
+     "verb or an earlier action's"),
+    (_set_field("lexicon", lambda row: {"verbs": {"open": "take"}}),
+     "instance 1 (basic-easy-01): field 'lexicon': verbs: two verbs are "
+     "written 'take'"),
+    (_set_field("connections", lambda row: row["connections"] + [
+        ["hallway", "hallway"]]),
+     "instance 1 (basic-easy-01): field 'connections': ['hallway', 'hallway'] "
+     "is not a pair of two different rooms"),
+    (_set_field("connections", lambda row: row["connections"] + [
+        ["hallway", "pantry", "kitchen"]]),
+     "field 'connections': ['hallway', 'pantry', 'kitchen'] is not a pair"),
+    (_set_action("preconditions", []),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "effects: adds open(item), but no precondition rules out that item holds "
+     "it already (not_has_state open, or has_state of a state the action "
+     "removes)"),
+    (_set_action("effects", {"removes": [], "adds": [["fact", "open", "item"]]}),
+     "field 'extra_actions': action 'zap', effects: adds open(item), but no "
+     "precondition rules out"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
@@ -772,7 +892,12 @@ def test_extra_action_row_loads(tmp_path, bench144):
         "params-pair-list", "preconditions-empty-string",
         "preconditions-empty-map", "flags-not-bool", "effect-unknown-argument",
         "preexploration-not-a-pair", "container-without-state-group",
-        "container-without-initial-state"])
+        "container-without-initial-state", "entity-id-twice", "room-id-twice",
+        "room-and-entity-id", "state-groups-twice", "state-group-no-entity",
+        "base-verb-twice", "base-verb-unknown", "extra-verb-twice",
+        "extra-verb-is-base", "lexicon-verb-collision", "connection-self-loop",
+        "connection-three-rooms", "state-add-unguarded",
+        "state-add-guard-not-removed"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError
