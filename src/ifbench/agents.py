@@ -9,6 +9,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from . import __version__
 from .grammar import GroundedAction, staple_verbs
 from .instance import Instance
 from .interpreter import AgentUnavailable, Engine
@@ -307,7 +308,6 @@ def llm_chat(config: LlmConfig, transcript: Transcript,
     import urllib.error
     import urllib.request
 
-    from . import __version__
     url = config.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json",
                "User-Agent": f"ifbench/{__version__}"}

@@ -1,25 +1,13 @@
 """Command-line harness: instance generation, benchmark runs, interactive
-play, planning, and report/graph export."""
+play, planning, and report/graph export. Each command imports the package
+modules it runs in its own body, so a start-up loads only what it runs."""
 
 from __future__ import annotations
 
 import argparse
-import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict
 from pathlib import Path
-
-from . import generate
-from .agents import HeuristicAgent, HumanAgent, LlmAgent, LlmConfig, ScriptedAgent
-from .instance import (FAMILIES, INSTANCES_PER_FAMILY, Instance,
-                       instance_to_dot, load_instances, save_instances)
-from .interpreter import Engine, episode_summary, run_episode, write_episode
-from .metrics import (EpisodeSummary, ExperimentScores, aggregate,
-                      format_grid, format_overview, goal_success_rate,
-                      scores_to_csv, scores_to_json)
 
 DEFAULT_SEED = 17
 # how many CPUs this process may run on
@@ -28,6 +16,7 @@ USABLE_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 
 def _parse_families(value: str) -> tuple[str, ...]:
+    from .instance import FAMILIES
     if value in ("all", ""):
         return FAMILIES
     families = tuple(v.strip() for v in value.split(",") if v.strip())
@@ -67,6 +56,9 @@ def _fork_map(fn, items, cost=None):
     are cancelled."""
     items = list(items)
     workers = min(USABLE_CPUS, len(items))
+    if workers > 1:  # the pool's modules are loaded only where it may fork
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         for item in items:
             yield fn(item)
@@ -85,27 +77,28 @@ def _fork_map(fn, items, cost=None):
         pool.shutdown(cancel_futures=True)
 
 
-def _generate_file(seed: int, family: str, count: int, out: Path) -> str:
-    """Generate one family into `out`; return its summary line."""
-    instances = generate.generate_family(seed, family, count)
-    save_instances(instances, out / f"{family}.json", base_seed=seed)
-    lengths = [i.optimal_length for i in instances]
-    return (f"{family}: {len(instances)} instances, "
-            f"optimal length {min(lengths)}-{max(lengths)} "
-            f"(mean {sum(lengths) / len(lengths):.1f})")
-
-
 def cmd_generate(args) -> int:
     """Generate whole families through `_fork_map`. Every family is seeded
     on its own, so the files and the printed lines, kept in family order, do
     not depend on the number of workers."""
+    from . import generate
+    from .instance import INSTANCES_PER_FAMILY, save_instances
+    count = INSTANCES_PER_FAMILY if args.count is None else args.count
     families = _parse_families(args.families)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+
+    def generate_file(family: str) -> str:
+        """Generate one family into `out`; return its summary line."""
+        instances = generate.generate_family(args.seed, family, count)
+        save_instances(instances, out / f"{family}.json", base_seed=args.seed)
+        lengths = [i.optimal_length for i in instances]
+        return (f"{family}: {len(instances)} instances, "
+                f"optimal length {min(lengths)}-{max(lengths)} "
+                f"(mean {sum(lengths) / len(lengths):.1f})")
+
     try:
-        for line in _fork_map(
-                lambda family: _generate_file(args.seed, family, args.count, out),
-                families):
+        for line in _fork_map(generate_file, families):
             print(line)
     except generate.GenerationExhausted as exc:
         print(f"generation exhausted for {exc}", file=sys.stderr)
@@ -118,6 +111,7 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
     given `families` (as `run` is), only those of `families`. SystemExit
     naming the instances when two share an id, which names an episode's
     output files, and, given `families`, when one's family is unknown."""
+    from .instance import FAMILIES, load_instances
     p = Path(path)
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
     instances = []
@@ -144,6 +138,8 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
 
 
 def _make_agent(engine: Engine, args):
+    from .agents import (HeuristicAgent, HumanAgent, LlmAgent, LlmConfig,
+                         ScriptedAgent)
     instance = engine.instance
     if args.agent == "scripted":
         return ScriptedAgent.from_plan(instance, instance.optimal_plan)
@@ -170,6 +166,10 @@ def run_benchmark(args) -> int:
     `llm` waits on the network, so it plays in `--parallel` threads; `human`
     reads stdin, so it plays one episode after another. Episodes share no
     state, so the outputs do not depend on the number of workers."""
+    import json
+    from dataclasses import asdict
+    from .interpreter import Engine, run_episode, write_episode
+    from .metrics import EpisodeSummary, aggregate, scores_to_csv, scores_to_json
     if args.parallel > 1 and args.agent != "llm":
         raise SystemExit(f"--parallel applies to --agent llm only, "
                          f"not to --agent {args.agent}")
@@ -197,6 +197,7 @@ def run_benchmark(args) -> int:
             cost=lambda family: sum(len(i.optimal_plan) for i in by_family[family]))
         summaries = [summary for family in played for summary in family]
     elif args.parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
             summaries = list(pool.map(play, instances))
     else:
@@ -240,6 +241,9 @@ def _pick_instance(args) -> Instance:
 
 
 def cmd_play(args) -> int:
+    from .agents import HumanAgent
+    from .interpreter import episode_summary, run_episode
+    from .metrics import goal_success_rate
     instance = _pick_instance(args)
     summary = episode_summary(run_episode(instance, HumanAgent()))
     gsr = goal_success_rate(len(summary["goals_achieved"]),
@@ -250,6 +254,7 @@ def cmd_play(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    import json
     instance = _pick_instance(args)
     print(json.dumps({
         "instance_id": instance.id,
@@ -265,6 +270,8 @@ def _read_scores(path: Path) -> tuple[dict, list[ExperimentScores]]:
     overview row) and its per-experiment scores. ValueError naming the file
     and the field when it is not valid JSON, not an object, or a field the
     report reads is missing or of the wrong type."""
+    import json
+    from .metrics import ExperimentScores
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -294,6 +301,7 @@ def _read_scores(path: Path) -> tuple[dict, list[ExperimentScores]]:
 
 
 def cmd_report(args) -> int:
+    from .metrics import format_grid, format_overview
     results = Path(args.results)
     score_files = sorted(results.glob("*/scores.json"))
     if not score_files:
@@ -324,6 +332,7 @@ def cmd_report(args) -> int:
         (out / "turns.csv").write_text("\n".join(turns_rows) + "\n",
                                        encoding="utf-8")
         if args.instances:
+            from .instance import instance_to_dot
             graph_dir = out / "graphs"
             graph_dir.mkdir(exist_ok=True)
             for instance in _load_instance_set(args.instances, ()):
@@ -353,7 +362,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate instance files")
     p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     p.add_argument("--families", default="all")
-    p.add_argument("--count", type=_at_least(1), default=INSTANCES_PER_FAMILY)
+    p.add_argument("--count", type=_at_least(1))  # default: INSTANCES_PER_FAMILY
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -16,9 +16,9 @@ from pathlib import Path
 from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
                       action_from_json, build_parser, fits_trait,
                       load_standard_actions, staple_verbs)
-from .world import (CONNECTS, EntityDef, Fact, GoalCondition,
-                    InvariantViolation, RoomDef, StateGroup, WorldDef,
-                    WorldState, fact, initial_state, parse_fact)
+from .world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
+                    GoalCondition, InvariantViolation, RoomDef, StateGroup,
+                    WorldDef, WorldState, fact, initial_state, parse_fact)
 
 SCHEMA_VERSION = 2
 PRNG_NAME = "numpy-PCG64"
@@ -144,7 +144,7 @@ class Instance:
             except (TypeError, ValueError, AttributeError) as exc:
                 raise ValueError(f"field {name!r}: {exc}") from exc
 
-        rooms = read("rooms", lambda rows: _distinct(tuple(_shared(
+        rooms = read("rooms", lambda rows: _ids(tuple(_shared(
             RoomDef(r["id"], r["noun"],
                     frozenset(_strings(r["allowed_adjacent"]))))
             for r in rows), "id {!r} names two rooms"))
@@ -215,8 +215,18 @@ def _distinct(rows: tuple, fault: str, key=attrgetter("id"),
     return rows
 
 
+def _ids(rows: tuple, fault: str) -> tuple:
+    """Rooms or entities, checked by `_distinct`; ValueError for one whose
+    id is `player` or `inventory`, which facts use for the player and for
+    what it carries."""
+    for row in _distinct(rows, fault):
+        if row.id in (PLAYER, INVENTORY):
+            raise ValueError(f"id {row.id!r} is reserved for the {row.id}")
+    return rows
+
+
 def _entities(rows, rooms: tuple[RoomDef, ...]) -> tuple[EntityDef, ...]:
-    entities = _distinct(tuple(_shared(
+    entities = _ids(tuple(_shared(
         EntityDef(e["id"], e["noun"], frozenset(_strings(e["traits"])),
                   frozenset(_strings(e["allowed_rooms"]))))
         for e in rows), "id {!r} names two entities")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import ifbench
 import ifbench.cli
 from ifbench import interpreter, load_instances, save_instances
 from ifbench.cli import main
+from test_agents import stub_server  # noqa: F401 (a fixture)
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -77,7 +79,7 @@ def test_generate_without_fork_runs_in_process(tmp_path, monkeypatch, cpus):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(ifbench.cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     assert main(["generate", "--count", "1", "--families",
                  "synthetic-hard,basic-easy", "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -128,7 +130,7 @@ def test_fork_map_takes_costliest_first_and_yields_in_order(monkeypatch, cpus):
         def shutdown(self, cancel_futures):
             pass
 
-    monkeypatch.setattr(ifbench.cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     cpus(2)
     items = [2, 7, 1, 5, 7]
     got = list(ifbench.cli._fork_map(None, items, cost=lambda n: n))
@@ -218,7 +220,7 @@ def test_run_human_and_llm_stay_in_process(small_set, tmp_path, monkeypatch,
     def eof(prompt=""):
         raise EOFError
 
-    monkeypatch.setattr(ifbench.cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     monkeypatch.setattr("builtins.input", eof)
     llm = ["--agent", "llm", "--endpoint", "http://127.0.0.1:9/v1",
            "--model", "m", "--retries", "0", "--timeout", "0.2"]
@@ -499,3 +501,73 @@ def test_cli_import_leaves_numpy_out():
     for name in ("GenerationExhausted", "WalkNotFound", "generate_basic",
                  "generate_family", "generate_preexploration"):
         assert getattr(ifbench, name) is getattr(ifbench.generate, name), name
+
+
+def _modules_after(*argv: str) -> set[str]:
+    """The modules a fresh process holds after ``ifbench.cli.main(argv)``,
+    or, given no arguments, after building the parser; the command must
+    succeed."""
+    src = str(Path(ifbench.__file__).parents[1])
+    code = ("import sys\nimport ifbench.cli as cli\n"
+            f"argv = {list(argv)!r}\n"
+            "code = cli.main(argv) if argv else cli.build_arg_parser() and 0\n"
+            "print(*sorted(sys.modules))\nsys.exit(code)\n")
+    env = {k: v for k, v in os.environ.items() if "proxy" not in k.lower()}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**env, "PYTHONPATH": src})
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_and_parser_load_no_engine_module():
+    loaded = _modules_after()
+    assert {m for m in loaded if m.startswith("ifbench")} == {"ifbench",
+                                                             "ifbench.cli"}
+    assert not loaded & {"multiprocessing", "concurrent.futures.process"}
+
+
+def test_report_loads_no_agent_planner_generator_or_pool(small_set, tmp_path):
+    results = tmp_path / "results"
+    assert main(["run", "--instances", str(small_set), "--agent", "scripted",
+                 "--out", str(results)]) == 0
+    loaded = _modules_after("report", "--results", str(results), "--instances",
+                            str(small_set), "--out", str(tmp_path / "report"))
+    assert "ifbench.instance" in loaded and "ifbench.metrics" in loaded
+    assert not loaded & {"ifbench.agents", "ifbench.planner", "ifbench.generate",
+                         "ifbench.pseudowords", "multiprocessing"}
+
+
+def test_run_llm_loads_no_planner_generator_or_pool(small_set, tmp_path,
+                                                    stub_server):
+    loaded = _modules_after(
+        "run", "--instances", str(small_set), "--families", "basic-easy",
+        "--agent", "llm", "--model", "stub-model", "--endpoint",
+        f"http://127.0.0.1:{stub_server.server_address[1]}/v1",
+        "--out", str(tmp_path / "results"))
+    assert stub_server.received
+    assert "ifbench.agents" in loaded
+    assert not loaded & {"ifbench.planner", "ifbench.generate",
+                         "ifbench.pseudowords", "multiprocessing"}
+
+
+def test_package_names_resolve_on_first_use():
+    src = str(Path(ifbench.__file__).parents[1])
+    code = textwrap.dedent("""\
+        import importlib, sys
+        import ifbench
+        assert [m for m in sys.modules if m.startswith("ifbench")] == ["ifbench"]
+        assert ifbench.generate.generate_family.__module__ == "ifbench.generate"
+        assert len(ifbench.__all__) == 69 == len(set(ifbench.__all__))
+        assert ifbench.__all__ == sorted(ifbench.__all__)
+        for name in ifbench.__all__:
+            owner = importlib.import_module(f"ifbench.{ifbench._OWNER[name]}")
+            assert getattr(ifbench, name) is getattr(owner, name), name
+        try:
+            ifbench.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("an unknown name resolved")
+        assert dir(ifbench) == sorted([*ifbench.__all__, "__version__"])
+        """)
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

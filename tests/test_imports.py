@@ -11,10 +11,9 @@ import ifbench
 PACKAGE = Path(ifbench.__file__).parent
 
 # (importing module, imported module) -> why the import sits in a function
-FUNCTION_LEVEL = {
-    ("agents", "__init__"): "the HTTP User-Agent names the package version, "
-                            "and __init__ imports agents",
-}
+_FOR_START_UP = "a command imports only what it runs, for start-up"
+FUNCTION_LEVEL = {("cli", module): _FOR_START_UP for module in
+                  ("agents", "generate", "instance", "interpreter", "metrics")}
 
 
 def _targets(node: ast.Import | ast.ImportFrom) -> list[str]:

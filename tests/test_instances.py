@@ -840,6 +840,14 @@ def test_extra_action_row_loads(tmp_path, bench144):
         {**row["entities"][2], "id": "hallway"}]),
      "instance 1 (basic-easy-01): field 'entities': id 'hallway' names a room "
      "and an entity"),
+    (_set_field("rooms", lambda row: row["rooms"] + [
+        {**row["rooms"][2], "id": "player"}]),
+     "instance 1 (basic-easy-01): field 'rooms': id 'player' is reserved for "
+     "the player"),
+    (_set_field("entities", lambda row: row["entities"] + [
+        {**row["entities"][0], "id": "inventory"}]),
+     "instance 1 (basic-easy-01): field 'entities': id 'inventory' is "
+     "reserved for the inventory"),
     (_set_field("state_groups", lambda row: row["state_groups"] + [
         {**row["state_groups"][0], "initial": "closed"}]),
      "instance 1 (basic-easy-01): field 'state_groups': entity 'cupboard' has "
@@ -893,7 +901,8 @@ def test_extra_action_row_loads(tmp_path, bench144):
         "preconditions-empty-map", "flags-not-bool", "effect-unknown-argument",
         "preexploration-not-a-pair", "container-without-state-group",
         "container-without-initial-state", "entity-id-twice", "room-id-twice",
-        "room-and-entity-id", "state-groups-twice", "state-group-no-entity",
+        "room-and-entity-id", "room-id-player", "entity-id-inventory",
+        "state-groups-twice", "state-group-no-entity",
         "base-verb-twice", "base-verb-unknown", "extra-verb-twice",
         "extra-verb-is-base", "lexicon-verb-collision", "connection-self-loop",
         "connection-three-rooms", "state-add-unguarded",
