@@ -13,7 +13,7 @@ from . import __version__
 from .grammar import GroundedAction, staple_verbs
 from .instance import Instance
 from .interpreter import AgentUnavailable, Engine
-from .world import connections_of, fact
+from .world import fact
 
 API_KEY_VARS = ("IFBENCH_API_KEY", "OPENAI_API_KEY")
 
@@ -119,7 +119,7 @@ class HeuristicAgent:
         """Take in what is visible in the current state."""
         room = self.state.player_room
         self.seen_rooms.add(room)
-        for other in connections_of(self.state, room):
+        for other in self.world.exits[room]:
             self.known_edges.update({(room, other), (other, room)})
         for eid in sorted(self.state.perceivable):
             if eid not in self.state.inventory:

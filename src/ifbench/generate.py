@@ -17,8 +17,9 @@ from .instance import FAMILIES, INSTANCES_PER_FAMILY, Instance
 from .interpreter import TURN_LIMIT, Engine, number_word
 from .planner import Unsolvable, solve_optimal
 from .pseudowords import PseudowordMaker
-from .world import (EntityDef, GoalCondition, RoomDef, StateGroup,
-                    fact, load_data, load_entity_catalogue, load_room_catalogue)
+from .world import (EntityDef, GoalCondition, RoomDef, StateGroup, fact,
+                    load_data, load_entity_catalogue, load_room_catalogue,
+                    room_distances, room_exits)
 
 INVENTORY_LIMIT = 2
 GOAL_COUNT = 3
@@ -165,26 +166,6 @@ def _sample_room_graph(rng, rooms: dict[str, RoomDef]) -> tuple[tuple[str, str],
     return tuple(sorted(chosen))
 
 
-def _adjacency(connections) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {}
-    for a, b in connections:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    return {r: sorted(n) for r, n in adj.items()}
-
-
-def _distances(adj: dict[str, list[str]], origin: str) -> dict[str, int]:
-    dist = {origin: 0}
-    queue = deque([origin])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    return dist
-
-
 # -- prompt assembly ---------------------------------------------------------
 
 def _goal_sentence(engine: Engine) -> str:
@@ -270,7 +251,7 @@ def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
 
     for _ in range(_MAX_INSTANCE_ATTEMPTS):
         connections = _sample_room_graph(rng, rooms)
-        adj = _adjacency(connections)
+        adj = room_exits(rooms, connections)
         placement = {r: _choice(rng, sorted(entities[r].allowed_rooms))
                      for r in receptacles}
         goals_spec = _sample_goals(rng, difficulty, adj, placement,
@@ -371,7 +352,7 @@ def _sample_goals(rng, difficulty, adj, placement, entities,
             for item, target, hider in zip(items, targets, hiders):
                 c_room = placement[hider]
                 if (c_room not in entities[item].allowed_rooms
-                        or _distances(adj, c_room).get(placement[target], 99) < 2):
+                        or room_distances(adj, c_room).get(placement[target], 99) < 2):
                     break
                 spec.append((item, target, hider))
             else:
@@ -389,7 +370,7 @@ def generate_preexploration(inst: Instance) -> Instance:
     required = {rooms[ident] for goal in inst.goals for ident in goal.fact.args}
     state = inst.start_state()
     start = state.player_room
-    adj = _adjacency(inst.connections)
+    adj = inst.world.exits
 
     walk = _covering_closed_walk(adj, start, required)
     if walk is None or len(walk) > 8:

@@ -137,8 +137,8 @@ def _seen(ident: str | None) -> FactTest:
 
 
 def _connected(world, cond, ident, grounded):
-    return FactTest(tuple((fact("at", PLAYER, room), fact(CONNECTS, room, ident))
-                          for room in world.rooms))
+    return FactTest(tuple((fact("at", PLAYER, room),)
+                          for room in world.exits.get(ident, ())))
 
 
 def _source_matches(world, cond, ident, grounded):
@@ -204,8 +204,8 @@ class Step(NamedTuple):
 def compile_step(world: WorldDef, action: ActionDef,
                  grounded: GroundedAction) -> Step:
     """Compile `action` for `grounded`. ValueError on an unknown check or
-    effect template, on an effect on ``connects`` facts (room connections
-    are fixed, which the planner relies on) and on an added location."""
+    effect template, on an effect on ``connects`` facts (the room graph is
+    the world's, no state holds it) and on an added location."""
     bound = dict(grounded.bindings)
     tests = []
     for cond in action.preconditions:
@@ -225,7 +225,7 @@ def compile_step(world: WorldDef, action: ActionDef,
         if kind == "fact":
             if template[1] == CONNECTS:
                 raise ValueError(f"action {action.verb!r} changes connects "
-                                 "facts; room connections must stay fixed")
+                                 "facts; room connections are the world's")
             return Fact(template[1], tuple([resolve(a) for a in template[2:]]))
         if kind == "location_of":
             return resolve(template[1])

@@ -18,7 +18,8 @@ from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
                       load_standard_actions, staple_verbs)
 from .world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
                     GoalCondition, InvariantViolation, RoomDef, StateGroup,
-                    WorldDef, WorldState, fact, initial_state, parse_fact)
+                    WorldDef, WorldState, initial_state, parse_fact,
+                    room_exits)
 
 SCHEMA_VERSION = 2
 PRNG_NAME = "numpy-PCG64"
@@ -82,6 +83,7 @@ class Instance:
             entities={e.id: e for e in self.entities},
             rooms={r.id: r for r in self.rooms},
             state_groups={g.entity: g for g in self.state_groups},
+            exits=room_exits((r.id for r in self.rooms), self.connections),
         )
 
     @cached_property
@@ -96,11 +98,7 @@ class Instance:
     @cached_property
     def _start_state(self) -> WorldState:
         # built and validated once; `dataclasses.replace` starts a new cache
-        facts = list(self.initial_facts)
-        for a, b in self.connections:
-            facts.append(_shared(fact(CONNECTS, a, b)))
-            facts.append(_shared(fact(CONNECTS, b, a)))
-        return initial_state(self.world, facts, self.inventory_limit)
+        return initial_state(self.world, self.initial_facts, self.inventory_limit)
 
     def to_json(self) -> dict:
         return {
@@ -240,10 +238,17 @@ def _state_groups(rows, entities: tuple[EntityDef, ...]) -> tuple[StateGroup, ..
         for g in rows), "entity {!r} has two state groups",
         attrgetter("entity"))
     ids = {e.id for e in entities}
+    containers = {e.id for e in entities if "container" in e.traits}
     for group in groups:
         if group.entity not in ids:
             raise ValueError(f"{group.entity!r} has a state group but is no "
                              "entity")
+        # a state is a unary predicate; open/closed only as a container's pair
+        reserved = {"at", "on", "in", CONNECTS}
+        if group.entity not in containers or set(group.states) != {"open", "closed"}:
+            reserved.update(("open", "closed"))
+        _distinct(group.states, f"state {{!r}} of {group.entity!r} is a "
+                  "reserved predicate or listed twice", str, reserved)
     return groups
 
 
@@ -431,8 +436,10 @@ def instance_to_dot(inst: Instance) -> str:
         shape = "box" if world.is_container(eid) or world.is_support(eid) else "ellipse"
         lines.append(f'  "{eid}" [shape={shape}, label="{label(eid)}"];')
     lines.append('  "player" [shape=diamond, label="player"];')
-    for a, b in sorted(inst.connections):
-        lines.append(f'  "{a}" -> "{b}" [dir=both];')
+    for a in sorted(world.exits):
+        for b in world.exits[a]:
+            if a < b:
+                lines.append(f'  "{a}" -> "{b}" [dir=both];')
     for f in sorted(inst.initial_facts):
         if f.predicate in ("at", "on", "in") and len(f.args) == 2:
             lines.append(f'  "{f.args[0]}" -> "{f.args[1]}" '

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure,
                       Step, compile_step)
 from .world import (INVENTORY, Fact, GoalCondition, WorldState, apply_delta,
-                    check_goals, connections_of, fact, load_data,
+                    check_goals, fact, load_data,
                     state_facts_of, state_to_json, visible_facts)
 
 if TYPE_CHECKING:
@@ -175,7 +175,7 @@ class Engine:
                 for f in state_facts_of(self.world, state, eid):
                     if f.predicate not in ("open", "closed"):
                         parts.append(self._state_sentence(eid, f))
-        exits = connections_of(state, room)
+        exits = self.world.exits[room]
         if exits:
             parts.append(self._say(
                 "passage_one" if len(exits) == 1 else "passage_many",
@@ -426,7 +426,7 @@ def episode_summary(episode: Episode) -> dict:
         "epistemic_turns": epistemic,
         "pragmatic_turns": pragmatic,
         "optimal_length": instance.optimal_length,
-        "final_state": state_to_json(episode.state),
+        "final_state": state_to_json(episode.engine.world, episode.state),
         "agent_log": episode.agent_log,
     }
 

@@ -11,7 +11,8 @@ bit mask of its facts (its key). Each candidate's compiled step is compiled
 once per search and player room into mask tests and effects (`_mask_moves`)
 from the fact forms of its tests, the forms a turn decides on a state. It
 builds no state. `_replay` checks the plan it returns through the steps'
-preconditions and the checked `apply_delta`.
+preconditions and the checked `apply_delta`. No state holds the room graph:
+a `go` test needs just the player in a room among the target's exits.
 """
 
 from __future__ import annotations
@@ -126,10 +127,9 @@ def _compile(step: Step, room: str, bits: dict[Fact, int],
     """`step` in mask form with the player in `room`; None if its tests can
     never hold there. A set of facts that a test needs all of is dropped
     unless all of them are `possible`: they have a bit, so that a state may
-    hold them, and none places the player in another room. Compiled steps
-    never change ``connects`` facts, so this decides the room's connections
-    once. A location it removes as read from the state clears all of its
-    subject's `places`: a state holds one of them."""
+    hold them, and none places the player in another room. A location it
+    removes as read from the state clears all of its subject's `places`: a
+    state holds one of them."""
     need = forbid = 0
     any_of = []
     for form, _ in step.tests:

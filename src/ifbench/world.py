@@ -1,17 +1,19 @@
 """World model: typed entity/room registry and the mutable fact store.
 
-World state is a set of grounded predicate tuples. Mutable predicates are
+World state is a set of grounded predicate tuples. Its predicates are
 ``at``, ``in``, ``on`` plus per-entity state groups (``open``/``closed`` for
-containers, custom unary states for stateful objects). Room connectivity is
-stored as symmetric ``connects`` facts.
+containers, custom unary states for stateful objects). The room graph is the
+world's (`WorldDef.exits`, built and checked once by `room_exits`), shown as
+``connects`` facts by `visible_facts` and `state_to_json`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from typing import Iterable, Mapping, NamedTuple
 
@@ -102,11 +104,13 @@ class GoalCondition:
 
 @dataclass(frozen=True)
 class WorldDef:
-    """Immutable registry an episode plays in: entities, rooms, state groups."""
+    """Immutable registry an episode plays in: entities, rooms, state groups
+    and the room graph, each room's sorted neighbours (`room_exits`)."""
 
     entities: Mapping[str, EntityDef]
     rooms: Mapping[str, RoomDef]
     state_groups: Mapping[str, StateGroup]
+    exits: Mapping[str, tuple[str, ...]]
 
     def has_trait(self, entity_id: str, trait: str) -> bool:
         e = self.entities.get(entity_id)
@@ -130,11 +134,41 @@ class WorldDef:
             return "inventory"
         return ident
 
+    @cached_property
     def state_predicates(self) -> frozenset[str]:
-        preds = set()
-        for group in self.state_groups.values():
-            preds.update(group.states)
-        return frozenset(preds)
+        """The states of every state group, worked out once per world."""
+        return frozenset().union(*(g.states for g in self.state_groups.values()))
+
+
+def room_exits(rooms: Iterable[str], connections: Iterable[tuple[str, str]]
+               ) -> dict[str, tuple[str, ...]]:
+    """The room graph: each of `rooms` mapped to its sorted neighbours along
+    `connections`, pairs of rooms joined both ways. InvariantViolation for
+    a pair that names an unknown room or a graph that is not connected."""
+    exits: dict[str, set[str]] = {room: set() for room in rooms}
+    for a, b in connections:
+        if a not in exits or b not in exits:
+            raise InvariantViolation(f"connects({a},{b}): unknown room")
+        exits[a].add(b)
+        exits[b].add(a)
+    graph = {room: tuple(sorted(others)) for room, others in exits.items()}
+    if graph and len(room_distances(graph, min(graph))) < len(graph):
+        raise InvariantViolation("room graph is not connected")
+    return graph
+
+
+def room_distances(exits: Mapping[str, Iterable[str]],
+                   origin: str) -> dict[str, int]:
+    """Each room reachable from `origin` mapped to its fewest steps away."""
+    dist = {origin: 0}
+    queue = deque([origin])
+    while queue:
+        cur = queue.popleft()
+        for nxt in exits[cur]:
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -255,25 +289,6 @@ def validate_state(world: WorldDef, state: WorldState) -> None:
         _check_state_group(world, state, eid)
     _check_inventory(state)
 
-    # room connectivity: symmetric and connected
-    edges = {f.args for f in state.facts if f.predicate == CONNECTS}
-    for a, b in edges:
-        if a not in world.rooms or b not in world.rooms:
-            raise InvariantViolation(f"connects({a},{b}): unknown room")
-        if (b, a) not in edges:
-            raise InvariantViolation(f"connects({a},{b}) lacks mirror")
-    if len(world.rooms) > 1:
-        seen = {next(iter(sorted(world.rooms)))}
-        frontier = list(seen)
-        while frontier:
-            cur = frontier.pop()
-            for a, b in edges:
-                if a == cur and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        if seen != set(world.rooms):
-            raise InvariantViolation("room graph is not connected")
-
 
 def apply_delta(world: WorldDef, state: WorldState,
                 removes: Iterable[Fact], adds: Iterable[Fact]) -> WorldState:
@@ -293,9 +308,6 @@ def apply_delta(world: WorldDef, state: WorldState,
       one if the group has an initial state;
     - if it touches ``in(_, inventory)``, the inventory mirrors those facts
       and stays within the limit.
-
-    A delta that touches ``connects`` gets the full `validate_state`, which
-    also checks that the room graph is symmetric and connected.
 
     Raises InvariantViolation when the delta does not fit the state or the
     result breaks an invariant; both signal a buggy action definition.
@@ -330,12 +342,12 @@ def apply_delta(world: WorldDef, state: WorldState,
 
 def _check_fact(world: WorldDef, f: Fact) -> None:
     """`validate_state`'s rules for a single fact."""
-    if f.predicate in ("at", "in", "on", CONNECTS):
+    if f.predicate in ("at", "in", "on"):
         if len(f.args) != 2:
             raise InvariantViolation(f"{f} must have 2 args")
         if f.predicate in ("in", "on") and not world.is_takeable(f.args[0]):
             raise InvariantViolation(f"{f}: {f.args[0]} is not takeable")
-    elif f.predicate in ("open", "closed") or f.predicate in world.state_predicates():
+    elif f.predicate in ("open", "closed") or f.predicate in world.state_predicates:
         if len(f.args) != 1:
             raise InvariantViolation(f"{f} must have 1 arg")
         if f.predicate in ("open", "closed") and not world.is_container(f.args[0]):
@@ -362,9 +374,6 @@ def _check_delta(world: WorldDef, state: WorldState,
                 if sign > 0 and not _valid_place(world, f):
                     raise InvariantViolation(f"{f}: not a valid location")
                 placed[who] = placed.get(who, 0) + sign
-            elif f.predicate == CONNECTS:
-                validate_state(world, state)  # symmetry and connectivity
-                return
             elif len(f.args) == 1 and f.args[0] in world.state_groups:
                 stateful.add(f.args[0])
     for who, change in placed.items():
@@ -408,11 +417,6 @@ def _check_inventory(state: WorldState) -> None:
         raise InvariantViolation("inventory over limit")
 
 
-def connections_of(state: WorldState, room: str) -> list[str]:
-    return sorted(f.args[1] for f in state.facts
-                  if f.predicate == CONNECTS and f.args[0] == room)
-
-
 def state_facts_of(world: WorldDef, state: WorldState, entity: str) -> list[Fact]:
     group = world.state_groups.get(entity)
     if group is None:
@@ -443,12 +447,13 @@ def perceivable_when(room: str,
 
 def visible_facts(world: WorldDef, state: WorldState) -> frozenset[Fact]:
     """All facts observable from the player's room: the player's location,
-    the room's connections, and each perceivable entity's location fact and
-    open/closed or custom state facts. Closed containers hide their contents."""
+    the room's passages as ``connects`` facts, and each perceivable
+    entity's location fact and open/closed or custom state facts. Closed
+    containers hide their contents."""
     room = state.player_room
     located = state.perceivable
     out = {fact("at", PLAYER, room), *located.values()}
-    for other in connections_of(state, room):
+    for other in world.exits[room]:
         out.add(fact(CONNECTS, room, other))
     for eid in located:
         out.update(state_facts_of(world, state, eid))
@@ -460,10 +465,13 @@ def check_goals(state: WorldState, goals: Iterable[GoalCondition]) -> set[GoalCo
     return {g for g in goals if g.fact in state.facts}
 
 
-def state_to_json(state: WorldState) -> dict:
-    """Canonical JSON form: facts sorted, stable key order."""
+def state_to_json(world: WorldDef, state: WorldState) -> dict:
+    """Canonical JSON form: the state's facts and the world's passages as
+    ``connects`` facts, sorted, in a stable key order."""
+    passages = [Fact(CONNECTS, (room, other))
+                for room, others in world.exits.items() for other in others]
     return {
-        "facts": [str(f) for f in sorted(state.facts)],
+        "facts": [str(f) for f in sorted([*state.facts, *passages])],
         "player_room": state.player_room,
         "inventory": list(state.inventory),
         "inventory_limit": state.inventory_limit,

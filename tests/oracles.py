@@ -20,7 +20,7 @@ from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
                              _candidates, _groundings)
 from ifbench.interpreter import _join, render_feedback
 from ifbench.world import (INVENTORY, PLAYER, EntityDef, GoalCondition,
-                           RoomDef, StateGroup, WorldDef, WorldState, Fact, apply_delta, connections_of,
+                           RoomDef, StateGroup, WorldDef, WorldState, Fact, apply_delta,
                            fact, parse_fact)
 
 
@@ -51,12 +51,12 @@ def reference_visible(world: WorldDef, state: WorldState) -> frozenset[Fact]:
             holder = nxt
         return False
 
-    keep = set()
+    # the passages are the world's: each room whose exits lead here
+    keep = {fact("connects", state.player_room, other) for other in world.rooms
+            if state.player_room in world.exits[other]}
     for f in state.facts:
         pred, args = f.predicate, f.args
-        if pred == "connects":
-            ok = args[0] == state.player_room
-        elif pred == "at":
+        if pred == "at":
             ok = args[1] == state.player_room
         elif pred == "on":
             ok = fact("at", args[1], state.player_room) in state.facts
@@ -152,7 +152,8 @@ def reference_room_description(engine, state: WorldState) -> str:
                         msg["state_sentence"],
                         {"entity": engine.surface(eid),
                          "state": engine.state_surface(f.predicate)}))
-    exits = connections_of(state, room)
+    exits = [other for other in sorted(engine.world.rooms)
+             if room in engine.world.exits[other]]
     if exits:
         key = "passage_one" if len(exits) == 1 else "passage_many"
         parts.append(render_feedback(
@@ -257,7 +258,7 @@ def reference_preconditions(engine, state: WorldState, action: ActionDef,
             ok = (state.inventory_limit is None
                   or len(state.inventory) < state.inventory_limit)
         elif check == "connected":
-            ok = fact("connects", state.player_room, ident) in state.facts
+            ok = ident in engine.world.exits[state.player_room]
         elif check == "not_current_room":
             ok = ident != state.player_room
         elif check == "has_state":

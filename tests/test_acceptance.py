@@ -3,6 +3,8 @@ summary as criterion N PASS/FAIL."""
 
 import hashlib
 import os
+import runpy
+import shutil
 import time
 from pathlib import Path
 
@@ -34,6 +36,12 @@ SEED17_OUTPUT_SHA256 = {
     "report/turns.csv":
         "56ed5db719accad9d96df6e0313833887a6787fda8ff7d6f10f4502bb70818a1",
 }
+
+# SHA-256 that `scripts/artifact_digest.py 17` prints: its tree digest over
+# every file of `generate --seed 17`, `run` scripted and heuristic and
+# `report --instances --out`, transcripts included.
+SEED17_TREE_SHA256 = (
+    "76fa90749a700baad0daef677daad8141dcf451a95743a4919c036920cea4bea")
 
 # Published overview rows: (clemscore, quality score, % played)
 TABLE1_ROWS = [
@@ -300,6 +308,17 @@ def test_criterion_9_end_to_end_determinism(tmp_path, monkeypatch):
     assert runs[0] == runs[1]
     assert {name: hashlib.sha256(runs[0][name]).hexdigest()
             for name in SEED17_OUTPUT_SHA256} == SEED17_OUTPUT_SHA256
+    # the first tree completed to the artifact digest's: a heuristic run,
+    # then a report of both agents in place of the scripted one
+    base = tmp_path / "one"
+    assert main(["run", "--instances", str(base / "instances"),
+                 "--agent", "heuristic", "--out", str(base / "results")]) == 0
+    shutil.rmtree(base / "report")
+    assert main(["report", "--results", str(base / "results"),
+                 "--instances", str(base / "instances"),
+                 "--out", str(base / "report")]) == 0
+    script = Path(__file__).parents[1] / "scripts" / "artifact_digest.py"
+    assert runpy.run_path(str(script))["tree_digest"](base) == SEED17_TREE_SHA256
 
 
 @pytest.mark.skipif(not os.environ.get("IFBENCH_SMOKE_ENDPOINT"),

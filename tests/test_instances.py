@@ -8,7 +8,7 @@ import pytest
 
 import ifbench.generate
 import ifbench.instance
-from ifbench import (TURN_LIMIT, Engine, PlanResult, Unsolvable,
+from ifbench import (TURN_LIMIT, Engine, PlanResult, Unsolvable, apply_delta,
                      fact, generate_basic, generate_family,
                      generate_preexploration, instance_to_dot, load_instances,
                      save_instances, solve_optimal)
@@ -704,6 +704,16 @@ def _set_action(field, value):
     return _set_field("extra_actions", lambda row: [{**_ZAP, field: value}])
 
 
+def _state_named(entity, state, before=()):
+    """Give `entity` of the second instance a state group of the states
+    `before` and then `state`, a reserved predicate or one of `before`; and
+    the message that rejects it."""
+    return (_set_field("state_groups", lambda row: row["state_groups"] + [
+        {"entity": entity, "states": [*before, state], "initial": None}]),
+        f"instance 1 (basic-easy-01): field 'state_groups': state {state!r} "
+        f"of {entity!r} is a reserved predicate or listed twice")
+
+
 def test_extra_action_row_loads(tmp_path, bench144):
     path = tmp_path / "zap.json"
     save_instances(bench144["basic-easy"][:2], path, base_seed=17)
@@ -887,6 +897,16 @@ def test_extra_action_row_loads(tmp_path, bench144):
     (_set_action("effects", {"removes": [], "adds": [["fact", "open", "item"]]}),
      "field 'extra_actions': action 'zap', effects: adds open(item), but no "
      "precondition rules out"),
+    (_set_field("connections", lambda row: row["connections"] + [
+        ["hallway", "attic"]]),
+     "instance 1 (basic-easy-01): connects(hallway,attic): unknown room"),
+    (_set_field("connections", lambda row: [
+        c for c in row["connections"] if "broom_closet" not in c]),
+     "instance 1 (basic-easy-01): room graph is not connected"),
+    _state_named("apple", "at"), _state_named("apple", "on"),
+    _state_named("apple", "in"), _state_named("apple", "connects"),
+    _state_named("apple", "open"), _state_named("table", "closed"),
+    _state_named("apple", "ripe", before=["ripe"]),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
@@ -906,7 +926,10 @@ def test_extra_action_row_loads(tmp_path, bench144):
         "base-verb-twice", "base-verb-unknown", "extra-verb-twice",
         "extra-verb-is-base", "lexicon-verb-collision", "connection-self-loop",
         "connection-three-rooms", "state-add-unguarded",
-        "state-add-guard-not-removed"])
+        "state-add-guard-not-removed", "connection-unknown-room",
+        "room-graph-disconnected", "state-named-at", "state-named-on",
+        "state-named-in", "state-named-connects", "state-open-non-container",
+        "state-closed-non-container", "state-listed-twice"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError
@@ -1003,9 +1026,10 @@ def test_invalid_start_state_names_file_instance_and_fact(tmp_path, replaced,
     assert named in message
 
 
-def test_one_way_connection_names_file_instance_and_lacks_mirror(tmp_path):
-    """A `connects` fact in `initial_facts` without its mirror is rejected
-    at load: rooms connect both ways."""
+def test_passage_in_initial_facts_names_file_instance_and_fact(tmp_path):
+    """A `connects` fact in `initial_facts`, even with its mirror, is
+    rejected at load: the room graph comes from `connections` alone, so a
+    passage there would be walkable but drawn nowhere."""
     path = tmp_path / "broken.json"
     inst = micro_instance(
         rooms=["kitchen", "pantry", "bedroom"],
@@ -1018,12 +1042,42 @@ def test_one_way_connection_names_file_instance_and_lacks_mirror(tmp_path):
     inst = replace(inst, optimal_plan=solve_optimal(inst).actions)
     save_instances([replace(inst, id=f"micro-{i}") for i in range(2)], path)
     payload = json.loads(path.read_text())
-    payload["instances"][1]["initial_facts"].append("connects(kitchen,bedroom)")
+    payload["instances"][1]["initial_facts"] += [
+        "connects(kitchen,bedroom)", "connects(bedroom,kitchen)"]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as err:
         load_instances(path)
     assert str(err.value) == (f"{path}: instance 1 (micro-1): "
-                              "connects(kitchen,bedroom) lacks mirror")
+                              "unknown predicate in connects(kitchen,bedroom)")
+
+
+def test_room_graph_is_the_worlds_alone(bench144, oracle_records,
+                                        heuristic_records):
+    """No state of the seed-17 suite holds a `connects` fact: no start
+    state, and no state of a scripted or heuristic episode, pre-exploration
+    included. The passages each DOT graph draws are the world's exits."""
+    for records in (oracle_records.records, heuristic_records):
+        for inst, episode in records.values():
+            engine = Engine(inst)
+            state = inst.start_state()
+            states = [state]
+            for command, _ in inst.preexploration or ():
+                state, _ = engine.execute(state, command)
+                states.append(state)
+            for turn in episode.turns:
+                state = apply_delta(inst.world, state, turn.removes, turn.adds)
+                states.append(state)
+            assert state == episode.state, inst.id
+            assert not any(f.predicate == "connects"
+                           for s in states for f in s.facts), inst.id
+    for instances in bench144.values():
+        for inst in instances:
+            drawn = re.findall(r'"(\w+)" -> "(\w+)" \[dir=both\]',
+                               instance_to_dot(inst))
+            assert {(a, b) for a, b in drawn} | {(b, a) for a, b in drawn} == {
+                (room, other) for room, others in inst.world.exits.items()
+                for other in others}, inst.id
+            assert len(drawn) == len(inst.connections), inst.id
 
 
 def test_dot_export(bench144):

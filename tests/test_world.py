@@ -9,7 +9,7 @@ from ifbench import (InvariantViolation, apply_delta, check_goals, fact,
 from ifbench.grammar import GroundedAction
 from ifbench.interpreter import Engine
 from ifbench.world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
-                           GoalCondition, StateGroup, WorldState,
+                           GoalCondition, StateGroup, WorldState, room_exits,
                            state_to_json, validate_state)
 from oracles import (micro_instance, reference_visible,
                      reference_visible_entities)
@@ -165,8 +165,10 @@ def test_check_goals_all_and_none(kitchen):
 
 
 def state_from_json(world, data: dict) -> WorldState:
-    """Inverse of `state_to_json`, validated."""
-    state = WorldState(frozenset(parse_fact(s) for s in data["facts"]),
+    """Inverse of `state_to_json`, validated: the world's passages, the
+    ``connects`` facts, are no state's and are left out."""
+    facts = [parse_fact(s) for s in data["facts"]]
+    state = WorldState(frozenset(f for f in facts if f.predicate != CONNECTS),
                        data["player_room"], tuple(data["inventory"]),
                        data.get("inventory_limit"))
     validate_state(world, state)
@@ -175,8 +177,11 @@ def state_from_json(world, data: dict) -> WorldState:
 
 def test_state_json_roundtrip(kitchen):
     world, state = kitchen
-    data = json.loads(json.dumps(state_to_json(state)))
+    data = json.loads(json.dumps(state_to_json(world, state)))
     assert data["facts"] == sorted(data["facts"])
+    assert [f for f in data["facts"] if f.startswith("connects(")] == [
+        "connects(bedroom,pantry)", "connects(kitchen,pantry)",
+        "connects(pantry,bedroom)", "connects(pantry,kitchen)"]
     again = state_from_json(world, data)
     assert again.facts == state.facts
     assert again.inventory == state.inventory
@@ -185,7 +190,7 @@ def test_state_json_roundtrip(kitchen):
 def test_read_maps_stay_out_of_equality_hash_and_json(kitchen):
     """The perceivable and location maps a state keeps once read are not
     part of what it is: equality, hash, repr and JSON form ignore them."""
-    _, walked = kitchen
+    world, walked = kitchen
     fresh = WorldState(walked.facts, walked.player_room, walked.inventory,
                        walked.inventory_limit)
     assert walked.perceivable == {"counter": fact("at", "counter", "kitchen"),
@@ -194,13 +199,13 @@ def test_read_maps_stay_out_of_equality_hash_and_json(kitchen):
     assert walked.location_of("plate") == fact("on", "plate", "counter")
     assert walked == fresh and hash(walked) == hash(fresh)
     assert repr(walked) == repr(fresh)
-    assert state_to_json(walked) == state_to_json(fresh)
+    assert state_to_json(world, walked) == state_to_json(world, fresh)
     assert walked.perceivable is walked.perceivable
 
 
 def test_state_from_json_rejects_malformed_fact(kitchen):
     world, state = kitchen
-    data = state_to_json(state)
+    data = state_to_json(world, state)
     data["facts"].append("at()")
     with pytest.raises(InvariantViolation, match=r"at\(\) must have 2 args"):
         state_from_json(world, data)
@@ -241,6 +246,31 @@ def test_catalogue_shape():
     for rid, room in rooms.items():
         for other in room.allowed_adjacent:
             assert rid in rooms[other].allowed_adjacent
+
+
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"))))
+def test_room_exits_join_each_pair_both_ways(pairs):
+    """For any list of pairs, each room's exits are the rooms it is paired
+    with, sorted and each once, so a passage needs no mirror; the graph is
+    rejected exactly when some room cannot be reached from the others."""
+    joined = {(a, b) for a, b in pairs} | {(b, a) for a, b in pairs}
+    reached, frontier = {"a"}, ["a"]
+    while frontier:
+        here = frontier.pop()
+        for a, b in joined:
+            if a == here and b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    try:
+        exits = room_exits("abcd", pairs)
+    except InvariantViolation as exc:
+        assert str(exc) == "room graph is not connected"
+        assert reached != set("abcd")
+        return
+    assert reached == set("abcd")
+    assert list(exits) == list("abcd")
+    for room, others in exits.items():
+        assert others == tuple(sorted({b for a, b in joined if a == room}))
 
 
 @given(st.sampled_from(["plate", "sandwich"]),
@@ -324,7 +354,7 @@ def _random_delta(engine, state, edits):
     """A delta built from `edits`, (kind, pick, pick, pick) tuples whose picks
     index (modulo length) into the state's facts, the predicates and ids."""
     world = engine.world
-    predicates = sorted(world.state_predicates()
+    predicates = sorted(world.state_predicates
                         | {"at", "in", "on", CONNECTS, "open", "closed", "unknown"})
     things = sorted(world.entities) + sorted(world.rooms)
     # inventory and the player come up as often as all other ids together
@@ -416,14 +446,14 @@ def lamp_world():
     ([], ["at()"]),
     ([], ["lit(lamp,cupboard)"]),
     ([], ["glow(lamp)"]),
-    (["connects(kitchen,pantry)", "connects(pantry,kitchen)"], []),
-    (["connects(kitchen,pantry)"], []),
+    ([], ["connects(kitchen,pantry)", "connects(pantry,kitchen)"]),
+    ([], ["connects(kitchen,attic)"]),
 ], ids=["two-player-locations", "player-in-unknown-room", "item-unplaced",
         "item-placed-twice", "on-non-support", "in-non-container",
         "two-custom-states", "lost-initial-state", "open-non-container",
         "over-inventory-limit", "wrong-arity", "argumentless-at",
         "state-wrong-arity",
-        "unknown-predicate", "connects-disconnected", "connects-asymmetric"])
+        "unknown-predicate", "connects-pair", "connects-one-way"])
 def test_apply_delta_rejects_each_invariant(lamp_world, removes, adds):
     world, state = lamp_world
     removes = frozenset(parse_fact(f) for f in removes)
