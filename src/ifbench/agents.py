@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from . import __version__
 from .grammar import GroundedAction, staple_verbs
 from .instance import Instance
-from .interpreter import AgentUnavailable, Engine
-from .world import fact
+from .interpreter import AgentUnavailable, Episode
+from .world import PLAYER, WorldState, fact
 
 API_KEY_VARS = ("IFBENCH_API_KEY", "OPENAI_API_KEY")
 
@@ -93,59 +93,57 @@ class HeuristicAgent:
     take reachable goal objects within the carry limit, deliver in target
     rooms, apply state-changing verbs to pending goal objects, then done.
 
-    Mirrors the episode state by applying each decided action's effects,
-    once its rendered text grounds back to it and its preconditions hold.
-    It acts only on what has been visible, so it never needs to parse
-    feedback text and never breaks the output format. It plays `engine`'s
-    instance; sharing the engine with the episode compiles each step once.
+    It plays the episode that `run_episode` hands to `start`, reading its
+    state and never changing it. It believes only what the episode has
+    shown, so it never needs to parse feedback text; and it returns a
+    command only once its text grounds back to the decided action and that
+    action's preconditions hold, so it never breaks the output format.
     """
 
-    def __init__(self, engine: Engine):
-        self.instance = instance = engine.instance
-        self.engine = engine
-        self.world = self.engine.world
-        self.state = instance.start_state()
-        self.seen_rooms = {self.state.player_room}
-        self.known_edges: set[tuple[str, str]] = set()
+    def start(self, episode: Episode) -> None:
+        """Play `episode`, believing what it has shown so far: the start
+        room and any pre-exploration walk."""
+        self.episode, self.engine = episode, episode.engine
+        self.world = episode.engine.world
+        self.seen_rooms: set[str] = set()
         self.known_locations: dict[str, str] = {}
         self.opened: set[str] = set()
-        self._observe()
-        for command, _ in instance.preexploration or ():
-            self._advance(command)
+        self._observe(sorted(episode.observed))  # a set's order varies with str hashing
+
+    @property
+    def state(self) -> WorldState:
+        return self.episode.state
 
     # -- belief upkeep ------------------------------------------------------
 
-    def _observe(self):
-        """Take in what is visible in the current state."""
-        room = self.state.player_room
-        self.seen_rooms.add(room)
-        for other in self.world.exits[room]:
-            self.known_edges.update({(room, other), (other, room)})
-        for eid in sorted(self.state.perceivable):
-            if eid not in self.state.inventory:
-                self.known_locations[eid] = room
-
-    def _advance(self, command: str, decided: GroundedAction | None = None):
-        """Apply `command` to the mirror state; RuntimeError if it fails."""
-        try:
-            grounded, state = self.engine.advance(self.state, command)
-        except ValueError as exc:
-            raise RuntimeError(f"heuristic issued {exc}") from exc
-        if decided is not None and grounded != decided:
-            raise RuntimeError(f"heuristic rendered {decided} as {command!r}")
-        self.state = state
-        self._observe()
+    def _observe(self, facts) -> None:
+        """Take in observed facts (`visible_facts`' form): the rooms the
+        player was in, and the room each entity was seen in, directly or
+        on or in something there."""
+        placed = [f.args for f in facts if f.predicate in ("at", "on", "in")]
+        self.seen_rooms.update(r for e, r in placed if e == PLAYER)
+        rooms = {e: r for e, r in placed if r in self.world.rooms and e != PLAYER}
+        rooms.update((e, rooms[h]) for e, h in placed if h in rooms)
+        self.known_locations.update(rooms)
 
     def next_action(self, transcript: Transcript) -> str:
+        turns = self.episode.turns
+        if turns:
+            self._observe(turns[-1].revealed_facts)
         decided = self._decide()
         command = "> " + self.engine.parser.render(decided, self.world)
-        self._advance(command, decided)
+        try:
+            step = self.engine.resolve(self.state, command)
+        except ValueError as exc:
+            raise RuntimeError(f"heuristic issued {exc}") from exc
+        if step.grounded != decided:
+            raise RuntimeError(f"heuristic rendered {decided} as {command!r}")
         return command
 
     # -- policy -------------------------------------------------------------
 
     def _decide(self) -> GroundedAction:
-        pending = [g for g in self.instance.goals
+        pending = [g for g in self.engine.goals
                    if g.fact not in self.state.facts]
         if not pending:
             return _action("done")
@@ -214,22 +212,26 @@ class HeuristicAgent:
                     desired.append(room)
         step = self._step_towards(set(desired))
         if step is None:
-            frontier = {b for a, b in self.known_edges if b not in self.seen_rooms}
-            step = self._step_towards(frontier)
+            step = self._step_towards({b for a in self.seen_rooms
+                                       for b in self.world.exits[a]
+                                       if b not in self.seen_rooms})
         if step is not None:
             return _action("go", room=step)
         return _action("look")  # defensive; pending work always leaves a navigation target
 
     def _step_towards(self, targets: set[str]) -> str | None:
+        """The first move of a shortest path to one of `targets` along the
+        passages the player has seen: those of the rooms it was in."""
         start = self.state.player_room
         if not targets or start in targets:
             return None
+        seen = self.seen_rooms
         parents = {start: None}
         queue = deque([start])
         while queue:
             cur = queue.popleft()
-            for a, b in sorted(self.known_edges):
-                if a != cur or b in parents:
+            for b in self.world.exits[cur]:
+                if b in parents or cur not in seen and b not in seen:
                     continue
                 parents[b] = cur
                 if b in targets:

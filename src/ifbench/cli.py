@@ -137,14 +137,13 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
     return instances
 
 
-def _make_agent(engine: Engine, args):
+def _make_agent(instance: Instance, args):
     from .agents import (HeuristicAgent, HumanAgent, LlmAgent, LlmConfig,
                          ScriptedAgent)
-    instance = engine.instance
     if args.agent == "scripted":
         return ScriptedAgent.from_plan(instance, instance.optimal_plan)
     if args.agent == "heuristic":
-        return HeuristicAgent(engine)
+        return HeuristicAgent()
     if args.agent == "human":
         return HumanAgent()
     if args.agent == "llm":
@@ -168,7 +167,7 @@ def run_benchmark(args) -> int:
     state, so the outputs do not depend on the number of workers."""
     import json
     from dataclasses import asdict
-    from .interpreter import Engine, run_episode, write_episode
+    from .interpreter import run_episode, write_episode
     from .metrics import EpisodeSummary, aggregate, scores_to_csv, scores_to_json
     if args.parallel > 1 and args.agent != "llm":
         raise SystemExit(f"--parallel applies to --agent llm only, "
@@ -179,9 +178,7 @@ def run_benchmark(args) -> int:
     agent_dir = Path(args.out) / agent_name.replace("/", "_")
 
     def play(instance: Instance) -> EpisodeSummary:
-        engine = Engine(instance)
-        agent = _make_agent(engine, args)
-        episode = run_episode(instance, agent, engine)
+        episode = run_episode(instance, _make_agent(instance, args))
         family_dir = agent_dir / instance.family
         family_dir.mkdir(parents=True, exist_ok=True)
         return EpisodeSummary.from_json(
@@ -342,12 +339,13 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _at_least(low, kind=int):
-    """An argparse type: a `kind` number, rejected below `low`."""
+def _at_least(low, kind=int, strict=False):
+    """An argparse type: a `kind` number, at least `low` (above it if `strict`)."""
     def convert(text: str):
         value = kind(text)
-        if not value >= low:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        if not (value > low if strict else value >= low):  # also rejects nan
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
         return value
     convert.__name__ = kind.__name__  # argparse names it in its errors
     return convert
@@ -376,8 +374,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint")
     p.add_argument("--model")
     p.add_argument("--temperature", type=_at_least(0, float), default=0.0)
-    p.add_argument("--max-tokens", type=int, default=128)
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--max-tokens", type=_at_least(1), default=128)
+    p.add_argument("--timeout", type=_at_least(0, float, strict=True), default=30.0)
     p.add_argument("--retries", type=_at_least(0), default=2)
     p.add_argument("--dry-run", action="store_true",
                    help="exclude agent-unreachable episodes from scoring")

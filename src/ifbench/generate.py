@@ -17,9 +17,9 @@ from .instance import FAMILIES, INSTANCES_PER_FAMILY, Instance
 from .interpreter import TURN_LIMIT, Engine, number_word
 from .planner import Unsolvable, solve_optimal
 from .pseudowords import PseudowordMaker
-from .world import (EntityDef, GoalCondition, RoomDef, StateGroup, fact,
-                    load_data, load_entity_catalogue, load_room_catalogue,
-                    room_distances, room_exits)
+from .world import (ENGINE_PREDICATES, EntityDef, GoalCondition, RoomDef,
+                    StateGroup, fact, load_data, load_entity_catalogue,
+                    load_room_catalogue, room_distances, room_exits)
 
 INVENTORY_LIMIT = 2
 GOAL_COUNT = 3
@@ -493,7 +493,7 @@ def _synthesize_hard(rng) -> Instance:
     rooms = load_room_catalogue()
     paths = _linear_paths(rooms, 4)
     path = list(_choice(rng, paths))
-    maker = PseudowordMaker(rng, forbidden=catalogue_vocabulary())
+    maker = PseudowordMaker(rng, forbidden=catalogue_vocabulary() | ENGINE_PREDICATES)
 
     room_defs = tuple(rooms[r] for r in sorted(path))
     connections = tuple(sorted(tuple(sorted((a, b)))

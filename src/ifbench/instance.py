@@ -16,7 +16,7 @@ from pathlib import Path
 from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
                       action_from_json, build_parser, fits_trait,
                       load_standard_actions, staple_verbs)
-from .world import (CONNECTS, INVENTORY, PLAYER, EntityDef, Fact,
+from .world import (ENGINE_PREDICATES, INVENTORY, PLAYER, EntityDef, Fact,
                     GoalCondition, InvariantViolation, RoomDef, StateGroup,
                     WorldDef, WorldState, initial_state, parse_fact,
                     room_exits)
@@ -244,9 +244,9 @@ def _state_groups(rows, entities: tuple[EntityDef, ...]) -> tuple[StateGroup, ..
             raise ValueError(f"{group.entity!r} has a state group but is no "
                              "entity")
         # a state is a unary predicate; open/closed only as a container's pair
-        reserved = {"at", "on", "in", CONNECTS}
-        if group.entity not in containers or set(group.states) != {"open", "closed"}:
-            reserved.update(("open", "closed"))
+        reserved = ENGINE_PREDICATES
+        if group.entity in containers and set(group.states) == {"open", "closed"}:
+            reserved -= {"open", "closed"}
         _distinct(group.states, f"state {{!r}} of {group.entity!r} is a "
                   "reserved predicate or listed twice", str, reserved)
     return groups
@@ -309,16 +309,21 @@ def _goals(rows) -> tuple[GoalCondition, ...]:
 
 def _plan_step(n: int, step) -> GroundedAction:
     """Step `n` of a JSON plan, ``[verb, [[param, id], ...]]``; TypeError
-    quoting the step as the file holds it if its bindings are not lists of
-    strings."""
+    unless its verb is a string and each binding a [param, id] pair of
+    strings, quoting the step as a grounded action if its bindings are
+    lists of strings, else as the file holds it."""
     verb, bindings = step
     try:
         if not isinstance(bindings, list):
             raise TypeError
-        return _shared(GroundedAction(verb, tuple(_strings(b) for b in bindings)))
+        step = GroundedAction(verb, tuple(_strings(b) for b in bindings))
     except TypeError:
+        pass
+    if not (isinstance(step, GroundedAction) and isinstance(verb, str)
+            and all(len(b) == 2 for b in step.bindings)):
         raise TypeError(f"optimal_plan step {n} is not a verb with [param, id] "
-                        f"pairs of strings: {step!r}") from None
+                        f"pairs of strings: {step!r}")
+    return _shared(step)
 
 
 def _file_token(value) -> str:
@@ -338,11 +343,11 @@ def _limit(value) -> int | None:
 
 
 def _check_plan(instance: Instance, optimal_length) -> None:
-    """Raise ValueError unless the stored plan ends in `done`, uses only the
-    instance's verbs, parameters and ids in [param, id] string pairs, binds
-    each required parameter exactly once, to an id that fits its trait as
-    `grammar.fits_trait` (the parser's rule) says, and has `optimal_length`
-    steps."""
+    """Raise ValueError unless the stored plan (steps as `_plan_step`
+    reads them) ends in `done`, uses only the instance's verbs, parameters
+    and ids, binds each required parameter exactly once, to an id that
+    fits its trait as `grammar.fits_trait` (the parser's rule) says, and
+    has `optimal_length` steps."""
     plan = instance.optimal_plan
     if not plan or plan[-1].action != "done":
         raise ValueError("optimal_plan is missing, empty or does not end in done")
@@ -350,10 +355,6 @@ def _check_plan(instance: Instance, optimal_length) -> None:
     world = instance.world
     ids = world.entities.keys() | world.rooms.keys()
     for n, step in enumerate(plan):
-        if not isinstance(step.action, str) or not all(
-                len(binding) == 2 for binding in step.bindings):
-            raise ValueError(f"optimal_plan step {n} is not a verb with "
-                             f"[param, id] pairs of strings: {step}")
         action = actions.get(step.action)
         traits = {p.name: p.trait for p in action.params} if action else {}
         if action is None or not all(

@@ -213,10 +213,9 @@ class Engine:
                 self.world, self.actions[grounded.action], grounded)
         return step
 
-    def advance(self, state: WorldState,
-                command: str) -> tuple[GroundedAction, WorldState]:
-        """Resolve a command that must succeed: parse, ground, preconditions
-        and the checked `apply_delta`, with no feedback and no goal check.
+    def resolve(self, state: WorldState, command: str) -> Step:
+        """The step of a command that must succeed: parse, ground and
+        preconditions, with nothing applied, no feedback and no goal check.
         ValueError naming the command if any phase fails."""
         trimmed = command.strip()
         if not trimmed.startswith(">"):
@@ -230,7 +229,7 @@ class Engine:
         failure = step.failure(state)
         if failure is not None:
             raise ValueError(f"{command!r} failed: {failure}")
-        return grounded, apply_delta(self.world, state, *step.effects(state))
+        return step
 
     # -- the turn pipeline -------------------------------------------------
 
@@ -329,21 +328,17 @@ class Episode:
             ("environment", instance.prompt)]
         self.outcome: str | None = None
         self.agent_log: list = []
-        if instance.preexploration:
-            self._replay_preexploration()
-
-    def _replay_preexploration(self) -> None:
-        # context turns: replayed for observation memory, not counted as
-        # turns; the transcript gets the feedback stored in the instance
+        # pre-exploration: context turns, replayed for observation memory
+        # and not counted; the transcript gets the feedback the instance holds
         state = self.state
-        world = self.engine.world
-        for command, feedback in self.instance.preexploration:
+        for command, feedback in instance.preexploration or ():
             try:
-                _, state = self.engine.advance(state, command)
+                step = engine.resolve(state, command)
             except ValueError as exc:
                 raise ValueError(
                     f"pre-exploration command failed: {command}") from exc
-            self.observed |= visible_facts(world, state)
+            state = apply_delta(engine.world, state, *step.effects(state))
+            self.observed |= visible_facts(engine.world, state)
             self.transcript.append(("agent", command))
             self.transcript.append(("environment", feedback))
         if state.facts != self.state.facts:
@@ -380,12 +375,13 @@ class Episode:
         return record
 
 
-def run_episode(instance: Instance, agent,
-                engine: Engine | None = None) -> Episode:
+def run_episode(instance: Instance, agent) -> Episode:
     """Loop agent against interpreter until done, abort, or the turn limit,
-    and return the ended episode. `engine`, if given, is an engine of
-    `instance` that the agent shares, so that each step is compiled once."""
-    episode = Episode(engine or Engine(instance))
+    and return the ended episode. An agent that defines `start(episode)` is
+    handed the episode first, after its pre-exploration replay, to read."""
+    episode = Episode(Engine(instance))
+    if hasattr(agent, "start"):
+        agent.start(episode)
     while not episode.done:
         try:
             raw = agent.next_action(tuple(episode.transcript))

@@ -20,6 +20,8 @@ from typing import Iterable, Mapping, NamedTuple
 PLAYER = "player"
 INVENTORY = "inventory"
 CONNECTS = "connects"
+# the engine's own predicates: no state name, bar a container's open/closed
+ENGINE_PREDICATES = frozenset({"at", "on", "in", "open", "closed", CONNECTS})
 
 _FACT_RE = re.compile(r"^([a-z_][\w-]*)\(([^()]*)\)$")
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from ifbench import (FAMILIES, INSTANCES_PER_FAMILY, Engine, HeuristicAgent,
+from ifbench import (FAMILIES, INSTANCES_PER_FAMILY, HeuristicAgent,
                      ScriptedAgent, generate_family, run_episode)
 
 BENCH_SEED = 17
@@ -50,9 +50,8 @@ def heuristic_records(bench144):
     records = {}
     for instances in bench144.values():
         for instance in instances:
-            engine = Engine(instance)
             records[instance.id] = (instance, run_episode(
-                instance, HeuristicAgent(engine), engine=engine))
+                instance, HeuristicAgent()))
     return records
 
 

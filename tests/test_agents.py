@@ -1,7 +1,9 @@
 import json
 import socket
+import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
@@ -9,7 +11,8 @@ import pytest
 
 import ifbench
 from ifbench import agents
-from ifbench import (AgentUnavailable, Engine, GroundedAction, HeuristicAgent,
+from ifbench import (AgentUnavailable, Engine, Episode, GroundedAction,
+                     HeuristicAgent,
                      HumanAgent, LlmAgent, LlmConfig, MalformedResponse,
                      ScriptedAgent, llm_chat, run_episode, solve_optimal,
                      transcript_to_messages)
@@ -282,45 +285,91 @@ def _cupboard_instance():
         goals=["on(sandwich,table)"])
 
 
+def _started(inst) -> tuple[HeuristicAgent, Episode]:
+    """A heuristic agent playing a new episode of `inst`."""
+    episode = Episode(Engine(inst))
+    agent = HeuristicAgent()
+    agent.start(episode)
+    return agent, episode
+
+
 def test_heuristic_opens_closed_container():
-    agent = HeuristicAgent(Engine(_cupboard_instance()))
-    assert agent.next_action(()) == "> open cupboard"
-    assert agent.next_action(()) == "> take sandwich"
-    assert agent.next_action(()) == "> put sandwich on table"
-    assert agent.next_action(()) == "> done"
+    agent, episode = _started(_cupboard_instance())
+    for expected in ("> open cupboard", "> take sandwich",
+                     "> put sandwich on table", "> done"):
+        command = agent.next_action(tuple(episode.transcript))
+        assert command == expected
+        episode.step(command)
+    assert episode.outcome == "success"
 
 
 def test_heuristic_solves_and_respects_format(bench144):
     for family in ("basic-easy", "limit-hard", "synthetic-hard",
                    "preexplore-hard"):
         for inst in bench144[family][:3]:
-            record = run_episode(inst, HeuristicAgent(Engine(inst)))
+            record = run_episode(inst, HeuristicAgent())
             assert record.outcome == "success", (family, inst.id)
             assert all(t.raw_output.startswith("> ") for t in record.turns)
 
 
 def test_heuristic_turns_are_executed_once(bench144, monkeypatch):
     # only the episode resolves turns: one execute per turn, none by the
-    # agent and none for the pre-exploration replay
-    calls = []
+    # agent and none for the pre-exploration replay; and only the episode
+    # changes state: one delta per successful turn and per walk step
+    calls, deltas = [], []
     execute = Engine.execute
+    apply_delta = ifbench.world.apply_delta
 
     def counting_execute(self, *args, **kwargs):
         calls.append(args)
         return execute(self, *args, **kwargs)
 
+    def counting_apply_delta(*args):
+        deltas.append(args)
+        return apply_delta(*args)
+
     monkeypatch.setattr(Engine, "execute", counting_execute)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("ifbench")
+                and getattr(module, "apply_delta", None) is apply_delta):
+            monkeypatch.setattr(module, "apply_delta", counting_apply_delta)
     for family, instances in bench144.items():
         inst = instances[0]
         calls.clear()
-        record = run_episode(inst, HeuristicAgent(Engine(inst)))
+        deltas.clear()
+        record = run_episode(inst, HeuristicAgent())
         assert len(calls) == len(record.turns), (family, inst.id, len(calls))
+        changes = (sum(t.phase_outcome == "success" for t in record.turns)
+                   + len(inst.preexploration or ()))
+        assert len(deltas) == changes, (family, inst.id, len(deltas))
     assert bench144["preexplore-hard"][0].preexploration
+
+
+def test_heuristic_routes_only_along_passages_it_has_seen():
+    # the pre-exploration walks porch-den-study-loft-barn and back; the
+    # porch-cellar-vault-barn way is shorter, but its cellar-vault passage
+    # was never in sight
+    rooms = ["porch", "den", "study", "loft", "barn", "cellar", "vault"]
+    inst = micro_instance(
+        rooms=rooms,
+        connections=[*zip(rooms[:4], rooms[1:5]), ("porch", "cellar"),
+                     ("cellar", "vault"), ("vault", "barn")],
+        entities=[("table", "support", ["porch"]),
+                  ("apple", "takeable", ["barn"])],
+        facts=["at(player,porch)", "at(table,porch)", "at(apple,barn)"],
+        goals=["on(apple,table)"])
+    walk = ["den", "study", "loft", "barn", "loft", "study", "den", "porch"]
+    inst = replace(inst, preexploration=tuple((f"> go {room}", "")
+                                              for room in walk))
+    record = run_episode(inst, HeuristicAgent())
+    assert record.outcome == "success"
+    assert [t.raw_output for t in record.turns[:4]] == [
+        "> go den", "> go study", "> go loft", "> go barn"]
 
 
 def test_heuristic_rejects_a_failing_decided_action(monkeypatch):
     inst = _cupboard_instance()
-    agent = HeuristicAgent(Engine(inst))
+    agent, _ = _started(inst)
     # the sandwich is inside the closed cupboard, so it cannot be taken
     monkeypatch.setattr(agent, "_decide", lambda: GroundedAction(
         "take", (("item", "sandwich"),)))
@@ -332,7 +381,7 @@ def test_heuristic_rejects_a_failing_decided_action(monkeypatch):
 @pytest.mark.parametrize("text", ["look", "frobnicate cupboard", "open sofa"])
 def test_heuristic_rejects_text_that_does_not_ground_back(monkeypatch, text):
     inst = _cupboard_instance()
-    agent = HeuristicAgent(Engine(inst))  # decides to open the cupboard
+    agent, _ = _started(inst)  # decides to open the cupboard
     monkeypatch.setattr(inst.parser, "render", lambda grounded, world: text)
     with pytest.raises(RuntimeError, match=text):
         agent.next_action(())
@@ -341,7 +390,7 @@ def test_heuristic_rejects_text_that_does_not_ground_back(monkeypatch, text):
 
 def test_heuristic_basic_easy_regression(bench144):
     # pinned baseline: the bundled heuristic fully solves basic-easy
-    outcomes = [run_episode(i, HeuristicAgent(Engine(i))).outcome
+    outcomes = [run_episode(i, HeuristicAgent()).outcome
                 for i in bench144["basic-easy"]]
     quality = outcomes.count("success") / len(outcomes) * 100
     assert quality >= 90.0

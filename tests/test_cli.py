@@ -195,14 +195,14 @@ def test_run_heuristic_parallel_deterministic(bench144, tmp_path, capsys, cpus):
 def test_run_worker_error_surfaces(small_set, tmp_path, monkeypatch, cpus,
                                    workers):
     # forked workers inherit the patched agent
-    advance = ifbench.HeuristicAgent._advance
+    decide = ifbench.HeuristicAgent._decide
 
-    def failing_advance(self, command, decided=None):
-        if self.instance.family == "limit-hard":
-            raise RuntimeError(f"heuristic issued {command}")
-        return advance(self, command, decided)
+    def failing_decide(self):
+        if self.episode.instance.family == "limit-hard":
+            raise RuntimeError("heuristic issued a bad command")
+        return decide(self)
 
-    monkeypatch.setattr(ifbench.HeuristicAgent, "_advance", failing_advance)
+    monkeypatch.setattr(ifbench.HeuristicAgent, "_decide", failing_decide)
     cpus(workers)
     with pytest.raises(RuntimeError, match="heuristic issued"):
         main(["run", "--instances", str(small_set), "--agent", "heuristic",
@@ -450,7 +450,9 @@ def test_run_rejects_an_unknown_family(small_set, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     "generate --count 0", "generate --seed -1", "run --retries -1",
-    "run --temperature -1", "run --parallel 0", "run --parallel 2", "run --families ,", "generate --families ,",
+    "run --temperature -1", "run --timeout 0", "run --timeout -1",
+    "run --timeout nan", "run --max-tokens 0", "run --parallel 0",
+    "run --parallel 2", "run --families ,", "generate --families ,",
     "plan --index 99", "plan --index -1", "play --index 16"])
 def test_bad_numbers_are_usage_errors(small_set, tmp_path, capsys, argv):
     command, flag, _ = argv.split()

@@ -16,6 +16,7 @@ from ifbench.generate import (FAMILIES, INVENTORY_LIMIT, Rng,
                               catalogue_vocabulary)
 from ifbench.grammar import GroundedAction, Lexicon
 from ifbench.pseudowords import PseudowordMaker, load_english_words
+from ifbench.world import ENGINE_PREDICATES
 from oracles import apply_lexicon, micro_instance
 
 WORD_RE = re.compile(r"^[a-z]{4,8}$")
@@ -331,6 +332,26 @@ def test_synthetic_hard_shape(bench144):
         assert set(inst.base_verbs) == {"go", "done", "examine", "look"}
 
 
+def test_synthetic_hard_never_names_an_engine_predicate(bench144,
+                                                        monkeypatch):
+    # a maker that offers every engine predicate before its own words,
+    # unless it was told to forbid them
+    class Offering(PseudowordMaker):
+        def make(self):
+            free = sorted(ENGINE_PREDICATES - self.forbidden - self.emitted)
+            if not free:
+                return super().make()
+            self.emitted.add(free[0])
+            return free[0]
+
+    monkeypatch.setattr(ifbench.generate, "PseudowordMaker", Offering)
+    inst = generate_family(17, "synthetic-hard", count=1)[0]  # as bench144
+    states = {s for g in inst.state_groups for s in g.states}
+    assert not states & ENGINE_PREDICATES
+    # forbidding a word changes only the draws that would have made it
+    assert inst.to_json() == bench144["synthetic-hard"][0].to_json()
+
+
 def test_synthetic_hard_single_state_direct(bench144):
     inst = bench144["synthetic-hard"][0]
     single = [g for g in inst.state_groups if len(g.states) == 1][0]
@@ -517,8 +538,8 @@ def test_loaded_suite_memory(tmp_path, bench144, monkeypatch):
 
 
 def test_start_state_built_once(tmp_path, bench144, monkeypatch):
-    # the load check builds each start state; the episode and the heuristic
-    # agent then share it
+    # the load check builds each start state; the episode, which the
+    # heuristic agent plays, then starts from it
     from ifbench import HeuristicAgent, run_episode
     import ifbench.instance
     path = tmp_path / "preexplore-hard.json"
@@ -532,9 +553,7 @@ def test_start_state_built_once(tmp_path, bench144, monkeypatch):
 
     monkeypatch.setattr(ifbench.instance, "initial_state", counting_initial_state)
     for inst in load_instances(path):
-        engine = Engine(inst)
-        assert run_episode(inst, HeuristicAgent(engine),
-                           engine=engine).outcome == "success"
+        assert run_episode(inst, HeuristicAgent()).outcome == "success"
     assert len(built) == 3
 
 

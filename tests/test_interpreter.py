@@ -118,8 +118,7 @@ def test_episode_walks_each_state_once(monkeypatch):
     reads the map its state got as the result of the turn before."""
     walks = _recorded_walks(monkeypatch)
     inst = kitchen_instance()
-    engine = Engine(inst)
-    episode = run_episode(inst, HeuristicAgent(engine), engine)
+    episode = run_episode(inst, HeuristicAgent())
     assert episode.outcome == "success" and len(episode.turns) > 2
     assert len({id(state) for state in walks}) == len(walks)
 
@@ -338,7 +337,8 @@ def _episode_states(inst, episode) -> list:
     state = inst.start_state()
     states = [state]
     for command, _ in inst.preexploration or ():
-        _, state = engine.advance(state, command)
+        step = engine.resolve(state, command)
+        state = apply_delta(inst.world, state, *step.effects(state))
         states.append(state)
     for turn in episode.turns:
         state = apply_delta(inst.world, state, turn.removes, turn.adds)
