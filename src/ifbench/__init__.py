@@ -22,8 +22,7 @@ _NAMES = {  # each submodule's public names
     "pseudowords": "PseudowordMaker load_english_words",
     "generate": "GenerationExhausted WalkNotFound generate_basic generate_family "
                 "generate_preexploration",
-    "metrics": "EpisodeSummary ExperimentScores EmptyInput goal_success_rate aggregate "
-               "combine_clemscore",
+    "metrics": "ExperimentScores EmptyInput goal_success_rate aggregate combine_clemscore",
     "agents": "ScriptedAgent HeuristicAgent HumanAgent LlmAgent LlmConfig "
               "MalformedResponse llm_chat transcript_to_messages",
 }

@@ -5,6 +5,7 @@ OpenAI-compatible /chat/completions protocol."""
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -39,6 +40,9 @@ class LlmConfig:
             raise ValueError("temperature must be >= 0")
         if self.retries < 0:
             raise ValueError("retries must be bounded and >= 0")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # also rejects nan
+            raise ValueError(f"timeout must be > 0 and <= "
+                             f"{threading.TIMEOUT_MAX}, got {self.timeout}")
 
 
 class ScriptedAgent:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 from pathlib import Path
 
 DEFAULT_SEED = 17
@@ -146,15 +147,11 @@ def _make_agent(instance: Instance, args):
         return HeuristicAgent()
     if args.agent == "human":
         return HumanAgent()
-    if args.agent == "llm":
-        if not args.endpoint or not args.model:
-            raise SystemExit("--endpoint and --model are required for --agent llm")
-        return LlmAgent(LlmConfig(endpoint=args.endpoint, model=args.model,
-                                  temperature=args.temperature,
-                                  max_tokens=args.max_tokens,
-                                  timeout=args.timeout,
-                                  retries=args.retries))
-    raise SystemExit(f"unknown agent {args.agent!r}")
+    # llm, the last of the choices that argparse allows
+    return LlmAgent(LlmConfig(endpoint=args.endpoint, model=args.model,
+                              temperature=args.temperature,
+                              max_tokens=args.max_tokens, timeout=args.timeout,
+                              retries=args.retries))
 
 
 def run_benchmark(args) -> int:
@@ -168,21 +165,26 @@ def run_benchmark(args) -> int:
     import json
     from dataclasses import asdict
     from .interpreter import run_episode, write_episode
-    from .metrics import EpisodeSummary, aggregate, scores_to_csv, scores_to_json
+    from .metrics import aggregate, scores_to_csv, scores_to_json
     if args.parallel > 1 and args.agent != "llm":
         raise SystemExit(f"--parallel applies to --agent llm only, "
                          f"not to --agent {args.agent}")
+    if args.agent == "llm" and not (args.endpoint and args.model):
+        raise SystemExit("--endpoint and --model are required for --agent llm")
     instances = _load_instance_set(args.instances,
                                    _parse_families(args.families))
     agent_name = args.model if args.agent == "llm" else args.agent
     agent_dir = Path(args.out) / agent_name.replace("/", "_")
 
-    def play(instance: Instance) -> EpisodeSummary:
+    def play(instance: Instance) -> dict:
+        """Play and write one episode; return its summary without the final
+        state and agent log, which are on disk and which no score reads."""
         episode = run_episode(instance, _make_agent(instance, args))
         family_dir = agent_dir / instance.family
         family_dir.mkdir(parents=True, exist_ok=True)
-        return EpisodeSummary.from_json(
-            write_episode(episode, family_dir / f"{instance.id}.jsonl"))
+        summary = write_episode(episode, family_dir / f"{instance.id}.jsonl")
+        del summary["final_state"], summary["agent_log"]
+        return summary
 
     if args.agent in ("scripted", "heuristic"):
         by_family: dict[str, list[Instance]] = {}
@@ -200,12 +202,12 @@ def run_benchmark(args) -> int:
     else:
         summaries = [play(i) for i in instances]
 
-    all_agent_aborted = all(s.outcome == "aborted-agent" for s in summaries)
+    all_agent_aborted = all(s["outcome"] == "aborted-agent" for s in summaries)
     if args.dry_run:
-        summaries = [s for s in summaries if s.outcome != "aborted-agent"]
-    per_family: dict[str, list[EpisodeSummary]] = {}
-    for summary in sorted(summaries, key=lambda s: s.instance_id):
-        per_family.setdefault(summary.family, []).append(summary)
+        summaries = [s for s in summaries if s["outcome"] != "aborted-agent"]
+    per_family: dict[str, list[dict]] = {}
+    for summary in sorted(summaries, key=lambda s: s["instance_id"]):
+        per_family.setdefault(summary["family"], []).append(summary)
     scores = [aggregate(group, family)
               for family, group in sorted(per_family.items())]
     if not scores:
@@ -283,7 +285,7 @@ def _read_scores(path: Path) -> tuple[dict, list[ExperimentScores]]:
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ValueError(f"{path}: field {name!r} is missing or not {what}")
     try:
-        scores = [ExperimentScores.from_json(name, v)
+        scores = [ExperimentScores(experiment=name, **v)
                   for name, v in payload["experiments"].items()]
     except TypeError as exc:
         raise ValueError(f"{path}: field 'experiments': {exc}") from exc
@@ -339,13 +341,16 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _at_least(low, kind=int, strict=False):
-    """An argparse type: a `kind` number, at least `low` (above it if `strict`)."""
+def _at_least(low, kind=int, strict=False, most=None):
+    """An argparse type: a `kind` number, at least `low` (above it if
+    `strict`) and, given `most`, at most `most`."""
     def convert(text: str):
         value = kind(text)
         if not (value > low if strict else value >= low):  # also rejects nan
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {text}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {text}")
         return value
     convert.__name__ = kind.__name__  # argparse names it in its errors
     return convert
@@ -375,7 +380,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--temperature", type=_at_least(0, float), default=0.0)
     p.add_argument("--max-tokens", type=_at_least(1), default=128)
-    p.add_argument("--timeout", type=_at_least(0, float, strict=True), default=30.0)
+    # a longer timeout overflows the socket's deadline on every request
+    p.add_argument("--timeout", default=30.0, type=_at_least(
+        0, float, strict=True, most=threading.TIMEOUT_MAX))
     p.add_argument("--retries", type=_at_least(0), default=2)
     p.add_argument("--dry-run", action="store_true",
                    help="exclude agent-unreachable episodes from scoring")

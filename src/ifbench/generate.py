@@ -430,18 +430,8 @@ def catalogue_vocabulary() -> set[str]:
     return words
 
 
-def _vocabulary(inst: Instance) -> set[str]:
-    words = catalogue_vocabulary()
-    for e in inst.entities:
-        words.add(e.noun)
-        words.update(e.noun.split())
-    for a in inst.actions:
-        words.add(a.verb)
-    return words
-
-
 def _synthesize_easy(rng, base: Instance) -> Instance:
-    maker = PseudowordMaker(rng, forbidden=_vocabulary(base))
+    maker = PseudowordMaker(rng, forbidden=catalogue_vocabulary())
     world = base.world
     goal = base.goals[rng.integers(len(base.goals))]
     item, target = goal.fact.args
@@ -464,7 +454,7 @@ def _synthesize_easy(rng, base: Instance) -> Instance:
 
 
 def _synthesize_medium(rng, base: Instance) -> Instance:
-    maker = PseudowordMaker(rng, forbidden=_vocabulary(base))
+    maker = PseudowordMaker(rng, forbidden=catalogue_vocabulary())
     world = base.world
     chosen: list[str] = []
     for goal in base.goals:

@@ -445,8 +445,7 @@ class GroundedAction:
 class _Slot:
     param: str
     preps: tuple[str, ...]  # words captured (not skipped) before this slot
-    optional: bool  # slot may be absent entirely
-    prep_required: bool  # slot present only when introduced by its prep
+    optional: bool  # slot present only when introduced by its prep
 
 
 _SNIPPET_TOKEN_RE = re.compile(r"\[[^\]]+\]|<\w+>|\w+")
@@ -460,12 +459,12 @@ def _compile_snippet(snippet: str) -> tuple[str, tuple[_Slot, ...]]:
     pending_preps: tuple[str, ...] = ()
     for tok in tokens[1:]:
         if tok.startswith("<") and tok.endswith(">"):
-            slots.append(_Slot(tok[1:-1], pending_preps, False, False))
+            slots.append(_Slot(tok[1:-1], pending_preps, False))
             pending_preps = ()
         elif tok.startswith("[") and "<" in tok:
             # "[from <source>]": optional slot introduced by its preposition
             prep, name = tok[1:-1].split(" <")
-            slots.append(_Slot(name.rstrip(">"), (prep,), True, True))
+            slots.append(_Slot(name.rstrip(">"), (prep,), True))
         elif tok.startswith("["):
             # "[on|in]": optional preposition before the next slot
             pending_preps = tuple(tok[1:-1].split("|"))
@@ -542,13 +541,9 @@ class Parser:
                     pos += 1
                     continue
                 break
-            if slot.prep_required and captured is None:
-                if slot.optional:
-                    continue
-                raise ParseFailure("malformed", surface_verb)
+            if slot.optional and captured is None:
+                continue
             if pos >= len(rest):
-                if slot.optional and captured is None:
-                    continue
                 raise ParseFailure("malformed", surface_verb)
             if captured is not None:
                 prep = prep or captured
@@ -564,12 +559,10 @@ class Parser:
             if tokens[pos:pos + len(words)] == words:
                 return candidate, pos + len(words)
         # unknown noun: consume up to the next function word (resolution
-        # will report it)
+        # will report it); `parse` leaves `pos` on a word that is none
         end = pos
         while end < len(tokens) and tokens[end] not in FUNCTION_WORDS:
             end += 1
-        if end == pos:
-            raise ParseFailure("malformed", tokens[pos])
         return " ".join(tokens[pos:end]), end
 
     def ground(self, cmd: ParsedCommand, world: WorldDef) -> GroundedAction:

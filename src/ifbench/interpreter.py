@@ -4,7 +4,9 @@ Each turn runs format -> parse -> ground -> preconditions -> state change ->
 goal check -> feedback; the first failing phase stops the turn and reports
 that phase's feedback. Episodes end on ``done``, a format violation, or the
 turn limit. A turn's preconditions and effects are the step that
-`grammar.compile_step` makes of its grounded action, once per engine.
+`grammar.compile_step` makes of its grounded action, once per engine. An
+episode first plays its instance's pre-exploration walk through the same
+pipeline: each step must succeed with the feedback the instance stores.
 """
 
 from __future__ import annotations
@@ -328,21 +330,27 @@ class Episode:
             ("environment", instance.prompt)]
         self.outcome: str | None = None
         self.agent_log: list = []
-        # pre-exploration: context turns, replayed for observation memory
-        # and not counted; the transcript gets the feedback the instance holds
+        # pre-exploration: context turns, played for observation memory and
+        # not counted; each must succeed with the feedback the instance holds
         state = self.state
-        for command, feedback in instance.preexploration or ():
+        for index, (command, feedback) in enumerate(instance.preexploration or ()):
+            where = f"{instance.id}: pre-exploration step {index} {command!r}"
             try:
-                step = engine.resolve(state, command)
-            except ValueError as exc:
-                raise ValueError(
-                    f"pre-exploration command failed: {command}") from exc
-            state = apply_delta(engine.world, state, *step.effects(state))
-            self.observed |= visible_facts(engine.world, state)
+                state, record = engine.execute(state, command)
+            except FormatViolation:
+                raise ValueError(f"{where} does not start with '>'") from None
+            if record.phase_outcome != "success":
+                raise ValueError(f"{where} failed in {record.phase_outcome}: "
+                                 f"{record.feedback}")
+            if record.feedback != feedback:
+                raise ValueError(f"{where}: the engine's feedback is "
+                                 f"{record.feedback!r}, not {feedback!r}")
+            self.observed |= record.revealed_facts
             self.transcript.append(("agent", command))
             self.transcript.append(("environment", feedback))
         if state.facts != self.state.facts:
-            raise ValueError("pre-exploration walk did not return to start")
+            raise ValueError(
+                f"{instance.id}: pre-exploration walk did not return to start")
 
     @property
     def done(self) -> bool:
@@ -378,7 +386,7 @@ class Episode:
 def run_episode(instance: Instance, agent) -> Episode:
     """Loop agent against interpreter until done, abort, or the turn limit,
     and return the ended episode. An agent that defines `start(episode)` is
-    handed the episode first, after its pre-exploration replay, to read."""
+    handed the episode first, after its pre-exploration walk, to read."""
     episode = Episode(Engine(instance))
     if hasattr(agent, "start"):
         agent.start(episode)

@@ -1,5 +1,6 @@
 """Benchmark scoring: Played / Quality / GSR / clemscore, exploration
-accounting, and failure-phase statistics.
+accounting, and failure-phase statistics, computed from the summary line
+that closes each episode's transcript (`interpreter.episode_summary`).
 
 Quality's denominator is the non-aborted (played) episodes; GSR is averaged
 per episode over all episodes, aborted ones included, on their final state.
@@ -15,44 +16,9 @@ from typing import Iterable, Mapping
 
 from .interpreter import PHASES
 
-_FAILURE_PHASES = tuple(p for p in PHASES if p != "success")
-
 
 class EmptyInput(Exception):
     pass
-
-
-@dataclass
-class EpisodeSummary:
-    """What aggregation needs from one episode (matches the JSONL summary)."""
-
-    instance_id: str
-    family: str
-    outcome: str
-    turns: int
-    goals_total: int
-    goals_achieved: int
-    phase_counts: Mapping[str, int]
-    grounded_turns: int = 0
-    epistemic_turns: int = 0
-    pragmatic_turns: int = 0
-    optimal_length: int | None = None
-
-    @staticmethod
-    def from_json(summary: Mapping) -> "EpisodeSummary":
-        return EpisodeSummary(
-            instance_id=summary["instance_id"],
-            family=summary["family"],
-            outcome=summary["outcome"],
-            turns=summary["turns"],
-            goals_total=summary["goals_total"],
-            goals_achieved=len(summary["goals_achieved"]),
-            phase_counts=dict(summary["phase_counts"]),
-            grounded_turns=summary.get("grounded_turns", 0),
-            epistemic_turns=summary.get("epistemic_turns", 0),
-            pragmatic_turns=summary.get("pragmatic_turns", 0),
-            optimal_length=summary.get("optimal_length"),
-        )
 
 
 @dataclass
@@ -68,11 +34,6 @@ class ExperimentScores:
     successful_turns: int
     epistemic_action_pct: float
 
-    @staticmethod
-    def from_json(experiment: str, data: Mapping) -> "ExperimentScores":
-        """Inverse of one entry of ``scores_to_json(...)["experiments"]``."""
-        return ExperimentScores(experiment=experiment, **data)
-
 
 def goal_success_rate(achieved: int, total: int) -> float:
     """|achieved goals| / |goals| x 100."""
@@ -85,37 +46,33 @@ def is_played(outcome: str) -> bool:
     return outcome in ("success", "lost")
 
 
-def aggregate(episodes: Iterable[EpisodeSummary],
+def aggregate(episodes: Iterable[Mapping],
               experiment: str | None = None) -> ExperimentScores:
-    """Scores over one experiment family's episodes."""
+    """Scores over one experiment family's episodes, each given by its
+    summary as `interpreter.episode_summary` makes it and
+    `interpreter.read_episode_summary` reads it back."""
     episodes = list(episodes)
     if not episodes:
         raise EmptyInput("no episodes to aggregate")
-    experiment = experiment or episodes[0].family
     total = len(episodes)
-    played = [e for e in episodes if is_played(e.outcome)]
-    successes = [e for e in played if e.outcome == "success"]
-    histogram = {p: 0 for p in _FAILURE_PHASES}
-    successful_turns = 0
-    grounded = epistemic = 0
-    for e in episodes:
-        for phase in _FAILURE_PHASES:
-            histogram[phase] += e.phase_counts.get(phase, 0)
-        successful_turns += e.phase_counts.get("success", 0)
-        grounded += e.grounded_turns
-        epistemic += e.epistemic_turns
-    optimal = [e.optimal_length for e in episodes if e.optimal_length]
+    outcomes = [e["outcome"] for e in episodes]
+    played = sum(map(is_played, outcomes))
+    by_phase = {p: sum(e["phase_counts"][p] for e in episodes) for p in PHASES}
+    grounded = sum(e["grounded_turns"] for e in episodes)
+    epistemic = sum(e["epistemic_turns"] for e in episodes)
+    optimal = [e["optimal_length"] for e in episodes if e["optimal_length"]]
     return ExperimentScores(
-        experiment=experiment,
+        experiment=experiment or episodes[0]["family"],
         n_episodes=total,
-        played_pct=len(played) / total * 100.0,
-        quality=(len(successes) / len(played) * 100.0) if played else 0.0,
-        gsr=sum(goal_success_rate(e.goals_achieved, e.goals_total)
+        played_pct=played / total * 100.0,
+        quality=(outcomes.count("success") / played * 100.0) if played else 0.0,
+        gsr=sum(goal_success_rate(len(e["goals_achieved"]), e["goals_total"])
                 for e in episodes) / total,
-        mean_turns=sum(e.turns for e in episodes) / total,
+        mean_turns=sum(e["turns"] for e in episodes) / total,
         mean_optimal_turns=(sum(optimal) / len(optimal)) if optimal else None,
-        phase_failure_histogram=histogram,
-        successful_turns=successful_turns,
+        phase_failure_histogram={p: n for p, n in by_phase.items()
+                                 if p != "success"},
+        successful_turns=by_phase["success"],
         epistemic_action_pct=(epistemic / grounded * 100.0) if grounded else 0.0,
     )
 

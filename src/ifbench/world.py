@@ -241,7 +241,7 @@ def initial_state(world: WorldDef, facts: Iterable[Fact],
                   inventory_limit: int | None = None) -> WorldState:
     """Build and validate a state from an ordered fact list."""
     ordered = list(facts)
-    player_room = None
+    player_room = None  # validate_state rejects a state without one
     inventory = []
     for f in ordered:
         _check_fact(world, f)  # before its arguments are read
@@ -249,8 +249,6 @@ def initial_state(world: WorldDef, facts: Iterable[Fact],
             player_room = f.args[1]
         if f.predicate == "in" and f.args[1] == INVENTORY:
             inventory.append(f.args[0])
-    if player_room is None:
-        raise InvariantViolation("no at(player, _) fact")
     state = WorldState(frozenset(ordered), player_room, tuple(inventory),
                        inventory_limit)
     validate_state(world, state)

@@ -3,8 +3,9 @@ examine descriptions built by their own walks over the facts, the uncompiled
 precondition and effect code, the planner's search with every state checked,
 the planner's candidates without its pruning, and a raw-string brute-force
 optimal search driven through the public interpreter; plus helpers: a
-builder for handcrafted micro instances, criterion 4's corpus of them, and a
-lexicon swap for generated instances."""
+builder for handcrafted micro instances, criterion 4's corpus of them, a
+pre-exploration walk added to an instance, and a lexicon swap for generated
+instances."""
 
 from __future__ import annotations
 
@@ -497,6 +498,16 @@ def micro_instance(rooms, connections, entities, facts, goals,
         prompt=prompt,
         optimal_plan=None,
     )
+
+
+def with_walk(inst: Instance, commands) -> Instance:
+    """`inst` with a pre-exploration walk of `commands`, each stored with the
+    feedback the engine gives it."""
+    engine, state, steps = Engine(inst), inst.start_state(), []
+    for command in commands:
+        state, record = engine.execute(state, command)
+        steps.append((command, record.feedback))
+    return replace(inst, preexploration=tuple(steps))
 
 
 def micro_corpus() -> list[Instance]:

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifbench import (Engine, Episode, EpisodeSummary, ScriptedAgent,
-                     aggregate, combine_clemscore, episode_summary,
+from ifbench import (Engine, Episode, ScriptedAgent, aggregate,
+                     combine_clemscore, episode_summary,
                      load_standard_actions, run_episode, solve_optimal)
 import ifbench.cli
 from ifbench.cli import main
@@ -68,9 +68,11 @@ TABLE2_CELLS = [
 def _summary(outcome, achieved=3, total=3):
     counts = {"format-fail": 0, "parse-fail": 0, "resolution-fail": 0,
               "precondition-fail": 0, "success": 5}
-    return EpisodeSummary(instance_id="x", family="f", outcome=outcome,
-                          turns=5, goals_total=total, goals_achieved=achieved,
-                          phase_counts=counts)
+    return {"type": "summary", "instance_id": "x", "family": "f",
+            "outcome": outcome, "turns": 5, "goals_total": total,
+            "goals_achieved": [f"on(item{i},table)" for i in range(achieved)],
+            "phase_counts": counts, "grounded_turns": 5, "epistemic_turns": 0,
+            "pragmatic_turns": 0, "optimal_length": 5}
 
 
 def test_criterion_1_metric_arithmetic_oracle():
@@ -108,7 +110,7 @@ def test_criterion_3_oracle_agent_perfection(oracle_records):
         assert all(t.phase_outcome == "success" for t in record.turns)
         assert len(record.turns) == fresh.length
         per_family.setdefault(instance.family, []).append(
-            EpisodeSummary.from_json(episode_summary(record)))
+            episode_summary(record))
     scores = [aggregate(group, family)
               for family, group in sorted(per_family.items())]
     assert all(s.played_pct == 100.0 for s in scores)

@@ -3,7 +3,6 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
@@ -16,7 +15,7 @@ from ifbench import (AgentUnavailable, Engine, Episode, GroundedAction,
                      HumanAgent, LlmAgent, LlmConfig, MalformedResponse,
                      ScriptedAgent, llm_chat, run_episode, solve_optimal,
                      transcript_to_messages)
-from oracles import micro_instance
+from oracles import micro_instance, with_walk
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -175,7 +174,8 @@ def test_llm_chat_request_bytes_and_headers(stub_server, monkeypatch):
     assert second["headers"]["Authorization"] == "Bearer openai-key"
 
 
-@pytest.mark.parametrize("kind", ["garbage", "list"])
+# "ok" with no payload: a reply whose message content is null
+@pytest.mark.parametrize("kind", ["garbage", "list", "ok"])
 def test_llm_chat_malformed_body_is_retried(stub_server, kind):
     stub_server.script = [(kind, None), ("ok", "> look")]
     log = []
@@ -233,6 +233,11 @@ def test_llm_config_validation():
         LlmConfig(endpoint="x", model="m", temperature=-1)
     with pytest.raises(ValueError):
         LlmConfig(endpoint="x", model="m", retries=-1)
+    for timeout in (0, -1, float("nan"), float("inf"), 1e10):
+        with pytest.raises(ValueError, match="timeout"):
+            LlmConfig(endpoint="x", model="m", timeout=timeout)
+    assert LlmConfig(endpoint="x", model="m",
+                     timeout=threading.TIMEOUT_MAX).timeout > 9e9
 
 
 def _delivery_instance(**kwargs):
@@ -313,8 +318,8 @@ def test_heuristic_solves_and_respects_format(bench144):
 
 
 def test_heuristic_turns_are_executed_once(bench144, monkeypatch):
-    # only the episode resolves turns: one execute per turn, none by the
-    # agent and none for the pre-exploration replay; and only the episode
+    # only the episode resolves turns: one execute per turn and per
+    # pre-exploration walk step, none by the agent; and only the episode
     # changes state: one delta per successful turn and per walk step
     calls, deltas = [], []
     execute = Engine.execute
@@ -338,9 +343,9 @@ def test_heuristic_turns_are_executed_once(bench144, monkeypatch):
         calls.clear()
         deltas.clear()
         record = run_episode(inst, HeuristicAgent())
-        assert len(calls) == len(record.turns), (family, inst.id, len(calls))
-        changes = (sum(t.phase_outcome == "success" for t in record.turns)
-                   + len(inst.preexploration or ()))
+        walk = len(inst.preexploration or ())
+        assert len(calls) == len(record.turns) + walk, (family, inst.id, len(calls))
+        changes = sum(t.phase_outcome == "success" for t in record.turns) + walk
         assert len(deltas) == changes, (family, inst.id, len(deltas))
     assert bench144["preexplore-hard"][0].preexploration
 
@@ -359,8 +364,7 @@ def test_heuristic_routes_only_along_passages_it_has_seen():
         facts=["at(player,porch)", "at(table,porch)", "at(apple,barn)"],
         goals=["on(apple,table)"])
     walk = ["den", "study", "loft", "barn", "loft", "study", "den", "porch"]
-    inst = replace(inst, preexploration=tuple((f"> go {room}", "")
-                                              for room in walk))
+    inst = with_walk(inst, [f"> go {room}" for room in walk])
     record = run_episode(inst, HeuristicAgent())
     assert record.outcome == "success"
     assert [t.raw_output for t in record.turns[:4]] == [

@@ -170,25 +170,51 @@ def test_run_scripted_and_report(small_set, tmp_path, capsys):
     assert len(dots) == 6
 
 
-def test_run_heuristic_parallel_deterministic(bench144, tmp_path, capsys, cpus):
-    # the offline agents play one family per worker process, and write the
-    # same files and lines in process as with more workers than CPUs
-    suite = tmp_path / "suite"
-    suite.mkdir()
+@pytest.fixture(scope="module")
+def suite17(bench144, tmp_path_factory):
+    """The seed-17 suite, one file per family."""
+    suite = tmp_path_factory.mktemp("suite17")
     for family, instances in bench144.items():
         save_instances(instances, suite / f"{family}.json", base_seed=17)
+    return suite
+
+
+def test_run_heuristic_parallel_deterministic(suite17, tmp_path, capsys, cpus):
+    # the offline agents play one family per worker process, and write the
+    # same files and lines in process as with more workers than CPUs
     for agent in ("heuristic", "scripted"):
         trees, shown = [], []
         for workers in (1, 3):
             cpus(workers)
             out = tmp_path / f"{agent}{workers}"
-            assert main(["run", "--instances", str(suite), "--agent", agent,
+            assert main(["run", "--instances", str(suite17), "--agent", agent,
                          "--out", str(out)]) == 0
             trees.append(_tree_bytes(out))
             shown.append(capsys.readouterr())
         assert len(trees[0]) == 144 + 2
         assert trees[0] == trees[1]
         assert shown[0] == shown[1]
+
+
+def test_scores_rebuild_from_the_written_summaries(suite17, tmp_path):
+    # what `run` scores is each episode's summary line as written: the
+    # summaries read back give the same scores.json, byte for byte
+    from ifbench import aggregate, read_episode_summary
+    from ifbench.metrics import scores_to_json
+    for agent in ("scripted", "heuristic"):
+        assert main(["run", "--instances", str(suite17), "--agent", agent,
+                     "--out", str(tmp_path)]) == 0
+        per_family: dict[str, list] = {}
+        for path in sorted((tmp_path / agent).glob("*/*.jsonl")):
+            per_family.setdefault(path.parent.name, []).append(
+                read_episode_summary(path))
+        assert sum(map(len, per_family.values())) == 144
+        scores = [aggregate(group, family)
+                  for family, group in sorted(per_family.items())]
+        rebuilt = json.dumps(scores_to_json(agent, scores), indent=1,
+                             sort_keys=True) + "\n"
+        assert rebuilt == (tmp_path / agent / "scores.json").read_text(
+            encoding="utf-8")
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -255,6 +281,21 @@ def test_run_family_filter(small_set, tmp_path):
           "--out", str(out), "--families", "basic-easy"])
     scores = json.loads((out / "scripted" / "scores.json").read_text())
     assert list(scores["experiments"]) == ["basic-easy"]
+
+
+def test_run_on_a_directory_without_instances(tmp_path):
+    with pytest.raises(SystemExit, match="no instances found under"):
+        main(["run", "--instances", str(tmp_path), "--agent", "scripted",
+              "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("given", [["--model", "m"],
+                                   ["--endpoint", "http://127.0.0.1:9/v1"]])
+def test_run_llm_needs_endpoint_and_model(small_set, tmp_path, given):
+    with pytest.raises(SystemExit, match="--endpoint and --model are required"):
+        main(["run", "--instances", str(small_set), "--agent", "llm",
+              "--out", str(tmp_path / "x"), *given])
 
 
 def test_run_llm_unreachable_exit_code(small_set, tmp_path):
@@ -451,7 +492,8 @@ def test_run_rejects_an_unknown_family(small_set, tmp_path):
 @pytest.mark.parametrize("argv", [
     "generate --count 0", "generate --seed -1", "run --retries -1",
     "run --temperature -1", "run --timeout 0", "run --timeout -1",
-    "run --timeout nan", "run --max-tokens 0", "run --parallel 0",
+    "run --timeout nan", "run --timeout inf", "run --timeout 1e10",
+    "run --max-tokens 0", "run --parallel 0",
     "run --parallel 2", "run --families ,", "generate --families ,",
     "plan --index 99", "plan --index -1", "play --index 16"])
 def test_bad_numbers_are_usage_errors(small_set, tmp_path, capsys, argv):
@@ -558,7 +600,7 @@ def test_package_names_resolve_on_first_use():
         import ifbench
         assert [m for m in sys.modules if m.startswith("ifbench")] == ["ifbench"]
         assert ifbench.generate.generate_family.__module__ == "ifbench.generate"
-        assert len(ifbench.__all__) == 69 == len(set(ifbench.__all__))
+        assert len(ifbench.__all__) == 68 == len(set(ifbench.__all__))
         assert ifbench.__all__ == sorted(ifbench.__all__)
         for name in ifbench.__all__:
             owner = importlib.import_module(f"ifbench.{ifbench._OWNER[name]}")

@@ -89,6 +89,14 @@ def test_ground_unknown_entity(home):
     assert err.value.kind == "unknown-entity"
 
 
+def test_ground_ambiguous_noun(home):
+    nouns = {e.id: e.noun for e in home.entities}
+    parser = build_parser(ACTIONS, Lexicon(), {**nouns, "book": "plate"})
+    with pytest.raises(GroundFailure) as err:
+        parser.ground(parser.parse("take plate"), home.world)
+    assert err.value.kind == "ambiguous"
+
+
 def test_ground_trait_mismatch(home):
     with pytest.raises(GroundFailure) as err:
         home.parser.ground(home.parser.parse("open table"), home.world)

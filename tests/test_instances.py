@@ -926,6 +926,11 @@ def test_extra_action_row_loads(tmp_path, bench144):
     _state_named("apple", "in"), _state_named("apple", "connects"),
     _state_named("apple", "open"), _state_named("table", "closed"),
     _state_named("apple", "ripe", before=["ripe"]),
+    (lambda payload: {k: v for k, v in payload.items() if k != "instances"},
+     "field 'instances' is missing or not a list"),
+    (_set_action("grammar", "zap up <item>"),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "grammar: 'zap up <item>' is not a snippet"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
@@ -948,7 +953,8 @@ def test_extra_action_row_loads(tmp_path, bench144):
         "state-add-guard-not-removed", "connection-unknown-room",
         "room-graph-disconnected", "state-named-at", "state-named-on",
         "state-named-in", "state-named-connects", "state-open-non-container",
-        "state-closed-non-container", "state-listed-twice"])
+        "state-closed-non-container", "state-listed-twice", "no-instances",
+        "grammar-bare-word"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError

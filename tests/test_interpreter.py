@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +11,7 @@ from ifbench.world import (INVENTORY, apply_delta, state_facts_of,
                            validate_state, visible_facts)
 from oracles import (micro_corpus, micro_instance, reference_entity_description,
                      reference_room_description, reference_solve,
-                     reference_state_facts, reference_visible)
+                     reference_state_facts, reference_visible, with_walk)
 
 
 def kitchen_instance(**kwargs):
@@ -220,6 +223,9 @@ def test_immediate_done_is_lost():
     record = run_episode(inst, ScriptedAgent(["> done"]))
     assert record.outcome == "lost"
     assert episode_summary(record)["goals_achieved"] == []
+    with pytest.raises(RuntimeError, match="already ended"):
+        record.step("> look")
+    assert len(record.turns) == 1
 
 
 def test_turn_limit_aborts():
@@ -320,14 +326,47 @@ def test_random_action_sequences_preserve_invariants(script):
 
 def test_written_summary_matches_record(tmp_path):
     from ifbench import read_episode_summary, solve_optimal, write_episode
-    from ifbench.metrics import EpisodeSummary
     inst = kitchen_instance()
     plan = solve_optimal(inst)
     record = run_episode(inst, ScriptedAgent.from_plan(inst, plan.actions))
     path = tmp_path / "episode.jsonl"
     written = write_episode(record, path)
     assert read_episode_summary(path) == written == episode_summary(record)
-    assert EpisodeSummary.from_json(written).turns == plan.length
+    assert written["turns"] == plan.length
+
+
+def test_preexploration_plays_as_stored():
+    inst = with_walk(kitchen_instance(), ["> go pantry", "> go kitchen"])
+    episode = Episode(Engine(inst))
+    assert episode.transcript[1:] == [
+        (role, text) for step in inst.preexploration
+        for role, text in zip(("agent", "environment"), step)]
+    assert fact("at", "table", "pantry") in episode.observed
+    assert episode.state == inst.start_state() and not episode.turns
+
+
+@pytest.mark.parametrize("index, command, feedback, message", [
+    (0, "> go pantry", "You are on the moon.",
+     "step 0 '> go pantry': the engine's feedback is 'You are in a pantry."),
+    (0, "> go bedroom", "You are in a bedroom.",
+     "step 0 '> go bedroom' failed in precondition-fail: There is no passage"),
+    (1, "go kitchen", "You are in a kitchen.",
+     "step 1 'go kitchen' does not start with '>'"),
+])
+def test_preexploration_must_play_as_stored(index, command, feedback, message):
+    inst = with_walk(kitchen_instance(), ["> go pantry", "> go kitchen"])
+    walk = list(inst.preexploration)
+    walk[index] = (command, feedback)
+    with pytest.raises(ValueError, match=re.escape(
+            f"micro: pre-exploration {message}")):
+        Episode(Engine(replace(inst, preexploration=tuple(walk))))
+
+
+def test_preexploration_must_return_to_start():
+    inst = with_walk(kitchen_instance(), ["> go pantry"])
+    with pytest.raises(ValueError, match=re.escape(
+            "micro: pre-exploration walk did not return to start")):
+        Episode(Engine(inst))
 
 
 def _episode_states(inst, episode) -> list:

@@ -71,6 +71,18 @@ def test_apply_delta_rejects_double_container_state(kitchen):
         apply_delta(world, state, set(), {fact("open", "cupboard")})
 
 
+@pytest.mark.parametrize("removes, adds, message", [
+    (["open(cupboard)"], [], "removes not in state"),
+    ([], ["closed(cupboard)"], "adds already present"),
+])
+def test_apply_delta_rejects_a_delta_that_does_not_fit(kitchen, removes, adds,
+                                                       message):
+    world, state = kitchen  # the cupboard is closed
+    with pytest.raises(InvariantViolation, match=message):
+        apply_delta(world, state, {parse_fact(f) for f in removes},
+                    {parse_fact(f) for f in adds})
+
+
 def test_apply_delta_reversible(kitchen):
     world, state = kitchen
     removes = {fact("on", "plate", "counter")}
