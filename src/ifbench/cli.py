@@ -1,5 +1,6 @@
 """Command-line harness: instance generation, benchmark runs, interactive
-play, planning, and report/graph export. Each command imports the package
+play, planning, and report/graph export; `run` and `report` both score the
+summary lines through `metrics.score_summaries`. Each command imports the
 modules it runs in its own body, so a start-up loads only what it runs."""
 
 from __future__ import annotations
@@ -107,15 +108,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
-    """The instances of a file, or of every ``*.json`` file of a directory;
-    given `families` (as `run` is), only those of `families`. SystemExit
-    naming the instances when two share an id, which names an episode's
-    output files, and, given `families`, when one's family is unknown."""
+def _load_instance_set(path: str, families: tuple[str, ...]) -> dict[Instance, Path]:
+    """The instances of a file, or of every ``*.json`` file of a directory,
+    each with its file; given `families` (as `run` is), only those of them.
+    SystemExit naming the instances when two share an id, which names an
+    episode's output files, and, given `families`, when one's is unknown."""
     from .instance import FAMILIES, load_instances
     p = Path(path)
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
-    instances = []
+    instances: dict[Instance, Path] = {}
     where_id: dict[str, str] = {}
     for f in files:
         try:
@@ -130,9 +131,9 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
             where_id[instance.id] = where
             if families and instance.family not in FAMILIES:
                 raise SystemExit(f"{where}: unknown family {instance.family!r}")
-        instances.extend(loaded)
+        instances.update(dict.fromkeys(loaded, f))
     if families:
-        instances = [i for i in instances if i.family in families]
+        instances = {i: f for i, f in instances.items() if i.family in families}
     if not instances:
         raise SystemExit(f"no instances found under {path}")
     return instances
@@ -156,7 +157,7 @@ def _make_agent(instance: Instance, args):
 
 def run_benchmark(args) -> int:
     """The `run` command: play every instance, write the transcripts and
-    scores, and return the exit code.
+    the scores of their summaries, and return the exit code.
 
     `scripted` and `heuristic` play whole families through `_fork_map`;
     `llm` waits on the network, so it plays in `--parallel` threads; `human`
@@ -165,21 +166,24 @@ def run_benchmark(args) -> int:
     import json
     from dataclasses import asdict
     from .interpreter import run_episode, write_episode
-    from .metrics import aggregate, scores_to_csv, scores_to_json
+    from .metrics import score_summaries, scores_to_csv
     if args.parallel > 1 and args.agent != "llm":
         raise SystemExit(f"--parallel applies to --agent llm only, "
                          f"not to --agent {args.agent}")
     if args.agent == "llm" and not (args.endpoint and args.model):
         raise SystemExit("--endpoint and --model are required for --agent llm")
-    instances = _load_instance_set(args.instances,
-                                   _parse_families(args.families))
+    instances = _load_instance_set(args.instances, _parse_families(args.families))
     agent_name = args.model if args.agent == "llm" else args.agent
     agent_dir = Path(args.out) / agent_name.replace("/", "_")
 
     def play(instance: Instance) -> dict:
         """Play and write one episode; return its summary without the final
-        state and agent log, which are on disk and which no score reads."""
-        episode = run_episode(instance, _make_agent(instance, args))
+        state and agent log, which are on disk and which no score reads.
+        SystemExit naming the file if its pre-exploration plays otherwise."""
+        try:
+            episode = run_episode(instance, _make_agent(instance, args))
+        except ValueError as exc:
+            raise SystemExit(f"{instances[instance]}: {exc}") from None
         family_dir = agent_dir / instance.family
         family_dir.mkdir(parents=True, exist_ok=True)
         summary = write_episode(episode, family_dir / f"{instance.id}.jsonl")
@@ -203,31 +207,20 @@ def run_benchmark(args) -> int:
         summaries = [play(i) for i in instances]
 
     all_agent_aborted = all(s["outcome"] == "aborted-agent" for s in summaries)
-    if args.dry_run:
-        summaries = [s for s in summaries if s["outcome"] != "aborted-agent"]
-    per_family: dict[str, list[dict]] = {}
-    for summary in sorted(summaries, key=lambda s: s["instance_id"]):
-        per_family.setdefault(summary["family"], []).append(summary)
-    scores = [aggregate(group, family)
-              for family, group in sorted(per_family.items())]
-    if not scores:
-        print("no episodes produced scores", file=sys.stderr)
-        return 2
+    scores, payload = score_summaries(agent_name, summaries)
     agent_dir.mkdir(parents=True, exist_ok=True)
-    payload = scores_to_json(agent_name, scores)
     (agent_dir / "scores.json").write_text(
         json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     rows = [{"agent": agent_name, **asdict(s)} for s in scores]
     (agent_dir / "scores.csv").write_text(scores_to_csv(rows), encoding="utf-8")
-    print(f"{agent_name}: clemscore {payload['clemscore']:.1f} "
-          f"(quality {payload['macro_quality']:.1f}, "
-          f"played {payload['macro_played']:.1f}, "
+    print(f"{agent_name}: clemscore {payload['clemscore']:.1f} (quality "
+          f"{payload['macro_quality']:.1f}, played {payload['macro_played']:.1f}, "
           f"goal rate {payload['macro_gsr']:.1f})")
     return 3 if all_agent_aborted else 0
 
 
 def _pick_instance(args) -> Instance:
-    instances = _load_instance_set(args.instances, ())
+    instances = list(_load_instance_set(args.instances, ()))
     if args.id:
         matches = [i for i in instances if i.id == args.id]
         if not matches:
@@ -245,8 +238,7 @@ def cmd_play(args) -> int:
     from .metrics import goal_success_rate
     instance = _pick_instance(args)
     summary = episode_summary(run_episode(instance, HumanAgent()))
-    gsr = goal_success_rate(len(summary["goals_achieved"]),
-                            summary["goals_total"])
+    gsr = goal_success_rate(len(summary["goals_achieved"]), summary["goals_total"])
     print(f"--- {summary['outcome']} after {summary['turns']} turns; "
           f"goal success rate {gsr:.0f} ---")
     return 0
@@ -264,58 +256,32 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _read_scores(path: Path) -> tuple[dict, list[ExperimentScores]]:
-    """An agent's ``scores.json``, as `run` writes it: the object itself (its
-    overview row) and its per-experiment scores. ValueError naming the file
-    and the field when it is not valid JSON, not an object, or a field the
-    report reads is missing or of the wrong type."""
-    import json
-    from .metrics import ExperimentScores
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: the top level is not a JSON object")
-    fields = [("agent", str, "a string"), ("experiments", dict, "an object")]
-    fields += [(name, (int, float), "a number") for name in
-               ("clemscore", "macro_quality", "macro_played", "macro_gsr")]
-    for name, kind, what in fields:
-        value = payload.get(name)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(f"{path}: field {name!r} is missing or not {what}")
-    try:
-        scores = [ExperimentScores(experiment=name, **v)
-                  for name, v in payload["experiments"].items()]
-    except TypeError as exc:
-        raise ValueError(f"{path}: field 'experiments': {exc}") from exc
-    for score in scores:  # the numbers the tables and turns.csv print
-        for name in ("played_pct", "quality", "mean_turns", "mean_optimal_turns"):
-            value = getattr(score, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                if not (value is None and name == "mean_optimal_turns"):
-                    raise ValueError(f"{path}: field 'experiments' "
-                                     f"{score.experiment}.{name} is not a number")
-    return payload, scores
-
-
 def cmd_report(args) -> int:
-    from .metrics import format_grid, format_overview
+    """The `report` command: score each agent directory with a finished run
+    (a ``scores.json``) from its transcripts' summary lines, as `run` does;
+    the agent is named by its directory."""
+    from .interpreter import read_episode_summary
+    from .metrics import format_grid, format_overview, score_summaries
     results = Path(args.results)
-    score_files = sorted(results.glob("*/scores.json"))
-    if not score_files:
+    agent_dirs = sorted(p.parent for p in results.glob("*/scores.json"))
+    if not agent_dirs:
         print(f"no scores.json under {results}", file=sys.stderr)
         return 1
     overview_rows = []
     per_agent: dict[str, list[ExperimentScores]] = {}
-    for path in score_files:
+    for agent_dir in agent_dirs:
+        paths = sorted(agent_dir.glob("*/*.jsonl"))
+        if not paths:
+            print(f"no transcripts under {agent_dir}", file=sys.stderr)
+            return 1
         try:
-            payload, scores = _read_scores(path)
+            summaries = [read_episode_summary(path) for path in paths]
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 1
-        overview_rows.append(payload)
-        per_agent[payload["agent"]] = scores
+        scores, row = score_summaries(agent_dir.name, summaries)
+        per_agent[agent_dir.name] = scores
+        overview_rows.append(row)
     print(format_overview(overview_rows))
     print()
     print(format_grid(per_agent))
@@ -384,21 +350,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", default=30.0, type=_at_least(
         0, float, strict=True, most=threading.TIMEOUT_MAX))
     p.add_argument("--retries", type=_at_least(0), default=2)
-    p.add_argument("--dry-run", action="store_true",
-                   help="exclude agent-unreachable episodes from scoring")
     p.set_defaults(func=run_benchmark)
 
-    p = sub.add_parser("play", help="play one instance interactively")
-    p.add_argument("--instances", required=True)
-    p.add_argument("--id")
-    p.add_argument("--index", type=int, default=0)
-    p.set_defaults(func=cmd_play)
-
-    p = sub.add_parser("plan", help="print the stored optimal plan of an instance")
-    p.add_argument("--instances", required=True)
-    p.add_argument("--id")
-    p.add_argument("--index", type=int, default=0)
-    p.set_defaults(func=cmd_plan)
+    for name, func, text in (
+            ("play", cmd_play, "play one instance interactively"),
+            ("plan", cmd_plan, "print the stored optimal plan of an instance")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--instances", required=True)
+        p.add_argument("--id")
+        p.add_argument("--index", type=int, default=0)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="print score tables, export graphs/CSV")
     p.add_argument("--results", required=True)

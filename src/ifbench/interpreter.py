@@ -7,6 +7,8 @@ turn limit. A turn's preconditions and effects are the step that
 `grammar.compile_step` makes of its grounded action, once per engine. An
 episode first plays its instance's pre-exploration walk through the same
 pipeline: each step must succeed with the feedback the instance stores.
+An episode's file ends in its summary line, which every score is computed
+from; `read_episode_summary` is the one checked reader of that line.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ TURN_LIMIT = 50
 
 PHASES = ("format-fail", "parse-fail", "resolution-fail",
           "precondition-fail", "success")
+OUTCOMES = ("success", "lost", "aborted-format", "aborted-turn-limit",
+            "aborted-agent")
 
 _NUMBER_WORDS = {0: "zero", 1: "one", 2: "two", 3: "three", 4: "four",
                  5: "five", 6: "six", 7: "seven", 8: "eight", 9: "nine",
@@ -462,13 +466,46 @@ def write_episode(episode: Episode, path: str | Path) -> dict:
 
 
 def read_episode_summary(path: str | Path) -> dict:
-    """The summary object that closes an episode file; ValueError naming the
-    file when it is empty or its last line is not a summary."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    """The summary on the last line of an episode file, ``<family>/<id>.jsonl``.
+    ValueError naming the file and the field if a key that scores read is
+    missing, mistyped, or at odds with the other keys or the path."""
+    path = Path(path)
     try:
-        summary = json.loads(lines[-1]) if lines else None
+        s = json.loads(path.read_text(encoding="utf-8").rstrip().rpartition("\n")[2])
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: last line is not JSON ({exc})") from exc
-    if not isinstance(summary, dict) or summary.get("type") != "summary":
-        raise ValueError(f"no summary line in {path}")
-    return summary
+
+    def need(field: str, holds: bool, what: str) -> None:
+        if not holds:
+            raise ValueError(f"{path}: summary field {field!r} must be {what}")
+
+    def count(key: str) -> int | None:  # a non-negative int, or None
+        return s[key] if type(s.get(key)) is int and s[key] >= 0 else None
+
+    need("type", isinstance(s, dict) and s.get("type") == "summary",
+         "'summary', on a last line that is a JSON object")
+    for field, name, what in (("family", path.parent.name, "file's directory"),
+                              ("instance_id", path.stem, "file's name")):
+        need(field, s.get(field) == name, f"{name!r}, the {what}")
+    need("outcome", s.get("outcome") in OUTCOMES, f"one of {', '.join(OUTCOMES)}")
+    phases = s.get("phase_counts")
+    need("phase_counts", isinstance(phases, dict) and phases.keys() == set(PHASES)
+         and all(type(n) is int and n >= 0 for n in phases.values()),
+         f"a count for each of {', '.join(PHASES)}")
+    need("turns", count("turns") == sum(phases.values()), "the sum of 'phase_counts'")
+    grounded = phases["precondition-fail"] + phases["success"]
+    need("grounded_turns", count("grounded_turns") == grounded,
+         "the precondition-fail and success turns of 'phase_counts'")
+    for key in ("epistemic_turns", "pragmatic_turns"):
+        need(key, count(key) in range(grounded + 1), "at most 'grounded_turns'")
+    total, achieved = count("goals_total"), s.get("goals_achieved")
+    need("goals_total", total not in (None, 0), "a positive count")
+    need("goals_achieved", isinstance(achieved, list) and all(
+        isinstance(g, str) for g in achieved) and len(set(achieved)) == len(
+        achieved) <= total, "at most 'goals_total' distinct strings")
+    need("outcome", s["outcome"] not in ("success", "lost") or (
+        s["outcome"] == "success") == (len(achieved) == total),
+         "'success' where 'goals_achieved' holds all goals, 'lost' where not")
+    need("optimal_length", s.get("optimal_length", 0) is None
+         or count("optimal_length") not in (None, 0), "null or a positive count")
+    return s

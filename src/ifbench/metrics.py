@@ -1,6 +1,7 @@
 """Benchmark scoring: Played / Quality / GSR / clemscore, exploration
 accounting, and failure-phase statistics, computed from the summary line
-that closes each episode's transcript (`interpreter.episode_summary`).
+that closes each episode's transcript (`interpreter.episode_summary`), by
+`score_summaries` for both `run` and `report`.
 
 Quality's denominator is the non-aborted (played) episodes; GSR is averaged
 per episode over all episodes, aborted ones included, on their final state.
@@ -42,10 +43,6 @@ def goal_success_rate(achieved: int, total: int) -> float:
     return achieved / total * 100.0
 
 
-def is_played(outcome: str) -> bool:
-    return outcome in ("success", "lost")
-
-
 def aggregate(episodes: Iterable[Mapping],
               experiment: str | None = None) -> ExperimentScores:
     """Scores over one experiment family's episodes, each given by its
@@ -56,7 +53,7 @@ def aggregate(episodes: Iterable[Mapping],
         raise EmptyInput("no episodes to aggregate")
     total = len(episodes)
     outcomes = [e["outcome"] for e in episodes]
-    played = sum(map(is_played, outcomes))
+    played = sum(o in ("success", "lost") for o in outcomes)
     by_phase = {p: sum(e["phase_counts"][p] for e in episodes) for p in PHASES}
     grounded = sum(e["grounded_turns"] for e in episodes)
     epistemic = sum(e["epistemic_turns"] for e in episodes)
@@ -92,6 +89,18 @@ def macro_averages(per_experiment: Iterable[ExperimentScores]
     return (sum(s.quality for s in scores) / n,
             sum(s.played_pct for s in scores) / n,
             sum(s.gsr for s in scores) / n)
+
+
+def score_summaries(agent: str, summaries: Iterable[Mapping]
+                    ) -> tuple[list[ExperimentScores], dict]:
+    """An agent's scores per experiment and its `scores.json` object: its
+    summaries sorted by instance id, grouped by family and aggregated."""
+    per_family: dict[str, list[Mapping]] = {}
+    for summary in sorted(summaries, key=lambda s: s["instance_id"]):
+        per_family.setdefault(summary["family"], []).append(summary)
+    scores = [aggregate(group, family)
+              for family, group in sorted(per_family.items())]
+    return scores, scores_to_json(agent, scores)
 
 
 # -- reporting ----------------------------------------------------------------
@@ -144,19 +153,12 @@ def format_overview(rows: list[dict]) -> str:
 def format_grid(per_agent: dict[str, list[ExperimentScores]]) -> str:
     """Per-experiment grid: quality/played cell per (experiment, agent)."""
     agents = sorted(per_agent)
-    experiments = sorted({s.experiment for scores in per_agent.values()
-                          for s in scores})
+    cells = {(s.experiment, agent): f"{paper_pct(s.quality)}/{paper_pct(s.played_pct)}"
+             for agent in agents for s in per_agent[agent]}
     width = max(12, max((len(a) for a in agents), default=12) + 1)
     header = f"{'experiment':<18}" + "".join(f"{a:>{width}}" for a in agents)
     lines = [header, "-" * len(header)]
-    for experiment in experiments:
-        cells = []
-        for agent in agents:
-            match = [s for s in per_agent[agent] if s.experiment == experiment]
-            if match:
-                cells.append(f"{paper_pct(match[0].quality)}/"
-                             f"{paper_pct(match[0].played_pct)}")
-            else:
-                cells.append("-")
-        lines.append(f"{experiment:<18}" + "".join(f"{c:>{width}}" for c in cells))
+    for experiment in sorted({e for e, _ in cells}):
+        lines.append(f"{experiment:<18}" + "".join(
+            f"{cells.get((experiment, a), '-'):>{width}}" for a in agents))
     return "\n".join(lines)

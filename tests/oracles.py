@@ -2,10 +2,10 @@
 examine descriptions built by their own walks over the facts, the uncompiled
 precondition and effect code, the planner's search with every state checked,
 the planner's candidates without its pruning, and a raw-string brute-force
-optimal search driven through the public interpreter; plus helpers: a
-builder for handcrafted micro instances, criterion 4's corpus of them, a
-pre-exploration walk added to an instance, and a lexicon swap for generated
-instances."""
+optimal search driven through the public interpreter; an ablated agent;
+plus helpers: a builder for handcrafted micro instances, criterion 4's
+corpus of them, a pre-exploration walk added to an instance, and a lexicon
+swap for generated instances."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import replace
 from itertools import product
 
 import ifbench.planner as planner
-from ifbench import Engine, Instance, generate_preexploration
+from ifbench import Engine, HeuristicAgent, Instance, generate_preexploration
 from ifbench.generate import _finalize_prompt, _standard_extras
 from ifbench.grammar import ActionDef, GroundedAction, Lexicon, staple_verbs
 from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
@@ -560,3 +560,16 @@ def apply_lexicon(inst: Instance, lexicon: Lexicon) -> Instance:
     if inst.preexploration:
         new = generate_preexploration(new)
     return new
+
+
+class VerbBlindAgent(HeuristicAgent):
+    """The heuristic policy without the instance's verbs: it writes each
+    decided action with its English base verb and the instance's nouns, and
+    sends it without checking that it grounds back to the decision."""
+
+    def next_action(self, transcript) -> str:
+        if self.episode.turns:
+            self._observe(self.episode.turns[-1].revealed_facts)
+        decided = self._decide()
+        _, space, nouns = self.engine.parser.render(decided, self.world).partition(" ")
+        return f"> {decided.action}{space}{nouns}"

@@ -15,7 +15,7 @@ from ifbench import (AgentUnavailable, Engine, Episode, GroundedAction,
                      HumanAgent, LlmAgent, LlmConfig, MalformedResponse,
                      ScriptedAgent, llm_chat, run_episode, solve_optimal,
                      transcript_to_messages)
-from oracles import micro_instance, with_walk
+from oracles import VerbBlindAgent, micro_instance, with_walk
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -422,3 +422,17 @@ def test_scripted_agent_exhausted_queue_says_done():
     agent = ScriptedAgent(["> look"])
     agent.next_action(())
     assert agent.next_action(()) == "> done"
+
+
+def test_verb_blind_agent_loses_the_synthetic_verb_families(bench144):
+    # the first rung of an ablation ladder: with English verbs in place of
+    # the instance's, the heuristic plays only the synthetic instances whose
+    # verbs stay English, so these families measure learning the verbs
+    from ifbench import aggregate, episode_summary
+    played = {}
+    for family in ("synthetic-easy", "synthetic-medium", "synthetic-hard"):
+        summaries = [episode_summary(run_episode(i, VerbBlindAgent()))
+                     for i in bench144[family]]
+        played[family] = aggregate(summaries).played_pct
+    assert played == {"synthetic-easy": 25.0, "synthetic-medium": 0.0,
+                      "synthetic-hard": 100.0}

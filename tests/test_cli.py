@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -196,25 +197,101 @@ def test_run_heuristic_parallel_deterministic(suite17, tmp_path, capsys, cpus):
         assert shown[0] == shown[1]
 
 
-def test_scores_rebuild_from_the_written_summaries(suite17, tmp_path):
-    # what `run` scores is each episode's summary line as written: the
-    # summaries read back give the same scores.json, byte for byte
-    from ifbench import aggregate, read_episode_summary
-    from ifbench.metrics import scores_to_json
+@pytest.fixture(scope="module")
+def results17(suite17, tmp_path_factory):
+    """A scripted and a heuristic `run` of the seed-17 suite."""
+    out = tmp_path_factory.mktemp("results17")
     for agent in ("scripted", "heuristic"):
         assert main(["run", "--instances", str(suite17), "--agent", agent,
-                     "--out", str(tmp_path)]) == 0
-        per_family: dict[str, list] = {}
-        for path in sorted((tmp_path / agent).glob("*/*.jsonl")):
-            per_family.setdefault(path.parent.name, []).append(
-                read_episode_summary(path))
-        assert sum(map(len, per_family.values())) == 144
-        scores = [aggregate(group, family)
-                  for family, group in sorted(per_family.items())]
-        rebuilt = json.dumps(scores_to_json(agent, scores), indent=1,
-                             sort_keys=True) + "\n"
-        assert rebuilt == (tmp_path / agent / "scores.json").read_text(
+                     "--out", str(out)]) == 0
+    return out
+
+
+def test_scores_rebuild_from_the_written_summaries(results17):
+    # what `run` scores is each episode's summary line as written: the
+    # summaries read back give the same scores.json, byte for byte
+    from ifbench import read_episode_summary
+    from ifbench.metrics import score_summaries
+    for agent in ("scripted", "heuristic"):
+        paths = sorted((results17 / agent).glob("*/*.jsonl"))
+        assert len(paths) == 144
+        _, payload = score_summaries(agent, map(read_episode_summary, paths))
+        rebuilt = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        assert rebuilt == (results17 / agent / "scores.json").read_text(
             encoding="utf-8")
+
+
+def _report(results: Path, out: Path, capsys) -> tuple[str, bytes]:
+    """`report`'s stdout and turns.csv, minus the line naming `out`."""
+    capsys.readouterr()
+    assert main(["report", "--results", str(results), "--out", str(out)]) == 0
+    shown = capsys.readouterr().out.replace(str(out), "OUT")
+    return shown, (out / "turns.csv").read_bytes()
+
+
+def test_report_scores_the_transcripts_not_scores_json(results17, tmp_path,
+                                                       capsys):
+    # scores.json marks a finished run; what `report` prints and writes
+    # comes from the transcripts, under the agent directory's name
+    results = tmp_path / "results"
+    shutil.copytree(results17, results)
+    before = _report(results, tmp_path / "before", capsys)
+
+    def edit(value):
+        if isinstance(value, dict):
+            return {k: edit(v) for k, v in value.items()}
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return value * 3 + 7
+        return "org/model" if isinstance(value, str) else value
+
+    for path in results.glob("*/scores.json"):
+        edited = edit(json.loads(path.read_text(encoding="utf-8")))
+        assert edited != json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(edited), encoding="utf-8")
+    assert _report(results, tmp_path / "after", capsys) == before
+
+
+def test_report_names_the_file_and_field_of_a_bad_summary(results17, tmp_path,
+                                                          capsys):
+    results = tmp_path / "results"
+    shutil.copytree(results17, results)
+    path = results / "heuristic" / "basic-easy" / "basic-easy-03.jsonl"
+    *turns, summary = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(turns + [summary.replace(
+        '"outcome": "success"', '"outcome": "won"')]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--results", str(results)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"{path}: summary field 'outcome' must be one of success, lost, ")
+    for transcript in (results / "heuristic").rglob("*.jsonl"):
+        transcript.unlink()
+    assert main(["report", "--results", str(results)]) == 1
+    assert capsys.readouterr().err == (
+        f"no transcripts under {results / 'heuristic'}\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_names_the_file_of_a_preexploration_that_plays_otherwise(
+        suite17, tmp_path, cpus, workers):
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    for family in ("preexplore-easy", "preexplore-hard"):
+        shutil.copy(suite17 / f"{family}.json", instances)
+    path = instances / "preexplore-hard.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    command = payload["instances"][0]["preexploration"][0][0]
+    payload["instances"][0]["preexploration"][0][1] = "You are on the moon."
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    cpus(workers)
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--instances", str(instances), "--agent", "heuristic",
+              "--out", str(tmp_path / "results")])
+    message = exit_.value.code
+    assert message.startswith(f"{path}: preexplore-hard-00: pre-exploration "
+                              f"step 0 {command!r}: the engine's feedback is ")
+    assert message.endswith(", not 'You are on the moon.'")
+    assert "\n" not in message
+    assert not (tmp_path / "results" / "heuristic" / "scores.json").exists()
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -306,14 +383,6 @@ def test_run_llm_unreachable_exit_code(small_set, tmp_path):
     assert code == 3
 
 
-def test_run_llm_dry_run_excludes_unreachable(small_set, tmp_path, capsys):
-    code = main(["run", "--instances", str(small_set), "--agent", "llm",
-                 "--endpoint", "http://127.0.0.1:9/v1", "--model", "m",
-                 "--retries", "0", "--timeout", "0.2", "--dry-run",
-                 "--families", "basic-easy", "--out", str(tmp_path / "x")])
-    assert code == 2  # nothing scorable remains
-
-
 def test_plan_command(small_set, capsys):
     code = main(["plan", "--instances",
                  str(small_set / "basic-easy.json"), "--index", "0"])
@@ -359,48 +428,6 @@ def test_report_print_only(small_set, tmp_path, capsys):
     assert main(["report", "--results", str(results)]) == 0
     out = capsys.readouterr().out
     assert "experiment" in out and "basic-easy" in out
-
-
-def _edit_scores(text, experiment, **values):
-    """A scores.json text with the given values set in one experiment."""
-    payload = json.loads(text)
-    payload["experiments"][experiment].update(values)
-    return json.dumps(payload)
-
-
-@pytest.mark.parametrize("edit, named", [
-    (lambda text: text[:-10], "not valid JSON ("),
-    (lambda text: "[]", "the top level is not a JSON object"),
-    (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                              if k != "agent"}),
-     "field 'agent' is missing or not a string"),
-    (lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                              if k != "experiments"}),
-     "field 'experiments' is missing or not an object"),
-    (lambda text: json.dumps({**json.loads(text), "experiments": []}),
-     "field 'experiments' is missing or not an object"),
-    (lambda text: json.dumps({**json.loads(text), "clemscore": "high"}),
-     "field 'clemscore' is missing or not a number"),
-    (lambda text: json.dumps({**json.loads(text),
-                              "experiments": {"basic-easy": {"quality": 1}}}),
-     "field 'experiments': "),
-    (lambda text: _edit_scores(text, "basic-easy", quality="high"),
-     "field 'experiments' basic-easy.quality is not a number"),
-], ids=["invalid-json", "not-an-object", "no-agent", "no-experiments",
-        "experiments-a-list", "clemscore-a-string", "experiment-fields",
-        "quality-a-string"])
-def test_report_names_file_and_field_of_bad_scores(small_set, tmp_path,
-                                                   capsys, edit, named):
-    """A scores.json that `run` could not have written ends `report` with
-    exit 1 and a message naming the file and the field, not a traceback."""
-    results = tmp_path / "results"
-    main(["run", "--instances", str(small_set), "--agent", "scripted",
-          "--out", str(results), "--families", "basic-easy"])
-    path = results / "scripted" / "scores.json"
-    path.write_text(edit(path.read_text()))
-    capsys.readouterr()
-    assert main(["report", "--results", str(results)]) == 1
-    assert capsys.readouterr().err.startswith(f"{path}: {named}")
 
 
 def test_plan_unknown_id(small_set):

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ifbench import (Engine, Episode, HeuristicAgent, MissingBinding,
                      ScriptedAgent, WorldState, episode_summary, fact,
                      render_feedback, run_episode, solve_optimal)
+from ifbench.interpreter import PHASES
 from ifbench.world import (INVENTORY, apply_delta, state_facts_of,
                            validate_state, visible_facts)
 from oracles import (micro_corpus, micro_instance, reference_entity_description,
@@ -329,10 +331,75 @@ def test_written_summary_matches_record(tmp_path):
     inst = kitchen_instance()
     plan = solve_optimal(inst)
     record = run_episode(inst, ScriptedAgent.from_plan(inst, plan.actions))
-    path = tmp_path / "episode.jsonl"
+    path = tmp_path / "micro" / "micro.jsonl"  # <family>/<instance id>.jsonl
+    path.parent.mkdir()
     written = write_episode(record, path)
     assert read_episode_summary(path) == written == episode_summary(record)
     assert written["turns"] == plan.length
+
+
+# the probe of the checked summary reader: one seed-17 heuristic summary line,
+# each key deleted or set to each of these values in turn
+SUMMARY_KEYS = (
+    "agent_log", "epistemic_turns", "family", "final_state", "goals_achieved",
+    "goals_total", "grounded_turns", "instance_id", "optimal_length", "outcome",
+    "phase_counts", "pragmatic_turns", "turns", "type")
+PROBE_VALUES = (None, 0, -1, True, "x", "", [], {}, ["x"], 1.5)
+# the mutants that read back: any of a key that no score reads, and these,
+# which stay well-typed and consistent; of them, the second set scores
+# otherwise, which only a replay of the turns can catch
+UNREAD_KEYS = ("agent_log", "final_state")
+READ_BACK = {"phase_counts.format-fail=0", "phase_counts.parse-fail=0",
+             "phase_counts.resolution-fail=0", "phase_counts.precondition-fail=0",
+             "pragmatic_turns=0"}
+SCORED_OTHERWISE = {"epistemic_turns=0", "optimal_length=null"}
+
+
+def _summary_mutants():
+    """(key, mutant name, value) of each mutant; a value of `None` named
+    "<key> deleted" deletes the key."""
+    for key in [*SUMMARY_KEYS, *(f"phase_counts.{p}" for p in PHASES)]:
+        yield pytest.param(key, f"{key} deleted", None, id=f"{key} deleted")
+        for value in PROBE_VALUES:
+            name = f"{key}={json.dumps(value)}"
+            yield pytest.param(key, name, value, id=name)
+
+
+@pytest.fixture(scope="module")
+def heuristic_line(heuristic_records, tmp_path_factory):
+    """The transcript text of the seed-17 heuristic episode of basic-easy-00."""
+    from ifbench import write_episode
+    path = tmp_path_factory.mktemp("summary") / "basic-easy-00.jsonl"
+    write_episode(heuristic_records["basic-easy-00"][1], path)
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("key, name, value", _summary_mutants())
+def test_summary_reader_reads_back_or_names_file_and_field(
+        heuristic_line, tmp_path, key, name, value):
+    from ifbench import aggregate, read_episode_summary
+    *turns, line = heuristic_line.splitlines()
+    summary = json.loads(line)
+    assert tuple(sorted(summary)) == SUMMARY_KEYS
+    original = aggregate([summary])
+    field, _, phase = key.partition(".")
+    target = summary[field] if phase else summary
+    if name.endswith(" deleted"):
+        del target[phase or field]
+    else:
+        target[phase or field] = value
+    path = tmp_path / "basic-easy" / "basic-easy-00.jsonl"
+    path.parent.mkdir()
+    path.write_text("\n".join([*turns, json.dumps(summary)]) + "\n",
+                    encoding="utf-8")
+    if field in UNREAD_KEYS or name in READ_BACK | SCORED_OTHERWISE:
+        scores = aggregate([read_episode_summary(path)])
+        assert (scores != original) == (name in SCORED_OTHERWISE)
+        return
+    with pytest.raises(ValueError) as error:
+        read_episode_summary(path)
+    assert str(error.value).startswith(f"{path}: summary field ")
+    assert f"'{field}'" in str(error.value)
 
 
 def test_preexploration_plays_as_stored():
