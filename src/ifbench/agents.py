@@ -297,22 +297,93 @@ def _reply_text(data) -> str:
     return text
 
 
+class _Kept:
+    """A kept-alive connection (RFC 9112 9.3) to one endpoint URL with one
+    timeout, through the environment's proxy for it when it is opened; it is
+    closed when dropped, as when the thread that kept it ends."""
+
+    def __init__(self, url: str, timeout: float):
+        import base64
+        import http.client
+        import urllib.parse
+        import urllib.request
+        import weakref
+        self.key, parts = (url, timeout), urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ValueError(f"not an http(s) URL with a host: {url!r}")
+        host, tunnel, auth, self.headers = parts.netloc, None, {}, {}
+        self.path = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(parts.netloc):
+            userinfo, _, host = urllib.parse.urlsplit(
+                proxy if "://" in proxy else "//" + proxy).netloc.rpartition("@")
+            if userinfo:
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    urllib.parse.unquote(userinfo).encode()).decode()
+            if parts.scheme == "https":  # through a CONNECT tunnel
+                tunnel = parts.netloc
+            else:  # the proxy takes the absolute URL
+                self.path, self.headers = url, auth
+        self.conn = (http.client.HTTPSConnection if parts.scheme == "https"
+                     else http.client.HTTPConnection)(host, timeout=timeout)
+        if tunnel:
+            self.conn.set_tunnel(tunnel, headers=auth)
+        weakref.finalize(self, self.conn.close)
+
+
+_local = threading.local()  # .kept: this thread's _Kept, if any
+
+
+def _drop_connection() -> None:
+    """Close this thread's connection: nothing left on it, such as a late
+    reply to a timed-out request, may be read as a later reply."""
+    kept, _local.kept = getattr(_local, "kept", None), None
+    if kept:
+        kept.conn.close()
+
+
+def _post(url: str, data: bytes, headers: dict, timeout: float):
+    """POST over this thread's connection, reopened once if the server has
+    closed it since its last use; the response, its body unread."""
+    import http.client
+    import socket
+    kept = getattr(_local, "kept", None)
+    if kept is None or kept.key != (url, timeout):
+        _drop_connection()
+        kept = _local.kept = _Kept(url, timeout)
+    conn, reused = kept.conn, kept.conn.sock is not None
+    while True:
+        try:
+            conn.request("POST", kept.path, data, {**headers, **kept.headers})
+            # a server that writes headers and body apart with Nagle's
+            # algorithm on sends the body only once the headers are acked:
+            # ack them now, not after the delayed-ACK timer (40 ms on Linux)
+            if hasattr(socket, "TCP_QUICKACK"):
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            return conn.getresponse()
+        except (http.client.RemoteDisconnected, ConnectionResetError,
+                BrokenPipeError):
+            if not reused:
+                raise
+            conn.close()
+            reused = False
+
+
 def llm_chat(config: LlmConfig, transcript: Transcript,
              log: list | None = None) -> str:
-    """One chat-completion round trip with bounded retries, over one new
-    connection per attempt (standard library HTTP client).
+    """One chat-completion round trip with bounded retries, over this
+    thread's kept-alive connection, which any failed attempt closes.
 
-    Timeouts, connection errors, malformed bodies and HTTP 408, 429 and 5xx
-    are each retried up to config.retries times, after config.backoff times
-    the attempt number, or after a 429's or 503's Retry-After seconds; any
-    other HTTP error (401, 404, ...) and a malformed endpoint URL are not.
-    A failure that is not retried surfaces as AgentUnavailable.
+    Timeouts, connection errors, malformed bodies, any 3xx (not followed)
+    and HTTP 408, 429 and 5xx are each retried up to config.retries times,
+    after config.backoff times the attempt number, or after a 429's or
+    503's Retry-After seconds; any other HTTP error (401, 404, ...) and a
+    malformed endpoint URL are not. A failure that is not retried surfaces
+    as AgentUnavailable. Each attempt is logged, with the reply's `usage`.
     """
     # here, not at the top: only the llm agent needs them
     import http.client
     import json
-    import urllib.error
-    import urllib.request
 
     url = config.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json",
@@ -333,28 +404,24 @@ def llm_chat(config: LlmConfig, transcript: Transcript,
         delay = config.backoff * (attempt + 1)
         try:
             data = json.dumps(body, allow_nan=False).encode("utf-8")
-            request = urllib.request.Request(url, data=data, headers=headers)
-            if request.type not in ("http", "https") or not request.host:
-                raise ValueError(f"not an http(s) URL with a host: {url!r}")
-            try:
-                with urllib.request.urlopen(request,
-                                            timeout=config.timeout) as response:
-                    entry["status"] = response.status
-                    raw = response.read()
-            except urllib.error.HTTPError as exc:
-                exc.close()
-                entry["status"] = exc.code
-                after = _retry_after(exc.headers.get("Retry-After"))
-                if exc.code in (429, 503) and after is not None:
-                    delay = after
-                raise MalformedResponse(f"HTTP {exc.code}") from None
-            text = _reply_text(json.loads(raw))
+            with _post(url, data, headers, config.timeout) as response:
+                entry["status"] = status = response.status
+                if not 200 <= status < 300:
+                    after = _retry_after(response.getheader("Retry-After"))
+                    if status in (429, 503) and after is not None:
+                        delay = after
+                    raise MalformedResponse(f"HTTP {status}")
+                reply = json.loads(response.read())
+            if isinstance(reply, dict) and isinstance(reply.get("usage"), dict):
+                entry["usage"] = reply["usage"]
+            text = _reply_text(reply)
             entry["response"] = text
             if log is not None:
                 log.append(entry)
             return text
         except (OSError, http.client.HTTPException, MalformedResponse,
                 ValueError) as exc:
+            _drop_connection()
             entry["error"] = str(exc)
             if log is not None:
                 log.append(entry)

@@ -219,25 +219,33 @@ def run_benchmark(args) -> int:
     return 3 if all_agent_aborted else 0
 
 
-def _pick_instance(args) -> Instance:
-    instances = list(_load_instance_set(args.instances, ()))
+def _pick_instance(args) -> tuple[Instance, Path]:
+    """The instance that `--id` or `--index` names, with its file."""
+    files = _load_instance_set(args.instances, ())
+    instances = list(files)
     if args.id:
         matches = [i for i in instances if i.id == args.id]
         if not matches:
             raise SystemExit(f"no instance with id {args.id}")
-        return matches[0]
+        return matches[0], files[matches[0]]
     if not 0 <= args.index < len(instances):
         raise SystemExit(f"--index {args.index} is out of range: {args.instances}"
                          f" holds {len(instances)} instances")
-    return instances[args.index]
+    return instances[args.index], files[instances[args.index]]
 
 
 def cmd_play(args) -> int:
+    """The `play` command: one episode at the terminal. SystemExit naming
+    the file if the instance's pre-exploration plays otherwise."""
     from .agents import HumanAgent
     from .interpreter import episode_summary, run_episode
     from .metrics import goal_success_rate
-    instance = _pick_instance(args)
-    summary = episode_summary(run_episode(instance, HumanAgent()))
+    instance, path = _pick_instance(args)
+    try:
+        episode = run_episode(instance, HumanAgent())
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
+    summary = episode_summary(episode)
     gsr = goal_success_rate(len(summary["goals_achieved"]), summary["goals_total"])
     print(f"--- {summary['outcome']} after {summary['turns']} turns; "
           f"goal success rate {gsr:.0f} ---")
@@ -246,7 +254,7 @@ def cmd_play(args) -> int:
 
 def cmd_plan(args) -> int:
     import json
-    instance = _pick_instance(args)
+    instance, _ = _pick_instance(args)
     print(json.dumps({
         "instance_id": instance.id,
         "actions": [instance.parser.render(a, instance.world)

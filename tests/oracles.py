@@ -16,7 +16,8 @@ from itertools import product
 import ifbench.planner as planner
 from ifbench import Engine, HeuristicAgent, Instance, generate_preexploration
 from ifbench.generate import _finalize_prompt, _standard_extras
-from ifbench.grammar import ActionDef, GroundedAction, Lexicon, staple_verbs
+from ifbench.grammar import (ActionDef, GroundedAction, Lexicon, Parser,
+                             staple_verbs)
 from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
                              _candidates, _groundings)
 from ifbench.interpreter import _join, render_feedback
@@ -570,6 +571,17 @@ class VerbBlindAgent(HeuristicAgent):
     def next_action(self, transcript) -> str:
         if self.episode.turns:
             self._observe(self.episode.turns[-1].revealed_facts)
-        decided = self._decide()
+        return "> " + self._write(self._decide())
+
+    def _write(self, decided: GroundedAction) -> str:
         _, space, nouns = self.engine.parser.render(decided, self.world).partition(" ")
-        return f"> {decided.action}{space}{nouns}"
+        return f"{decided.action}{space}{nouns}"
+
+
+class LexiconBlindAgent(VerbBlindAgent):
+    """The heuristic policy without the instance's words: it writes each
+    decided action in English, base verb and base nouns."""
+
+    def _write(self, decided: GroundedAction) -> str:
+        english = Parser(self.engine.parser.actions.values(), Lexicon(), {})
+        return english.render(decided, self.world)

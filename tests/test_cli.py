@@ -15,7 +15,7 @@ import ifbench
 import ifbench.cli
 from ifbench import interpreter, load_instances, save_instances
 from ifbench.cli import main
-from test_agents import stub_server  # noqa: F401 (a fixture)
+from test_agents import kept_alive_server, stub_server  # noqa: F401 (fixtures)
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -294,6 +294,33 @@ def test_run_names_the_file_of_a_preexploration_that_plays_otherwise(
     assert not (tmp_path / "results" / "heuristic" / "scores.json").exists()
 
 
+def _moon_preexploration(suite17, tmp_path) -> tuple[Path, str]:
+    """A copy of the seed-17 preexplore-hard file whose instance 0 stores
+    the feedback "You are on the moon." for its first pre-exploration step,
+    and that step's command."""
+    path = tmp_path / "instances" / "preexplore-hard.json"
+    path.parent.mkdir()
+    payload = json.loads((suite17 / path.name).read_text(encoding="utf-8"))
+    payload["instances"][0]["preexploration"][0][1] = "You are on the moon."
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path, payload["instances"][0]["preexploration"][0][0]
+
+
+def test_play_names_the_file_of_a_preexploration_that_plays_otherwise(
+        suite17, tmp_path, monkeypatch):
+    path, command = _moon_preexploration(suite17, tmp_path)
+    shutil.copy(suite17 / "preexplore-easy.json", path.parent)
+    monkeypatch.setattr("builtins.input", lambda prompt="": "done")
+    with pytest.raises(SystemExit) as exit_:
+        main(["play", "--instances", str(path.parent), "--id",
+              "preexplore-hard-00"])
+    message = exit_.value.code
+    assert message.startswith(f"{path}: preexplore-hard-00: pre-exploration "
+                              f"step 0 {command!r}: the engine's feedback is ")
+    assert message.endswith(", not 'You are on the moon.'")
+    assert "\n" not in message
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_worker_error_surfaces(small_set, tmp_path, monkeypatch, cpus,
                                    workers):
@@ -373,6 +400,27 @@ def test_run_llm_needs_endpoint_and_model(small_set, tmp_path, given):
     with pytest.raises(SystemExit, match="--endpoint and --model are required"):
         main(["run", "--instances", str(small_set), "--agent", "llm",
               "--out", str(tmp_path / "x"), *given])
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_run_llm_keeps_one_connection_per_thread(small_set, tmp_path,
+                                                 kept_alive_server, drop):
+    # dropped after each reply, each connection is reopened unlogged
+    server = kept_alive_server
+    server.script, server.drop = [("ok", "> look")] * 12 + [("ok", "> done")], drop
+    assert main(["run", "--instances", str(small_set), "--agent", "llm",
+                 "--parallel", "2", "--model", "stub-model", "--endpoint",
+                 f"http://127.0.0.1:{server.server_address[1]}/v1",
+                 "--out", str(tmp_path / "results")]) == 0
+    logs = [json.loads(path.read_text(encoding="utf-8").splitlines()[-1])["agent_log"]
+            for path in (tmp_path / "results").rglob("*.jsonl")]
+    assert len(logs) == 6
+    assert [entry["attempt"] for log in logs for entry in log] == [1] * 18
+    assert len(server.received) == 18
+    if drop:
+        assert len(server.connections) == 18
+    else:
+        assert len(server.connections) <= 2
 
 
 def test_run_llm_unreachable_exit_code(small_set, tmp_path):
