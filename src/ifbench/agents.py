@@ -93,9 +93,10 @@ def _action(verb: str, **bindings: str) -> GroundedAction:
 
 
 class HeuristicAgent:
-    """Greedy baseline: explore unvisited rooms, open closed containers once,
-    take reachable goal objects within the carry limit, deliver in target
-    rooms, apply state-changing verbs to pending goal objects, then done.
+    """Greedy baseline: explore unvisited rooms, open closed containers once
+    (where the instance has `open`), take reachable goal objects within the
+    carry limit, deliver in target rooms, apply state-changing verbs to
+    pending goal objects, then done.
 
     It plays the episode that `run_episode` hands to `start`, reading its
     state and never changing it. It believes only what the episode has
@@ -155,9 +156,7 @@ class HeuristicAgent:
 
         # open any closed container here we have not opened ourselves
         for container in sorted(visible):
-            if (self.world.is_container(container)
-                    and fact("closed", container) in self.state.facts
-                    and container not in self.opened):
+            if self._to_open(container):
                 self.opened.add(container)
                 return _action("open", item=container)
 
@@ -210,10 +209,8 @@ class HeuristicAgent:
             elif goal.fact.args[0] in self.known_locations:
                 desired.append(self.known_locations[goal.fact.args[0]])
         if unknown_items:
-            for eid, room in self.known_locations.items():
-                if (self.world.is_container(eid) and eid not in self.opened
-                        and fact("closed", eid) in self.state.facts):
-                    desired.append(room)
+            desired.extend(room for eid, room in self.known_locations.items()
+                           if self._to_open(eid))
         step = self._step_towards(set(desired))
         if step is None:
             step = self._step_towards({b for a in self.seen_rooms
@@ -222,6 +219,13 @@ class HeuristicAgent:
         if step is not None:
             return _action("go", room=step)
         return _action("look")  # defensive; pending work always leaves a navigation target
+
+    def _to_open(self, eid: str) -> bool:
+        """`eid` is a closed container that we have not opened ourselves,
+        and the instance has the verb to open it."""
+        return ("open" in self.engine.actions and self.world.is_container(eid)
+                and eid not in self.opened
+                and fact("closed", eid) in self.state.facts)
 
     def _step_towards(self, targets: set[str]) -> str | None:
         """The first move of a shortest path to one of `targets` along the

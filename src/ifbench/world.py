@@ -1,6 +1,8 @@
-"""World model: typed entity/room registry and the mutable fact store.
+"""World model: typed entity/room registry and immutable world states.
 
-World state is a set of grounded predicate tuples. Its predicates are
+A world state is its set of grounded predicate tuples and nothing more: the
+player's room, the inventory (in id order) and what the player perceives
+are read off those facts, never stored beside them. Its predicates are
 ``at``, ``in``, ``on`` plus per-entity state groups (``open``/``closed`` for
 containers, custom unary states for stateful objects). The room graph is the
 world's (`WorldDef.exits`, built and checked once by `room_exits`), shown as
@@ -175,25 +177,33 @@ def room_distances(exits: Mapping[str, Iterable[str]],
 
 @dataclass(frozen=True)
 class WorldState:
+    """A world state is its facts, plus the carry limit it is played under.
+
+    The player's room, the inventory and the perceivable map are read off
+    the facts when first asked and kept in the instance dict, not in
+    fields, so __eq__, __hash__ and `state_to_json`'s facts never see them;
+    two threads that read one at once can only store equal values."""
+
     facts: frozenset[Fact]
-    player_room: str
-    inventory: tuple[str, ...]  # insertion order, for deterministic feedback
     inventory_limit: int | None = None
 
-    # `perceivable` and `location_of` read maps worked out at most once per
-    # state, when first asked. They are kept in the instance dict, not in
-    # fields, so __eq__, __hash__ and `state_to_json` never see them; no
-    # lock guards them, as two threads can only store equal maps.
+    @cached_property
+    def player_room(self) -> str:
+        """The room of the state's ``at(player, _)`` fact."""
+        return self.location_of(PLAYER).args[1]
 
-    @property
+    @cached_property
+    def inventory(self) -> tuple[str, ...]:
+        """The ids of the ``in(_, inventory)`` facts, sorted."""
+        return tuple(sorted(f.args[0] for f in self.facts
+                            if f.predicate == "in" and f.args[1] == INVENTORY))
+
+    @cached_property
     def perceivable(self) -> dict[str, Fact]:
         """Each entity the player can perceive, mapped to the location fact
         that places it in the player's room, on or (if open) in something
         there, or in the inventory."""
-        found = self.__dict__.get("_perceived")
-        if found is None:
-            found = self.__dict__["_perceived"] = self._perceive()
-        return found
+        return self._perceive()
 
     def _perceive(self) -> dict[str, Fact]:
         # No holder's traits are looked up: only takeables are ``on`` or
@@ -220,37 +230,21 @@ class WorldState:
 
     def location_of(self, subject: str) -> Fact:
         """The first ``at``/``on``/``in`` fact about `subject` in the
-        state's fact order (for the player, its ``at`` fact); ValueError if
-        there is none."""
-        if subject == PLAYER:
-            return Fact("at", (PLAYER, self.player_room))
-        locations = self.__dict__.get("_locations")
-        if locations is None:
-            locations = {}
-            for f in self.facts:
-                if f.predicate in ("at", "on", "in"):
-                    locations.setdefault(f.args[0], f)
-            self.__dict__["_locations"] = locations
-        try:
-            return locations[subject]
-        except KeyError:
-            raise ValueError(f"{subject} has no location fact") from None
+        state's fact order; ValueError if there is none."""
+        for f in self.facts:
+            if f.predicate in ("at", "on", "in") and f.args[0] == subject:
+                return f
+        raise ValueError(f"{subject} has no location fact")
 
 
 def initial_state(world: WorldDef, facts: Iterable[Fact],
                   inventory_limit: int | None = None) -> WorldState:
-    """Build and validate a state from an ordered fact list."""
+    """Build and validate a state from a fact list, whose first bad fact,
+    in the order given, is the one an InvariantViolation names."""
     ordered = list(facts)
-    player_room = None  # validate_state rejects a state without one
-    inventory = []
     for f in ordered:
-        _check_fact(world, f)  # before its arguments are read
-        if f.predicate == "at" and f.args[0] == PLAYER:
-            player_room = f.args[1]
-        if f.predicate == "in" and f.args[1] == INVENTORY:
-            inventory.append(f.args[0])
-    state = WorldState(frozenset(ordered), player_room, tuple(inventory),
-                       inventory_limit)
+        _check_fact(world, f)
+    state = WorldState(frozenset(ordered), inventory_limit)
     validate_state(world, state)
     return state
 
@@ -263,10 +257,8 @@ def validate_state(world: WorldDef, state: WorldState) -> None:
                  if f.predicate == "at" and f.args[0] == PLAYER]
     if len(player_at) != 1:
         raise InvariantViolation(f"expected one at(player, _), got {player_at}")
-    if player_at[0].args[1] != state.player_room:
-        raise InvariantViolation("player_room does not mirror at(player, _)")
-    if state.player_room not in world.rooms:
-        raise InvariantViolation(f"unknown room {state.player_room}")
+    if player_at[0].args[1] not in world.rooms:
+        raise InvariantViolation(f"unknown room {player_at[0].args[1]}")
 
     # every takeable entity has exactly one location fact, at a valid place
     placed = {eid: 0 for eid in world.entities if world.is_takeable(eid)}
@@ -306,8 +298,11 @@ def apply_delta(world: WorldDef, state: WorldState,
       points at a room, a support, a container or the inventory;
     - each entity whose state group it touches holds at most one state, and
       one if the group has an initial state;
-    - if it touches ``in(_, inventory)``, the inventory mirrors those facts
-      and stays within the limit.
+    - if it touches ``in(_, inventory)``, the inventory stays within the
+      limit.
+
+    The result's player room and inventory are not carried over: like any
+    state's, they are read off its facts when first asked.
 
     Raises InvariantViolation when the delta does not fit the state or the
     result breaks an invariant; both signal a buggy action definition.
@@ -323,19 +318,9 @@ def apply_delta(world: WorldDef, state: WorldState,
         raise InvariantViolation(f"removes not in state: {removes - state.facts}")
     if adds & (state.facts - removes):
         raise InvariantViolation(f"adds already present: {adds & state.facts}")
-    player_room = state.player_room
-    inventory = list(state.inventory)
-    for f in removes:
-        if f.predicate == "in" and f.args[1] == INVENTORY:
-            inventory.remove(f.args[0])
-    for f in sorted(adds):
+    for f in sorted(adds):  # sorted: the first bad fact named is fixed
         _check_fact(world, f)
-        if f.predicate == "in" and f.args[1] == INVENTORY:
-            inventory.append(f.args[0])
-        if f.predicate == "at" and f.args[0] == PLAYER:
-            player_room = f.args[1]
-    result = WorldState((state.facts - removes) | adds, player_room,
-                        tuple(inventory), state.inventory_limit)
+    result = WorldState((state.facts - removes) | adds, state.inventory_limit)
     _check_delta(world, result, removes, adds)
     return result
 
@@ -408,12 +393,9 @@ def _check_state_group(world: WorldDef, state: WorldState, eid: str) -> None:
 
 
 def _check_inventory(state: WorldState) -> None:
-    """The inventory mirrors the in(_, inventory) facts, within the limit."""
-    carried = {f.args[0] for f in state.facts
-               if f.predicate == "in" and f.args[1] == INVENTORY}
-    if carried != set(state.inventory):
-        raise InvariantViolation("inventory does not mirror in(_, inventory)")
-    if state.inventory_limit is not None and len(carried) > state.inventory_limit:
+    """The inventory holds no more than the limit."""
+    limit = state.inventory_limit
+    if limit is not None and len(state.inventory) > limit:
         raise InvariantViolation("inventory over limit")
 
 

@@ -34,7 +34,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         if kind == "late":  # the reply "> late", after `payload` seconds
             time.sleep(payload)
             kind, payload = "ok", "> late"
-        if kind in ("ok", "usage"):
+        if kind in ("ok", "usage", "500 ok"):  # "500 ok": a 500 all the same
             data = {"choices": [{"message": {"role": "assistant",
                                              "content": payload}}]}
             if kind == "usage":
@@ -42,7 +42,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                                  "total_tokens": 42,
                                  "prompt_tokens_details": {"cached_tokens": 32}}
             raw = json.dumps(data).encode()
-            self.send_response(200)
+            self.send_response(500 if kind == "500 ok" else 200)
         elif kind == "empty":
             raw = json.dumps({"choices": []}).encode()
             self.send_response(200)
@@ -248,6 +248,29 @@ def test_llm_chat_retry_wait(stub_server, monkeypatch, status, header, wait):
     stub_server.script = [(status, header), ("ok", "> look")]
     assert llm_chat(_config(stub_server, backoff=30), TRANSCRIPT) == "> look"
     assert waits == [wait]
+
+
+def test_llm_chat_never_answers_with_a_non_2xx_reply(stub_server):
+    # a 500 whose body is a well-formed completion is still a failure
+    stub_server.script = [("500 ok", "> from the 500"), ("ok", "> from the 200")]
+    log = []
+    assert llm_chat(_config(stub_server), TRANSCRIPT, log=log) == "> from the 200"
+    assert [entry["status"] for entry in log] == [500, 200]
+    assert log[0]["error"] == "HTTP 500" and "response" not in log[0]
+
+
+def test_llm_chat_gives_up_on_an_endpoint_that_drops_every_connection(
+        stub_server):
+    # each request is read and its fresh connection closed with no reply; a
+    # fourth request would be answered, so a client that kept reopening
+    # past its retries would return instead of raising
+    stub_server.script = [("stall", 0)] * 3 + [("ok", "> too late")]
+    log = []
+    with pytest.raises(AgentUnavailable):
+        llm_chat(_config(stub_server, retries=2), TRANSCRIPT, log=log)
+    assert [entry["attempt"] for entry in log] == [1, 2, 3]
+    assert all("error" in entry and "status" not in entry for entry in log)
+    assert len(stub_server.received) == 3
 
 
 def test_llm_chat_exhausted_retries(stub_server):

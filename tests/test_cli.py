@@ -294,6 +294,25 @@ def test_run_names_the_file_of_a_preexploration_that_plays_otherwise(
     assert not (tmp_path / "results" / "heuristic" / "scores.json").exists()
 
 
+def test_heuristic_wins_an_instance_without_the_open_verb(suite17, tmp_path):
+    """basic-easy-04's plan needs no `open`, so it loads and plays without
+    it; the heuristic then neither opens its closed wardrobe nor walks
+    towards it, and wins."""
+    path = tmp_path / "instances" / "basic-easy.json"
+    path.parent.mkdir()
+    payload = json.loads((suite17 / path.name).read_text(encoding="utf-8"))
+    payload["instances"] = [i for i in payload["instances"]
+                            if i["id"] == "basic-easy-04"]
+    payload["instances"][0]["base_verbs"].remove("open")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for agent in ("scripted", "heuristic"):
+        assert main(["run", "--instances", str(path.parent), "--agent", agent,
+                     "--out", str(tmp_path / "results")]) == 0
+        summary = interpreter.read_episode_summary(
+            tmp_path / "results" / agent / "basic-easy" / "basic-easy-04.jsonl")
+        assert summary["outcome"] == "success"
+
+
 def _moon_preexploration(suite17, tmp_path) -> tuple[Path, str]:
     """A copy of the seed-17 preexplore-hard file whose instance 0 stores
     the feedback "You are on the moon." for its first pre-exploration step,

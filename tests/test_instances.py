@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -265,6 +266,45 @@ def test_preexploration_walks(bench144):
                              else rooms[loc.args[1]])
                 assert item_room in set(walked) | {start_room}
                 assert rooms[goal.fact.args[1]] in set(walked) | {start_room}
+
+
+def test_unsolvable_samples_exhaust_the_basic_generator(monkeypatch):
+    def unsolvable(inst):
+        raise Unsolvable(inst.id)
+
+    monkeypatch.setattr(ifbench.generate, "solve_optimal", unsolvable)
+    with pytest.raises(ifbench.GenerationExhausted, match="^basic-easy$"):
+        generate_basic(Rng(5), "easy")
+
+
+def test_walks_never_found_exhaust_a_preexplore_family(monkeypatch):
+    def no_walk(inst):
+        raise ifbench.WalkNotFound(inst.id)
+
+    monkeypatch.setattr(ifbench.generate, "generate_basic",
+                        lambda rng, difficulty: SimpleNamespace(id="x"))
+    monkeypatch.setattr(ifbench.generate, "generate_preexploration", no_walk)
+    with pytest.raises(ifbench.GenerationExhausted, match="^preexplore-easy$"):
+        generate_family(17, "preexplore-easy", 1)
+
+
+def test_walk_step_that_fails_is_never_stored(bench144, monkeypatch):
+    """A walk through a room that is not next door fails at that step; the
+    generator raises rather than store the failed step's feedback."""
+    inst = bench144["basic-easy"][0]
+    start = inst.start_state().player_room
+    far = next(room for room in inst.world.rooms
+               if room != start and room not in inst.world.exits[start])
+    monkeypatch.setattr(ifbench.generate, "_covering_closed_walk",
+                        lambda adj, origin, required: [far, start])
+    with pytest.raises(ifbench.WalkNotFound,
+                       match=f"walk step failed at {far}$"):
+        generate_preexploration(inst)
+
+
+def test_generate_family_names_an_unknown_family():
+    with pytest.raises(ValueError, match="^unknown family 'basic-typo'$"):
+        generate_family(17, "basic-typo", 1)
 
 
 def test_preexploration_padding_minimum():
@@ -676,11 +716,14 @@ def test_instance_schema_version_guard(tmp_path):
      + row["optimal_plan"][2:],
      "optimal_plan step 1 binds an id that does not fit its parameter's "
      "trait: GroundedAction(action='take', bindings=(('item', 'bed'),))"),
+    ("optimal_plan", lambda row: row["optimal_plan"][:-1] + [["done", {}]],
+     "optimal_plan step 10 is not a verb with [param, id] pairs of strings: "
+     "['done', {}]"),
 ], ids=["null", "empty", "no-done", "unknown-verb", "unknown-id", "unknown-parameter",
         "length-mismatch", "not-a-list", "unbound-parameter", "bound-twice",
         "binding-one-element", "binding-three-elements", "binding-not-strings",
         "verb-not-a-string", "bindings-a-string", "binding-not-a-list",
-        "binding-wrong-trait"])
+        "binding-wrong-trait", "bindings-a-map"])
 def test_invalid_plan_names_file_instance_and_field(tmp_path, bench144, field,
                                                     value, named):
     path = tmp_path / "broken.json"
@@ -931,6 +974,7 @@ def test_extra_action_row_loads(tmp_path, bench144):
     (_set_action("grammar", "zap up <item>"),
      "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
      "grammar: 'zap up <item>' is not a snippet"),
+    (_set_action("verb", 5), "is not an action with a string verb"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
@@ -954,7 +998,7 @@ def test_extra_action_row_loads(tmp_path, bench144):
         "room-graph-disconnected", "state-named-at", "state-named-on",
         "state-named-in", "state-named-connects", "state-open-non-container",
         "state-closed-non-container", "state-listed-twice", "no-instances",
-        "grammar-bare-word"])
+        "grammar-bare-word", "extra-verb-not-a-string"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError

@@ -128,6 +128,13 @@ def test_episode_walks_each_state_once(monkeypatch):
     assert len({id(state) for state in walks}) == len(walks)
 
 
+def test_resolve_takes_only_a_command_that_starts_with_the_prompt():
+    # "xlook" would otherwise be read as "look", its first character cut
+    inst = kitchen_instance()
+    with pytest.raises(ValueError, match="^'xlook' does not start with '>'$"):
+        Engine(inst).resolve(inst.start_state(), "xlook")
+
+
 def test_failed_turns_never_mutate_state():
     inst = kitchen_instance()
     engine = Engine(inst)
@@ -187,6 +194,27 @@ def test_inventory_limit_blocks_third_take():
     assert record.feedback == ("Your inventory is full. "
                                "You can't carry more than two objects.")
     assert state.inventory == ("apple", "peach")
+
+
+def test_inventory_is_listed_in_id_order_not_pick_up_order():
+    """The inventory is read off the state's facts, so it lists the carried
+    objects by id whatever order they were taken in."""
+    inst = micro_instance(
+        rooms=["kitchen"], connections=[],
+        entities=[("counter", "support", ["kitchen"]),
+                  ("apple", "takeable", ["kitchen"]),
+                  ("peach", "takeable", ["kitchen"])],
+        facts=["at(player,kitchen)", "at(counter,kitchen)",
+               "on(apple,counter)", "on(peach,counter)"],
+        goals=["on(apple,counter)"])
+    engine = Engine(inst)
+    state = inst.start_state()
+    state, _ = engine.execute(state, "> take peach")
+    state, _ = engine.execute(state, "> take apple")
+    assert state.inventory == ("apple", "peach")
+    _, record = engine.execute(state, "> examine inventory")
+    assert record.feedback == ("In your inventory you have an apple "
+                               "and a peach.")
 
 
 def test_take_from_the_room_an_object_lies_in():

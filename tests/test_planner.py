@@ -1,3 +1,4 @@
+import re
 import time
 from dataclasses import replace
 from itertools import product
@@ -506,6 +507,41 @@ def test_connects_effect_fails_loudly():
         engine.step(grounded).failure(inst.start_state())
     with pytest.raises(ValueError, match="'dig'.*connects"):
         solve_optimal(inst)
+
+
+def _zap_instance(**fields):
+    """A one-room instance whose own action `zap`, built in code as the
+    generator builds its actions, takes `fields`."""
+    zap = ActionDef(**{
+        "verb": "zap", "params": (Param("item", "takeable"),),
+        "grammar": "zap <item>",
+        "flags": ActionFlags(epistemic=False, pragmatic=True, replaceable=False),
+        "preconditions": (), "removes": (), "adds": (),
+        "feedback": {"success": "Zap."}, **fields})
+    return micro_instance(
+        rooms=["kitchen"], connections=[],
+        entities=[("table", "support", ["kitchen"]),
+                  ("apple", "takeable", ["kitchen"])],
+        facts=["at(player,kitchen)", "at(table,kitchen)", "at(apple,kitchen)"],
+        goals=["on(apple,table)"], extra_actions=[zap])
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"preconditions": ({"check": "levitate", "param": "item",
+                         "fail": "success"},)},
+     "unknown precondition check 'levitate'"),
+    ({"removes": (("teleport", "item"),)},
+     "unknown effect template ('teleport', 'item')"),
+], ids=["check", "effect-template"])
+def test_unknown_check_or_template_fails_when_compiled(fields, named):
+    inst = _zap_instance(**fields)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        Engine(inst).step(GroundedAction("zap", (("item", "apple"),)))
+
+
+def test_snippet_of_another_verb_fails_when_the_parser_is_built():
+    with pytest.raises(ValueError, match="snippet verb mismatch for zap"):
+        Engine(_zap_instance(grammar="zip <item>"))
 
 
 def test_location_effect_among_adds_fails_loudly():

@@ -181,10 +181,17 @@ def state_from_json(world, data: dict) -> WorldState:
     ``connects`` facts, are no state's and are left out."""
     facts = [parse_fact(s) for s in data["facts"]]
     state = WorldState(frozenset(f for f in facts if f.predicate != CONNECTS),
-                       data["player_room"], tuple(data["inventory"]),
                        data.get("inventory_limit"))
     validate_state(world, state)
     return state
+
+
+def test_a_subject_without_a_location_fact_has_no_location(kitchen):
+    world, state = kitchen
+    with pytest.raises(ValueError, match="^nobody has no location fact$"):
+        state.location_of("nobody")
+    with pytest.raises(ValueError, match="^player has no location fact$"):
+        WorldState(state.facts - {fact("at", PLAYER, "kitchen")}).player_room
 
 
 def test_state_json_roundtrip(kitchen):
@@ -203,8 +210,7 @@ def test_read_maps_stay_out_of_equality_hash_and_json(kitchen):
     """The perceivable and location maps a state keeps once read are not
     part of what it is: equality, hash, repr and JSON form ignore them."""
     world, walked = kitchen
-    fresh = WorldState(walked.facts, walked.player_room, walked.inventory,
-                       walked.inventory_limit)
+    fresh = WorldState(walked.facts, walked.inventory_limit)
     assert walked.perceivable == {"counter": fact("at", "counter", "kitchen"),
                                   "cupboard": fact("at", "cupboard", "kitchen"),
                                   "plate": fact("on", "plate", "counter")}
@@ -316,18 +322,10 @@ def test_move_delta_roundtrip_property(item, destination):
 
 
 def _full_check_rejects(world, state, removes, adds) -> bool:
-    """Whether `validate_state` rejects the state `removes`/`adds` lead to,
-    with the player's room and the inventory read off the facts."""
+    """Whether `validate_state` rejects the state `removes`/`adds` lead to."""
     facts = (state.facts - removes) | adds
-    players = [f for f in facts
-               if f.predicate == "at" and f.args[:1] == (PLAYER,)]
-    room = (players[0].args[1] if len(players) == 1 and len(players[0].args) > 1
-            else state.player_room)
-    carried = tuple(f.args[0] for f in facts
-                    if f.predicate == "in" and f.args[1:2] == (INVENTORY,))
     try:
-        validate_state(world, WorldState(facts, room, carried,
-                                         state.inventory_limit))
+        validate_state(world, WorldState(facts, state.inventory_limit))
     except InvariantViolation:
         return True
     return False
