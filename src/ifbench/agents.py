@@ -136,13 +136,14 @@ class HeuristicAgent:
         if turns:
             self._observe(turns[-1].revealed_facts)
         decided = self._decide()
-        command = "> " + self.engine.parser.render(decided, self.world)
         try:
-            step = self.engine.resolve(self.state, command)
+            command = "> " + self.engine.parser.render(decided, self.world)
         except ValueError as exc:
-            raise RuntimeError(f"heuristic issued {exc}") from exc
-        if step.grounded != decided:
-            raise RuntimeError(f"heuristic rendered {decided} as {command!r}")
+            raise RuntimeError(f"heuristic decided {exc}") from exc
+        failure = self.engine.step(decided).failure(self.state)
+        if failure is not None:
+            raise RuntimeError(f"heuristic issued {command!r}, which fails: "
+                               f"{failure}")
         return command
 
     # -- policy -------------------------------------------------------------

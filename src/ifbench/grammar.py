@@ -451,6 +451,8 @@ class _Slot:
 _SNIPPET_TOKEN_RE = re.compile(r"\[[^\]]+\]|<\w+>|\w+")
 
 
+# each loaded instance keeps its parser; parsers share one shape per snippet
+@cache
 def _compile_snippet(snippet: str) -> tuple[str, tuple[_Slot, ...]]:
     """Compile a grammar snippet like ``put <item> [on|in] <target>``."""
     tokens = _SNIPPET_TOKEN_RE.findall(snippet)
@@ -593,17 +595,32 @@ class Parser:
         return GroundedAction(verb_id, tuple(bindings))
 
     def render(self, grounded: GroundedAction, world: WorldDef) -> str:
-        """Canonical command text for a grounded action (round-trips)."""
-        action = self.actions[grounded.action]
-        words = [self.lexicon.verb(action.verb)]
-        for param in action.params:
-            value = grounded.get(param.name)
+        """Canonical command text for a grounded action, and the one judge
+        of a command: the text is returned only when this parser parses and
+        grounds it back to the same verb and bindings, in any order.
+        ValueError naming the action and the text otherwise."""
+        verb = grounded.action
+        words = [self.lexicon.verb(verb)]
+        for slot in self.shapes.get(verb, ()):
+            value = grounded.get(slot.param)
             if value is None:
                 continue
-            if action.verb == "put" and param.name == "target":
+            if slot.optional:
+                words.append(slot.preps[0])
+            elif verb == "put" and slot.param == "target":
                 words.append("in" if world.is_container(value) else "on")
             words.append(self.surface_of(value, world))
-        return " ".join(words)
+        text = " ".join(words)
+        try:
+            again = self.ground(self.parse(text), world)
+        except (ParseFailure, GroundFailure) as exc:
+            raise ValueError(f"{grounded} renders as {text!r}, which "
+                             f"fails: {exc}") from exc
+        if again.action != verb or sorted(again.bindings) != sorted(
+                grounded.bindings):
+            raise ValueError(f"{grounded} renders as {text!r}, which reads "
+                             f"back as {again}")
+        return text
 
 
 # the traits a parameter may require: `fits_trait`'s own and the entity traits

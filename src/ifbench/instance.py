@@ -14,8 +14,8 @@ from operator import attrgetter
 from pathlib import Path
 
 from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
-                      action_from_json, build_parser, fits_trait,
-                      load_standard_actions, staple_verbs)
+                      action_from_json, build_parser, load_standard_actions,
+                      staple_verbs)
 from .world import (ENGINE_PREDICATES, INVENTORY, PLAYER, EntityDef, Fact,
                     GoalCondition, InvariantViolation, RoomDef, StateGroup,
                     WorldDef, WorldState, initial_state, parse_fact,
@@ -344,34 +344,17 @@ def _limit(value) -> int | None:
 
 def _check_plan(instance: Instance, optimal_length) -> None:
     """Raise ValueError unless the stored plan (steps as `_plan_step`
-    reads them) ends in `done`, uses only the instance's verbs, parameters
-    and ids, binds each required parameter exactly once, to an id that
-    fits its trait as `grammar.fits_trait` (the parser's rule) says, and
-    has `optimal_length` steps."""
+    reads them) ends in `done`, has `optimal_length` steps, and each step's
+    command reads back through the instance's parser (`Parser.render`, the
+    one judge of a command)."""
     plan = instance.optimal_plan
     if not plan or plan[-1].action != "done":
         raise ValueError("optimal_plan is missing, empty or does not end in done")
-    actions = {a.verb: a for a in instance.actions}
-    world = instance.world
-    ids = world.entities.keys() | world.rooms.keys()
     for n, step in enumerate(plan):
-        action = actions.get(step.action)
-        traits = {p.name: p.trait for p in action.params} if action else {}
-        if action is None or not all(
-                name in traits and ident in ids
-                for name, ident in step.bindings):
-            raise ValueError(f"optimal_plan step {n} names a verb, parameter "
-                             f"or id the instance lacks: {step}")
-        names = [name for name, _ in step.bindings]
-        if len(set(names)) < len(names) or any(
-                not p.optional and p.name not in names for p in action.params):
-            raise ValueError(f"optimal_plan step {n} does not bind each "
-                             f"required parameter of {step.action} exactly "
-                             f"once: {step}")
-        if not all(fits_trait(world, ident, traits[name])
-                   for name, ident in step.bindings):
-            raise ValueError(f"optimal_plan step {n} binds an id that does "
-                             f"not fit its parameter's trait: {step}")
+        try:
+            instance.parser.render(step, instance.world)
+        except ValueError as exc:
+            raise ValueError(f"optimal_plan step {n}: {exc}") from exc
     if instance.optimal_length != optimal_length:
         raise ValueError(f"optimal_plan has {instance.optimal_length} steps, "
                          f"optimal_length is {optimal_length}")

@@ -219,24 +219,6 @@ class Engine:
                 self.world, self.actions[grounded.action], grounded)
         return step
 
-    def resolve(self, state: WorldState, command: str) -> Step:
-        """The step of a command that must succeed: parse, ground and
-        preconditions, with nothing applied, no feedback and no goal check.
-        ValueError naming the command if any phase fails."""
-        trimmed = command.strip()
-        if not trimmed.startswith(">"):
-            raise ValueError(f"{command!r} does not start with '>'")
-        try:
-            grounded = self.parser.ground(
-                self.parser.parse(trimmed.splitlines()[0][1:]), self.world)
-        except (ParseFailure, GroundFailure) as exc:
-            raise ValueError(f"{command!r} failed: {exc}") from exc
-        step = self.step(grounded)
-        failure = step.failure(state)
-        if failure is not None:
-            raise ValueError(f"{command!r} failed: {failure}")
-        return step
-
     # -- the turn pipeline -------------------------------------------------
 
     def execute(self, state: WorldState, raw: str,

@@ -16,7 +16,7 @@ from itertools import product
 import ifbench.planner as planner
 from ifbench import Engine, HeuristicAgent, Instance, generate_preexploration
 from ifbench.generate import _finalize_prompt, _standard_extras
-from ifbench.grammar import (ActionDef, GroundedAction, Lexicon, Parser,
+from ifbench.grammar import (ActionDef, GroundedAction, Lexicon, build_parser,
                              staple_verbs)
 from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
                              _candidates, _groundings)
@@ -583,5 +583,8 @@ class LexiconBlindAgent(VerbBlindAgent):
     decided action in English, base verb and base nouns."""
 
     def _write(self, decided: GroundedAction) -> str:
-        english = Parser(self.engine.parser.actions.values(), Lexicon(), {})
-        return english.render(decided, self.world)
+        world = self.world
+        english = build_parser(self.engine.parser.actions.values(), Lexicon(),
+                               {i: world.noun_of(i)
+                                for i in (*world.entities, *world.rooms)})
+        return english.render(decided, world)

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifbench.grammar
 from ifbench import (DuplicateVerb, GroundFailure, Lexicon, ParseFailure,
                      build_parser, load_standard_actions)
 from ifbench.grammar import GroundedAction, ParsedCommand, action_from_json
@@ -181,11 +184,43 @@ def test_render_round_trip(home):
                GroundedAction("open", (("item", "cupboard"),)),
                GroundedAction("examine", (("item", "potted_plant"),)),
                GroundedAction("done", ()),
-               GroundedAction("look", ())]
+               GroundedAction("look", ()),
+               GroundedAction("take", (("item", "plate"), ("source", "counter"))),
+               GroundedAction("take", (("item", "book"),
+                                       ("source", "living_room")))]
     for grounded in samples:
         text = home.parser.render(grounded, world)
         again = home.parser.ground(home.parser.parse(text), world)
         assert again == grounded, text
+
+
+def _den():
+    """A den whose sofa cannot be opened and whose two books share a noun."""
+    inst = micro_instance(
+        rooms=["den"], connections=[],
+        entities=[("sofa", "support", ["den"]), ("book", "takeable", ["den"]),
+                  ("novel", "takeable", ["den"])],
+        facts=["at(player,den)", "at(sofa,den)", "at(book,den)",
+               "on(novel,sofa)"],
+        goals=["on(book,sofa)"])
+    return replace(inst, entities=tuple(
+        replace(e, noun="book") if e.id == "novel" else e
+        for e in inst.entities))
+
+
+@pytest.mark.parametrize("grounded, text, fault", [
+    (GroundedAction("look", (("item", "book"),)), "look",
+     "which reads back as GroundedAction(action='look', bindings=())"),
+    (GroundedAction("open", (("item", "sofa"),)), "open sofa",
+     "which fails: trait-mismatch: sofa"),
+    (GroundedAction("take", (("item", "novel"),)), "take book",
+     "which fails: ambiguous: book"),
+], ids=["another-action", "trait-mismatch", "ambiguous"])
+def test_render_rejects_text_that_does_not_read_back(grounded, text, fault):
+    inst = _den()
+    with pytest.raises(ValueError) as err:
+        inst.parser.render(grounded, inst.world)
+    assert str(err.value) == f"{grounded} renders as {text!r}, {fault}"
 
 
 def test_bundled_rows_pass_the_reader_and_round_trip():
@@ -198,6 +233,15 @@ def test_bundled_rows_pass_the_reader_and_round_trip():
         assert action_from_json(row, ("open", "closed")) == action
         assert action.to_json() == {**row, "params": [
             {"optional": False, **p} for p in row["params"]]}
+
+
+def test_a_faulty_bundled_action_names_actions_json(monkeypatch):
+    row = load_data("actions.json")["actions"][0]
+    monkeypatch.setattr(ifbench.grammar, "load_data", lambda name: {
+        "actions": [{**row, "grammar": "zap <item>"}]})
+    with pytest.raises(ValueError, match=r"^actions\.json: action 'open', "
+                       "grammar: 'zap <item>' is not a snippet"):
+        ifbench.grammar.load_standard_actions.__wrapped__()
 
 
 def test_build_parser_empty_action_set(home):

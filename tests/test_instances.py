@@ -673,25 +673,28 @@ def test_instance_schema_version_guard(tmp_path):
     ("optimal_plan", lambda row: row["optimal_plan"][:-1],
      "optimal_plan is missing, empty or does not end in done"),
     ("optimal_plan", lambda row: [["fly", []]] + row["optimal_plan"][1:],
-     "optimal_plan step 0 names a verb, parameter or id the instance lacks: "
-     "GroundedAction(action='fly', bindings=())"),
+     "optimal_plan step 0: GroundedAction(action='fly', bindings=()) renders "
+     "as 'fly', which fails: unknown-verb: fly"),
     ("optimal_plan",
      lambda row: [["go", [["room", "spoon"]]]] + row["optimal_plan"][1:],
-     "optimal_plan step 0 names a verb, parameter or id the instance lacks: "
-     "GroundedAction(action='go', bindings=(('room', 'spoon'),))"),
+     "optimal_plan step 0: GroundedAction(action='go', bindings=(('room', "
+     "'spoon'),)) renders as 'go spoon', which fails: unknown-entity: spoon"),
     ("optimal_plan",
      lambda row: [["go", [["to", "hallway"]]]] + row["optimal_plan"][1:],
-     "optimal_plan step 0 names a verb, parameter or id the instance lacks"),
+     "optimal_plan step 0: GroundedAction(action='go', bindings=(('to', "
+     "'hallway'),)) renders as 'go', which fails: malformed: go"),
     ("optimal_length", lambda row: row["optimal_length"] + 1,
      "optimal_plan has 11 steps, optimal_length is 12"),
     ("optimal_plan", lambda row: 5, "'int' object is not iterable"),
     ("optimal_plan", lambda row: [["take", []]] + row["optimal_plan"][1:],
-     "optimal_plan step 0 does not bind each required parameter of take "
-     "exactly once: GroundedAction(action='take', bindings=())"),
+     "optimal_plan step 0: GroundedAction(action='take', bindings=()) "
+     "renders as 'take', which fails: malformed: take"),
     ("optimal_plan", lambda row: [
         [row["optimal_plan"][0][0], row["optimal_plan"][0][1] * 2]]
         + row["optimal_plan"][1:],
-     "optimal_plan step 0 does not bind each required parameter of"),
+     "optimal_plan step 0: GroundedAction(action='go', bindings=(('room', "
+     "'hallway'), ('room', 'hallway'))) renders as 'go hallway', which reads "
+     "back as GroundedAction(action='go', bindings=(('room', 'hallway'),))"),
     ("optimal_plan", lambda row: [["go", [["room"]]]] + row["optimal_plan"][1:],
      "optimal_plan step 0 is not a verb with [param, id] pairs of strings: "
      "GroundedAction(action='go', bindings=(('room',),))"),
@@ -714,30 +717,62 @@ def test_instance_schema_version_guard(tmp_path):
     ("optimal_plan",
      lambda row: row["optimal_plan"][:1] + [["take", [["item", "bed"]]]]
      + row["optimal_plan"][2:],
-     "optimal_plan step 1 binds an id that does not fit its parameter's "
-     "trait: GroundedAction(action='take', bindings=(('item', 'bed'),))"),
+     "optimal_plan step 1: GroundedAction(action='take', bindings=(('item', "
+     "'bed'),)) renders as 'take bed', which fails: trait-mismatch: bed"),
     ("optimal_plan", lambda row: row["optimal_plan"][:-1] + [["done", {}]],
      "optimal_plan step 10 is not a verb with [param, id] pairs of strings: "
      "['done', {}]"),
+    # another entity written as the first object the plan takes
+    ("entities", lambda row: [{**e, "noun": "apple"} if e["id"] == "banana"
+                              else e for e in row["entities"]],
+     "optimal_plan step 3: GroundedAction(action='take', bindings=(('item', "
+     "'apple'),)) renders as 'take apple', which fails: ambiguous: apple"),
+    # bindings are read back in any order
+    ("optimal_plan", lambda row: row["optimal_plan"][:6]
+     + [["put", row["optimal_plan"][6][1][::-1]]] + row["optimal_plan"][7:],
+     None),
 ], ids=["null", "empty", "no-done", "unknown-verb", "unknown-id", "unknown-parameter",
         "length-mismatch", "not-a-list", "unbound-parameter", "bound-twice",
         "binding-one-element", "binding-three-elements", "binding-not-strings",
         "verb-not-a-string", "bindings-a-string", "binding-not-a-list",
-        "binding-wrong-trait", "bindings-a-map"])
+        "binding-wrong-trait", "bindings-a-map", "shared-noun",
+        "put-bindings-reversed"])
 def test_invalid_plan_names_file_instance_and_field(tmp_path, bench144, field,
                                                     value, named):
+    """A plan that `Parser.render` cannot read back fails to load, naming
+    the file, the instance and the field; `named` None is a plan that loads."""
     path = tmp_path / "broken.json"
     save_instances(bench144["basic-easy"][:2], path, base_seed=17)
     payload = json.loads(path.read_text())
     row = payload["instances"][1]
     row[field] = value(row)
     path.write_text(json.dumps(payload))
+    if named is None:
+        assert load_instances(path)[1].to_json() == row
+        return
     with pytest.raises(ValueError) as err:
         load_instances(path)
     message = str(err.value)
     assert str(path) in message
     assert "instance 1 (basic-easy-01)" in message
     assert named in message
+
+
+def test_a_plan_that_binds_the_true_source_loads_and_plays(tmp_path, bench144):
+    """A take step may bind its optional source: the text names it after
+    ``from``, so the stored plan loads and its replay wins."""
+    from ifbench import ScriptedAgent, run_episode
+    path = tmp_path / "sourced.json"
+    save_instances(bench144["basic-easy"][:2], path, base_seed=17)
+    payload = json.loads(path.read_text())
+    plan = payload["instances"][1]["optimal_plan"]
+    assert plan[3] == ["take", [["item", "apple"]]]
+    plan[3][1].append(["source", "counter"])  # on(apple,counter)
+    path.write_text(json.dumps(payload))
+    inst = load_instances(path)[1]
+    assert inst.optimal_plan[3].get("source") == "counter"
+    agent = ScriptedAgent.from_plan(inst, inst.optimal_plan)
+    assert run_episode(inst, agent).outcome == "success"
 
 
 def _set_field(field, value):

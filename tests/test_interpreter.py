@@ -128,13 +128,6 @@ def test_episode_walks_each_state_once(monkeypatch):
     assert len({id(state) for state in walks}) == len(walks)
 
 
-def test_resolve_takes_only_a_command_that_starts_with_the_prompt():
-    # "xlook" would otherwise be read as "look", its first character cut
-    inst = kitchen_instance()
-    with pytest.raises(ValueError, match="^'xlook' does not start with '>'$"):
-        Engine(inst).resolve(inst.start_state(), "xlook")
-
-
 def test_failed_turns_never_mutate_state():
     inst = kitchen_instance()
     engine = Engine(inst)
@@ -471,8 +464,7 @@ def _episode_states(inst, episode) -> list:
     state = inst.start_state()
     states = [state]
     for command, _ in inst.preexploration or ():
-        step = engine.resolve(state, command)
-        state = apply_delta(inst.world, state, *step.effects(state))
+        state, _ = engine.execute(state, command)
         states.append(state)
     for turn in episode.turns:
         state = apply_delta(inst.world, state, turn.removes, turn.adds)

@@ -159,9 +159,7 @@ def _episode_states(inst, start, records) -> list:
     engine = Engine(inst)
     states = [start]
     for command, _ in inst.preexploration or ():
-        step = engine.resolve(states[-1], command)
-        states.append(apply_delta(inst.world, states[-1],
-                                  *step.effects(states[-1])))
+        states.append(engine.execute(states[-1], command)[0])
     for record in records:
         state = start  # the walk is closed: it ends here
         for turn in record.turns:

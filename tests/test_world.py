@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifbench.world
 from ifbench import (InvariantViolation, apply_delta, check_goals, fact,
                      load_entity_catalogue, load_room_catalogue, parse_fact,
                      visible_facts)
@@ -264,6 +265,23 @@ def test_catalogue_shape():
     for rid, room in rooms.items():
         for other in room.allowed_adjacent:
             assert rid in rooms[other].allowed_adjacent
+
+
+def test_asymmetric_bundled_adjacency_fails(monkeypatch):
+    monkeypatch.setattr(ifbench.world, "load_data", lambda name: {"rooms": [
+        {"id": "attic", "noun": "attic", "allowed_adjacent": ["cellar"]},
+        {"id": "cellar", "noun": "cellar", "allowed_adjacent": []}]})
+    with pytest.raises(ValueError, match="^asymmetric adjacency attic/cellar$"):
+        ifbench.world.load_room_catalogue.__wrapped__()
+
+
+def test_bundled_entity_in_an_unknown_room_fails(monkeypatch):
+    load_room_catalogue()  # the entity loader reads the rooms through its cache
+    monkeypatch.setattr(ifbench.world, "load_data", lambda name: {"entities": [
+        {"id": "mop", "noun": "mop", "traits": ["takeable"],
+         "allowed_rooms": ["attic"]}]})
+    with pytest.raises(ValueError, match="^mop: unknown allowed room$"):
+        ifbench.world.load_entity_catalogue.__wrapped__()
 
 
 @given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"))))
