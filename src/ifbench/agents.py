@@ -52,10 +52,10 @@ class ScriptedAgent:
         self._queue = deque(commands)
 
     @classmethod
-    def from_plan(cls, instance: Instance,
-                  actions: tuple[GroundedAction, ...]) -> "ScriptedAgent":
-        return cls(["> " + instance.parser.render(ga, instance.world)
-                    for ga in actions])
+    def from_plan(cls, instance: Instance) -> "ScriptedAgent":
+        """The agent that plays the instance's optimal plan, from the
+        commands that loading it read back (`Instance.plan_commands`)."""
+        return cls("> " + command for command in instance.plan_commands)
 
     def next_action(self, transcript: Transcript) -> str:
         if not self._queue:

@@ -10,6 +10,11 @@ import os
 import sys
 import threading
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .instance import Instance
+    from .metrics import ExperimentScores
 
 DEFAULT_SEED = 17
 # how many CPUs this process may run on
@@ -108,15 +113,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_instance_set(path: str, families: tuple[str, ...]) -> dict[Instance, Path]:
-    """The instances of a file, or of every ``*.json`` file of a directory,
-    each with its file; given `families` (as `run` is), only those of them.
-    SystemExit naming the instances when two share an id, which names an
-    episode's output files, and, given `families`, when one's is unknown."""
+def _load_instance_set(path: str, families: tuple[str, ...]) -> list[Instance]:
+    """The instances of a file, or of every ``*.json`` file of a directory;
+    given `families` (as `run` is), only those of them. SystemExit naming
+    the file if one does not load (or the path, if nothing is there), the
+    instances when two share an id, which names an episode's output files,
+    and, given `families`, when one's is unknown."""
     from .instance import FAMILIES, load_instances
     p = Path(path)
     files = sorted(p.glob("*.json")) if p.is_dir() else [p]
-    instances: dict[Instance, Path] = {}
+    instances: list[Instance] = []
     where_id: dict[str, str] = {}
     for f in files:
         try:
@@ -131,9 +137,9 @@ def _load_instance_set(path: str, families: tuple[str, ...]) -> dict[Instance, P
             where_id[instance.id] = where
             if families and instance.family not in FAMILIES:
                 raise SystemExit(f"{where}: unknown family {instance.family!r}")
-        instances.update(dict.fromkeys(loaded, f))
+        instances += loaded
     if families:
-        instances = {i: f for i, f in instances.items() if i.family in families}
+        instances = [i for i in instances if i.family in families]
     if not instances:
         raise SystemExit(f"no instances found under {path}")
     return instances
@@ -143,7 +149,7 @@ def _make_agent(instance: Instance, args):
     from .agents import (HeuristicAgent, HumanAgent, LlmAgent, LlmConfig,
                          ScriptedAgent)
     if args.agent == "scripted":
-        return ScriptedAgent.from_plan(instance, instance.optimal_plan)
+        return ScriptedAgent.from_plan(instance)
     if args.agent == "heuristic":
         return HeuristicAgent()
     if args.agent == "human":
@@ -178,12 +184,8 @@ def run_benchmark(args) -> int:
 
     def play(instance: Instance) -> dict:
         """Play and write one episode; return its summary without the final
-        state and agent log, which are on disk and which no score reads.
-        SystemExit naming the file if its pre-exploration plays otherwise."""
-        try:
-            episode = run_episode(instance, _make_agent(instance, args))
-        except ValueError as exc:
-            raise SystemExit(f"{instances[instance]}: {exc}") from None
+        state and agent log, which are on disk and which no score reads."""
+        episode = run_episode(instance, _make_agent(instance, args))
         family_dir = agent_dir / instance.family
         family_dir.mkdir(parents=True, exist_ok=True)
         summary = write_episode(episode, family_dir / f"{instance.id}.jsonl")
@@ -219,32 +221,26 @@ def run_benchmark(args) -> int:
     return 3 if all_agent_aborted else 0
 
 
-def _pick_instance(args) -> tuple[Instance, Path]:
-    """The instance that `--id` or `--index` names, with its file."""
-    files = _load_instance_set(args.instances, ())
-    instances = list(files)
+def _pick_instance(args) -> Instance:
+    """The instance that `--id` or `--index` names."""
+    instances = _load_instance_set(args.instances, ())
     if args.id:
         matches = [i for i in instances if i.id == args.id]
         if not matches:
             raise SystemExit(f"no instance with id {args.id}")
-        return matches[0], files[matches[0]]
+        return matches[0]
     if not 0 <= args.index < len(instances):
         raise SystemExit(f"--index {args.index} is out of range: {args.instances}"
                          f" holds {len(instances)} instances")
-    return instances[args.index], files[instances[args.index]]
+    return instances[args.index]
 
 
 def cmd_play(args) -> int:
-    """The `play` command: one episode at the terminal. SystemExit naming
-    the file if the instance's pre-exploration plays otherwise."""
+    """The `play` command: one episode at the terminal."""
     from .agents import HumanAgent
     from .interpreter import episode_summary, run_episode
     from .metrics import goal_success_rate
-    instance, path = _pick_instance(args)
-    try:
-        episode = run_episode(instance, HumanAgent())
-    except ValueError as exc:
-        raise SystemExit(f"{path}: {exc}") from None
+    episode = run_episode(_pick_instance(args), HumanAgent())
     summary = episode_summary(episode)
     gsr = goal_success_rate(len(summary["goals_achieved"]), summary["goals_total"])
     print(f"--- {summary['outcome']} after {summary['turns']} turns; "
@@ -253,12 +249,12 @@ def cmd_play(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    """The `plan` command: an instance's optimal plan, as loading read it."""
     import json
-    instance, _ = _pick_instance(args)
+    instance = _pick_instance(args)
     print(json.dumps({
         "instance_id": instance.id,
-        "actions": [instance.parser.render(a, instance.world)
-                    for a in instance.optimal_plan],
+        "actions": list(instance.plan_commands),
         "length": instance.optimal_length,
     }, indent=1, sort_keys=True))
     return 0

@@ -316,8 +316,8 @@ def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
             continue
         if plan.length > TURN_LIMIT:
             continue
-        # set in place: no cached property reads either field, so the
-        # parser and start state built for the search are kept
+        # set in place: the search read no cached property that reads
+        # either field, so the parser and start state it built are kept
         inst.prompt = _finalize_prompt(inst, _standard_extras(inst))
         inst.optimal_plan = plan.actions
         return inst
@@ -364,8 +364,8 @@ def _sample_goals(rng, difficulty, adj, placement, entities,
 
 def generate_preexploration(inst: Instance) -> Instance:
     """Prepend a 6-8 step closed `go` walk that visits every room holding a
-    goal object (or its container) and every target receptacle, with feedback
-    simulated through the interpreter."""
+    goal object (or its container) and every target receptacle, with the
+    feedback that `Engine.walk` gives it."""
     rooms = _start_rooms(inst)
     required = {rooms[ident] for goal in inst.goals for ident in goal.fact.args}
     state = inst.start_state()
@@ -380,14 +380,10 @@ def generate_preexploration(inst: Instance) -> Instance:
         walk = walk + [pad_room, start]
 
     engine = Engine(inst)
-    pairs = []
-    for room in walk:
-        command = f"> go {engine.surface(room)}"
-        state, record = engine.execute(state, command)
-        if record.phase_outcome != "success":
-            raise WalkNotFound(f"{inst.id}: walk step failed at {room}")
-        pairs.append((command, record.feedback))
-    return replace(inst, preexploration=tuple(pairs))
+    commands = [f"> go {engine.surface(room)}" for room in walk]
+    _, records = engine.walk(state, commands)
+    return replace(inst, preexploration=tuple(
+        (command, record.feedback) for command, record in zip(commands, records)))
 
 
 def _covering_closed_walk(adj, start, required) -> list[str] | None:

@@ -1,8 +1,10 @@
-"""Episode definitions: rooms, entities, goals, lexicon, prompt and the
-optimal plan, plus their JSON serialization and DOT graph export. Loading
-reads each `extra_actions` row with `grammar.action_from_json`, the reader
-of the bundled verbs too, and shares each loaded value that equals one
-loaded before (`_shared`)."""
+"""Episode definitions: rooms, entities, goals, lexicon, prompt, the
+pre-exploration walk and the optimal plan, plus their JSON serialization and
+DOT graph export. Loading reads each `extra_actions` row with
+`grammar.action_from_json`, the reader of the bundled verbs too, shares each
+loaded value that equals one loaded before (`_shared`), and keeps what its
+checks compute for the episodes: the start state, what the walk showed and
+the plan's commands."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from pathlib import Path
 from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
                       action_from_json, build_parser, load_standard_actions,
                       staple_verbs)
+from .interpreter import Engine
 from .world import (ENGINE_PREDICATES, INVENTORY, PLAYER, EntityDef, Fact,
                     GoalCondition, InvariantViolation, RoomDef, StateGroup,
                     WorldDef, WorldState, initial_state, parse_fact,
@@ -72,8 +75,9 @@ class Instance:
     def optimal_length(self) -> int | None:
         return None if self.optimal_plan is None else len(self.optimal_plan)
 
-    @cached_property
+    @property
     def actions(self) -> tuple[ActionDef, ...]:
+        # not cached, to leave room for `_start` (see there)
         standard = {a.verb: a for a in load_standard_actions()}
         return tuple(standard[v] for v in self.base_verbs) + self.extra_actions
 
@@ -93,12 +97,48 @@ class Instance:
         return build_parser(self.actions, self.lexicon or Lexicon(), nouns)
 
     def start_state(self) -> WorldState:
-        return self._start_state
+        """The state an episode starts in, built and validated once."""
+        return self._start[0]
+
+    @property
+    def preexploration_facts(self) -> tuple[Fact, ...]:
+        """The facts in sight after each pre-exploration step, sorted."""
+        return self._start[1]
 
     @cached_property
-    def _start_state(self) -> WorldState:
-        # built and validated once; `dataclasses.replace` starts a new cache
-        return initial_state(self.world, self.initial_facts, self.inventory_limit)
+    def _start(self) -> tuple[WorldState, tuple[Fact, ...]]:
+        """The start state and `preexploration_facts`, in one attribute (a
+        21st grew each loaded instance's attribute table by 768 B, CPython
+        3.11); ValueError naming the step unless the walk plays with its
+        stored feedback back to the start. `dataclasses.replace` starts a
+        new cache."""
+        start = initial_state(self.world, self.initial_facts, self.inventory_limit)
+        walk = self.preexploration or ()
+        try:
+            end, records = Engine(self).walk(start, [command for command, _ in walk])
+            for n, ((command, feedback), record) in enumerate(zip(walk, records)):
+                if record.feedback != feedback:
+                    raise ValueError(f"step {n} {command!r}: the engine's feedback "
+                                     f"is {record.feedback!r}, not {feedback!r}")
+            if end.facts != start.facts:
+                raise ValueError(f"step {n} {command!r} ends the walk away from "
+                                 "its start")
+        except ValueError as exc:
+            raise ValueError(f"field 'preexploration': {exc}") from exc
+        seen = frozenset().union(*(r.revealed_facts for r in records))
+        return start, tuple(sorted(map(_shared, seen)))
+
+    @cached_property
+    def plan_commands(self) -> tuple[str, ...]:
+        """The optimal plan's commands as `Parser.render` writes and reads
+        them back; ValueError naming a step that does not read back."""
+        commands = []
+        for n, step in enumerate(self.optimal_plan or ()):
+            try:
+                commands.append(_shared(self.parser.render(step, self.world)))
+            except ValueError as exc:
+                raise ValueError(f"optimal_plan step {n}: {exc}") from exc
+        return tuple(commands)
 
     def to_json(self) -> dict:
         return {
@@ -345,16 +385,11 @@ def _limit(value) -> int | None:
 def _check_plan(instance: Instance, optimal_length) -> None:
     """Raise ValueError unless the stored plan (steps as `_plan_step`
     reads them) ends in `done`, has `optimal_length` steps, and each step's
-    command reads back through the instance's parser (`Parser.render`, the
-    one judge of a command)."""
+    command reads back (`Instance.plan_commands`)."""
     plan = instance.optimal_plan
     if not plan or plan[-1].action != "done":
         raise ValueError("optimal_plan is missing, empty or does not end in done")
-    for n, step in enumerate(plan):
-        try:
-            instance.parser.render(step, instance.world)
-        except ValueError as exc:
-            raise ValueError(f"optimal_plan step {n}: {exc}") from exc
+    instance.plan_commands  # raises on a step that does not read back
     if instance.optimal_length != optimal_length:
         raise ValueError(f"optimal_plan has {instance.optimal_length} steps, "
                          f"optimal_length is {optimal_length}")
@@ -377,7 +412,9 @@ def save_instances(instances: list[Instance], path: str | Path,
 def load_instances(path: str | Path) -> list[Instance]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # such as a missing file
+        raise ValueError(f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: the top level is not a JSON object")
@@ -394,7 +431,7 @@ def load_instances(path: str | Path) -> list[Instance]:
         where = f"{path}: instance {index} ({row.get('id', 'no id')})"
         try:
             instance = Instance.from_json(row)
-            instance.start_state()  # raises on an invalid start state
+            instance.start_state()  # raises on a bad start state or walk
             _check_plan(instance, row["optimal_length"])
         except KeyError as exc:
             raise ValueError(f"{where} lacks field {exc.args[0]!r}") from exc

@@ -4,11 +4,11 @@ Each turn runs format -> parse -> ground -> preconditions -> state change ->
 goal check -> feedback; the first failing phase stops the turn and reports
 that phase's feedback. Episodes end on ``done``, a format violation, or the
 turn limit. A turn's preconditions and effects are the step that
-`grammar.compile_step` makes of its grounded action, once per engine. An
-episode first plays its instance's pre-exploration walk through the same
-pipeline: each step must succeed with the feedback the instance stores.
-An episode's file ends in its summary line, which every score is computed
-from; `read_episode_summary` is the one checked reader of that line.
+`grammar.compile_step` makes of its grounded action, once per engine.
+`Engine.walk` plays a pre-exploration walk, once per instance; an episode
+starts with the walk's turns in its transcript. An episode's file ends in
+its summary line, which every score is computed from;
+`read_episode_summary` is the one checked reader of that line.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure,
                       Step, compile_step)
@@ -275,6 +275,23 @@ class Engine:
         feedback = self._success_feedback(result, action, grounded, bindings)
         return finish("success", feedback, result, grounded, removes, adds)
 
+    def walk(self, state: WorldState, commands: Iterable[str]
+             ) -> tuple[WorldState, list[TurnRecord]]:
+        """Play `commands` from `state`: the final state and the records.
+        ValueError naming a step that lacks '>' or does not succeed."""
+        records = []
+        for n, command in enumerate(commands):
+            try:
+                state, record = self.execute(state, command)
+            except FormatViolation:
+                raise ValueError(f"step {n} {command!r} does not start "
+                                 "with '>'") from None
+            if record.phase_outcome != "success":
+                raise ValueError(f"step {n} {command!r} failed in "
+                                 f"{record.phase_outcome}: {record.feedback}")
+            records.append(record)
+        return state, records
+
     def _feedback_bindings(self, state: WorldState, action: ActionDef,
                            grounded: GroundedAction) -> dict:
         bindings: dict[str, object] = {}
@@ -310,33 +327,15 @@ class Episode:
         self.engine = engine
         self.instance = instance = engine.instance
         self.state = instance.start_state()
-        self.observed: set[Fact] = set(visible_facts(engine.world, self.state))
+        # the pre-exploration's turns, seen and not counted, end at the start
+        self.observed: set[Fact] = set(instance.preexploration_facts
+                                       or visible_facts(engine.world, self.state))
+        self.transcript: list[tuple[str, str]] = [("environment", instance.prompt)]
+        for command, feedback in instance.preexploration or ():
+            self.transcript += [("agent", command), ("environment", feedback)]
         self.turns: list[TurnRecord] = []
-        self.transcript: list[tuple[str, str]] = [
-            ("environment", instance.prompt)]
         self.outcome: str | None = None
         self.agent_log: list = []
-        # pre-exploration: context turns, played for observation memory and
-        # not counted; each must succeed with the feedback the instance holds
-        state = self.state
-        for index, (command, feedback) in enumerate(instance.preexploration or ()):
-            where = f"{instance.id}: pre-exploration step {index} {command!r}"
-            try:
-                state, record = engine.execute(state, command)
-            except FormatViolation:
-                raise ValueError(f"{where} does not start with '>'") from None
-            if record.phase_outcome != "success":
-                raise ValueError(f"{where} failed in {record.phase_outcome}: "
-                                 f"{record.feedback}")
-            if record.feedback != feedback:
-                raise ValueError(f"{where}: the engine's feedback is "
-                                 f"{record.feedback!r}, not {feedback!r}")
-            self.observed |= record.revealed_facts
-            self.transcript.append(("agent", command))
-            self.transcript.append(("environment", feedback))
-        if state.facts != self.state.facts:
-            raise ValueError(
-                f"{instance.id}: pre-exploration walk did not return to start")
 
     @property
     def done(self) -> bool:
@@ -454,8 +453,9 @@ def read_episode_summary(path: str | Path) -> dict:
     path = Path(path)
     try:
         s = json.loads(path.read_text(encoding="utf-8").rstrip().rpartition("\n")[2])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: last line is not JSON ({exc})") from exc
+    except ValueError as exc:  # not UTF-8, or the last line is not JSON
+        raise ValueError(f"{path}: not UTF-8 text ending in a JSON line "
+                         f"({exc})") from exc
 
     def need(field: str, holds: bool, what: str) -> None:
         if not holds:

@@ -39,7 +39,7 @@ def oracle_records(bench144):
     records = {}
     for family, instances in bench144.items():
         for instance in instances:
-            agent = ScriptedAgent.from_plan(instance, instance.optimal_plan)
+            agent = ScriptedAgent.from_plan(instance)
             records[instance.id] = (instance, run_episode(instance, agent))
     return OracleRun(records, time.perf_counter() - started)
 

@@ -4,8 +4,8 @@ precondition and effect code, the planner's search with every state checked,
 the planner's candidates without its pruning, and a raw-string brute-force
 optimal search driven through the public interpreter; an ablated agent;
 plus helpers: a builder for handcrafted micro instances, criterion 4's
-corpus of them, a pre-exploration walk added to an instance, and a lexicon
-swap for generated instances."""
+corpus of them, a pre-exploration walk added to an instance, a scripted
+agent for a plan, and a lexicon swap for generated instances."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from dataclasses import replace
 from itertools import product
 
 import ifbench.planner as planner
-from ifbench import Engine, HeuristicAgent, Instance, generate_preexploration
+from ifbench import (Engine, HeuristicAgent, Instance, ScriptedAgent,
+                     generate_preexploration)
 from ifbench.generate import _finalize_prompt, _standard_extras
 from ifbench.grammar import (ActionDef, GroundedAction, Lexicon, build_parser,
                              staple_verbs)
@@ -503,12 +504,16 @@ def micro_instance(rooms, connections, entities, facts, goals,
 
 def with_walk(inst: Instance, commands) -> Instance:
     """`inst` with a pre-exploration walk of `commands`, each stored with the
-    feedback the engine gives it."""
-    engine, state, steps = Engine(inst), inst.start_state(), []
-    for command in commands:
-        state, record = engine.execute(state, command)
-        steps.append((command, record.feedback))
-    return replace(inst, preexploration=tuple(steps))
+    feedback `Engine.walk` gives it."""
+    _, records = Engine(inst).walk(inst.start_state(), commands)
+    return replace(inst, preexploration=tuple(
+        (command, record.feedback) for command, record in zip(commands, records)))
+
+
+def plan_agent(inst: Instance, actions) -> ScriptedAgent:
+    """A scripted agent that plays `actions` on `inst`, as it would play
+    them were they the instance's optimal plan."""
+    return ScriptedAgent.from_plan(replace(inst, optimal_plan=tuple(actions)))
 
 
 def micro_corpus() -> list[Instance]:

@@ -156,8 +156,7 @@ def test_criterion_5_lexicon_isomorphism(bench144):
         mapped = apply_lexicon(base, lexicon)
         assert solve_optimal(mapped).length == base.optimal_length
         # the base plan, stored as ids, replays to success on the mapped game
-        record = run_episode(mapped, ScriptedAgent.from_plan(
-            mapped, base.optimal_plan))
+        record = run_episode(mapped, ScriptedAgent.from_plan(mapped))
         assert record.outcome == "success"
         assert len(record.turns) == base.optimal_length
         checked += 1

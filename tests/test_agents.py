@@ -3,6 +3,7 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
@@ -457,9 +458,10 @@ def test_heuristic_solves_and_respects_format(bench144):
 
 
 def test_heuristic_turns_are_executed_once(bench144, monkeypatch):
-    # only the episode resolves turns: one execute per turn and per
-    # pre-exploration walk step, none by the agent; and only the episode
-    # changes state: one delta per successful turn and per walk step
+    # only the episode resolves turns: one execute per turn, none by the
+    # agent; and only the episode changes state: one delta per successful
+    # turn. The pre-exploration walk is played once per instance, where its
+    # facts are first asked for, not by each episode.
     calls, deltas = [], []
     execute = Engine.execute
     apply_delta = ifbench.world.apply_delta
@@ -478,14 +480,19 @@ def test_heuristic_turns_are_executed_once(bench144, monkeypatch):
                 and getattr(module, "apply_delta", None) is apply_delta):
             monkeypatch.setattr(module, "apply_delta", counting_apply_delta)
     for family, instances in bench144.items():
-        inst = instances[0]
+        inst = replace(instances[0])  # a copy that has not walked yet
         calls.clear()
         deltas.clear()
-        record = run_episode(inst, HeuristicAgent())
+        inst.preexploration_facts
         walk = len(inst.preexploration or ())
-        assert len(calls) == len(record.turns) + walk, (family, inst.id, len(calls))
-        changes = sum(t.phase_outcome == "success" for t in record.turns) + walk
-        assert len(deltas) == changes, (family, inst.id, len(deltas))
+        assert len(calls) == len(deltas) == walk, (family, inst.id, len(calls))
+        for _ in range(2):
+            calls.clear()
+            deltas.clear()
+            record = run_episode(inst, HeuristicAgent())
+            assert len(calls) == len(record.turns), (family, inst.id, len(calls))
+            changes = sum(t.phase_outcome == "success" for t in record.turns)
+            assert len(deltas) == changes, (family, inst.id, len(deltas))
     assert bench144["preexplore-hard"][0].preexploration
 
 

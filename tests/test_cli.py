@@ -270,30 +270,6 @@ def test_report_names_the_file_and_field_of_a_bad_summary(results17, tmp_path,
         f"no transcripts under {results / 'heuristic'}\n")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_names_the_file_of_a_preexploration_that_plays_otherwise(
-        suite17, tmp_path, cpus, workers):
-    instances = tmp_path / "instances"
-    instances.mkdir()
-    for family in ("preexplore-easy", "preexplore-hard"):
-        shutil.copy(suite17 / f"{family}.json", instances)
-    path = instances / "preexplore-hard.json"
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    command = payload["instances"][0]["preexploration"][0][0]
-    payload["instances"][0]["preexploration"][0][1] = "You are on the moon."
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    cpus(workers)
-    with pytest.raises(SystemExit) as exit_:
-        main(["run", "--instances", str(instances), "--agent", "heuristic",
-              "--out", str(tmp_path / "results")])
-    message = exit_.value.code
-    assert message.startswith(f"{path}: preexplore-hard-00: pre-exploration "
-                              f"step 0 {command!r}: the engine's feedback is ")
-    assert message.endswith(", not 'You are on the moon.'")
-    assert "\n" not in message
-    assert not (tmp_path / "results" / "heuristic" / "scores.json").exists()
-
-
 def test_heuristic_wins_an_instance_without_the_open_verb(suite17, tmp_path):
     """basic-easy-04's plan needs no `open`, so it loads and plays without
     it; the heuristic then neither opens its closed wardrobe nor walks
@@ -313,31 +289,99 @@ def test_heuristic_wins_an_instance_without_the_open_verb(suite17, tmp_path):
         assert summary["outcome"] == "success"
 
 
-def _moon_preexploration(suite17, tmp_path) -> tuple[Path, str]:
-    """A copy of the seed-17 preexplore-hard file whose instance 0 stores
-    the feedback "You are on the moon." for its first pre-exploration step,
-    and that step's command."""
+def _set_step(n, command=None, feedback=None):
+    """Replace the command or the feedback of step `n` of a walk."""
+    def edit(walk):
+        walk[n] = [command or walk[n][0], feedback or walk[n][1]]
+    return edit
+
+
+# seed-17 preexplore-hard-00 walks from the hallway to the living room,
+# bedroom, living room, kitchen, pantry and back
+@pytest.mark.parametrize("edit, fault", [
+    (_set_step(0, feedback="You are on the moon."),
+     "step 0 '> go living room': the engine's feedback is 'You are in a "
+     "living room. "),
+    (_set_step(1, command="> go boudoir"),
+     "step 1 '> go boudoir' failed in resolution-fail: "),
+    (_set_step(2, command="go living room"),
+     "step 2 'go living room' does not start with '>'"),
+    (_set_step(1, command="> go pantry"),
+     "step 1 '> go pantry' failed in precondition-fail: "),
+    (lambda walk: walk.pop(),
+     "step 4 '> go pantry' ends the walk away from its start"),
+], ids=["feedback", "noun", "prompt", "not-adjacent", "last-step-dropped"])
+def test_a_preexploration_that_plays_otherwise_is_rejected_at_load(
+        suite17, tmp_path, monkeypatch, edit, fault):
     path = tmp_path / "instances" / "preexplore-hard.json"
     path.parent.mkdir()
     payload = json.loads((suite17 / path.name).read_text(encoding="utf-8"))
-    payload["instances"][0]["preexploration"][0][1] = "You are on the moon."
+    edit(payload["instances"][0]["preexploration"])
     path.write_text(json.dumps(payload), encoding="utf-8")
-    return path, payload["instances"][0]["preexploration"][0][0]
-
-
-def test_play_names_the_file_of_a_preexploration_that_plays_otherwise(
-        suite17, tmp_path, monkeypatch):
-    path, command = _moon_preexploration(suite17, tmp_path)
     shutil.copy(suite17 / "preexplore-easy.json", path.parent)
-    monkeypatch.setattr("builtins.input", lambda prompt="": "done")
-    with pytest.raises(SystemExit) as exit_:
-        main(["play", "--instances", str(path.parent), "--id",
-              "preexplore-hard-00"])
-    message = exit_.value.code
-    assert message.startswith(f"{path}: preexplore-hard-00: pre-exploration "
-                              f"step 0 {command!r}: the engine's feedback is ")
-    assert message.endswith(", not 'You are on the moon.'")
+    with pytest.raises(ValueError) as error:
+        load_instances(path)
+    message = str(error.value)
+    assert message.startswith(f"{path}: instance 0 (preexplore-hard-00): "
+                              f"field 'preexploration': {fault}")
     assert "\n" not in message
+    monkeypatch.setattr("builtins.input", lambda prompt="": "done")
+    for argv in (["run", "--agent", "heuristic", "--out", str(tmp_path / "out")],
+                 ["play", "--id", "preexplore-easy-00"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--instances", str(path.parent)])
+        assert exit_.value.code == message
+    assert sorted(tmp_path.iterdir()) == [path.parent]
+
+
+def test_a_missing_instances_path_is_named(small_set, tmp_path):
+    results = tmp_path / "results"
+    assert main(["run", "--instances", str(small_set), "--agent", "heuristic",
+                 "--out", str(results)]) == 0
+    missing = tmp_path / "nowhere"
+    for argv in (["run", "--agent", "heuristic", "--out", str(results)],
+                 ["plan"], ["play"],
+                 ["report", "--results", str(results),
+                  "--out", str(tmp_path / "report")]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--instances", str(missing)])
+        assert exit_.value.code == f"{missing}: No such file or directory"
+
+
+def test_a_scripted_run_renders_plans_only_at_load(suite17, tmp_path,
+                                                    monkeypatch, cpus):
+    """The loader reads each plan step back through `Parser.render` and
+    keeps the commands; the episodes, in this process or in workers, play
+    those and render nothing."""
+    rendered = []
+    render = ifbench.grammar.Parser.render
+    load = ifbench.cli._load_instance_set
+
+    def counting_render(self, *args):
+        rendered.append(args)
+        return render(self, *args)
+
+    def load_then_forbid_render(*args):
+        instances = load(*args)
+        monkeypatch.setattr(ifbench.grammar.Parser, "render", forbidden)
+        return instances
+
+    def forbidden(self, *args):
+        raise AssertionError("rendered after load")
+
+    monkeypatch.setattr(ifbench.grammar.Parser, "render", counting_render)
+    monkeypatch.setattr(ifbench.cli, "_load_instance_set", load_then_forbid_render)
+    path = tmp_path / "instances" / "basic-hard.json"
+    path.parent.mkdir()
+    shutil.copy(suite17 / path.name, path)
+    for workers in (1, 2):
+        cpus(workers)
+        rendered.clear()
+        monkeypatch.setattr(ifbench.grammar.Parser, "render", counting_render)
+        assert main(["run", "--instances", str(path.parent), "--agent",
+                     "scripted", "--out", str(tmp_path / f"out{workers}")]) == 0
+        plans = [i["optimal_plan"] for i in json.loads(path.read_text())["instances"]]
+        assert len(rendered) == sum(map(len, plans))
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -1,9 +1,10 @@
 """The package's import graph, read from the source with `ast`: the
-module-level imports between ifbench modules form no cycle, and an ifbench
+module-level imports between ifbench modules form no cycle, an ifbench
 module is imported inside a function only where `FUNCTION_LEVEL` gives the
-reason."""
+reason, and every name an annotation uses is bound in its module."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import ifbench
@@ -114,3 +115,71 @@ def test_function_level_imports_have_a_reason():
     found = {(module, target) for module, imports in _package_imports().items()
              for target, inside in imports if inside}
     assert found == set(FUNCTION_LEVEL)
+
+
+def _annotation_names(tree: ast.Module):
+    """Yield (line, name) for each name that an annotation of `tree` uses,
+    in a string annotation too."""
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.lineno, sub.id
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                for _, name in names(ast.parse(sub.value, mode="eval")):
+                    yield sub.lineno, name
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            yield from names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield from names(arg.annotation)
+            if node.returns is not None:
+                yield from names(node.returns)
+
+
+def _module_names(nodes) -> set[str]:
+    """The names that module-level statements bind, those under ``if`` and
+    ``try`` (such as ``if TYPE_CHECKING:`` imports) included."""
+    bound = set()
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target)
+                             if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+            bound |= _module_names(ast.iter_child_nodes(node))
+    return bound
+
+
+def _unbound_annotation_names(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    known = _module_names(tree.body) | set(dir(builtins))
+    return sorted({(line, name) for line, name in _annotation_names(tree)
+                   if name not in known})
+
+
+def test_reader_sees_every_annotation():
+    source = ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n"
+              "    from .metrics import Scores\n"
+              "def f(a: Scores, *b: 'Later', c: int = 0, **d: Gone) -> list[Nope]:\n"
+              "    x: Local = 1\n")
+    assert _unbound_annotation_names(source) == [
+        (4, "Gone"), (4, "Later"), (4, "Nope"), (5, "Local")]
+
+
+def test_every_annotation_name_is_bound():
+    # a name an annotation uses is imported (under TYPE_CHECKING counts),
+    # defined at module level, or a builtin, so the hints can be resolved
+    unbound = {path.stem: found for path in sorted(PACKAGE.glob("*.py"))
+               if (found := _unbound_annotation_names(path.read_text()))}
+    assert unbound == {}

@@ -290,15 +290,17 @@ def test_walks_never_found_exhaust_a_preexplore_family(monkeypatch):
 
 def test_walk_step_that_fails_is_never_stored(bench144, monkeypatch):
     """A walk through a room that is not next door fails at that step; the
-    generator raises rather than store the failed step's feedback."""
+    generator raises `Engine.walk`'s error rather than store the failed
+    step's feedback."""
     inst = bench144["basic-easy"][0]
     start = inst.start_state().player_room
     far = next(room for room in inst.world.rooms
                if room != start and room not in inst.world.exits[start])
     monkeypatch.setattr(ifbench.generate, "_covering_closed_walk",
                         lambda adj, origin, required: [far, start])
-    with pytest.raises(ifbench.WalkNotFound,
-                       match=f"walk step failed at {far}$"):
+    command = f"> go {inst.parser.surface_of(far, inst.world)}"
+    with pytest.raises(ValueError, match=re.escape(
+            f"step 0 {command!r} failed in precondition-fail: ")):
         generate_preexploration(inst)
 
 
@@ -502,8 +504,7 @@ def test_save_load_roundtrip(tmp_path, bench144, family):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     # a reloaded instance still plays identically
     from ifbench import ScriptedAgent, run_episode
-    record = run_episode(again[0], ScriptedAgent.from_plan(
-        again[0], again[0].optimal_plan))
+    record = run_episode(again[0], ScriptedAgent.from_plan(again[0]))
     assert record.outcome == "success"
     assert len(record.turns) == again[0].optimal_length
 
@@ -771,7 +772,7 @@ def test_a_plan_that_binds_the_true_source_loads_and_plays(tmp_path, bench144):
     path.write_text(json.dumps(payload))
     inst = load_instances(path)[1]
     assert inst.optimal_plan[3].get("source") == "counter"
-    agent = ScriptedAgent.from_plan(inst, inst.optimal_plan)
+    agent = ScriptedAgent.from_plan(inst)
     assert run_episode(inst, agent).outcome == "success"
 
 
@@ -1049,6 +1050,14 @@ def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
     message = str(err.value)
     assert message.startswith(f"{path}: ")
     assert named in message
+
+
+def test_a_file_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff{}")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: not valid JSON ('utf-8' codec can't decode byte 0xff")):
+        load_instances(path)
 
 
 @pytest.mark.parametrize("index, key, value, fault", [

@@ -12,7 +12,7 @@ from ifbench.interpreter import PHASES
 from ifbench.world import (INVENTORY, apply_delta, state_facts_of,
                            validate_state, visible_facts)
 from oracles import (micro_corpus, micro_instance, reference_entity_description,
-                     reference_room_description, reference_solve,
+                     plan_agent, reference_room_description, reference_solve,
                      reference_state_facts, reference_visible, with_walk)
 
 
@@ -236,7 +236,7 @@ def test_render_feedback():
 def test_scripted_optimal_replay_succeeds():
     inst = kitchen_instance()
     plan = solve_optimal(inst)
-    record = run_episode(inst, ScriptedAgent.from_plan(inst, plan.actions))
+    record = run_episode(inst, plan_agent(inst, plan.actions))
     assert record.outcome == "success"
     assert len(record.turns) == plan.length
 
@@ -351,7 +351,7 @@ def test_written_summary_matches_record(tmp_path):
     from ifbench import read_episode_summary, solve_optimal, write_episode
     inst = kitchen_instance()
     plan = solve_optimal(inst)
-    record = run_episode(inst, ScriptedAgent.from_plan(inst, plan.actions))
+    record = run_episode(inst, plan_agent(inst, plan.actions))
     path = tmp_path / "micro" / "micro.jsonl"  # <family>/<instance id>.jsonl
     path.parent.mkdir()
     written = write_episode(record, path)
@@ -393,6 +393,18 @@ def heuristic_line(heuristic_records, tmp_path_factory):
     path = tmp_path_factory.mktemp("summary") / "basic-easy-00.jsonl"
     write_episode(heuristic_records["basic-easy-00"][1], path)
     return path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("tail", [b"\xff\n", b"{}\nnot json\n"],
+                         ids=["not-utf8", "not-json"])
+def test_summary_reader_names_a_file_it_cannot_read(tmp_path, tail):
+    from ifbench import read_episode_summary
+    path = tmp_path / "basic-easy" / "basic-easy-00.jsonl"
+    path.parent.mkdir()
+    path.write_bytes(tail)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: not UTF-8 text ending in a JSON line (")):
+        read_episode_summary(path)
 
 
 @pytest.mark.parametrize("key, name, value", _summary_mutants())
@@ -446,15 +458,27 @@ def test_preexploration_must_play_as_stored(index, command, feedback, message):
     walk = list(inst.preexploration)
     walk[index] = (command, feedback)
     with pytest.raises(ValueError, match=re.escape(
-            f"micro: pre-exploration {message}")):
+            f"field 'preexploration': {message}")):
         Episode(Engine(replace(inst, preexploration=tuple(walk))))
 
 
 def test_preexploration_must_return_to_start():
     inst = with_walk(kitchen_instance(), ["> go pantry"])
     with pytest.raises(ValueError, match=re.escape(
-            "micro: pre-exploration walk did not return to start")):
+            "field 'preexploration': step 0 '> go pantry' ends the walk away "
+            "from its start")):
         Episode(Engine(inst))
+
+
+def test_walk_plays_commands_that_all_succeed():
+    inst = kitchen_instance()
+    engine, start = Engine(inst), inst.start_state()
+    end, records = engine.walk(start, ["> go pantry", "> look"])
+    assert end.player_room == "pantry"
+    assert [r.feedback for r in records] == [
+        engine.execute(start, "> go pantry")[1].feedback,
+        engine.execute(end, "> look")[1].feedback]
+    assert engine.walk(start, []) == (start, [])
 
 
 def _episode_states(inst, episode) -> list:

@@ -6,7 +6,7 @@ from ifbench import (EmptyInput, ScriptedAgent, aggregate,
                      load_standard_actions, run_episode, solve_optimal)
 from ifbench.metrics import (macro_averages, paper_pct, scores_to_csv,
                              scores_to_json)
-from oracles import micro_instance
+from oracles import micro_instance, plan_agent
 
 ACTIONS = {a.verb: a for a in load_standard_actions()}
 
@@ -59,7 +59,7 @@ def test_classify_outcomes():
         facts=["at(player,kitchen)", "at(table,kitchen)", "at(apple,kitchen)"],
         goals=["on(apple,table)"])
     plan = solve_optimal(inst)
-    record = run_episode(inst, ScriptedAgent.from_plan(inst, plan.actions))
+    record = run_episode(inst, plan_agent(inst, plan.actions))
     assert record.outcome == "success"
     record = run_episode(inst, ScriptedAgent(["> done"]))
     assert record.outcome == "lost"

@@ -8,12 +8,12 @@ import pytest
 
 import ifbench.grammar as grammar
 import ifbench.planner as planner
-from ifbench import (Engine, ScriptedAgent, SearchBudgetExceeded,
-                     Unsolvable, apply_delta, run_episode, solve_optimal)
+from ifbench import (Engine, SearchBudgetExceeded, Unsolvable, apply_delta,
+                     run_episode, solve_optimal)
 from ifbench.grammar import ActionDef, ActionFlags, GroundedAction, Param
 from ifbench.world import INVENTORY, PLAYER, InvariantViolation
 from oracles import (brute_force_optimal, micro_corpus, micro_instance,
-                     reference_effects, reference_preconditions,
+                     plan_agent, reference_effects, reference_preconditions,
                      reference_solve, unpruned_candidates)
 
 
@@ -74,7 +74,7 @@ def test_plan_replays_to_success(bench144):
     for family in ("basic-easy", "basic-hard", "synthetic-hard"):
         inst = bench144[family][0]
         result = solve_optimal(inst)
-        record = run_episode(inst, ScriptedAgent.from_plan(inst, result.actions))
+        record = run_episode(inst, plan_agent(inst, result.actions))
         assert record.outcome == "success"
         assert len(record.turns) == result.length == inst.optimal_length
 
