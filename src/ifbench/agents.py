@@ -137,10 +137,10 @@ class HeuristicAgent:
             self._observe(turns[-1].revealed_facts)
         decided = self._decide()
         try:
-            command = "> " + self.engine.parser.render(decided, self.world)
+            command = "> " + self.engine.parser.render(decided)
         except ValueError as exc:
             raise RuntimeError(f"heuristic decided {exc}") from exc
-        failure = self.engine.step(decided).failure(self.state)
+        failure = self.engine.step(decided, self.episode.steps).failure(self.state)
         if failure is not None:
             raise RuntimeError(f"heuristic issued {command!r}, which fails: "
                                f"{failure}")
@@ -168,9 +168,10 @@ class HeuristicAgent:
             obj = goal.fact.args[0]
             if obj not in visible:
                 continue
-            for verb in sorted(set(self.engine.actions) - set(staple_verbs())):
+            for verb in sorted(set(self.engine.parser.actions) - set(staple_verbs())):
                 grounded = _action(verb, item=obj)
-                if self.engine.step(grounded).failure(self.state) is None:
+                if self.engine.step(grounded, self.episode.steps).failure(
+                        self.state) is None:
                     return grounded
 
         # deliver a carried goal object whose target is here
@@ -224,7 +225,7 @@ class HeuristicAgent:
     def _to_open(self, eid: str) -> bool:
         """`eid` is a closed container that we have not opened ourselves,
         and the instance has the verb to open it."""
-        return ("open" in self.engine.actions and self.world.is_container(eid)
+        return ("open" in self.engine.parser.actions and self.world.is_container(eid)
                 and eid not in self.opened
                 and fact("closed", eid) in self.state.facts)
 

@@ -14,7 +14,7 @@ from itertools import permutations, product
 from .grammar import (ActionDef, ActionFlags, Lexicon, Param,
                       load_standard_actions, staple_verbs)
 from .instance import FAMILIES, INSTANCES_PER_FAMILY, Instance
-from .interpreter import TURN_LIMIT, Engine, number_word
+from .interpreter import TURN_LIMIT, number_word
 from .planner import Unsolvable, solve_optimal
 from .pseudowords import PseudowordMaker
 from .world import (ENGINE_PREDICATES, EntityDef, GoalCondition, RoomDef,
@@ -168,20 +168,21 @@ def _sample_room_graph(rng, rooms: dict[str, RoomDef]) -> tuple[tuple[str, str],
 
 # -- prompt assembly ---------------------------------------------------------
 
-def _goal_sentence(engine: Engine) -> str:
+def _goal_sentence(inst: Instance) -> str:
     prompts = load_data("prompts.json")
+    parser = inst.engine.parser
     parts = []
-    placement = engine.goals[0].kind == "placement"
-    for goal in engine.goals:
+    placement = inst.goals[0].kind == "placement"
+    for goal in inst.goals:
         if goal.kind == "placement":
             item, target = goal.fact.args
             parts.append(prompts["placement_part"].format(
-                item=engine.surface(item), prep=goal.fact.predicate,
-                target=engine.surface(target)))
+                item=parser.surface_of(item), prep=goal.fact.predicate,
+                target=parser.surface_of(target)))
         else:
             parts.append(prompts["state_part"].format(
-                item=engine.surface(goal.fact.args[0]),
-                state=engine.state_surface(goal.fact.predicate)))
+                item=parser.surface_of(goal.fact.args[0]),
+                state=parser.lexicon.adjective(goal.fact.predicate)))
     if len(parts) > 1:
         joined = ", the ".join(parts[:-1]) + " and the " + parts[-1]
     else:
@@ -194,11 +195,10 @@ def _finalize_prompt(inst: Instance, extras: list[str]) -> str:
     """The instance's prompt: preamble, `extras`, goal, closing and the
     start room's description."""
     prompts = load_data("prompts.json")
-    engine = Engine(inst)
-    start_desc = engine.room_description(inst.start_state())
+    start_desc = inst.engine.room_description(inst.start_state())
     pieces = [prompts["preamble"]]
     pieces.extend(extras)
-    pieces.append(prompts["goal_line"].format(goal=_goal_sentence(engine)))
+    pieces.append(prompts["goal_line"].format(goal=_goal_sentence(inst)))
     pieces.append(prompts["closing"])
     pieces.append(start_desc)
     return "\n\n".join(pieces)
@@ -316,8 +316,8 @@ def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
             continue
         if plan.length > TURN_LIMIT:
             continue
-        # set in place: the search read no cached property that reads
-        # either field, so the parser and start state it built are kept
+        # set in place: neither field is read by the engine or the start
+        # state the search built, so the instance keeps them
         inst.prompt = _finalize_prompt(inst, _standard_extras(inst))
         inst.optimal_plan = plan.actions
         return inst
@@ -379,9 +379,8 @@ def generate_preexploration(inst: Instance) -> Instance:
     while len(walk) < 6:
         walk = walk + [pad_room, start]
 
-    engine = Engine(inst)
-    commands = [f"> go {engine.surface(room)}" for room in walk]
-    _, records = engine.walk(state, commands)
+    commands = [f"> go {inst.engine.parser.surface_of(room)}" for room in walk]
+    _, records = inst.engine.walk(state, commands)
     return replace(inst, preexploration=tuple(
         (command, record.feedback) for command, record in zip(commands, records)))
 

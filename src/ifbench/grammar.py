@@ -483,12 +483,13 @@ def _clean(line: str) -> list[str]:
 
 
 class Parser:
-    """Immutable command parser for one action set and lexicon."""
+    """Immutable command parser for one action set and lexicon over one
+    world, whose rooms, entities and inventory are its nouns."""
 
     def __init__(self, actions: Iterable[ActionDef], lexicon: Lexicon,
-                 nouns: Mapping[str, str]):
-        """`nouns` maps internal entity/room ids to their base surface nouns."""
+                 world: WorldDef):
         self.lexicon = lexicon
+        self.world = world
         self.actions: dict[str, ActionDef] = {}
         self.surface_verbs: dict[str, str] = {}  # surface verb -> verb id
         self.shapes: dict[str, tuple[_Slot, ...]] = {}
@@ -506,15 +507,14 @@ class Parser:
             raise ValueError("empty action set")
 
         self.noun_to_ids: dict[str, list[str]] = {}
-        for ident, base in nouns.items():
-            surface = lexicon.noun(base)
-            self.noun_to_ids.setdefault(surface, []).append(ident)
+        for ident in (*world.entities, *world.rooms, INVENTORY):
+            self.noun_to_ids.setdefault(self.surface_of(ident), []).append(ident)
         # longest first so "side table" wins over "table"
         self.noun_phrases = sorted(self.noun_to_ids,
                                    key=lambda s: (-len(s.split()), s))
 
-    def surface_of(self, ident: str, world: WorldDef) -> str:
-        return self.lexicon.noun(world.noun_of(ident))
+    def surface_of(self, ident: str) -> str:
+        return self.lexicon.noun(self.world.noun_of(ident))
 
     def parse(self, line: str) -> ParsedCommand:
         """Parse one command line (without the leading ``>``)."""
@@ -567,8 +567,9 @@ class Parser:
             end += 1
         return " ".join(tokens[pos:end]), end
 
-    def ground(self, cmd: ParsedCommand, world: WorldDef) -> GroundedAction:
+    def ground(self, cmd: ParsedCommand) -> GroundedAction:
         """Resolve surface noun phrases to ids and check trait requirements."""
+        world = self.world
         verb_id = self.surface_verbs[cmd.verb]
         action = self.actions[verb_id]
         bindings: list[tuple[str, str]] = []
@@ -591,10 +592,10 @@ class Parser:
             required = "in" if world.is_container(target) else "on"
             if cmd.preposition != required:
                 raise GroundFailure("prep-mismatch",
-                                    self.surface_of(target, world), cmd.verb)
+                                    self.surface_of(target), cmd.verb)
         return GroundedAction(verb_id, tuple(bindings))
 
-    def render(self, grounded: GroundedAction, world: WorldDef) -> str:
+    def render(self, grounded: GroundedAction) -> str:
         """Canonical command text for a grounded action, and the one judge
         of a command: the text is returned only when this parser parses and
         grounds it back to the same verb and bindings, in any order.
@@ -608,11 +609,11 @@ class Parser:
             if slot.optional:
                 words.append(slot.preps[0])
             elif verb == "put" and slot.param == "target":
-                words.append("in" if world.is_container(value) else "on")
-            words.append(self.surface_of(value, world))
+                words.append("in" if self.world.is_container(value) else "on")
+            words.append(self.surface_of(value))
         text = " ".join(words)
         try:
-            again = self.ground(self.parse(text), world)
+            again = self.ground(self.parse(text))
         except (ParseFailure, GroundFailure) as exc:
             raise ValueError(f"{grounded} renders as {text!r}, which "
                              f"fails: {exc}") from exc
@@ -646,13 +647,8 @@ def fits_trait(world: WorldDef, ident: str, trait: str) -> bool:
 
 
 def build_parser(actions: Iterable[ActionDef], lexicon: Lexicon,
-                 nouns: Mapping[str, str]) -> Parser:
-    """Assemble the command parser for an action set under a lexicon.
-
-    `nouns` maps internal ids to base surface nouns; the inventory noun is
-    added automatically. Raises DuplicateVerb when two verbs collide after
-    substitution.
-    """
-    vocabulary = dict(nouns)
-    vocabulary.setdefault(INVENTORY, "inventory")
-    return Parser(actions, lexicon, vocabulary)
+                 world: WorldDef) -> Parser:
+    """Assemble the command parser for an action set under a lexicon, with
+    the nouns of `world`'s rooms and entities and the inventory's. Raises
+    DuplicateVerb when two verbs collide after substitution."""
+    return Parser(actions, lexicon, world)

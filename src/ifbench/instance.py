@@ -3,8 +3,8 @@ pre-exploration walk and the optimal plan, plus their JSON serialization and
 DOT graph export. Loading reads each `extra_actions` row with
 `grammar.action_from_json`, the reader of the bundled verbs too, shares each
 loaded value that equals one loaded before (`_shared`), and keeps what its
-checks compute for the episodes: the start state, what the walk showed and
-the plan's commands."""
+checks compute for the episodes: the instance's one engine, the start
+state, what the walk showed and the plan's commands."""
 
 from __future__ import annotations
 
@@ -15,14 +15,12 @@ from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
-from .grammar import (ActionDef, GroundedAction, Lexicon, Parser,
-                      action_from_json, build_parser, load_standard_actions,
-                      staple_verbs)
+from .grammar import (ActionDef, GroundedAction, Lexicon, action_from_json,
+                      load_standard_actions, staple_verbs)
 from .interpreter import Engine
 from .world import (ENGINE_PREDICATES, INVENTORY, PLAYER, EntityDef, Fact,
                     GoalCondition, InvariantViolation, RoomDef, StateGroup,
-                    WorldDef, WorldState, initial_state, parse_fact,
-                    room_exits)
+                    WorldDef, WorldState, initial_state, parse_fact)
 
 SCHEMA_VERSION = 2
 PRNG_NAME = "numpy-PCG64"
@@ -77,24 +75,19 @@ class Instance:
 
     @property
     def actions(self) -> tuple[ActionDef, ...]:
-        # not cached, to leave room for `_start` (see there)
+        # not cached: the engine's parser keeps them, by verb
         standard = {a.verb: a for a in load_standard_actions()}
         return tuple(standard[v] for v in self.base_verbs) + self.extra_actions
 
     @cached_property
-    def world(self) -> WorldDef:
-        return WorldDef(
-            entities={e.id: e for e in self.entities},
-            rooms={r.id: r for r in self.rooms},
-            state_groups={g.entity: g for g in self.state_groups},
-            exits=room_exits((r.id for r in self.rooms), self.connections),
-        )
+    def engine(self) -> Engine:
+        """The instance's one engine, which builds its world and parser;
+        `dataclasses.replace` starts a new one."""
+        return Engine(self)
 
-    @cached_property
-    def parser(self) -> Parser:
-        nouns = {e.id: e.noun for e in self.entities}
-        nouns.update({r.id: r.noun for r in self.rooms})
-        return build_parser(self.actions, self.lexicon or Lexicon(), nouns)
+    @property
+    def world(self) -> WorldDef:
+        return self.engine.world
 
     def start_state(self) -> WorldState:
         """The state an episode starts in, built and validated once."""
@@ -107,15 +100,14 @@ class Instance:
 
     @cached_property
     def _start(self) -> tuple[WorldState, tuple[Fact, ...]]:
-        """The start state and `preexploration_facts`, in one attribute (a
-        21st grew each loaded instance's attribute table by 768 B, CPython
-        3.11); ValueError naming the step unless the walk plays with its
-        stored feedback back to the start. `dataclasses.replace` starts a
-        new cache."""
+        """The start state and `preexploration_facts`, in one attribute to
+        keep loaded instances small (`test_loaded_suite_memory`); ValueError
+        naming the step unless the walk plays with its stored feedback back
+        to the start. `dataclasses.replace` starts a new cache."""
         start = initial_state(self.world, self.initial_facts, self.inventory_limit)
         walk = self.preexploration or ()
         try:
-            end, records = Engine(self).walk(start, [command for command, _ in walk])
+            end, records = self.engine.walk(start, [command for command, _ in walk])
             for n, ((command, feedback), record) in enumerate(zip(walk, records)):
                 if record.feedback != feedback:
                     raise ValueError(f"step {n} {command!r}: the engine's feedback "
@@ -135,7 +127,7 @@ class Instance:
         commands = []
         for n, step in enumerate(self.optimal_plan or ()):
             try:
-                commands.append(_shared(self.parser.render(step, self.world)))
+                commands.append(_shared(self.engine.parser.render(step)))
             except ValueError as exc:
                 raise ValueError(f"optimal_plan step {n}: {exc}") from exc
         return tuple(commands)
@@ -444,12 +436,8 @@ def load_instances(path: str | Path) -> list[Instance]:
 def instance_to_dot(inst: Instance) -> str:
     """Graph view of the initial world: house-shaped rooms, boxed receptacles,
     round movables, dashed goal edges labelled with the target preposition."""
-    world = inst.world
-    lex = inst.lexicon or Lexicon()
-
-    def label(ident: str) -> str:
-        return lex.noun(world.noun_of(ident))
-
+    parser = inst.engine.parser
+    world, label = parser.world, parser.surface_of
     lines = [f'digraph "{inst.id}" {{']
     for room in sorted(world.rooms):
         lines.append(f'  "{room}" [shape=house, label="{label(room)}"];')
@@ -474,7 +462,7 @@ def instance_to_dot(inst: Instance) -> str:
             state = goal.fact.predicate
             entity = goal.fact.args[0]
             lines.append(f'  "goal_{entity}" [shape=ellipse, style=dashed, '
-                         f'label="{lex.adjective(state)}"];')
+                         f'label="{parser.lexicon.adjective(state)}"];')
             lines.append(f'  "{entity}" -> "goal_{entity}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

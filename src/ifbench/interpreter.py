@@ -3,8 +3,10 @@
 Each turn runs format -> parse -> ground -> preconditions -> state change ->
 goal check -> feedback; the first failing phase stops the turn and reports
 that phase's feedback. Episodes end on ``done``, a format violation, or the
-turn limit. A turn's preconditions and effects are the step that
-`grammar.compile_step` makes of its grounded action, once per engine.
+turn limit. Each instance has one engine (`Instance.engine`), which no turn
+changes. A turn's preconditions and effects are the step that
+`grammar.compile_step` makes of its grounded action, once per loop that
+plays turns: an episode, a walk, a search each keep their own memo.
 `Engine.walk` plays a pre-exploration walk, once per instance; an episode
 starts with the walk's turns in its transcript. An episode's file ends in
 its summary line, which every score is computed from;
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .grammar import (ActionDef, GroundedAction, GroundFailure, ParseFailure,
-                      Step, compile_step)
-from .world import (INVENTORY, Fact, GoalCondition, WorldState, apply_delta,
-                    check_goals, fact, load_data,
+from .grammar import (ActionDef, GroundedAction, GroundFailure, Lexicon,
+                      ParseFailure, Step, build_parser, compile_step)
+from .world import (INVENTORY, Fact, GoalCondition, WorldDef, WorldState,
+                    apply_delta, check_goals, fact, load_data, room_exits,
                     state_facts_of, state_to_json, visible_facts)
 
 if TYPE_CHECKING:
@@ -107,26 +109,27 @@ def _by_holder(state: WorldState) -> dict[str, list[str]]:
     return held
 
 
+Steps = dict[GroundedAction, Step]  # a loop's compiled steps, by action
+
+
 class Engine:
-    """Turn resolution for one instance; parser and templates are prebuilt
-    and immutable, so one engine can serve many states."""
+    """Turn resolution for one instance: its world, parser, goals and the
+    feedback templates, built once and never changed, so one engine serves
+    many states, loops and threads. It keeps no compiled steps (see `step`)
+    and no reference to its instance."""
 
     def __init__(self, instance: Instance):
-        self.instance = instance
-        self.world = instance.world
-        self.parser = instance.parser
-        self.messages = load_messages()
+        self.world = WorldDef(
+            entities={e.id: e for e in instance.entities},
+            rooms={r.id: r for r in instance.rooms},
+            state_groups={g.entity: g for g in instance.state_groups},
+            exits=room_exits((r.id for r in instance.rooms),
+                             instance.connections),
+        )
+        self.parser = build_parser(instance.actions,
+                                   instance.lexicon or Lexicon(), self.world)
         self.goals = instance.goals
-        self.actions = self.parser.actions  # the parser's map, by verb
-        self.lexicon = instance.lexicon
-        self._steps: dict[GroundedAction, Step] = {}
-
-    def surface(self, ident: str) -> str:
-        return self.parser.surface_of(ident, self.world)
-
-    def state_surface(self, state_name: str) -> str:
-        lex = self.lexicon
-        return lex.adjective(state_name) if lex else state_name
+        self.messages = load_messages()
 
     # -- descriptions ------------------------------------------------------
     #
@@ -137,7 +140,7 @@ class Engine:
         return render_feedback(self.messages[key], bindings)
 
     def _names(self, idents) -> str:
-        return _join([self.surface(e) for e in idents])
+        return _join([self.parser.surface_of(e) for e in idents])
 
     def _in_it(self, items: list[str] | None) -> str:
         """What an open container holds, or that it is empty."""
@@ -150,7 +153,7 @@ class Engine:
         """The sentences about a container (open or closed, and what is in
         an open one) or a support (what is on it); that one is empty is said
         only when `examined`."""
-        name, items = self.surface(eid), held.get(eid)
+        name, items = self.parser.surface_of(eid), held.get(eid)
         if self.world.is_support(eid):
             if items:
                 return [self._say("support_contents", support=name,
@@ -162,14 +165,14 @@ class Engine:
         return [opened, self._in_it(items)] if items or examined else [opened]
 
     def _state_sentence(self, eid: str, state_fact: Fact) -> str:
-        return self._say("state_sentence", entity=self.surface(eid),
-                         state=self.state_surface(state_fact.predicate))
+        return self._say("state_sentence", entity=self.parser.surface_of(eid),
+                         state=self.parser.lexicon.adjective(state_fact.predicate))
 
     def room_description(self, state: WorldState) -> str:
         held = _by_holder(state)
         room = state.player_room
         here = held.get(room, [])
-        parts = [self._say("room_intro", room=self.surface(room))]
+        parts = [self._say("room_intro", room=self.parser.surface_of(room))]
         if here:
             parts.append(self._say("here_one" if len(here) == 1 else "here_many",
                                    items=self._names(here)))
@@ -198,12 +201,12 @@ class Engine:
             return self._say("inventory_contents", items=self._names(carried))
         if self.world.is_container(ident) or self.world.is_support(ident):
             return " ".join(self._receptacle(ident, state, _by_holder(state), True))
-        name, where = self.surface(ident), state.perceivable[ident]
+        name, where = self.parser.surface_of(ident), state.perceivable[ident]
         if where.args[1] == INVENTORY:
             return self._say("examine_in_inventory", entity=name)
         if where.predicate != "at":  # examine_in, examine_on
             return self._say("examine_" + where.predicate, entity=name,
-                             holder=self.surface(where.args[1]))
+                             holder=self.parser.surface_of(where.args[1]))
         states = state_facts_of(self.world, state, ident)
         if states:
             return self._state_sentence(ident, states[0])
@@ -211,20 +214,23 @@ class Engine:
 
     # -- preconditions and effects ----------------------------------------
 
-    def step(self, grounded: GroundedAction) -> Step:
-        """The compiled step of a grounded action, compiled on first use."""
-        step = self._steps.get(grounded)
+    def step(self, grounded: GroundedAction, memo: Steps) -> Step:
+        """The compiled step of a grounded action, kept in `memo` once
+        compiled: the memo of the loop that plays it, which lives exactly
+        as long as the loop."""
+        step = memo.get(grounded)
         if step is None:
-            step = self._steps[grounded] = compile_step(
-                self.world, self.actions[grounded.action], grounded)
+            step = memo[grounded] = compile_step(
+                self.world, self.parser.actions[grounded.action], grounded)
         return step
 
     # -- the turn pipeline -------------------------------------------------
 
     def execute(self, state: WorldState, raw: str,
-                observed: frozenset[Fact] = frozenset(),
-                turn_index: int = 1) -> tuple[WorldState, TurnRecord]:
-        """Resolve one raw agent output against a state.
+                observed: frozenset[Fact] = frozenset(), turn_index: int = 1,
+                steps: Steps | None = None) -> tuple[WorldState, TurnRecord]:
+        """Resolve one raw agent output against a state, keeping the step it
+        compiles in the calling loop's memo `steps`, if given (see `step`).
 
         Raises FormatViolation (carrying the TurnRecord) when the output does
         not start with '>'. Failed turns never change the state.
@@ -254,7 +260,7 @@ class Engine:
                                        {"verb": exc.word})
             return finish("parse-fail", feedback, state)
         try:
-            grounded = self.parser.ground(cmd, self.world)
+            grounded = self.parser.ground(cmd)
         except GroundFailure as exc:
             feedback = render_feedback(
                 msg[exc.kind.replace("-", "_")],
@@ -262,9 +268,9 @@ class Engine:
                  "prep": cmd.preposition or ""})
             return finish("resolution-fail", feedback, state)
 
-        action = self.actions[grounded.action]
+        action = self.parser.actions[grounded.action]
         bindings = self._feedback_bindings(state, action, grounded)
-        step = self.step(grounded)
+        step = self.step(grounded, {} if steps is None else steps)
         failure = step.failure(state)
         if failure is not None:
             feedback = render_feedback(action.feedback[failure], bindings)
@@ -279,10 +285,10 @@ class Engine:
              ) -> tuple[WorldState, list[TurnRecord]]:
         """Play `commands` from `state`: the final state and the records.
         ValueError naming a step that lacks '>' or does not succeed."""
-        records = []
+        records, steps = [], {}
         for n, command in enumerate(commands):
             try:
-                state, record = self.execute(state, command)
+                state, record = self.execute(state, command, steps=steps)
             except FormatViolation:
                 raise ValueError(f"step {n} {command!r} does not start "
                                  "with '>'") from None
@@ -296,7 +302,7 @@ class Engine:
                            grounded: GroundedAction) -> dict:
         bindings: dict[str, object] = {}
         for name, ident in grounded.bindings:
-            bindings[name] = self.surface(ident)
+            bindings[name] = self.parser.surface_of(ident)
         target = grounded.get("target")
         if target is not None:
             bindings["prep"] = "in" if self.world.is_container(target) else "on"
@@ -319,13 +325,15 @@ class Engine:
 
 
 class Episode:
-    """One episode of `engine`'s instance: world state, observation memory,
-    turn records, the agent-visible transcript, the outcome once it ended,
-    and the agent's own log (`run_episode` fills it)."""
+    """One episode of an instance, played by its engine: world state,
+    observation memory, the steps compiled so far, turn records, the
+    agent-visible transcript, the outcome once it ended, and the agent's
+    own log (`run_episode` fills it)."""
 
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self.instance = instance = engine.instance
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.engine = engine = instance.engine
+        self.steps: Steps = {}
         self.state = instance.start_state()
         # the pre-exploration's turns, seen and not counted, end at the start
         self.observed: set[Fact] = set(instance.preexploration_facts
@@ -346,8 +354,8 @@ class Episode:
             raise RuntimeError("episode already ended")
         index = len(self.turns) + 1
         try:
-            state, record = self.engine.execute(self.state, raw,
-                                                frozenset(self.observed), index)
+            state, record = self.engine.execute(
+                self.state, raw, frozenset(self.observed), index, self.steps)
         except FormatViolation as exc:
             self.turns.append(exc.record)
             self.transcript.append(("agent", raw))
@@ -372,7 +380,7 @@ def run_episode(instance: Instance, agent) -> Episode:
     """Loop agent against interpreter until done, abort, or the turn limit,
     and return the ended episode. An agent that defines `start(episode)` is
     handed the episode first, after its pre-exploration walk, to read."""
-    episode = Episode(Engine(instance))
+    episode = Episode(instance)
     if hasattr(agent, "start"):
         agent.start(episode)
     while not episode.done:
@@ -398,7 +406,7 @@ def episode_summary(episode: Episode) -> dict:
         phase_counts[turn.phase_outcome] += 1
         if turn.grounded is not None:
             grounded += 1
-            flags = episode.engine.actions[turn.grounded.action].flags
+            flags = episode.engine.parser.actions[turn.grounded.action].flags
             epistemic += flags.epistemic
             pragmatic += flags.pragmatic
     achieved = check_goals(episode.state, instance.goals)

@@ -7,11 +7,12 @@ cannot shorten a plan: taking or putting non-goal objects, `close`, and
 `open` on containers that neither hide a goal object nor are goal targets.
 
 The search runs on bit masks alone: a state is the player's room and the
-bit mask of its facts (its key). Each candidate's compiled step is compiled
-once per search and player room into mask tests and effects (`_mask_moves`)
-from the fact forms of its tests, the forms a turn decides on a state. It
-builds no state. `_replay` checks the plan it returns through the steps'
-preconditions and the checked `apply_delta`. No state holds the room graph:
+bit mask of its facts (its key). Each candidate's step is compiled once per
+search, into the search's own memo, and once per search and player room
+into mask tests and effects (`_mask_moves`) from the fact forms of its
+tests, the forms a turn decides on a state. It builds no state. `_replay`
+checks the plan it returns through the preconditions of the memo's steps
+and the checked `apply_delta`. No state holds the room graph:
 a `go` test needs just the player in a room among the target's exits.
 """
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from .grammar import ActionDef, GroundedAction, Step, fits_trait
 from .instance import Instance
-from .interpreter import Engine
+from .interpreter import Engine, Steps
 from .world import (INVENTORY, PLAYER, Fact, InvariantViolation, WorldDef,
                     WorldState, apply_delta, perceivable_when)
 
@@ -58,9 +59,10 @@ def _groundings(world: WorldDef, action: ActionDef) -> list[GroundedAction]:
             for combo in product(*pools)]
 
 
-def _candidates(engine: Engine, instance: Instance) -> list[GroundedAction]:
+def _candidates(instance: Instance) -> list[GroundedAction]:
     """The groundings the search branches on, in (verb, bindings) order,
     which fixes its tie-breaking."""
+    engine = instance.engine
     goal_items: dict[str, set[str]] = {}
     for goal in instance.goals:
         if goal.kind == "placement":
@@ -77,7 +79,7 @@ def _candidates(engine: Engine, instance: Instance) -> list[GroundedAction]:
                  if g.fact.predicate == "closed"}
 
     out = []
-    for verb, action in engine.actions.items():
+    for verb, action in engine.parser.actions.items():
         if verb == "close":
             out.extend(GroundedAction(verb, ((action.params[0].name, c),))
                        for c in closeable)
@@ -152,15 +154,16 @@ def _compile(step: Step, room: str, bits: dict[Fact, int],
                  _mask(removes, bits), _mask(step.adds, bits), to_room)
 
 
-def _mask_moves(engine: Engine, start: WorldState, goal_facts: frozenset[Fact],
-                candidates: list[GroundedAction]
+def _mask_moves(engine: Engine, memo: Steps, start: WorldState,
+                goal_facts: frozenset[Fact], candidates: list[GroundedAction]
                 ) -> tuple[dict[Fact, int], dict[str, list[Fact]], int,
                            dict[str, list[_Move]]]:
     """A bit for each goal and each fact a reachable state can hold (the
     start's and those a candidate adds: other effects only remove a held
     fact), each subject's location facts with a bit, the inventory's bits,
-    and each room's candidates in mask form, in candidate order."""
-    steps = [engine.step(grounded) for grounded in candidates]
+    and each room's candidates in mask form, in candidate order; the
+    candidates' steps are compiled into `memo`."""
+    steps = [engine.step(grounded, memo) for grounded in candidates]
     bits: dict[Fact, int] = {}
     for f in chain(start.facts, goal_facts, *(step.adds for step in steps)):
         bits.setdefault(f, 1 << len(bits))
@@ -189,15 +192,15 @@ def solve_optimal(instance: Instance) -> PlanResult:
     the hash-seeded order of the start state's facts). The plan is replayed
     through the checked `apply_delta` before it is returned. A search may
     expand at most `DEFAULT_BUDGET` states."""
-    engine = Engine(instance)
     goal_facts = frozenset(g.fact for g in instance.goals)
     start = instance.start_state()
     done = GroundedAction("done", ())
     if goal_facts <= start.facts:
         return PlanResult((done,), 1, 0)
 
-    bits, _, carried, moves = _mask_moves(engine, start, goal_facts,
-                                          _candidates(engine, instance))
+    memo: Steps = {}  # this search's compiled steps, `_replay`'s too
+    bits, _, carried, moves = _mask_moves(instance.engine, memo, start,
+                                          goal_facts, _candidates(instance))
     goal_mask = _mask(goal_facts, bits)
     limit = inf if start.inventory_limit is None else start.inventory_limit
     start_key = _mask(start.facts, bits)
@@ -226,29 +229,30 @@ def solve_optimal(instance: Instance) -> PlanResult:
                     back, grounded = parents[back]
                     plan.append(grounded)
                 plan.reverse()
-                _replay(engine, start, plan, goal_facts, bits, new_key)
+                _replay(instance, memo, start, plan, goal_facts, bits, new_key)
                 return PlanResult(tuple(plan), len(plan), expanded)
             queue.append((to, new_key))
     raise Unsolvable(instance.id)
 
 
-def _replay(engine: Engine, start: WorldState, plan: list[GroundedAction],
-            goal_facts: frozenset[Fact], bits: dict[Fact, int],
-            reached: int) -> None:
-    """Check a found plan the way a turn would: each step's preconditions
-    hold and its delta goes through `apply_delta`, and the plan ends in the
-    state whose facts have the bits of `reached`, a state that meets every
-    goal. InvariantViolation if not."""
-    state = start
+def _replay(instance: Instance, memo: Steps, start: WorldState,
+            plan: list[GroundedAction], goal_facts: frozenset[Fact],
+            bits: dict[Fact, int], reached: int) -> None:
+    """Check a found plan the way a turn would, with the search's compiled
+    steps in `memo`: each step's preconditions hold and its delta goes
+    through `apply_delta`, and the plan ends in the state whose facts have
+    the bits of `reached`, a state that meets every goal.
+    InvariantViolation if not."""
+    engine, state = instance.engine, start
     for grounded in plan[:-1]:
-        step = engine.step(grounded)
+        step = engine.step(grounded, memo)
         failure = step.failure(state)
         if failure is not None:
             raise InvariantViolation(
-                f"{engine.instance.id}: plan step {grounded} fails on replay "
+                f"{instance.id}: plan step {grounded} fails on replay "
                 f"({failure})")
         state = apply_delta(engine.world, state, *step.effects(state))
     held = {f for f, b in bits.items() if reached & b}
     if state.facts != held or not goal_facts <= state.facts:
         raise InvariantViolation(
-            f"{engine.instance.id}: the replayed plan does not reach the goals")
+            f"{instance.id}: the replayed plan does not reach the goals")

@@ -2,10 +2,11 @@
 examine descriptions built by their own walks over the facts, the uncompiled
 precondition and effect code, the planner's search with every state checked,
 the planner's candidates without its pruning, and a raw-string brute-force
-optimal search driven through the public interpreter; an ablated agent;
-plus helpers: a builder for handcrafted micro instances, criterion 4's
-corpus of them, a pre-exploration walk added to an instance, a scripted
-agent for a plan, and a lexicon swap for generated instances."""
+optimal search driven through the public interpreter; ablated agents
+(verb-blind, lexicon-blind, memoryless); plus helpers: a builder for
+handcrafted micro instances, criterion 4's corpus of them, a
+pre-exploration walk added to an instance, a scripted agent for a plan,
+and a lexicon swap for generated instances."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
 from ifbench.interpreter import _join, render_feedback
 from ifbench.world import (INVENTORY, PLAYER, EntityDef, GoalCondition,
                            RoomDef, StateGroup, WorldDef, WorldState, Fact, apply_delta,
-                           fact, parse_fact)
+                           fact, parse_fact, visible_facts)
 
 
 def reference_visible(world: WorldDef, state: WorldState) -> frozenset[Fact]:
@@ -118,67 +119,67 @@ def _contents_in(state: WorldState, container: str) -> list[str]:
 
 
 def reference_room_description(engine, state: WorldState) -> str:
-    msg = engine.messages
+    msg, surface = engine.messages, engine.parser.surface_of
     room = state.player_room
-    parts = [render_feedback(msg["room_intro"], {"room": engine.surface(room)})]
+    parts = [render_feedback(msg["room_intro"], {"room": surface(room)})]
     here = _entities_at(state, room)
     if here:
-        names = [engine.surface(e) for e in here]
+        names = [surface(e) for e in here]
         key = "here_one" if len(names) == 1 else "here_many"
         parts.append(render_feedback(msg[key], {"items": _join(names)}))
     for eid in here:
         if engine.world.is_container(eid):
             if fact("open", eid) in state.facts:
                 parts.append(render_feedback(
-                    msg["container_open"], {"container": engine.surface(eid)}))
+                    msg["container_open"], {"container": surface(eid)}))
                 inside = _contents_in(state, eid)
                 if inside:
                     parts.append(render_feedback(
                         msg["container_contents"],
-                        {"items": _join([engine.surface(e) for e in inside])}))
+                        {"items": _join([surface(e) for e in inside])}))
             else:
                 parts.append(render_feedback(
                     msg["container_closed"],
-                    {"container": engine.surface(eid)}))
+                    {"container": surface(eid)}))
         elif engine.world.is_support(eid):
             on_top = _contents_on(state, eid)
             if on_top:
                 parts.append(render_feedback(
                     msg["support_contents"],
-                    {"support": engine.surface(eid),
-                     "items": _join([engine.surface(e) for e in on_top])}))
+                    {"support": surface(eid),
+                     "items": _join([surface(e) for e in on_top])}))
     for eid in reference_visible_entities(engine.world, state):
         if eid in engine.world.state_groups:
             for f in reference_state_facts(engine.world, state, eid):
                 if f.predicate not in ("open", "closed"):
                     parts.append(render_feedback(
                         msg["state_sentence"],
-                        {"entity": engine.surface(eid),
-                         "state": engine.state_surface(f.predicate)}))
+                        {"entity": surface(eid),
+                         "state": engine.parser.lexicon.adjective(f.predicate)}))
     exits = [other for other in sorted(engine.world.rooms)
              if room in engine.world.exits[other]]
     if exits:
         key = "passage_one" if len(exits) == 1 else "passage_many"
         parts.append(render_feedback(
-            msg[key], {"rooms": _join([engine.surface(r) for r in exits])}))
+            msg[key], {"rooms": _join([surface(r) for r in exits])}))
     return " ".join(parts)
 
 
 def reference_entity_description(engine, state: WorldState, ident: str) -> str:
-    msg = engine.messages
+    msg, surface = engine.messages, engine.parser.surface_of
     if ident == INVENTORY:
         if not state.inventory:
             return msg["inventory_empty"]
-        names = [engine.surface(e) for e in state.inventory]
+        names = [surface(e) for e in state.inventory]
         return render_feedback(msg["inventory_contents"],
                                {"items": _join(names)})
-    name = engine.surface(ident)
+    name = surface(ident)
     if engine.world.is_container(ident):
         if fact("open", ident) in state.facts:
             inside = _contents_in(state, ident)
             tail = (render_feedback(
                 msg["container_contents"],
-                {"items": _join([engine.surface(e) for e in inside])})
+                {"items": _join([surface(e) for e in inside])})
                 if inside else msg["container_empty"])
             return render_feedback(msg["container_open"],
                                    {"container": name}) + " " + tail
@@ -189,7 +190,7 @@ def reference_entity_description(engine, state: WorldState, ident: str) -> str:
             return render_feedback(
                 msg["support_contents"],
                 {"support": name,
-                 "items": _join([engine.surface(e) for e in on_top])})
+                 "items": _join([surface(e) for e in on_top])})
         return render_feedback(msg["support_empty"], {"support": name})
     for f in sorted(state.facts):
         if f.predicate == "in" and f.args[0] == ident:
@@ -198,17 +199,17 @@ def reference_entity_description(engine, state: WorldState, ident: str) -> str:
                                        {"entity": name})
             return render_feedback(
                 msg["examine_in"],
-                {"entity": name, "holder": engine.surface(f.args[1])})
+                {"entity": name, "holder": surface(f.args[1])})
         if f.predicate == "on" and f.args[0] == ident:
             return render_feedback(
                 msg["examine_on"],
-                {"entity": name, "holder": engine.surface(f.args[1])})
+                {"entity": name, "holder": surface(f.args[1])})
     states = reference_state_facts(engine.world, state, ident)
     if states:
         return render_feedback(
             msg["state_sentence"],
             {"entity": name,
-             "state": engine.state_surface(states[0].predicate)})
+             "state": engine.parser.lexicon.adjective(states[0].predicate)})
     for f in state.facts:
         if f.predicate == "at" and f.args[0] == ident:
             return render_feedback(msg["examine_at_room"], {"entity": name})
@@ -356,8 +357,8 @@ def reference_solve(instance: Instance, candidates=None
         return PlanResult((done,), 1, 0), []
 
     if candidates is None:
-        candidates = _candidates(engine, instance)
-    steps = [engine.step(grounded) for grounded in candidates]
+        candidates = _candidates(instance)
+    steps = [engine.step(grounded, {}) for grounded in candidates]
     parents: dict[frozenset, tuple[frozenset, GroundedAction] | None] = {
         start.facts: None}
     queue: deque[WorldState] = deque([start])
@@ -579,7 +580,7 @@ class VerbBlindAgent(HeuristicAgent):
         return "> " + self._write(self._decide())
 
     def _write(self, decided: GroundedAction) -> str:
-        _, space, nouns = self.engine.parser.render(decided, self.world).partition(" ")
+        _, space, nouns = self.engine.parser.render(decided).partition(" ")
         return f"{decided.action}{space}{nouns}"
 
 
@@ -588,8 +589,18 @@ class LexiconBlindAgent(VerbBlindAgent):
     decided action in English, base verb and base nouns."""
 
     def _write(self, decided: GroundedAction) -> str:
-        world = self.world
         english = build_parser(self.engine.parser.actions.values(), Lexicon(),
-                               {i: world.noun_of(i)
-                                for i in (*world.entities, *world.rooms)})
-        return english.render(decided, world)
+                               self.world)
+        return english.render(decided)
+
+
+class MemorylessAgent(HeuristicAgent):
+    """The heuristic policy without the pre-exploration walk: it believes
+    only what the start room shows, not what the walk showed
+    (`Instance.preexploration_facts`)."""
+
+    def start(self, episode) -> None:
+        super().start(episode)
+        self.seen_rooms.clear()
+        self.known_locations.clear()
+        self._observe(sorted(visible_facts(self.world, episode.state)))

@@ -184,9 +184,9 @@ def test_criterion_6_difficulty_invariants(bench144):
 
 
 def _fuzz_commands(rng, inst, engine):
-    verbs = sorted(engine.actions)
-    nouns = sorted([engine.surface(e.id) for e in inst.entities]
-                   + [engine.surface(r.id) for r in inst.rooms]
+    verbs = sorted(engine.parser.actions)
+    nouns = sorted([engine.parser.surface_of(e.id) for e in inst.entities]
+                   + [engine.parser.surface_of(r.id) for r in inst.rooms]
                    + ["inventory", "spoon"])
     roll = rng.random()
     if roll < 0.03:
@@ -214,7 +214,7 @@ def test_criterion_7_interaction_fuzz(bench144):
     while total_turns < 10_000:
         inst = corpus[int(rng.integers(len(corpus)))]
         engine = engines[inst.id]
-        episode = Episode(Engine(inst))
+        episode = Episode(inst)
         while not episode.done and total_turns < 10_000:
             before = episode.state
             raw = _fuzz_commands(rng, inst, engine)
@@ -272,13 +272,13 @@ def test_criterion_8_epistemic_accounting(bench144):
     for family in ("basic-easy", "basic-hard", "preexplore-hard"):
         for inst in bench144[family][:5]:
             engine = Engine(inst)
-            episode = Episode(Engine(inst))
+            episode = Episode(inst)
             # rooms already seen count as visited (pre-exploration included)
             visited = {f.args[1] for f in episode.observed
                        if f.predicate == "at" and f.args[0] == "player"}
             observed_sizes = [len(episode.observed)]
             for action in inst.optimal_plan:
-                raw = "> " + engine.parser.render(action, engine.world)
+                raw = "> " + engine.parser.render(action)
                 record = episode.step(raw)
                 observed_sizes.append(len(episode.observed))
                 if (action.action == "go"

@@ -16,8 +16,8 @@ from ifbench import (AgentUnavailable, Engine, Episode, GroundedAction,
                      HumanAgent, LlmAgent, LlmConfig, MalformedResponse,
                      ScriptedAgent, llm_chat, run_episode, solve_optimal,
                      transcript_to_messages)
-from oracles import (LexiconBlindAgent, VerbBlindAgent, micro_instance,
-                     with_walk)
+from oracles import (LexiconBlindAgent, MemorylessAgent, VerbBlindAgent,
+                     micro_instance, with_walk)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -399,7 +399,7 @@ def test_llm_agent_full_episode(stub_server):
     plan = solve_optimal(inst)
     from ifbench import Engine
     engine = Engine(inst)
-    lines = ["> " + engine.parser.render(a, engine.world)
+    lines = ["> " + engine.parser.render(a)
              for a in plan.actions]
     stub_server.script = [("ok", line) for line in lines]
     agent = LlmAgent(_config(stub_server))
@@ -432,7 +432,7 @@ def _cupboard_instance():
 
 def _started(inst) -> tuple[HeuristicAgent, Episode]:
     """A heuristic agent playing a new episode of `inst`."""
-    episode = Episode(Engine(inst))
+    episode = Episode(inst)
     agent = HeuristicAgent()
     agent.start(episode)
     return agent, episode
@@ -599,3 +599,28 @@ def test_lexicon_blind_agent_loses_the_synthetic_families(bench144):
         played[family] = aggregate(summaries).played_pct
     assert played == {"synthetic-easy": 0.0, "synthetic-medium": 0.0,
                       "synthetic-hard": 6.25}
+
+
+def test_memoryless_agent_takes_longer_only_after_a_walk(bench144,
+                                                         heuristic_records):
+    # the third rung: without what the pre-exploration walk showed, the
+    # heuristic still plays every instance, and takes more turns on just
+    # the two families that have a walk, so those measure using it
+    from ifbench import aggregate, episode_summary
+    scores = {}
+    for family, instances in bench144.items():
+        s = aggregate(episode_summary(run_episode(i, MemorylessAgent()))
+                      for i in instances)
+        scores[family] = (s.played_pct, s.quality, s.mean_turns)
+    assert scores == {
+        "basic-easy": (100.0, 100.0, 15.25), "basic-hard": (100.0, 100.0, 21.5),
+        "limit-easy": (100.0, 100.0, 15.0), "limit-hard": (100.0, 100.0, 22.0625),
+        "preexplore-easy": (100.0, 100.0, 14.9375),
+        "preexplore-hard": (100.0, 100.0, 20.75),
+        "synthetic-easy": (100.0, 100.0, 14.625),
+        "synthetic-medium": (100.0, 100.0, 15.25),
+        "synthetic-hard": (100.0, 100.0, 7.3125)}
+    for family in ("preexplore-easy", "preexplore-hard"):
+        heuristic = aggregate(episode_summary(episode) for inst, episode
+                              in heuristic_records.values() if inst.family == family)
+        assert scores[family][2] > heuristic.mean_turns, family

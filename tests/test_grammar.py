@@ -33,12 +33,12 @@ def home():
 
 
 def test_parse_canonical(home):
-    cmd = home.parser.parse("take the plate")
+    cmd = home.engine.parser.parse("take the plate")
     assert cmd == ParsedCommand("take", ("plate",), None)
 
 
 def test_parse_put_with_preposition(home):
-    cmd = home.parser.parse("put plate on table")
+    cmd = home.engine.parser.parse("put plate on table")
     assert cmd.verb == "put"
     assert cmd.noun_phrases == ("plate", "table")
     assert cmd.preposition == "on"
@@ -46,74 +46,75 @@ def test_parse_put_with_preposition(home):
 
 def test_parse_unknown_verb(home):
     with pytest.raises(ParseFailure) as err:
-        home.parser.parse("fly to moon")
+        home.engine.parser.parse("fly to moon")
     assert err.value.kind == "unknown-verb"
 
 
 def test_parse_function_words_skipped(home):
     variants = ["go hallway", "go to hallway", "go to the hallway"]
-    assert len({home.parser.parse(v) for v in variants}) == 1
+    assert len({home.engine.parser.parse(v) for v in variants}) == 1
 
 
 def test_parse_multiword_nouns_longest_first(home):
-    cmd = home.parser.parse("put the book on the side table")
+    cmd = home.engine.parser.parse("put the book on the side table")
     assert cmd.noun_phrases == ("book", "side table")
-    cmd = home.parser.parse("examine potted plant")
+    cmd = home.engine.parser.parse("examine potted plant")
     assert cmd.noun_phrases == ("potted plant",)
 
 
 def test_parse_zero_arg_verbs(home):
-    assert home.parser.parse("look") == ParsedCommand("look", (), None)
-    assert home.parser.parse("done.") == ParsedCommand("done", (), None)
+    assert home.engine.parser.parse("look") == ParsedCommand("look", (), None)
+    assert home.engine.parser.parse("done.") == ParsedCommand("done", (), None)
     with pytest.raises(ParseFailure):
-        home.parser.parse("look around")
+        home.engine.parser.parse("look around")
 
 
 def test_parse_missing_argument_malformed(home):
     with pytest.raises(ParseFailure) as err:
-        home.parser.parse("take")
+        home.engine.parser.parse("take")
     assert err.value.kind == "malformed"
 
 
 def test_parse_take_from_source(home):
-    cmd = home.parser.parse("take the plate from the counter")
+    cmd = home.engine.parser.parse("take the plate from the counter")
     assert cmd.noun_phrases == ("plate", "counter")
     assert cmd.preposition == "from"
 
 
 def test_ground_room(home):
-    grounded = home.parser.ground(home.parser.parse("go hallway"), home.world)
+    grounded = home.engine.parser.ground(home.engine.parser.parse("go hallway"))
     assert grounded == GroundedAction("go", (("room", "hallway"),))
 
 
 def test_ground_unknown_entity(home):
     with pytest.raises(GroundFailure) as err:
-        home.parser.ground(home.parser.parse("take the spoon"), home.world)
+        home.engine.parser.ground(home.engine.parser.parse("take the spoon"))
     assert err.value.kind == "unknown-entity"
 
 
 def test_ground_ambiguous_noun(home):
-    nouns = {e.id: e.noun for e in home.entities}
-    parser = build_parser(ACTIONS, Lexicon(), {**nouns, "book": "plate"})
+    book = replace(home.world.entities["book"], noun="plate")
+    world = replace(home.world, entities={**home.world.entities, "book": book})
+    parser = build_parser(ACTIONS, Lexicon(), world)
     with pytest.raises(GroundFailure) as err:
-        parser.ground(parser.parse("take plate"), home.world)
+        parser.ground(parser.parse("take plate"))
     assert err.value.kind == "ambiguous"
 
 
 def test_ground_trait_mismatch(home):
     with pytest.raises(GroundFailure) as err:
-        home.parser.ground(home.parser.parse("open table"), home.world)
+        home.engine.parser.ground(home.engine.parser.parse("open table"))
     assert err.value.kind == "trait-mismatch"
 
 
 def test_ground_prep_mismatch(home):
     with pytest.raises(GroundFailure) as err:
-        home.parser.ground(home.parser.parse("put plate in table"), home.world)
+        home.engine.parser.ground(home.engine.parser.parse("put plate in table"))
     assert err.value.kind == "prep-mismatch"
     # matching and omitted prepositions both ground
-    home.parser.ground(home.parser.parse("put plate on table"), home.world)
-    home.parser.ground(home.parser.parse("put plate in cupboard"), home.world)
-    home.parser.ground(home.parser.parse("put plate cupboard"), home.world)
+    home.engine.parser.ground(home.engine.parser.parse("put plate on table"))
+    home.engine.parser.ground(home.engine.parser.parse("put plate in cupboard"))
+    home.engine.parser.ground(home.engine.parser.parse("put plate cupboard"))
 
 
 def test_ground_trait_matrix(home):
@@ -138,7 +139,7 @@ def test_ground_trait_matrix(home):
         for ident in idents:
             noun = world.noun_of(ident)
             try:
-                home.parser.ground(ParsedCommand(verb, (noun,), None), world)
+                home.engine.parser.ground(ParsedCommand(verb, (noun,), None))
                 ok = True
             except GroundFailure:
                 ok = False
@@ -149,7 +150,7 @@ def test_ground_trait_matrix(home):
             cmd = ParsedCommand("put", (world.noun_of(item),
                                         world.noun_of(target)), None)
             try:
-                home.parser.ground(cmd, world)
+                home.engine.parser.ground(cmd)
                 ok = True
             except GroundFailure:
                 ok = False
@@ -164,7 +165,7 @@ def test_ground_take_source_is_a_location(home):
     for ident in sorted(world.entities) + sorted(world.rooms):
         cmd = ParsedCommand("take", ("plate", world.noun_of(ident)), "from")
         try:
-            grounded = home.parser.ground(cmd, world)
+            grounded = home.engine.parser.ground(cmd)
         except GroundFailure as err:
             assert err.kind == "trait-mismatch", ident
             ok = False
@@ -189,8 +190,8 @@ def test_render_round_trip(home):
                GroundedAction("take", (("item", "book"),
                                        ("source", "living_room")))]
     for grounded in samples:
-        text = home.parser.render(grounded, world)
-        again = home.parser.ground(home.parser.parse(text), world)
+        text = home.engine.parser.render(grounded)
+        again = home.engine.parser.ground(home.engine.parser.parse(text))
         assert again == grounded, text
 
 
@@ -219,7 +220,7 @@ def _den():
 def test_render_rejects_text_that_does_not_read_back(grounded, text, fault):
     inst = _den()
     with pytest.raises(ValueError) as err:
-        inst.parser.render(grounded, inst.world)
+        inst.engine.parser.render(grounded)
     assert str(err.value) == f"{grounded} renders as {text!r}, {fault}"
 
 
@@ -246,14 +247,13 @@ def test_a_faulty_bundled_action_names_actions_json(monkeypatch):
 
 def test_build_parser_empty_action_set(home):
     with pytest.raises(ValueError):
-        build_parser((), Lexicon(), {})
+        build_parser((), Lexicon(), home.world)
 
 
 def test_duplicate_verb_after_substitution(home):
     lexicon = Lexicon(verbs={"open": "take"})
-    nouns = {e.id: e.noun for e in home.entities}
     with pytest.raises(DuplicateVerb):
-        build_parser(ACTIONS, lexicon, nouns)
+        build_parser(ACTIONS, lexicon, home.world)
 
 
 def test_lexicon_rejects_function_words_and_collisions():
@@ -266,16 +266,14 @@ def test_lexicon_rejects_function_words_and_collisions():
 def test_parse_under_substitution(home):
     lexicon = Lexicon(nouns={"book": "decte", "side table": "stord"},
                       verbs={"put": "aphon"})
-    nouns = {e.id: e.noun for e in home.entities}
-    nouns.update({r.id: r.noun for r in home.rooms})
-    parser = build_parser(ACTIONS, lexicon, nouns)
+    parser = build_parser(ACTIONS, lexicon, home.world)
     cmd = parser.parse("aphon decte on stord")
     assert cmd == ParsedCommand("aphon", ("decte", "stord"), "on")
-    grounded = parser.ground(cmd, home.world)
+    grounded = parser.ground(cmd)
     assert grounded == GroundedAction("put", (("item", "book"),
                                               ("target", "side_table")))
     # the optional preposition may be dropped
-    assert parser.ground(parser.parse("aphon decte stord"), home.world) == grounded
+    assert parser.ground(parser.parse("aphon decte stord")) == grounded
 
 
 _SKIPPABLE = ["the", "a", "an", "to", "at"]
@@ -290,10 +288,10 @@ def test_function_word_insertion_invariance(before, between, base):
     home = _HOME
     words = base.split()
     line = " ".join([words[0]] + before + words[1:])
-    assert home.parser.parse(line) == home.parser.parse(base)
+    assert home.engine.parser.parse(line) == home.engine.parser.parse(base)
     if base.startswith("put"):
         padded = "put " + " ".join(before) + " plate on " + " ".join(between) + " table"
-        assert home.parser.parse(padded) == home.parser.parse(base)
+        assert home.engine.parser.parse(padded) == home.engine.parser.parse(base)
 
 
 @settings(max_examples=40)
@@ -308,10 +306,10 @@ def test_substitution_commutes_with_parsing(rnd):
     picked_verb = rnd.choice(["take", "put", "open", "close"])
     lexicon = Lexicon(nouns=dict(zip(picked_nouns, pool)),
                       verbs={picked_verb: pool[5]})
-    sub_parser = build_parser(ACTIONS, lexicon, nouns)
+    sub_parser = build_parser(ACTIONS, lexicon, home.world)
     for base in ["take plate", "open cupboard", "put book on side table",
                  "go hallway", "close cupboard"]:
-        plain = home.parser.parse(base)
+        plain = home.engine.parser.parse(base)
         # rebuild the surface text with whole noun phrases mapped through L
         pieces = [lexicon.verb(plain.verb)]
         for i, phrase in enumerate(plain.noun_phrases):

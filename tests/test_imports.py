@@ -1,7 +1,9 @@
 """The package's import graph, read from the source with `ast`: the
 module-level imports between ifbench modules form no cycle, an ifbench
 module is imported inside a function only where `FUNCTION_LEVEL` gives the
-reason, and every name an annotation uses is bound in its module."""
+reason, every name an annotation uses is bound in its module, and every
+name a module-level import binds is used in its module or is one of the
+names the package exports from it."""
 
 import ast
 import builtins
@@ -183,3 +185,45 @@ def test_every_annotation_name_is_bound():
     unbound = {path.stem: found for path in sorted(PACKAGE.glob("*.py"))
                if (found := _unbound_annotation_names(path.read_text()))}
     assert unbound == {}
+
+
+def _imported_names(nodes) -> dict[str, int]:
+    """The names that module-level imports bind, those under ``if`` and
+    ``try`` included, with the line of each; ``__future__`` binds none."""
+    bound = {}
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                bound.update(((a.asname or a.name).split(".")[0], node.lineno)
+                             for a in node.names)
+        elif isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+            bound.update(_imported_names(ast.iter_child_nodes(node)))
+    return bound
+
+
+def _unused_imports(source: str, exported=frozenset()) -> list[tuple[int, str]]:
+    """(line, name) for each name a module-level import binds that the
+    module neither reads (in code or in an annotation, a string one too)
+    nor exports (`exported`)."""
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(name for _, name in _annotation_names(tree))
+    return sorted((line, name) for name, line in _imported_names(tree.body).items()
+                  if name not in used and name not in exported)
+
+
+def test_reader_sees_every_unused_import():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "from typing import TYPE_CHECKING, Any\nif TYPE_CHECKING:\n"
+              "    from .world import Fact, WorldDef\n"
+              "from .grammar import Lexicon as Lex, Parser, build_parser\n"
+              "def f(x: 'Fact') -> Lex:\n    return os.sep\n")
+    assert _unused_imports(source, {"build_parser"}) == [
+        (3, "Any"), (5, "WorldDef"), (6, "Parser")]
+
+
+def test_every_module_level_import_is_used():
+    unused = {path.stem: found for path in sorted(PACKAGE.glob("*.py"))
+              if (found := _unused_imports(
+                  path.read_text(), set(ifbench._NAMES.get(path.stem, "").split())))}
+    assert unused == {}

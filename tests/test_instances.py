@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import json
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,9 +11,11 @@ import pytest
 
 import ifbench.generate
 import ifbench.instance
-from ifbench import (TURN_LIMIT, Engine, PlanResult, Unsolvable, apply_delta,
-                     fact, generate_basic, generate_family,
-                     generate_preexploration, instance_to_dot, load_instances,
+import ifbench.interpreter
+from ifbench import (TURN_LIMIT, Engine, HeuristicAgent, PlanResult,
+                     ScriptedAgent, Unsolvable, apply_delta, fact,
+                     generate_basic, generate_family, generate_preexploration,
+                     instance_to_dot, load_instances, run_episode,
                      save_instances, solve_optimal)
 from ifbench.generate import (FAMILIES, INVENTORY_LIMIT, Rng,
                               catalogue_vocabulary)
@@ -222,10 +226,12 @@ def test_delivery_instance_builds_one_parser_and_start_state(monkeypatch):
     """The generator solves a delivery instance before it renders the prompt,
     and sets the prompt and the plan on the instance it solved, so the
     search, the prompt and a pre-exploration walk share the instance's
-    cached parser and start state: one of each per instance."""
-    built = {"parsers": 0, "start states": 0}
-    build_parser, initial_state = (ifbench.instance.build_parser,
+    cached engine, with its parser, and start state: one of each per
+    instance."""
+    built = {"engines": 0, "parsers": 0, "start states": 0}
+    build_parser, initial_state = (ifbench.interpreter.build_parser,
                                    ifbench.instance.initial_state)
+    engine_init = Engine.__init__
 
     def counting_parser(*args):
         built["parsers"] += 1
@@ -235,12 +241,17 @@ def test_delivery_instance_builds_one_parser_and_start_state(monkeypatch):
         built["start states"] += 1
         return initial_state(*args)
 
-    monkeypatch.setattr(ifbench.instance, "build_parser", counting_parser)
+    def counting_engine(self, *args):
+        built["engines"] += 1
+        engine_init(self, *args)
+
+    monkeypatch.setattr(ifbench.interpreter, "build_parser", counting_parser)
     monkeypatch.setattr(ifbench.instance, "initial_state", counting_start)
+    monkeypatch.setattr(Engine, "__init__", counting_engine)
     for family in ("basic-easy", "preexplore-easy"):
-        built.update({"parsers": 0, "start states": 0})
+        built.update({"engines": 0, "parsers": 0, "start states": 0})
         assert len(generate_family(17, family, 4)) == 4
-        assert built == {"parsers": 4, "start states": 4}, family
+        assert built == {"engines": 4, "parsers": 4, "start states": 4}, family
 
 
 def test_preexploration_walks(bench144):
@@ -298,7 +309,7 @@ def test_walk_step_that_fails_is_never_stored(bench144, monkeypatch):
                if room != start and room not in inst.world.exits[start])
     monkeypatch.setattr(ifbench.generate, "_covering_closed_walk",
                         lambda adj, origin, required: [far, start])
-    command = f"> go {inst.parser.surface_of(far, inst.world)}"
+    command = f"> go {inst.engine.parser.surface_of(far)}"
     with pytest.raises(ValueError, match=re.escape(
             f"step 0 {command!r} failed in precondition-fail: ")):
         generate_preexploration(inst)
@@ -405,9 +416,9 @@ def test_synthetic_hard_single_state_direct(bench144):
     # navigate to the object, then one verb fulfils the goal
     path = _shortest_path(inst, state.player_room, obj_room)
     for room in path:
-        state, record = engine.execute(state, f"> go {engine.surface(room)}")
+        state, record = engine.execute(state, f"> go {engine.parser.surface_of(room)}")
         assert record.phase_outcome == "success"
-    noun = engine.surface(single.entity)
+    noun = engine.parser.surface_of(single.entity)
     state, record = engine.execute(state, f"> {verb} {noun}")
     assert record.phase_outcome == "success"
     assert record.feedback == f"The {noun} is now {single.states[0]}."
@@ -426,8 +437,8 @@ def test_synthetic_hard_ternary_requires_order(bench144):
         state = inst.start_state()
         obj_room = _item_location(inst, ternary.entity).args[1]
         for room in _shortest_path(inst, state.player_room, obj_room):
-            state, _ = engine.execute(state, f"> go {engine.surface(room)}")
-        noun = engine.surface(ternary.entity)
+            state, _ = engine.execute(state, f"> go {engine.parser.surface_of(room)}")
+        noun = engine.parser.surface_of(ternary.entity)
         state, record = engine.execute(state, f"> {second} {noun}")
         assert record.phase_outcome == "precondition-fail"
         state, record = engine.execute(state, f"> {first} {noun}")
@@ -596,6 +607,69 @@ def test_start_state_built_once(tmp_path, bench144, monkeypatch):
     for inst in load_instances(path):
         assert run_episode(inst, HeuristicAgent()).outcome == "success"
     assert len(built) == 3
+
+
+def _play_all(suite, agent: str) -> None:
+    for inst in suite:
+        run_episode(inst, ScriptedAgent.from_plan(inst) if agent == "scripted"
+                    else HeuristicAgent())
+
+
+def test_one_engine_per_loaded_instance(tmp_path, bench144, monkeypatch):
+    # loading builds each instance's engine, and every episode after it,
+    # scripted or heuristic, plays on that one
+    engines = []
+    engine_init = Engine.__init__
+
+    def counting_engine(self, instance):
+        engines.append(instance.id)
+        engine_init(self, instance)
+
+    paths = []
+    for family in ("preexplore-hard", "synthetic-medium"):
+        paths.append(tmp_path / f"{family}.json")
+        save_instances(bench144[family][:4], paths[-1], base_seed=17)
+    monkeypatch.setattr(Engine, "__init__", counting_engine)
+    suite = [i for path in paths for i in load_instances(path)]
+    for agent in ("scripted", "heuristic", "scripted"):
+        _play_all(suite, agent)
+    assert engines == [i.id for i in suite]
+
+
+# `compile_step` calls per stage at seed 17 when each search, walk and
+# episode built its own engine, with the engine's cache of compiled steps
+ENGINE_PER_USE_COMPILE_STEPS = {"generate": 2083, "load": 147,
+                                "heuristic": 1984, "scripted": 1644}
+
+
+def test_compiled_steps_per_stage(tmp_path, monkeypatch):
+    """Each loop that plays turns (a search with its replay, a walk, an
+    episode) keeps the steps it compiles, and no stage compiles more steps
+    than one engine per loop did; an episode leaves its engine as it was."""
+    calls, stage = Counter(), ["generate"]
+    compile_step = ifbench.interpreter.compile_step
+
+    def counting(*args):
+        calls[stage[0]] += 1
+        return compile_step(*args)
+
+    monkeypatch.setattr(ifbench.interpreter, "compile_step", counting)
+    paths = _save_suite(tmp_path, {family: generate_family(17, family)
+                                   for family in FAMILIES})
+    stage[0] = "load"
+    suite = [i for path in paths for i in load_instances(path)]
+    engines = [(i.engine, dict(vars(i.engine)),
+                copy.deepcopy(vars(i.engine.parser))) for i in suite[::16]]
+    for agent in ("heuristic", "scripted"):
+        stage[0] = agent
+        _play_all(suite, agent)
+    assert all(calls[name] <= n for name, n
+               in ENGINE_PER_USE_COMPILE_STEPS.items()), calls
+    for engine, attributes, parser in engines:
+        assert vars(engine).keys() == attributes.keys()
+        assert all(vars(engine)[name] is value
+                   for name, value in attributes.items())
+        assert vars(engine.parser) == parser
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

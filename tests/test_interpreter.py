@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -142,7 +144,7 @@ def test_failed_turns_never_mutate_state():
 
 def test_format_violation_aborts():
     inst = kitchen_instance()
-    episode = Episode(Engine(inst))
+    episode = Episode(inst)
     record = episode.step("I think I should go north.")
     assert record.phase_outcome == "format-fail"
     assert episode.outcome == "aborted-format"
@@ -277,7 +279,7 @@ def test_goal_finality_undone_goal_is_lost():
 
 def test_epistemic_gain_new_room_positive():
     inst = kitchen_instance()
-    episode = Episode(Engine(inst))
+    episode = Episode(inst)
     episode.step("> go pantry")
     assert episode.turns[-1].epistemic_gain >= 1
     # revisiting reveals nothing new
@@ -288,7 +290,7 @@ def test_epistemic_gain_new_room_positive():
 
 def test_observed_facts_nondecreasing():
     inst = kitchen_instance()
-    episode = Episode(Engine(inst))
+    episode = Episode(inst)
     seen = len(episode.observed)
     for raw in ["> look", "> go pantry", "> examine table", "> go bedroom",
                 "> go pantry", "> go kitchen", "> open cupboard"]:
@@ -300,7 +302,7 @@ def test_observed_facts_nondecreasing():
 def test_transcript_alternates_roles():
     inst = kitchen_instance()
     record_agent = ScriptedAgent(["> look", "> done"])
-    episode = Episode(Engine(inst))
+    episode = Episode(inst)
     while not episode.done:
         episode.step(record_agent.next_action(tuple(episode.transcript)))
     roles = [role for role, _ in episode.transcript]
@@ -437,7 +439,7 @@ def test_summary_reader_reads_back_or_names_file_and_field(
 
 def test_preexploration_plays_as_stored():
     inst = with_walk(kitchen_instance(), ["> go pantry", "> go kitchen"])
-    episode = Episode(Engine(inst))
+    episode = Episode(inst)
     assert episode.transcript[1:] == [
         (role, text) for step in inst.preexploration
         for role, text in zip(("agent", "environment"), step)]
@@ -459,7 +461,7 @@ def test_preexploration_must_play_as_stored(index, command, feedback, message):
     walk[index] = (command, feedback)
     with pytest.raises(ValueError, match=re.escape(
             f"field 'preexploration': {message}")):
-        Episode(Engine(replace(inst, preexploration=tuple(walk))))
+        Episode(replace(inst, preexploration=tuple(walk)))
 
 
 def test_preexploration_must_return_to_start():
@@ -467,7 +469,7 @@ def test_preexploration_must_return_to_start():
     with pytest.raises(ValueError, match=re.escape(
             "field 'preexploration': step 0 '> go pantry' ends the walk away "
             "from its start")):
-        Episode(Engine(inst))
+        Episode(inst)
 
 
 def test_walk_plays_commands_that_all_succeed():
@@ -561,3 +563,21 @@ def test_descriptions_match_reference(oracle_records, heuristic_records):
                     "container-open-empty", "support-loaded", "support-empty",
                     "carried", "custom-state", "on-floor", "item-on",
                     "item-in"}
+
+
+def test_threads_share_an_instance_engine(bench144):
+    # an engine keeps nothing that a turn writes, so threads that play the
+    # same instance at once (more of them than CPUs, switching often) each
+    # play the episode one thread plays alone
+    inst = bench144["preexplore-hard"][3]
+    alone = episode_summary(run_episode(inst, HeuristicAgent()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(run_episode, inst, HeuristicAgent())
+                       for _ in range(24)]
+            summaries = [episode_summary(f.result(timeout=60)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert summaries == [alone] * 24

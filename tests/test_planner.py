@@ -44,7 +44,7 @@ def test_minimal_plan():
     inst = one_room()
     result = solve_optimal(inst)
     engine = Engine(inst)
-    rendered = [engine.parser.render(a, engine.world) for a in result.actions]
+    rendered = [engine.parser.render(a) for a in result.actions]
     assert rendered == ["take apple", "put apple on table", "done"]
     assert result.length == 3
     assert brute_force_optimal(inst) == 3
@@ -213,12 +213,12 @@ def test_compiled_steps_match_reference(bench144, oracle_records,
             engine = Engine(inst)
             candidates = unpruned_candidates(inst)
             bits, _, carried, moves = planner._mask_moves(
-                engine, start, frozenset(g.fact for g in inst.goals),
+                engine, {}, start, frozenset(g.fact for g in inst.goals),
                 candidates)
-            compiled = [(engine.step(g), engine.actions[g.action], g)
+            compiled = [(engine.step(g, {}), engine.parser.actions[g.action], g)
                         for g in candidates]
             if index == 0:
-                turn_only = [(engine.step(g), engine.actions[g.action], g)
+                turn_only = [(engine.step(g, {}), engine.parser.actions[g.action], g)
                              for g in _turn_groundings(inst, engine)]
                 for state in states:
                     for step, action, grounded in turn_only:
@@ -311,8 +311,8 @@ def _masks_match_steps(inst, candidates=None) -> int:
     engine = Engine(inst)
     start = inst.start_state()
     goal_facts = frozenset(g.fact for g in inst.goals)
-    candidates = candidates or planner._candidates(engine, inst)
-    bits, _, carried, moves = planner._mask_moves(engine, start, goal_facts,
+    candidates = candidates or planner._candidates(inst)
+    bits, _, carried, moves = planner._mask_moves(engine, {}, start, goal_facts,
                                                   candidates)
     checked = 0
     for state in reference_solve(inst, candidates)[1]:
@@ -321,7 +321,7 @@ def _masks_match_steps(inst, candidates=None) -> int:
         compiled = {move.grounded: move for move in moves[state.player_room]}
         assert list(compiled) == [g for g in candidates if g in compiled]
         for grounded in candidates:
-            step = engine.step(grounded)
+            step = engine.step(grounded, {})
             move = compiled.get(grounded)
             holds = step.failure(state) is None
             assert _mask_holds(move, key, carried, inst.inventory_limit) == (
@@ -372,7 +372,7 @@ def test_every_check_has_a_mask_form():
         goal_facts = frozenset(g.fact for g in inst.goals)
         candidates = unpruned_candidates(inst)
         bits, places, carried, _ = planner._mask_moves(
-            engine, start, goal_facts, candidates)
+            engine, {}, start, goal_facts, candidates)
         by_room = {room: [] for room in world.rooms}
         for state in reference_solve(inst, candidates)[1] or [start]:
             by_room[state.player_room].append(
@@ -416,8 +416,8 @@ def _one_room_search():
     engine = Engine(inst)
     start = inst.start_state()
     goal_facts = frozenset(g.fact for g in inst.goals)
-    bits, *_ = planner._mask_moves(engine, start, goal_facts,
-                                   planner._candidates(engine, inst))
+    bits, *_ = planner._mask_moves(engine, {}, start, goal_facts,
+                                   planner._candidates(inst))
     return inst, engine, start, goal_facts, bits
 
 
@@ -425,28 +425,28 @@ def test_replay_rejects_a_wrong_plan():
     inst, engine, start, goal_facts, bits = _one_room_search()
     take, put, done = solve_optimal(inst).actions
     after_take = apply_delta(inst.world, start,
-                             *engine.step(take).effects(start))
+                             *engine.step(take, {}).effects(start))
     reached = apply_delta(inst.world, after_take,
-                          *engine.step(put).effects(after_take))
+                          *engine.step(put, {}).effects(after_take))
 
     def key(state):
         return planner._mask(state.facts, bits)
 
-    planner._replay(engine, start, [take, put, done], goal_facts, bits,
+    planner._replay(inst, {}, start, [take, put, done], goal_facts, bits,
                     key(reached))
     with pytest.raises(InvariantViolation, match="fails on replay"):
-        planner._replay(engine, start, [put, done], goal_facts, bits,
+        planner._replay(inst, {}, start, [put, done], goal_facts, bits,
                         key(reached))
     with pytest.raises(InvariantViolation, match="does not reach"):
-        planner._replay(engine, start, [take, done], goal_facts, bits,
+        planner._replay(inst, {}, start, [take, done], goal_facts, bits,
                         key(reached))
     with pytest.raises(InvariantViolation, match="does not reach"):
-        planner._replay(engine, start, [take, done], goal_facts, bits,
+        planner._replay(inst, {}, start, [take, done], goal_facts, bits,
                         key(after_take))
     # the right plan, but not the key the search reached
     for wrong in (key(after_take), key(reached) | key(start)):
         with pytest.raises(InvariantViolation, match="does not reach"):
-            planner._replay(engine, start, [take, put, done], goal_facts,
+            planner._replay(inst, {}, start, [take, put, done], goal_facts,
                             bits, wrong)
 
 
@@ -502,7 +502,7 @@ def test_connects_effect_fails_loudly():
     engine = Engine(inst)
     grounded = GroundedAction("dig", (("room", "pantry"),))
     with pytest.raises(ValueError, match="'dig'.*connects"):
-        engine.step(grounded).failure(inst.start_state())
+        engine.step(grounded, {}).failure(inst.start_state())
     with pytest.raises(ValueError, match="'dig'.*connects"):
         solve_optimal(inst)
 
@@ -534,7 +534,7 @@ def _zap_instance(**fields):
 def test_unknown_check_or_template_fails_when_compiled(fields, named):
     inst = _zap_instance(**fields)
     with pytest.raises(ValueError, match=re.escape(named)):
-        Engine(inst).step(GroundedAction("zap", (("item", "apple"),)))
+        Engine(inst).step(GroundedAction("zap", (("item", "apple"),)), {})
 
 
 def test_snippet_of_another_verb_fails_when_the_parser_is_built():
@@ -559,6 +559,6 @@ def test_location_effect_among_adds_fails_loudly():
         facts=["at(player,kitchen)", "at(table,kitchen)", "at(apple,kitchen)"],
         goals=["on(apple,table)"], extra_actions=[copy])
     with pytest.raises(ValueError, match="'copy' adds a location"):
-        Engine(inst).step(GroundedAction("copy", (("item", "apple"),)))
+        Engine(inst).step(GroundedAction("copy", (("item", "apple"),)), {})
     with pytest.raises(ValueError, match="'copy' adds a location"):
         solve_optimal(inst)

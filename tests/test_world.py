@@ -413,13 +413,14 @@ def _random_delta(engine, state, edits):
             options = group.states + ("open", "closed") + tuple(predicates)
             adds.add(Fact(options[c % len(options)], (eid,)))
         else:  # an action's effects with its preconditions ignored
-            action = engine.actions[sorted(engine.actions)[a % len(engine.actions)]]
+            actions = engine.parser.actions
+            action = actions[sorted(actions)[a % len(actions)]]
             params = [p.name for p in action.params if not p.optional]
             binding = tuple((name, things[(b >> (8 * i)) % len(things)])
                             for i, name in enumerate(params))
             try:
                 more_removes, more_adds = engine.step(
-                    GroundedAction(action.verb, binding)).effects(state)
+                    GroundedAction(action.verb, binding), {}).effects(state)
             except ValueError:  # location_of an id that has no location
                 continue
             removes |= more_removes
