@@ -36,10 +36,11 @@ class LlmConfig:
     backoff: float = 0.5
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.retries < 0:
-            raise ValueError("retries must be bounded and >= 0")
+        for name, low in (("temperature", 0), ("max_tokens", 1), ("retries", 0),
+                          ("backoff", 0)):  # the bounds of the `run` options
+            value = getattr(self, name)
+            if not low <= value < float("inf"):  # JSON has no nan or inf
+                raise ValueError(f"{name} must be >= {low} and finite, got {value}")
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # also rejects nan
             raise ValueError(f"timeout must be > 0 and <= "
                              f"{threading.TIMEOUT_MAX}, got {self.timeout}")

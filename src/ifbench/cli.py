@@ -348,7 +348,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=_at_least(1), default=1)
     p.add_argument("--endpoint")
     p.add_argument("--model")
-    p.add_argument("--temperature", type=_at_least(0, float), default=0.0)
+    p.add_argument("--temperature", default=0.0,
+                   type=_at_least(0, float, most=sys.float_info.max))
     p.add_argument("--max-tokens", type=_at_least(1), default=128)
     # a longer timeout overflows the socket's deadline on every request
     p.add_argument("--timeout", default=30.0, type=_at_least(

@@ -14,11 +14,11 @@ from itertools import permutations, product
 from .grammar import (ActionDef, ActionFlags, Lexicon, Param,
                       load_standard_actions, staple_verbs)
 from .instance import FAMILIES, INSTANCES_PER_FAMILY, Instance
-from .interpreter import TURN_LIMIT, number_word
+from .interpreter import TURN_LIMIT
 from .planner import Unsolvable, solve_optimal
 from .pseudowords import PseudowordMaker
 from .world import (ENGINE_PREDICATES, EntityDef, GoalCondition, RoomDef,
-                    StateGroup, fact, load_data, load_entity_catalogue,
+                    StateGroup, fact, load_entity_catalogue,
                     load_room_catalogue, room_distances, room_exits)
 
 INVENTORY_LIMIT = 2
@@ -166,62 +166,6 @@ def _sample_room_graph(rng, rooms: dict[str, RoomDef]) -> tuple[tuple[str, str],
     return tuple(sorted(chosen))
 
 
-# -- prompt assembly ---------------------------------------------------------
-
-def _goal_sentence(inst: Instance) -> str:
-    prompts = load_data("prompts.json")
-    parser = inst.engine.parser
-    parts = []
-    placement = inst.goals[0].kind == "placement"
-    for goal in inst.goals:
-        if goal.kind == "placement":
-            item, target = goal.fact.args
-            parts.append(prompts["placement_part"].format(
-                item=parser.surface_of(item), prep=goal.fact.predicate,
-                target=parser.surface_of(target)))
-        else:
-            parts.append(prompts["state_part"].format(
-                item=parser.surface_of(goal.fact.args[0]),
-                state=parser.lexicon.adjective(goal.fact.predicate)))
-    if len(parts) > 1:
-        joined = ", the ".join(parts[:-1]) + " and the " + parts[-1]
-    else:
-        joined = parts[0]
-    template = prompts["placement_goal" if placement else "state_goal"]
-    return template.format(parts=joined)
-
-
-def _finalize_prompt(inst: Instance, extras: list[str]) -> str:
-    """The instance's prompt: preamble, `extras`, goal, closing and the
-    start room's description."""
-    prompts = load_data("prompts.json")
-    start_desc = inst.engine.room_description(inst.start_state())
-    pieces = [prompts["preamble"]]
-    pieces.extend(extras)
-    pieces.append(prompts["goal_line"].format(goal=_goal_sentence(inst)))
-    pieces.append(prompts["closing"])
-    pieces.append(start_desc)
-    return "\n\n".join(pieces)
-
-
-def _standard_extras(inst: Instance) -> list[str]:
-    extras = []
-    if inst.inventory_limit is not None:
-        extras.append(load_data("prompts.json")["limit_sentence"].format(
-            limit=number_word(inst.inventory_limit)))
-    lex = inst.lexicon
-    if lex and lex.verbs:
-        extras.append(_new_words_extra(sorted(lex.verbs.values())))
-    return extras
-
-
-def _new_words_extra(pseudo_verbs: list[str]) -> str:
-    prompts = load_data("prompts.json")
-    words = (", ".join(pseudo_verbs[:-1]) + " and " + pseudo_verbs[-1]
-             if len(pseudo_verbs) > 1 else pseudo_verbs[0])
-    return prompts["new_words_many"].format(words=words)
-
-
 # -- basic instances ---------------------------------------------------------
 
 def _start_rooms(inst: Instance) -> dict[str, str]:
@@ -318,7 +262,7 @@ def generate_basic(rng, difficulty: str, limit: int | None = None) -> Instance:
             continue
         # set in place: neither field is read by the engine or the start
         # state the search built, so the instance keeps them
-        inst.prompt = _finalize_prompt(inst, _standard_extras(inst))
+        inst.prompt = inst.engine.prompt(inst.start_state(), inst.engine.new_words)
         inst.optimal_plan = plan.actions
         return inst
     raise GenerationExhausted(f"basic-{difficulty}")
@@ -442,9 +386,7 @@ def _synthesize_easy(rng, base: Instance) -> Instance:
     lexicon = Lexicon(nouns=nouns, verbs={verb: pseudo_verb},
                       explanations={verb: explanation})
     inst = replace(base, family="synthetic-easy", lexicon=lexicon)
-    extra = load_data("prompts.json")["new_words_one"].format(
-        word=pseudo_verb, explanation=explanation)
-    inst.prompt = _finalize_prompt(inst, [extra])
+    inst.prompt = inst.engine.prompt(inst.start_state(), inst.engine.new_words)
     return inst
 
 
@@ -467,8 +409,7 @@ def _synthesize_medium(rng, base: Instance) -> Instance:
     lexicon = Lexicon(nouns={n: maker.make() for n in chosen},
                       verbs={v: maker.make() for v in verbs})
     inst = replace(base, family="synthetic-medium", lexicon=lexicon)
-    extra = _new_words_extra([lexicon.verbs[v] for v in verbs])
-    inst.prompt = _finalize_prompt(inst, [extra])
+    inst.prompt = inst.engine.prompt(inst.start_state(), list(lexicon.verbs.values()))
     return inst
 
 
@@ -490,7 +431,6 @@ def _synthesize_hard(rng) -> Instance:
     actions = []
     goals = []
     facts = [fact("at", "player", _choice(rng, sorted(path)))]
-    display_verbs = []
     # one single-state, one binary, one ternary object
     for idx, n_states in enumerate((1, 2, 3), start=1):
         obj = f"obj{idx}"
@@ -508,7 +448,6 @@ def _synthesize_hard(rng) -> Instance:
         chain = ([None] + list(states)) if n_states == 1 else list(states)
         for from_state, to_state in zip(chain, chain[1:]):
             verb = maker.make()
-            display_verbs.append(verb)
             preconditions = [
                 {"check": "accessible_here", "param": "item", "fail": "not_here"},
                 {"check": "is_entity", "param": "item", "entity": obj,
@@ -556,9 +495,9 @@ def _synthesize_hard(rng) -> Instance:
         prompt="",
         optimal_plan=None,
     )
-    extra = _new_words_extra(_shuffled(rng, display_verbs))
+    new_words = _shuffled(rng, inst.engine.new_words)
     inst.optimal_plan = solve_optimal(inst).actions
-    inst.prompt = _finalize_prompt(inst, [extra])
+    inst.prompt = inst.engine.prompt(inst.start_state(), new_words)
     return inst
 
 

@@ -506,9 +506,10 @@ class Parser:
         if not self.actions:
             raise ValueError("empty action set")
 
-        self.noun_to_ids: dict[str, list[str]] = {}
+        self.noun_to_ids: dict[str, tuple[str, ...]] = {}  # tuples: smaller than lists
         for ident in (*world.entities, *world.rooms, INVENTORY):
-            self.noun_to_ids.setdefault(self.surface_of(ident), []).append(ident)
+            noun = self.surface_of(ident)
+            self.noun_to_ids[noun] = self.noun_to_ids.get(noun, ()) + (ident,)
         # longest first so "side table" wins over "table"
         self.noun_phrases = sorted(self.noun_to_ids,
                                    key=lambda s: (-len(s.split()), s))
@@ -557,6 +558,8 @@ class Parser:
 
     def _match_noun_phrase(self, tokens: list[str], pos: int) -> tuple[str, int]:
         for candidate in self.noun_phrases:
+            if tokens[pos] not in candidate:  # it cannot match; spare the split
+                continue
             words = candidate.split()
             if tokens[pos:pos + len(words)] == words:
                 return candidate, pos + len(words)

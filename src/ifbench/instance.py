@@ -4,7 +4,9 @@ DOT graph export. Loading reads each `extra_actions` row with
 `grammar.action_from_json`, the reader of the bundled verbs too, shares each
 loaded value that equals one loaded before (`_shared`), and keeps what its
 checks compute for the episodes: the instance's one engine, the start
-state, what the walk showed and the plan's commands."""
+state, what the walk showed and the plan's commands. Every text an agent
+reads is the engine's: loading requires the stored prompt and the walk's
+feedback to be what the engine writes for the instance."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from operator import attrgetter
 from pathlib import Path
 
@@ -387,6 +390,23 @@ def _check_plan(instance: Instance, optimal_length) -> None:
                          f"optimal_length is {optimal_length}")
 
 
+def _check_prompt(instance: Instance) -> None:
+    """ValueError naming the first part of the prompt unlike `Engine.prompt`'s,
+    written on a throwaway start state with the stored order of new words."""
+    start, engine = instance.start_state(), instance.engine
+    stored, words = instance.prompt.split("\n\n"), engine.new_words
+    k = 1 if start.inventory_limit is None else 2  # the new words' part
+    if len(words) > 1 and k < len(stored):
+        last = {word: n for n, word in enumerate(re.split(r"[\s,.]+", stored[k]))}
+        words = sorted(words, key=lambda word: last.get(word, -1))
+    written = engine.prompt(WorldState(start.facts, start.inventory_limit), words)
+    for n, (want, got) in enumerate(zip_longest(written.split("\n\n"), stored,
+                                                fillvalue="")):
+        if got != want:
+            raise ValueError(f"field 'prompt': part {n} is {got!r}, the "
+                             f"engine's is {want!r}")
+
+
 def save_instances(instances: list[Instance], path: str | Path,
                    base_seed: int | None = None) -> None:
     payload = {
@@ -425,6 +445,7 @@ def load_instances(path: str | Path) -> list[Instance]:
             instance = Instance.from_json(row)
             instance.start_state()  # raises on a bad start state or walk
             _check_plan(instance, row["optimal_length"])
+            _check_prompt(instance)
         except KeyError as exc:
             raise ValueError(f"{where} lacks field {exc.args[0]!r}") from exc
         except (TypeError, ValueError, InvariantViolation) as exc:

@@ -8,8 +8,9 @@ changes. A turn's preconditions and effects are the step that
 `grammar.compile_step` makes of its grounded action, once per loop that
 plays turns: an episode, a walk, a search each keep their own memo.
 `Engine.walk` plays a pre-exploration walk, once per instance; an episode
-starts with the walk's turns in its transcript. An episode's file ends in
-its summary line, which every score is computed from;
+starts with the prompt (`Engine.prompt`) and the walk's turns in its
+transcript, so every text an agent reads is the engine's. An episode's file
+ends in its summary line, which every score is computed from;
 `read_episode_summary` is the one checked reader of that line.
 """
 
@@ -18,10 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .grammar import (ActionDef, GroundedAction, GroundFailure, Lexicon,
-                      ParseFailure, Step, build_parser, compile_step)
+                      ParseFailure, Step, build_parser, compile_step,
+                      staple_verbs)
 from .world import (INVENTORY, Fact, GoalCondition, WorldDef, WorldState,
                     apply_delta, check_goals, fact, load_data, room_exits,
                     state_facts_of, state_to_json, visible_facts)
@@ -93,11 +95,15 @@ def _article(noun: str) -> str:
     return "an" if noun[:1] in "aeiou" else "a"
 
 
+def _listed(words: Sequence[str], the: str = "") -> str:
+    """`words` as prose, "a, b and c", with `the` before each after the first."""
+    if len(words) == 1:
+        return words[0]
+    return f", {the}".join(words[:-1]) + f" and {the}" + words[-1]
+
+
 def _join(nouns: list[str]) -> str:
-    items = [f"{_article(n)} {n}" for n in nouns]
-    if len(items) == 1:
-        return items[0]
-    return ", ".join(items[:-1]) + " and " + items[-1]
+    return _listed([f"{_article(n)} {n}" for n in nouns])
 
 
 def _by_holder(state: WorldState) -> dict[str, list[str]]:
@@ -211,6 +217,46 @@ class Engine:
         if states:
             return self._state_sentence(ident, states[0])
         return self._say("examine_at_room", entity=name)
+
+    # -- the prompt --------------------------------------------------------
+
+    @property
+    def new_words(self) -> tuple[str, ...]:
+        """The surface form of each verb that the lexicon renames or that
+        is not a staple verb, in the parser's order."""
+        lexicon, staples = self.parser.lexicon, staple_verbs()
+        return tuple(lexicon.verb(v) for v in self.parser.actions
+                     if v in lexicon.verbs or v not in staples)
+
+    def prompt(self, start: WorldState, new_words: Sequence[str]) -> str:
+        """The prompt of an episode from `start`, joined by blank lines: the
+        preamble, the limit sentence if `start` has a limit, `new_words` (in
+        the order given), the goal line, the closing and the start room."""
+        text, lexicon = load_data("prompts.json"), self.parser.lexicon
+        parts = [text["preamble"]]
+        if start.inventory_limit is not None:
+            parts.append(text["limit_sentence"].format(
+                limit=number_word(start.inventory_limit)))
+        explained = {lexicon.verb(v): e for v, e in lexicon.explanations.items()}
+        if len(new_words) == 1 and new_words[0] in explained:
+            parts.append(text["new_words_one"].format(
+                word=new_words[0], explanation=explained[new_words[0]]))
+        elif new_words:
+            parts.append(text["new_words_many"].format(words=_listed(new_words)))
+        goals = []
+        for goal in self.goals:
+            item, *target = map(self.parser.surface_of, goal.fact.args)
+            if goal.kind == "placement":
+                goals.append(text["placement_part"].format(
+                    item=item, prep=goal.fact.predicate, target=target[0]))
+            else:
+                goals.append(text["state_part"].format(
+                    item=item, state=lexicon.adjective(goal.fact.predicate)))
+        goal = text["placement_goal" if self.goals[0].kind == "placement"
+                    else "state_goal"].format(parts=_listed(goals, "the "))
+        parts += [text["goal_line"].format(goal=goal), text["closing"],
+                  self.room_description(start)]
+        return "\n\n".join(parts)
 
     # -- preconditions and effects ----------------------------------------
 
@@ -368,9 +414,8 @@ class Episode:
         self.transcript.append(("environment", record.feedback))
         if (record.phase_outcome == "success" and record.grounded
                 and record.grounded.action == "done"):
-            achieved = check_goals(state, self.instance.goals)
-            self.outcome = ("success" if len(achieved) == len(self.instance.goals)
-                            else "lost")
+            self.outcome = ("success" if len(record.goals_achieved_now)
+                            == len(self.engine.goals) else "lost")
         elif index >= TURN_LIMIT:
             self.outcome = "aborted-turn-limit"
         return record

@@ -3,10 +3,10 @@ examine descriptions built by their own walks over the facts, the uncompiled
 precondition and effect code, the planner's search with every state checked,
 the planner's candidates without its pruning, and a raw-string brute-force
 optimal search driven through the public interpreter; ablated agents
-(verb-blind, lexicon-blind, memoryless); plus helpers: a builder for
-handcrafted micro instances, criterion 4's corpus of them, a
-pre-exploration walk added to an instance, a scripted agent for a plan,
-and a lexicon swap for generated instances."""
+(verb-blind, lexicon-blind, memoryless, feedback-blind); plus helpers: a
+builder for handcrafted micro instances with the engine's prompt,
+criterion 4's corpus of them, a pre-exploration walk added to an instance,
+a scripted agent for a plan, and a lexicon swap for generated instances."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from itertools import product
 import ifbench.planner as planner
 from ifbench import (Engine, HeuristicAgent, Instance, ScriptedAgent,
                      generate_preexploration)
-from ifbench.generate import _finalize_prompt, _standard_extras
 from ifbench.grammar import (ActionDef, GroundedAction, Lexicon, build_parser,
                              staple_verbs)
 from ifbench.planner import (PlanResult, SearchBudgetExceeded, Unsolvable,
@@ -455,12 +454,12 @@ _TRAITS = {
 
 def micro_instance(rooms, connections, entities, facts, goals,
                    inventory_limit=None, instance_id="micro",
-                   state_groups=(), lexicon=None, extra_actions=(),
-                   prompt="You are in a test world.") -> Instance:
-    """Handcrafted instance. `rooms`: id list (noun = id with underscores
-    swapped); `entities`: (id, kind, allowed_rooms) triples with kind in
-    support/container/takeable; `facts`/`goals`: fact strings. Container
-    state groups are added automatically."""
+                   state_groups=(), lexicon=None, extra_actions=()) -> Instance:
+    """Handcrafted instance with the engine's prompt. `rooms`: id list
+    (noun = id with underscores swapped); `entities`: (id, kind,
+    allowed_rooms) triples with kind in support/container/takeable;
+    `facts`/`goals`: fact strings. Container state groups are added
+    automatically."""
     room_defs = []
     adjacency = {r: set() for r in rooms}
     for a, b in connections:
@@ -485,7 +484,7 @@ def micro_instance(rooms, connections, entities, facts, goals,
         GoalCondition("placement" if parse_fact(g).predicate in ("on", "in")
                       else "entity-state", parse_fact(g))
         for g in goals)
-    return Instance(
+    inst = Instance(
         id=instance_id, family="micro",
         rooms=tuple(room_defs),
         connections=tuple(sorted(tuple(sorted(c)) for c in connections)),
@@ -498,9 +497,11 @@ def micro_instance(rooms, connections, entities, facts, goals,
         base_verbs=staple_verbs(),
         extra_actions=tuple(extra_actions),
         preexploration=None,
-        prompt=prompt,
+        prompt="",
         optimal_plan=None,
     )
+    inst.prompt = inst.engine.prompt(inst.start_state(), inst.engine.new_words)
+    return inst
 
 
 def with_walk(inst: Instance, commands) -> Instance:
@@ -563,7 +564,7 @@ def apply_lexicon(inst: Instance, lexicon: Lexicon) -> Instance:
     re-rendered, optimal plan unchanged by construction). Pre-exploration
     pairs are re-simulated so their surface forms match the new vocabulary."""
     new = replace(inst, lexicon=lexicon, preexploration=None)
-    new.prompt = _finalize_prompt(new, _standard_extras(new))
+    new.prompt = new.engine.prompt(new.start_state(), new.engine.new_words)
     if inst.preexploration:
         new = generate_preexploration(new)
     return new
@@ -604,3 +605,12 @@ class MemorylessAgent(HeuristicAgent):
         self.seen_rooms.clear()
         self.known_locations.clear()
         self._observe(sorted(visible_facts(self.world, episode.state)))
+
+
+class FeedbackBlindAgent(HeuristicAgent):
+    """The heuristic policy without the turns' feedback: it believes only
+    what the start room and the pre-exploration walk showed."""
+
+    def _observe(self, facts) -> None:
+        if not self.episode.turns:  # before the first turn: start and walk
+            super()._observe(facts)

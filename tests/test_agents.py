@@ -16,8 +16,8 @@ from ifbench import (AgentUnavailable, Engine, Episode, GroundedAction,
                      HumanAgent, LlmAgent, LlmConfig, MalformedResponse,
                      ScriptedAgent, llm_chat, run_episode, solve_optimal,
                      transcript_to_messages)
-from oracles import (LexiconBlindAgent, MemorylessAgent, VerbBlindAgent,
-                     micro_instance, with_walk)
+from oracles import (FeedbackBlindAgent, LexiconBlindAgent, MemorylessAgent,
+                     VerbBlindAgent, micro_instance, with_walk)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -369,10 +369,15 @@ def test_llm_chat_routes_through_the_environment_proxies(
 
 
 def test_llm_config_validation():
-    with pytest.raises(ValueError):
-        LlmConfig(endpoint="x", model="m", temperature=-1)
-    with pytest.raises(ValueError):
-        LlmConfig(endpoint="x", model="m", retries=-1)
+    nan, inf = float("nan"), float("inf")
+    for name, values in (("temperature", (-1, nan, inf)),
+                         ("max_tokens", (0, -1, nan)), ("retries", (-1, nan)),
+                         ("backoff", (-1, -0.5, nan, inf))):
+        for value in values:
+            with pytest.raises(ValueError, match=f"^{name} must be >= "):
+                LlmConfig(endpoint="x", model="m", **{name: value})
+    assert LlmConfig(endpoint="x", model="m", temperature=0, max_tokens=1,
+                     retries=0, backoff=0).backoff == 0
     for timeout in (0, -1, float("nan"), float("inf"), 1e10):
         with pytest.raises(ValueError, match="timeout"):
             LlmConfig(endpoint="x", model="m", timeout=timeout)
@@ -573,45 +578,57 @@ def test_scripted_agent_exhausted_queue_says_done():
     assert agent.next_action(()) == "> done"
 
 
-def test_verb_blind_agent_loses_the_synthetic_verb_families(bench144):
+def _scores(episodes) -> tuple[float, float, float]:
+    from ifbench import aggregate, episode_summary
+    s = aggregate(episode_summary(episode) for episode in episodes)
+    return s.played_pct, s.quality, s.mean_turns
+
+
+@pytest.fixture(scope="module")
+def ladder(bench144):
+    """The ablation ladder at seed 17: each ablated agent's played, quality
+    and mean turns, by family."""
+    return {agent: {family: _scores(run_episode(i, agent()) for i in instances)
+                    for family, instances in bench144.items()}
+            for agent in (VerbBlindAgent, LexiconBlindAgent, MemorylessAgent,
+                          FeedbackBlindAgent)}
+
+
+@pytest.fixture(scope="module")
+def heuristic_scores(heuristic_records):
+    return {family: _scores(episode for inst, episode in heuristic_records.values()
+                            if inst.family == family)
+            for family in ifbench.FAMILIES}
+
+
+_SYNTHETIC = ("synthetic-easy", "synthetic-medium", "synthetic-hard")
+_WALKED = ("preexplore-easy", "preexplore-hard")
+
+
+def test_verb_blind_agent_loses_the_synthetic_verb_families(ladder):
     # the first rung of an ablation ladder: with English verbs in place of
     # the instance's, the heuristic plays only the synthetic instances whose
     # verbs stay English, so these families measure learning the verbs
-    from ifbench import aggregate, episode_summary
-    played = {}
-    for family in ("synthetic-easy", "synthetic-medium", "synthetic-hard"):
-        summaries = [episode_summary(run_episode(i, VerbBlindAgent()))
-                     for i in bench144[family]]
-        played[family] = aggregate(summaries).played_pct
+    played = {f: ladder[VerbBlindAgent][f][0] for f in _SYNTHETIC}
     assert played == {"synthetic-easy": 25.0, "synthetic-medium": 0.0,
                       "synthetic-hard": 100.0}
 
 
-def test_lexicon_blind_agent_loses_the_synthetic_families(bench144):
+def test_lexicon_blind_agent_loses_the_synthetic_families(ladder):
     # the second rung: with every word in English, the heuristic plays only
     # the synthetic instances whose needed words all stay English, so these
     # families measure learning the instance's words
-    from ifbench import aggregate, episode_summary
-    played = {}
-    for family in ("synthetic-easy", "synthetic-medium", "synthetic-hard"):
-        summaries = [episode_summary(run_episode(i, LexiconBlindAgent()))
-                     for i in bench144[family]]
-        played[family] = aggregate(summaries).played_pct
+    played = {f: ladder[LexiconBlindAgent][f][0] for f in _SYNTHETIC}
     assert played == {"synthetic-easy": 0.0, "synthetic-medium": 0.0,
                       "synthetic-hard": 6.25}
 
 
-def test_memoryless_agent_takes_longer_only_after_a_walk(bench144,
-                                                         heuristic_records):
+def test_memoryless_agent_takes_longer_only_after_a_walk(ladder,
+                                                         heuristic_scores):
     # the third rung: without what the pre-exploration walk showed, the
     # heuristic still plays every instance, and takes more turns on just
     # the two families that have a walk, so those measure using it
-    from ifbench import aggregate, episode_summary
-    scores = {}
-    for family, instances in bench144.items():
-        s = aggregate(episode_summary(run_episode(i, MemorylessAgent()))
-                      for i in instances)
-        scores[family] = (s.played_pct, s.quality, s.mean_turns)
+    scores = ladder[MemorylessAgent]
     assert scores == {
         "basic-easy": (100.0, 100.0, 15.25), "basic-hard": (100.0, 100.0, 21.5),
         "limit-easy": (100.0, 100.0, 15.0), "limit-hard": (100.0, 100.0, 22.0625),
@@ -620,7 +637,38 @@ def test_memoryless_agent_takes_longer_only_after_a_walk(bench144,
         "synthetic-easy": (100.0, 100.0, 14.625),
         "synthetic-medium": (100.0, 100.0, 15.25),
         "synthetic-hard": (100.0, 100.0, 7.3125)}
-    for family in ("preexplore-easy", "preexplore-hard"):
-        heuristic = aggregate(episode_summary(episode) for inst, episode
-                              in heuristic_records.values() if inst.family == family)
-        assert scores[family][2] > heuristic.mean_turns, family
+    for family in _WALKED:
+        assert scores[family][2] > heuristic_scores[family][2], family
+
+
+def test_feedback_blind_agent_plays_only_where_a_walk_showed_the_way(ladder):
+    # the fourth rung: believing only the start room and the walk, the
+    # heuristic cannot find what no turn shows it, so every family without
+    # a walk measures learning from the feedback
+    assert ladder[FeedbackBlindAgent] == {
+        "basic-easy": (0.0, 0.0, 50.0), "basic-hard": (0.0, 0.0, 50.0),
+        "limit-easy": (0.0, 0.0, 50.0), "limit-hard": (0.0, 0.0, 50.0),
+        "preexplore-easy": (100.0, 100.0, 12.4375),
+        "preexplore-hard": (100.0, 100.0, 17.125),
+        "synthetic-easy": (0.0, 0.0, 50.0),
+        "synthetic-medium": (0.0, 0.0, 50.0),
+        "synthetic-hard": (25.0, 100.0, 38.9375)}
+
+
+def test_each_rung_plays_less_only_without_its_ability(ladder,
+                                                        heuristic_scores):
+    # each family measures the abilities its design implies: an ablated
+    # agent plays less than the heuristic where its lost ability is needed,
+    # and never less on a family whose abilities it keeps
+    families = ifbench.FAMILIES
+    keeps = {VerbBlindAgent: [f for f in families if f not in _SYNTHETIC],
+             LexiconBlindAgent: [f for f in families if f not in _SYNTHETIC],
+             MemorylessAgent: [f for f in families if f not in _WALKED],
+             FeedbackBlindAgent: list(_WALKED)}
+    loses = {VerbBlindAgent: _SYNTHETIC[:2], LexiconBlindAgent: _SYNTHETIC[:2],
+             FeedbackBlindAgent: [f for f in families if f not in _WALKED]}
+    for agent, scores in ladder.items():
+        for family in keeps[agent]:
+            assert scores[family][0] >= heuristic_scores[family][0], (agent, family)
+        for family in loses.get(agent, ()):
+            assert scores[family][0] < heuristic_scores[family][0], (agent, family)

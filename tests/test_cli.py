@@ -334,6 +334,68 @@ def test_a_preexploration_that_plays_otherwise_is_rejected_at_load(
     assert sorted(tmp_path.iterdir()) == [path.parent]
 
 
+def _edit_prompt(old, new):
+    return lambda prompt: prompt.replace(old, new)
+
+
+_NEW_WORDS = "In addition to common actions, you can "
+
+
+# the prompts of seed-17 limit-easy-00, which has a limit sentence, and of
+# synthetic-medium-00 and synthetic-hard-00, which tell their new verbs
+@pytest.mark.parametrize("family, edit, fault", [
+    ("limit-easy", _edit_prompt(
+        "You can have up to two objects in your inventory at the same "
+        "time.\n\n", ""),
+     "part 1 is 'Your goal for this game is: Put the orange on the couch, "
+     "the pillow on the chair and the peach on the counter.', the engine's "
+     "is 'You can have up to two objects in your inventory at the same "
+     "time.'"),
+    ("synthetic-medium", _edit_prompt("clould, jang and skeeb", "clould and jang"),
+     f"part 1 is '{_NEW_WORDS}clould and jang.', the engine's is "
+     f"'{_NEW_WORDS}skeeb, clould and jang.'"),
+    ("synthetic-medium", _edit_prompt("can clould", "can blick, clould"),
+     f"part 1 is '{_NEW_WORDS}blick, clould, jang and skeeb.', the engine's "
+     f"is '{_NEW_WORDS}clould, jang and skeeb.'"),
+    ("basic-easy", _edit_prompt("the plate on the shelf", "the zebra on the shelf"),
+     "part 1 is 'Your goal for this game is: Put the zebra on the shelf, "),
+], ids=["limit-dropped", "verb-missing", "verb-added", "goal-zebra"])
+def test_a_prompt_that_is_not_the_engines_is_rejected_at_load(
+        suite17, tmp_path, monkeypatch, family, edit, fault):
+    path = tmp_path / "instances" / f"{family}.json"
+    path.parent.mkdir()
+    payload = json.loads((suite17 / path.name).read_text(encoding="utf-8"))
+    row = payload["instances"][0]
+    row["prompt"] = edit(row["prompt"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    shutil.copy(suite17 / "preexplore-easy.json", path.parent)
+    with pytest.raises(ValueError) as error:
+        load_instances(path)
+    message = str(error.value)
+    assert message.startswith(f"{path}: instance 0 ({family}-00): "
+                              f"field 'prompt': {fault}")
+    assert "\n" not in message
+    monkeypatch.setattr("builtins.input", lambda prompt="": "done")
+    for argv in (["run", "--agent", "heuristic", "--out", str(tmp_path / "out")],
+                 ["play", "--id", "preexplore-easy-00"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--instances", str(path.parent)])
+        assert exit_.value.code == message
+    assert sorted(tmp_path.iterdir()) == [path.parent]
+
+
+def test_new_words_load_in_any_order(suite17, tmp_path):
+    # only the order in which the prompt tells the new words is free
+    path = tmp_path / "synthetic-hard.json"
+    payload = json.loads((suite17 / path.name).read_text(encoding="utf-8"))
+    row = payload["instances"][0]
+    told = "loorn, stint, sneant and stalt"
+    assert told in row["prompt"]
+    row["prompt"] = row["prompt"].replace(told, "stalt, sneant, stint and loorn")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_instances(path)[0].prompt == row["prompt"]
+
+
 def test_a_missing_instances_path_is_named(small_set, tmp_path):
     results = tmp_path / "results"
     assert main(["run", "--instances", str(small_set), "--agent", "heuristic",
@@ -629,7 +691,8 @@ def test_run_rejects_an_unknown_family(small_set, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     "generate --count 0", "generate --seed -1", "run --retries -1",
-    "run --temperature -1", "run --timeout 0", "run --timeout -1",
+    "run --temperature -1", "run --temperature nan", "run --temperature inf",
+    "run --timeout 0", "run --timeout -1",
     "run --timeout nan", "run --timeout inf", "run --timeout 1e10",
     "run --max-tokens 0", "run --parallel 0",
     "run --parallel 2", "run --families ,", "generate --families ,",

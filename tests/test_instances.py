@@ -887,9 +887,14 @@ def _state_named(entity, state, before=()):
 
 
 def test_extra_action_row_loads(tmp_path, bench144):
+    # its verb is a new word, which the prompt tells after the preamble
     path = tmp_path / "zap.json"
     save_instances(bench144["basic-easy"][:2], path, base_seed=17)
     payload = _set_action("verb", "zap")(json.loads(path.read_text()))
+    row = payload["instances"][1]
+    row["prompt"] = row["prompt"].replace(
+        "\n\nYour goal", "\n\nIn addition to common actions, you can zap."
+        "\n\nYour goal")
     path.write_text(json.dumps(payload))
     assert [a.to_json() for a in load_instances(path)[1].extra_actions] == [
         {**_ZAP, "params": [{"name": "item", "trait": "openable",
@@ -1085,6 +1090,32 @@ def test_extra_action_row_loads(tmp_path, bench144):
      "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
      "grammar: 'zap up <item>' is not a snippet"),
     (_set_action("verb", 5), "is not an action with a string verb"),
+    # the prompt must be the engine's; basic-easy-01's parts are the
+    # preamble, the goal line, the closing and the start room's description
+    (_set_field("prompt", lambda row: row["prompt"].replace(
+        "Put the apple", "Put the zebra")),
+     "instance 1 (basic-easy-01): field 'prompt': part 1 is 'Your goal for "
+     "this game is: Put the zebra on the table, the orange on the couch and "
+     "the potted plant on the couch.', the engine's is 'Your goal for this "
+     "game is: Put the apple on the table, "),
+    (lambda payload: _set_field("prompt", lambda row: payload["instances"][0][
+        "prompt"])(payload),
+     "instance 1 (basic-easy-01): field 'prompt': part 1 is 'Your goal for "
+     "this game is: Put the plate on the shelf, the apple on the chair and "
+     "the banana on the couch.', the engine's is 'Your goal for this game "
+     "is: Put the apple on the table, "),
+    (_set_field("prompt", lambda row: "x"),
+     "instance 1 (basic-easy-01): field 'prompt': part 0 is 'x', the "
+     "engine's is 'You are playing a text adventure game. "),
+    (_set_field("prompt", lambda row: ""),
+     "instance 1 (basic-easy-01): field 'prompt': part 0 is '', the "
+     "engine's is 'You are playing a text adventure game. "),
+    (_set_field("prompt", lambda row: row["prompt"].replace(
+        "a broom and a mop", "a broom")),
+     "instance 1 (basic-easy-01): field 'prompt': part 3 is 'You are in a "
+     "broom closet. There are a broom here. There is a passage to a "
+     "hallway here.', the engine's is 'You are in a broom closet. There are a broom "
+     "and a mop here. There is a passage to a hallway here.'"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
@@ -1108,7 +1139,9 @@ def test_extra_action_row_loads(tmp_path, bench144):
         "room-graph-disconnected", "state-named-at", "state-named-on",
         "state-named-in", "state-named-connects", "state-open-non-container",
         "state-closed-non-container", "state-listed-twice", "no-instances",
-        "grammar-bare-word", "extra-verb-not-a-string"])
+        "grammar-bare-word", "extra-verb-not-a-string", "prompt-goal-zebra",
+        "prompt-of-instance-0", "prompt-x", "prompt-empty",
+        "prompt-start-description"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError
