@@ -33,11 +33,10 @@ class LlmConfig:
     max_tokens: int = 128
     timeout: float = 30.0
     retries: int = 2
-    backoff: float = 0.5
 
     def __post_init__(self):
-        for name, low in (("temperature", 0), ("max_tokens", 1), ("retries", 0),
-                          ("backoff", 0)):  # the bounds of the `run` options
+        # the bounds of the `run` options
+        for name, low in (("temperature", 0), ("max_tokens", 1), ("retries", 0)):
             value = getattr(self, name)
             if not low <= value < float("inf"):  # JSON has no nan or inf
                 raise ValueError(f"{name} must be >= {low} and finite, got {value}")
@@ -272,6 +271,7 @@ def transcript_to_messages(transcript: Transcript) -> list[dict]:
 
 # the longest wait a Retry-After header may ask for, in seconds
 RETRY_AFTER_MAX = 60.0
+BACKOFF_S = 0.5  # seconds; retry n waits n times this, without a Retry-After
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -383,7 +383,7 @@ def llm_chat(config: LlmConfig, transcript: Transcript,
 
     Timeouts, connection errors, malformed bodies, any 3xx (not followed)
     and HTTP 408, 429 and 5xx are each retried up to config.retries times,
-    after config.backoff times the attempt number, or after a 429's or
+    after BACKOFF_S times the attempt number, or after a 429's or
     503's Retry-After seconds; any other HTTP error (401, 404, ...) and a
     malformed endpoint URL are not. A failure that is not retried surfaces
     as AgentUnavailable. Each attempt is logged, with the reply's `usage`.
@@ -408,7 +408,7 @@ def llm_chat(config: LlmConfig, transcript: Transcript,
     last_error = None
     for attempt in range(config.retries + 1):
         entry = {"attempt": attempt + 1, "model": config.model}
-        delay = config.backoff * (attempt + 1)
+        delay = BACKOFF_S * (attempt + 1)
         try:
             data = json.dumps(body, allow_nan=False).encode("utf-8")
             with _post(url, data, headers, config.timeout) as response:

@@ -11,8 +11,8 @@ from collections import deque
 from dataclasses import replace
 from itertools import permutations, product
 
-from .grammar import (ActionDef, ActionFlags, Lexicon, Param,
-                      load_standard_actions, staple_verbs)
+from .grammar import (Lexicon, action_from_json, load_standard_actions,
+                      staple_verbs)
 from .instance import FAMILIES, INSTANCES_PER_FAMILY, Instance
 from .interpreter import TURN_LIMIT
 from .planner import Unsolvable, solve_optimal
@@ -448,35 +448,32 @@ def _synthesize_hard(rng) -> Instance:
         chain = ([None] + list(states)) if n_states == 1 else list(states)
         for from_state, to_state in zip(chain, chain[1:]):
             verb = maker.make()
-            preconditions = [
-                {"check": "accessible_here", "param": "item", "fail": "not_here"},
-                {"check": "is_entity", "param": "item", "entity": obj,
-                 "fail": "no_effect"},
-            ]
-            removes = []
-            if from_state is None:
-                preconditions.append({"check": "not_has_state", "param": "item",
-                                      "state": to_state, "fail": "already"})
-            else:
-                preconditions.append({"check": "has_state", "param": "item",
-                                      "state": from_state, "fail": "no_effect"})
-                removes.append(("fact", from_state, "item"))
-            actions.append(ActionDef(
-                verb=verb,
-                params=(Param("item", "thing"),),
-                grammar=f"{verb} <item>",
-                flags=ActionFlags(epistemic=False, pragmatic=True,
-                                  replaceable=False),
-                preconditions=tuple(preconditions),
-                removes=tuple(removes),
-                adds=(("fact", to_state, "item"),),
-                feedback={
+            guard = ({"check": "not_has_state", "param": "item",
+                      "state": to_state, "fail": "already"}
+                     if from_state is None else
+                     {"check": "has_state", "param": "item",
+                      "state": from_state, "fail": "no_effect"})
+            # the row `save_instances` writes, read as loading reads it
+            actions.append(action_from_json({
+                "verb": verb,
+                "params": [{"name": "item", "trait": "thing", "optional": False}],
+                "grammar": f"{verb} <item>",
+                "flags": {"epistemic": False, "pragmatic": True, "replaceable": False},
+                "preconditions": [
+                    {"check": "accessible_here", "param": "item", "fail": "not_here"},
+                    {"check": "is_entity", "param": "item", "entity": obj,
+                     "fail": "no_effect"},
+                    guard],
+                "effects": {"removes": [] if from_state is None else [
+                                ["fact", from_state, "item"]],
+                            "adds": [["fact", to_state, "item"]]},
+                "feedback": {
                     "success": f"The {{item}} is now {to_state}.",
                     "not_here": "You don't see a {item} here.",
                     "no_effect": "Nothing happens to the {item}.",
                     "already": f"The {{item}} is already {to_state}.",
                 },
-            ))
+            }, states))
 
     inst = Instance(
         id="", family="synthetic-hard",

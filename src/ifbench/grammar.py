@@ -1,6 +1,6 @@
-"""Verb schemas, their one reader (`action_from_json`, for bundled and
-instance rows alike, accepting just what `compile_step` resolves) and their
-compiler, the command grammar, and grounding of parsed commands.
+"""Verb schemas, their one reader (`action_from_json`, for bundled, stored
+and generated rows alike, accepting just what `compile_step` resolves and a
+turn renders) and their compiler, the command grammar, and grounding.
 
 Commands have the shape ``<verb> [function-words] <noun-phrase>
 [<prep> <noun-phrase>]``; ``done`` and ``look`` take no arguments. Each verb
@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .world import (CONNECTS, INVENTORY, PLAYER, Fact, WorldDef, WorldState,
-                    fact, load_data)
+from .world import (INVENTORY, PLAYER, Fact, WorldDef, WorldState, fact,
+                    load_data)
 
 FUNCTION_WORDS = frozenset({"the", "a", "an", "to", "at", "on", "in", "from"})
 
@@ -62,7 +62,8 @@ class Param:
 @dataclass(frozen=True)
 class ActionDef:
     """A verb schema: grammar snippet, typed params, preconditions, effects,
-    feedback templates, and the Table-of-actions flags."""
+    feedback templates, and the Table-of-actions flags. Only
+    `action_from_json` builds one, and `compile_step` and `Parser` trust it."""
 
     verb: str
     params: tuple[Param, ...]
@@ -203,17 +204,13 @@ class Step(NamedTuple):
 
 def compile_step(world: WorldDef, action: ActionDef,
                  grounded: GroundedAction) -> Step:
-    """Compile `action` for `grounded`. ValueError on an unknown check or
-    effect template, on an effect on ``connects`` facts (the room graph is
-    the world's, no state holds it) and on an added location."""
+    """Compile `action` for `grounded`. It trusts the reader: every check
+    and effect template of an action `action_from_json` read resolves."""
     bound = dict(grounded.bindings)
     tests = []
     for cond in action.preconditions:
-        build = _CHECKS.get(cond["check"])
-        if build is None:
-            raise ValueError(f"unknown precondition check {cond['check']!r}")
         ident = bound.get(cond["param"]) if "param" in cond else None
-        form = build(world, cond, ident, grounded)
+        form = _CHECKS[cond["check"]](world, cond, ident, grounded)
         if form is not None:
             tests.append((form, cond["fail"]))
 
@@ -223,9 +220,6 @@ def compile_step(world: WorldDef, action: ActionDef,
     def effect(template: tuple[str, ...]) -> Fact | str:
         kind = template[0]
         if kind == "fact":
-            if template[1] == CONNECTS:
-                raise ValueError(f"action {action.verb!r} changes connects "
-                                 "facts; room connections are the world's")
             return Fact(template[1], tuple([resolve(a) for a in template[2:]]))
         if kind == "location_of":
             return resolve(template[1])
@@ -233,31 +227,22 @@ def compile_step(world: WorldDef, action: ActionDef,
             item, target = resolve(template[1]), resolve(template[2])
             return Fact("in" if world.is_container(target) else "on",
                         (item, target))
-        if kind == "player_at":
-            return PLAYER
-        raise ValueError(f"unknown effect template {template!r}")
+        return PLAYER  # player_at
 
-    def split(templates) -> tuple[frozenset[Fact], tuple[str, ...]]:
-        facts, late = [], []
-        for template in templates:
-            resolved = effect(template)
-            (facts if isinstance(resolved, Fact) else late).append(resolved)
-        return frozenset(facts), tuple(late)
-
-    removes, late_removes = split(action.removes)
-    adds, late_adds = split(action.adds)
-    if late_adds:
-        raise ValueError(f"{action.verb!r} adds a location read from the state")
-    return Step(grounded, tuple(tests), removes, adds, late_removes)
+    removes = [effect(t) for t in action.removes]
+    return Step(grounded, tuple(tests),
+                frozenset(f for f in removes if isinstance(f, Fact)),
+                frozenset(map(effect, action.adds)),
+                tuple(f for f in removes if not isinstance(f, Fact)))
 
 
 def action_from_json(row, unary: Collection[str],
                      ids: Iterable[str] = ()) -> ActionDef:
-    """The one reader of an action row, bundled or an instance's own. A fact
-    effect may name a state of `unary`, and any effect may name the action's
-    parameters, `player`, `inventory` and `ids`. ValueError naming the verb
-    and either the field that no turn could use or the check of a
-    precondition that no turn could decide or report."""
+    """The one reader of an action row, bundled, stored or generated, and so
+    the one maker of an `ActionDef`. A fact effect may name a state of
+    `unary`, and any effect the action's parameters, `player`, `inventory`
+    and `ids`. ValueError naming the verb and either the field that no turn
+    could use or render or the check that no turn could decide or report."""
     verb = row.get("verb") if isinstance(row, dict) else None
     if not isinstance(verb, str):
         raise ValueError(f"{row!r} is not an action with a string verb")
@@ -287,9 +272,10 @@ def action_from_json(row, unary: Collection[str],
            and all(type(v) is bool for v in flags.values()),
            "a map of epistemic, pragmatic and replaceable to bools")
     feedback = row.get("feedback")
-    expect("feedback", isinstance(feedback, dict) and all(
-        isinstance(k, str) and isinstance(v, str) for k, v in feedback.items()),
-        "a map of strings to strings")
+    expect("feedback", isinstance(feedback, dict) and "success" in feedback
+           and all(isinstance(k, str) and isinstance(v, str)
+                   for k, v in feedback.items()),
+           "a map of strings to strings with a success template")
     effects = row.get("effects", {})
     known = {PLAYER, INVENTORY, *names, *ids}
     expect("effects", isinstance(effects, dict) and all(
@@ -298,9 +284,9 @@ def action_from_json(row, unary: Collection[str],
             for t in effects[key])
         for key in ("removes", "adds") if key in effects),
         "removes and adds of effect templates that resolve to valid facts")
-    expect("preconditions", isinstance(row.get("preconditions", []), list),
-           "a list")
-    for cond in row.get("preconditions", []):
+    conds = row.get("preconditions", [])
+    expect("preconditions", isinstance(conds, list), "a list")
+    for cond in conds:
         check = cond.get("check") if isinstance(cond, dict) else None
         where = f"action {verb!r}, precondition check {check!r}"
         if not isinstance(check, str) or check not in _CHECKS:
@@ -316,6 +302,25 @@ def action_from_json(row, unary: Collection[str],
         if cond.get("fail") not in list(feedback):
             raise ValueError(f"{where}: failure kind {cond.get('fail')!r} "
                              "has no feedback template")
+    # a template names only what each turn that renders it binds
+    # (`Engine._feedback_bindings`; `_success_feedback` for success)
+    required = {p["name"] for p in params if not p.get("optional", False)}
+    seen = {c.get("param") for c in conds
+            if c["check"] in ("visible_here", "accessible_here")}
+    for kind, template in feedback.items():
+        bound = required | ({"prep"} if "target" in required else set())
+        if kind == "success":
+            bound |= {"room_description"} | (
+                {"contents"} if "item" in required else set()) | (
+                {"entity_description"} if "item" in required & seen else set())
+        elif all(c["check"] == "inventory_space"
+                 for c in conds if c["fail"] == kind):
+            bound |= {"limit"}
+        try:  # as a turn renders it, with only the names bound
+            template.format_map(dict.fromkeys(bound, ""))
+        except (AttributeError, LookupError, TypeError, ValueError):
+            expect("feedback", False,
+                   f"a map whose {kind!r} template names only {sorted(bound)}")
     # a unary state may be added only to what a precondition shows not to
     # hold it: `apply_delta` refuses to add a fact that is already held
     removes = effects.get("removes", [])
@@ -326,7 +331,7 @@ def action_from_json(row, unary: Collection[str],
                     cond["check"] == "not_has_state" and cond["state"] == state
                     or cond["check"] == "has_state" and cond["state"] != state
                     and ["fact", cond["state"], target] in removes)
-                    for cond in row.get("preconditions", [])):
+                    for cond in conds):
                 raise ValueError(
                     f"action {verb!r}, effects: adds {state}({target}), but no "
                     f"precondition rules out that {target} holds it already "
@@ -338,7 +343,7 @@ def action_from_json(row, unary: Collection[str],
                      for p in params),
         grammar=row["grammar"],
         flags=ActionFlags(**flags),
-        preconditions=tuple(row.get("preconditions", ())),
+        preconditions=tuple(conds),
         removes=tuple(tuple(t) for t in effects.get("removes", ())),
         adds=tuple(tuple(t) for t in effects.get("adds", ())),
         feedback=dict(feedback),
@@ -497,12 +502,9 @@ class Parser:
             surface = lexicon.verb(action.verb)
             if surface in self.surface_verbs:
                 raise DuplicateVerb(surface)
-            snippet_verb, slots = _compile_snippet(action.grammar)
-            if snippet_verb != action.verb:
-                raise ValueError(f"snippet verb mismatch for {action.verb}")
             self.actions[action.verb] = action
             self.surface_verbs[surface] = action.verb
-            self.shapes[action.verb] = slots
+            self.shapes[action.verb] = _compile_snippet(action.grammar)[1]
         if not self.actions:
             raise ValueError("empty action set")
 

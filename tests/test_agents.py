@@ -108,11 +108,16 @@ def kept_alive_server():
     yield from _serving(_KeptAliveHandler)
 
 
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    monkeypatch.setattr(agents, "BACKOFF_S", 0.01)
+
+
 def _config(server, **kwargs):
     port = server.server_address[1]
     return LlmConfig(endpoint=f"http://127.0.0.1:{port}/v1",
                      model="stub-model", retries=kwargs.pop("retries", 2),
-                     backoff=kwargs.pop("backoff", 0.01), **kwargs)
+                     **kwargs)
 
 
 TRANSCRIPT = (("environment", "You are playing."),
@@ -176,7 +181,7 @@ def _closed_port() -> int:
 
 def test_llm_chat_connection_refused_is_retried():
     config = LlmConfig(endpoint=f"http://127.0.0.1:{_closed_port()}/v1",
-                       model="m", retries=1, backoff=0.0)
+                       model="m", retries=1)
     log = []
     with pytest.raises(AgentUnavailable):
         llm_chat(config, TRANSCRIPT, log=log)
@@ -188,7 +193,7 @@ def test_llm_chat_connection_refused_is_retried():
 def test_llm_chat_malformed_url_not_retried(endpoint):
     log = []
     with pytest.raises(AgentUnavailable):
-        llm_chat(LlmConfig(endpoint=endpoint, model="m", backoff=0.0),
+        llm_chat(LlmConfig(endpoint=endpoint, model="m"),
                  TRANSCRIPT, log=log)
     assert len(log) == 1 and "status" not in log[0]
 
@@ -221,11 +226,12 @@ def test_llm_chat_malformed_body_is_retried(stub_server, kind):
     assert len(log) == 2
 
 
-def test_llm_chat_honours_retry_after(stub_server):
+def test_llm_chat_honours_retry_after(stub_server, monkeypatch):
+    monkeypatch.setattr(agents, "BACKOFF_S", 30)
     stub_server.script = [("429", "0"), ("ok", "> look")]
     log = []
     start = time.monotonic()
-    text = llm_chat(_config(stub_server, backoff=30), TRANSCRIPT, log=log)
+    text = llm_chat(_config(stub_server), TRANSCRIPT, log=log)
     assert time.monotonic() - start < 10
     assert text == "> look"
     assert [entry["status"] for entry in log] == [429, 200]
@@ -233,9 +239,10 @@ def test_llm_chat_honours_retry_after(stub_server):
 
 def test_llm_chat_caps_retry_after(stub_server, monkeypatch):
     monkeypatch.setattr(agents, "RETRY_AFTER_MAX", 0.01)
+    monkeypatch.setattr(agents, "BACKOFF_S", 30)
     stub_server.script = [("503", "86400"), ("ok", "> look")]
     start = time.monotonic()
-    assert llm_chat(_config(stub_server, backoff=30), TRANSCRIPT) == "> look"
+    assert llm_chat(_config(stub_server), TRANSCRIPT) == "> look"
     assert time.monotonic() - start < 10
 
 
@@ -246,8 +253,9 @@ def test_llm_chat_caps_retry_after(stub_server, monkeypatch):
 def test_llm_chat_retry_wait(stub_server, monkeypatch, status, header, wait):
     waits = []
     monkeypatch.setattr(agents, "time", SimpleNamespace(sleep=waits.append))
+    monkeypatch.setattr(agents, "BACKOFF_S", 30)
     stub_server.script = [(status, header), ("ok", "> look")]
-    assert llm_chat(_config(stub_server, backoff=30), TRANSCRIPT) == "> look"
+    assert llm_chat(_config(stub_server), TRANSCRIPT) == "> look"
     assert waits == [wait]
 
 
@@ -308,7 +316,7 @@ def test_llm_chat_retries_a_timeout_on_a_new_connection(kept_alive_server):
     # retry's reply
     kept_alive_server.script = [("ok", "> look"), ("late", 0.6),
                                 ("ok", "> retried")]
-    config = _config(kept_alive_server, retries=1, timeout=0.4, backoff=0.0)
+    config = _config(kept_alive_server, retries=1, timeout=0.4)
     assert llm_chat(config, TRANSCRIPT) == "> look"
     log = []
     assert llm_chat(config, TRANSCRIPT, log=log) == "> retried"
@@ -371,13 +379,12 @@ def test_llm_chat_routes_through_the_environment_proxies(
 def test_llm_config_validation():
     nan, inf = float("nan"), float("inf")
     for name, values in (("temperature", (-1, nan, inf)),
-                         ("max_tokens", (0, -1, nan)), ("retries", (-1, nan)),
-                         ("backoff", (-1, -0.5, nan, inf))):
+                         ("max_tokens", (0, -1, nan)), ("retries", (-1, nan))):
         for value in values:
             with pytest.raises(ValueError, match=f"^{name} must be >= "):
                 LlmConfig(endpoint="x", model="m", **{name: value})
     assert LlmConfig(endpoint="x", model="m", temperature=0, max_tokens=1,
-                     retries=0, backoff=0).backoff == 0
+                     retries=0).retries == 0
     for timeout in (0, -1, float("nan"), float("inf"), 1e10):
         with pytest.raises(ValueError, match="timeout"):
             LlmConfig(endpoint="x", model="m", timeout=timeout)
@@ -418,7 +425,7 @@ def test_llm_agent_full_episode(stub_server):
 
 def test_llm_agent_unreachable_marks_aborted():
     config = LlmConfig(endpoint="http://127.0.0.1:9/v1", model="m",
-                       retries=0, timeout=0.2, backoff=0.0)
+                       retries=0, timeout=0.2)
     record = run_episode(_delivery_instance(), LlmAgent(config))
     assert record.outcome == "aborted-agent"
 

@@ -384,6 +384,37 @@ def test_a_prompt_that_is_not_the_engines_is_rejected_at_load(
     assert sorted(tmp_path.iterdir()) == [path.parent]
 
 
+@pytest.mark.parametrize("edit, fault", [
+    (lambda feedback: {**feedback, "success": feedback["success"] + " {bogus}"},
+     "is not a map whose 'success' template names only ['contents', "
+     "'entity_description', 'item', 'room_description']"),
+    (lambda feedback: {k: v for k, v in feedback.items() if k != "success"},
+     "is not a map of strings to strings with a success template"),
+], ids=["unbound-name", "no-success"])
+def test_feedback_no_turn_can_render_is_rejected_at_load(
+        suite17, tmp_path, edit, fault):
+    path = tmp_path / "instances" / "synthetic-hard.json"
+    path.parent.mkdir()
+    payload = json.loads((suite17 / path.name).read_text(encoding="utf-8"))
+    action = payload["instances"][0]["extra_actions"][0]
+    action["feedback"] = edit(action["feedback"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError) as error:
+        load_instances(path)
+    message = str(error.value)
+    assert message.startswith(
+        f"{path}: instance 0 (synthetic-hard-00): field 'extra_actions': "
+        f"action {action['verb']!r}, feedback: ")
+    assert fault in message
+    for agent in ("scripted", "heuristic"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--agent", agent, "--instances", str(path.parent),
+                  "--out", str(tmp_path / "out")])
+        assert exit_.value.code == message
+    assert sorted(tmp_path.iterdir()) == [path.parent]
+    assert sorted(path.parent.iterdir()) == [path]
+
+
 def test_new_words_load_in_any_order(suite17, tmp_path):
     # only the order in which the prompt tells the new words is free
     path = tmp_path / "synthetic-hard.json"

@@ -227,3 +227,32 @@ def test_every_module_level_import_is_used():
               if (found := _unused_imports(
                   path.read_text(), set(ifbench._NAMES.get(path.stem, "").split())))}
     assert unused == {}
+
+
+def _calls_of(name: str, nodes, where=None):
+    """Yield the name of the function around each call of `name` (a bare
+    name or an attribute) among `nodes` and below them; None at module or
+    class level."""
+    for node in nodes:
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield where
+        inside = (node.name if isinstance(node, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef))
+                  else where)
+        yield from _calls_of(name, ast.iter_child_nodes(node), inside)
+
+
+def test_reader_sees_every_call():
+    source = ("ActionDef()\ndef f():\n    def g():\n        return m.ActionDef()\n"
+              "    return ActionDef(1), ActionDefs()\nclass C:\n    x = [ActionDef()]\n")
+    assert list(_calls_of("ActionDef", ast.parse(source).body)) == [
+        None, "g", "f", None]
+
+
+def test_only_the_reader_builds_an_action():
+    # one way in for every `ActionDef`: the checks of `action_from_json`
+    built = {(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+             for where in _calls_of("ActionDef",
+                                    ast.parse(path.read_text()).body)}
+    assert built == {("grammar", "action_from_json")}

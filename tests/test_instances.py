@@ -1,10 +1,13 @@
 import copy
 import hashlib
 import json
+import os
 import re
-import tracemalloc
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +22,7 @@ from ifbench import (TURN_LIMIT, Engine, HeuristicAgent, PlanResult,
                      save_instances, solve_optimal)
 from ifbench.generate import (FAMILIES, INVENTORY_LIMIT, Rng,
                               catalogue_vocabulary)
-from ifbench.grammar import GroundedAction, Lexicon
+from ifbench.grammar import GroundedAction, Lexicon, action_from_json
 from ifbench.pseudowords import PseudowordMaker, load_english_words
 from ifbench.world import ENGINE_PREDICATES
 from oracles import apply_lexicon, micro_instance
@@ -572,20 +575,29 @@ def test_repeated_row_is_checked_again(tmp_path, bench144):
         "container and support are exclusive")
 
 
-def test_loaded_suite_memory(tmp_path, bench144, monkeypatch):
+def test_loaded_suite_memory(tmp_path, bench144):
     """Loading the saved seed-17 suite keeps at most 2.5 MB allocated, as
-    `tracemalloc` counts it; without sharing equal values it was about
+    `tracemalloc` counts it in a fresh process that, as `ifbench run` does,
+    only loads the files; without sharing equal values it was about
     6.5 MB."""
-    paths = _save_suite(tmp_path, bench144)
-    load_instances(paths[0])  # bundled data read and cached, as in a run
-    monkeypatch.setattr(ifbench.instance, "_SHARED", {}, raising=False)
-    tracemalloc.start()
-    try:
-        suite = [i for path in paths for i in load_instances(path)]
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(suite) == 144
+    paths = [str(path) for path in _save_suite(tmp_path, bench144)]
+    code = (
+        "import sys, tracemalloc\n"
+        "import ifbench.instance\n"
+        "paths = sys.argv[1:]\n"
+        "# bundled data read and cached, as in a run\n"
+        "ifbench.instance.load_instances(paths[0])\n"
+        "ifbench.instance._SHARED = {}\n"
+        "tracemalloc.start()\n"
+        "suite = [i for p in paths for i in ifbench.instance.load_instances(p)]\n"
+        "kept, _ = tracemalloc.get_traced_memory()\n"
+        "print(len(suite), kept)\n")
+    src = str(Path(ifbench.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code, *paths], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    loaded, kept = map(int, run.stdout.split())
+    assert loaded == 144
     assert kept <= 2_500_000
 
 
@@ -901,6 +913,15 @@ def test_extra_action_row_loads(tmp_path, bench144):
                              "optional": False}]}]
 
 
+def test_generated_actions_are_the_rows_they_save(bench144):
+    # the generator reads its own verbs' rows as loading does
+    for inst in bench144["synthetic-hard"]:
+        states = [s for g in inst.state_groups for s in g.states]
+        assert inst.extra_actions
+        for action in inst.extra_actions:
+            assert action == action_from_json(action.to_json(), states)
+
+
 @pytest.mark.parametrize("mutate, named", [
     (None, "not valid JSON ("),
     (lambda payload: [payload], "the top level is not a JSON object"),
@@ -1116,6 +1137,37 @@ def test_extra_action_row_loads(tmp_path, bench144):
      "broom closet. There are a broom here. There is a passage to a "
      "hallway here.', the engine's is 'You are in a broom closet. There are a broom "
      "and a mop here. There is a passage to a hallway here.'"),
+    (_set_action("effects", {"adds": [["location_of", "item"]]}),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "effects: {'adds': [['location_of', 'item']]} is not removes and adds "
+     "of effect templates that resolve to valid facts"),
+    # feedback a turn could not render: `zap` binds its item, and on
+    # success also the room and what the item holds
+    (_set_action("feedback", {"success": "Zap {bogus}.",
+                              "no_effect": "Nothing happens."}),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "feedback: {'success': 'Zap {bogus}.', 'no_effect': 'Nothing happens.'} "
+     "is not a map whose 'success' template names only ['contents', 'item', "
+     "'room_description']"),
+    (_set_action("feedback", {"no_effect": "Nothing happens."}),
+     "instance 1 (basic-easy-01): field 'extra_actions': action 'zap', "
+     "feedback: {'no_effect': 'Nothing happens.'} is not a map of strings to "
+     "strings with a success template"),
+    (_set_action("feedback", {"success": "Zap {.", "no_effect": "No."}),
+     "field 'extra_actions': action 'zap', feedback: {'success': 'Zap {.', "
+     "'no_effect': 'No.'} is not a map whose 'success' template names only "),
+    (_set_action("feedback", {"success": "Zap {limit}.", "no_effect": "No."}),
+     "field 'extra_actions': action 'zap', feedback: {'success': 'Zap "
+     "{limit}.', 'no_effect': 'No.'} is not a map whose 'success' template "),
+    (_set_action("feedback", {"success": "Zap.", "no_effect": "No {limit}."}),
+     "field 'extra_actions': action 'zap', feedback: {'success': 'Zap.', "
+     "'no_effect': 'No {limit}.'} is not a map whose 'no_effect' template "
+     "names only ['item']"),
+    (_set_action("feedback", {"success": "{entity_description}",
+                              "no_effect": "No."}),
+     "field 'extra_actions': action 'zap', feedback: {'success': "
+     "'{entity_description}', 'no_effect': 'No.'} is not a map whose "
+     "'success' template names only ['contents', 'item', 'room_description']"),
 ], ids=["invalid-json", "top-level-list", "row-not-object", "fact-not-string",
         "goal-not-string", "lexicon-not-object", "traits-string", "limit-bool",
         "limit-string", "limit-zero", "id-path", "id-dot-first", "goal-kind",
@@ -1141,7 +1193,10 @@ def test_extra_action_row_loads(tmp_path, bench144):
         "state-closed-non-container", "state-listed-twice", "no-instances",
         "grammar-bare-word", "extra-verb-not-a-string", "prompt-goal-zebra",
         "prompt-of-instance-0", "prompt-x", "prompt-empty",
-        "prompt-start-description"])
+        "prompt-start-description", "effect-location-added",
+        "feedback-unbound-name", "feedback-no-success", "feedback-lone-brace",
+        "feedback-limit-on-success", "feedback-limit-on-other-failure",
+        "feedback-examine-unperceived"])
 def test_malformed_file_names_file_instance_and_field(tmp_path, bench144,
                                                       mutate, named):
     """Malformed JSON, or a value of the wrong JSON type, is a ValueError

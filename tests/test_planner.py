@@ -1,4 +1,3 @@
-import re
 import time
 from dataclasses import replace
 from itertools import product
@@ -10,7 +9,7 @@ import ifbench.grammar as grammar
 import ifbench.planner as planner
 from ifbench import (Engine, SearchBudgetExceeded, Unsolvable, apply_delta,
                      run_episode, solve_optimal)
-from ifbench.grammar import ActionDef, ActionFlags, GroundedAction, Param
+from ifbench.grammar import GroundedAction
 from ifbench.world import INVENTORY, PLAYER, InvariantViolation
 from oracles import (brute_force_optimal, micro_corpus, micro_instance,
                      plan_agent, reference_effects, reference_preconditions,
@@ -483,82 +482,3 @@ def test_search_with_a_wrong_successor_raises(monkeypatch):
     monkeypatch.setattr(planner, "_compile", sticky)
     with pytest.raises(InvariantViolation, match="does not reach"):
         solve_optimal(one_room())
-
-
-def test_connects_effect_fails_loudly():
-    dig = ActionDef(
-        verb="dig", params=(Param("room", "room"),), grammar="dig <room>",
-        flags=ActionFlags(epistemic=False, pragmatic=True, replaceable=False),
-        preconditions=(),
-        removes=(),
-        adds=(("fact", "connects", "player", "room"),),
-        feedback={"success": "You dig a passage."})
-    inst = micro_instance(
-        rooms=["kitchen", "pantry"], connections=[("kitchen", "pantry")],
-        entities=[("table", "support", ["pantry"]),
-                  ("apple", "takeable", ["kitchen"])],
-        facts=["at(player,kitchen)", "at(table,pantry)", "at(apple,kitchen)"],
-        goals=["on(apple,table)"], extra_actions=[dig])
-    engine = Engine(inst)
-    grounded = GroundedAction("dig", (("room", "pantry"),))
-    with pytest.raises(ValueError, match="'dig'.*connects"):
-        engine.step(grounded, {}).failure(inst.start_state())
-    with pytest.raises(ValueError, match="'dig'.*connects"):
-        solve_optimal(inst)
-
-
-def _zap_instance(**fields):
-    """A one-room instance whose own action `zap`, built in code as the
-    generator builds its actions, takes `fields`."""
-    zap = ActionDef(**{
-        "verb": "zap", "params": (Param("item", "takeable"),),
-        "grammar": "zap <item>",
-        "flags": ActionFlags(epistemic=False, pragmatic=True, replaceable=False),
-        "preconditions": (), "removes": (), "adds": (),
-        "feedback": {"success": "Zap."}, **fields})
-    return micro_instance(
-        rooms=["kitchen"], connections=[],
-        entities=[("table", "support", ["kitchen"]),
-                  ("apple", "takeable", ["kitchen"])],
-        facts=["at(player,kitchen)", "at(table,kitchen)", "at(apple,kitchen)"],
-        goals=["on(apple,table)"], extra_actions=[zap])
-
-
-@pytest.mark.parametrize("fields, named", [
-    ({"preconditions": ({"check": "levitate", "param": "item",
-                         "fail": "success"},)},
-     "unknown precondition check 'levitate'"),
-    ({"removes": (("teleport", "item"),)},
-     "unknown effect template ('teleport', 'item')"),
-], ids=["check", "effect-template"])
-def test_unknown_check_or_template_fails_when_compiled(fields, named):
-    inst = _zap_instance(**fields)
-    with pytest.raises(ValueError, match=re.escape(named)):
-        Engine(inst).step(GroundedAction("zap", (("item", "apple"),)), {})
-
-
-def test_snippet_of_another_verb_fails_when_the_parser_is_built():
-    with pytest.raises(ValueError, match="snippet verb mismatch for zap"):
-        Engine(_zap_instance(grammar="zip <item>"))
-
-
-def test_location_effect_among_adds_fails_loudly():
-    """An effect read from the state names a fact that is held already, so
-    it may only be removed; as an add it fails when the step is compiled."""
-    copy = ActionDef(
-        verb="copy", params=(Param("item", "takeable"),), grammar="copy <item>",
-        flags=ActionFlags(epistemic=False, pragmatic=True, replaceable=False),
-        preconditions=(),
-        removes=(),
-        adds=(("location_of", "item"),),
-        feedback={"success": "You copy it."})
-    inst = micro_instance(
-        rooms=["kitchen"], connections=[],
-        entities=[("table", "support", ["kitchen"]),
-                  ("apple", "takeable", ["kitchen"])],
-        facts=["at(player,kitchen)", "at(table,kitchen)", "at(apple,kitchen)"],
-        goals=["on(apple,table)"], extra_actions=[copy])
-    with pytest.raises(ValueError, match="'copy' adds a location"):
-        Engine(inst).step(GroundedAction("copy", (("item", "apple"),)), {})
-    with pytest.raises(ValueError, match="'copy' adds a location"):
-        solve_optimal(inst)
